@@ -1,10 +1,11 @@
 """Write-ahead journal overhead on the admission hot path.
 
 Crash consistency must not tax the paths PR-1 made fast: every
-journal hook in the control plane is a ``self.journal is None`` guard,
-and with the in-memory store a typed append defers byte-encoding
-entirely, so a journaled admission stays within 5 % of an unjournaled
-one — the same budget PR-4 set for telemetry.
+journal hook in the control plane is a ``probe.append`` that does
+nothing until a journal is installed, and with the in-memory store a
+typed append defers byte-encoding entirely, so a journaled admission
+stays within 5 % of an unjournaled one — the same budget PR-4 set for
+telemetry.
 
 Three measurements, written to ``benchmarks/BENCH_recovery.json``:
 

@@ -1,11 +1,11 @@
 """Observability overhead — provenance disabled vs enabled.
 
-Decision provenance follows the telemetry guard discipline: every
-broker/capacity/verifier emit site pays exactly one ``is not None``
-check when ``install_observability`` has not run, with all expensive
-context building (candidate lists, headroom reads, f-strings) behind
-the guard.  The acceptance gate for this PR is that the disabled-mode
-batch=64 admission rate stays within 5% of the recorded
+Decision provenance goes through the testbed's probe: every
+broker/capacity/verifier emit site is a no-op ``probe.decide`` when
+``install_observability`` has not run, with all expensive context
+building (candidate lists, headroom reads, f-strings) behind one
+``probe.explaining`` check.  The acceptance gate is that the
+disabled-mode batch=64 admission rate stays within 5% of the recorded
 ``BENCH_throughput.json`` batch=64 rate — i.e. the guards are free.
 
 Measured here, written to ``benchmarks/BENCH_obs.json``:
@@ -115,7 +115,7 @@ def _measure(observed: bool) -> Dict[str, object]:
         assert len(testbed.decisions) >= preloaded + ADMISSIONS, (
             "enabled mode recorded fewer decisions than admissions")
     else:
-        assert broker.decisions is None, (
+        assert not broker.probe.explaining, (
             "disabled mode must leave the decision log uninstalled")
     return {
         "observed": observed,

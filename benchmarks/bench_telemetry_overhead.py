@@ -1,10 +1,11 @@
 """Telemetry disabled-mode overhead on the reservation hot path.
 
 The PR-1 speedup claim must survive instrumentation: every telemetry
-hook in the hot path is a single ``self.telemetry is None`` attribute
-check, so the disabled-mode cost per GARA operation has to stay within
-noise of the slot-table admission itself (budget: <= 5 % of an indexed
-create at the EXPERIMENTS.md T2 anchor of 200 live bookings).
+hook in the hot path is one ``probe.measuring`` check on a probe with
+no hub behind it, so the disabled-mode cost per GARA operation has to
+stay within noise of the slot-table admission itself (budget: <= 5 %
+of an indexed create at the EXPERIMENTS.md T2 anchor of 200 live
+bookings).
 
 Three measurements, written to ``benchmarks/BENCH_telemetry.json``:
 
@@ -12,9 +13,9 @@ Three measurements, written to ``benchmarks/BENCH_telemetry.json``:
   baseline this PR must not regress);
 * a full GARA ``reservation_create`` + ``cancel`` round trip with
   telemetry off vs installed (what the broker actually pays);
-* the guard primitive itself — an attribute load plus ``is None``
-  branch — measured directly, to show the disabled-mode mechanism is
-  nanoseconds, not microseconds.
+* the guard primitive itself — the ``measuring`` predicate of a
+  silent probe — measured directly, to show the disabled-mode
+  mechanism is nanoseconds, not microseconds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import time
 
 from repro.gara.api import GaraApi
 from repro.gara.slot_table import SlotTable
+from repro.probe import Probe
 from repro.qos.vector import ResourceVector
 from repro.rsl.builder import reservation_rsl
 from repro.sim.engine import Simulator
@@ -61,10 +63,9 @@ def _populated_table() -> SlotTable:
 
 def _gara(telemetry_on: bool) -> GaraApi:
     sim = Simulator()
-    api = GaraApi(sim, _populated_table(), name="bench-gara")
-    if telemetry_on:
-        api.telemetry = Telemetry(now=lambda: sim.now)
-    return api
+    probe = Probe(telemetry=Telemetry(now=lambda: sim.now)
+                  if telemetry_on else None)
+    return GaraApi(sim, _populated_table(), name="bench-gara", probe=probe)
 
 
 def _gara_round_trip_s(api: GaraApi) -> float:
@@ -76,17 +77,13 @@ def _gara_round_trip_s(api: GaraApi) -> float:
 
 
 def _guard_cost_s() -> float:
-    """Cost of one disabled-mode hook: attr load + ``is None`` branch."""
-
-    class Host:
-        telemetry = None
-
-    host = Host()
+    """Cost of one disabled-mode hook: ``measuring`` on a silent probe."""
+    probe = Probe()
     loops = range(GUARD_LOOPS)
 
     def guarded():
         for _ in loops:
-            if host.telemetry is not None:
+            if probe.measuring:
                 raise AssertionError  # pragma: no cover - never taken
 
     def empty():
@@ -133,7 +130,7 @@ def test_telemetry_overhead_artifact():
             f"GARA create+cancel, telemetry on:   "
             f"{enabled_s * 1e6:.2f}µs "
             f"(+{results['enabled_overhead_fraction'] * 100:.1f}%)",
-            f"one None-guard: {guard_s * 1e9:.1f}ns "
+            f"one silent-probe guard: {guard_s * 1e9:.1f}ns "
             f"({results['guard_fraction_of_create'] * 100:.3f}% of a "
             f"create)",
         ]))

@@ -93,6 +93,15 @@ BENCH_FEDERATION_SMOKE=1 python -m pytest \
     benchmarks/bench_federation.py -q > /dev/null
 echo "federation smoke OK (reroute path at N=2/4)"
 
+echo "== layer-ledger smoke (BENCHMARK.json contract) =="
+# Every ledger workload at a tenth of its size (~10 s): each op is
+# checked against its expected outcome, the invariants are audited,
+# and the traced entry points must still resolve. Prints to stdout
+# only, so the tree stays clean. Full runs and --compare:
+#   python3 benchmarks/ledger/run.py --help
+python3 benchmarks/ledger/run.py --smoke > /dev/null
+echo "layer-ledger smoke OK (all workloads correct)"
+
 echo "== bench trend (headline regression gate) =="
 # Every BENCH_*.json headline metric vs the recorded baseline in
 # benchmarks/BENCH_trend.json; >20% regression in the bad direction

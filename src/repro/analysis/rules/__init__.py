@@ -21,6 +21,7 @@ QLNT114   Journaled state mutated outside the journal API
 QLNT115   Object allocation in the DES/slot-table hot loop
 QLNT116   Reject/degrade path without a decision record
 QLNT117   Raw bus send inside ``repro.federation``
+QLNT118   Instrumentation side-channel beside the probe
 ========  ==============================================================
 """
 

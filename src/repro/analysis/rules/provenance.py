@@ -6,13 +6,13 @@ that rejects a request or degrades a session announces itself by
 bumping a stats counter (``rejected_discovery``, ``squeezes``, ...) or
 by constructing the solver's :class:`OptimizationResult`; if such a
 function never calls the provenance funnel (``self._decide(...)``,
-``decisions.decide(...)``, or the solver's ``on_decision`` hook), that
+``probe.decide(...)``, or the solver's ``on_decision`` hook), that
 verdict is silent — ``repro obs why`` would have a hole exactly where
 an operator needs the explanation.
 
 The rule is structural, not path-sensitive: a *function* containing a
 reject/degrade marker must also contain an emit call.  That matches
-the funnel discipline (one guarded ``_decide`` next to each counter
+the funnel discipline (one ``_decide`` next to each counter
 bump) without needing data-flow analysis.
 """
 
@@ -102,7 +102,7 @@ class DecisionProvenanceRule(Rule):
                        f"{'.'.join(key)}() marks a reject/degrade "
                        f"verdict ({marker}) but never emits a "
                        f"DecisionRecord — call self._decide(...) / "
-                       f"decisions.decide(...) (or invoke on_decision "
+                       f"probe.decide(...) (or invoke on_decision "
                        f"for solver results) so 'repro obs why' can "
                        f"explain this outcome")
         # Instances may be reused across modules (rules_by_id): reset.

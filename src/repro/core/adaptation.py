@@ -61,7 +61,7 @@ class AdaptationEngine:
         self.partition = partition
         self._trace = trace
         self._now = now
-        self.decisions: List[AllocationDecision] = []
+        self.decisions: List[AllocationDecision] = []  # qlint: disable=QLNT118 -- allocation history, not the provenance log
         self.adapt_invocations = 0
 
     # ------------------------------------------------------------------

@@ -23,13 +23,8 @@ One broker instance orchestrates, per Figure 2:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, List,
-                    Optional, Sequence)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from ..obs import DecisionLog, SloEngine
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import (
     AdmissionError,
@@ -44,23 +39,19 @@ from ..monitoring.verifier import SlaVerifier
 from ..network.interdomain import EndToEndAllocation, InterDomainCoordinator
 from ..obs.decisions import point_payload
 from ..network.nrm import NetworkResourceManager
+from ..probe import Probe
 from ..qos.classes import ServiceClass
 from ..qos.cost import PricingPolicy
 from ..qos.parameters import Dimension
 from ..qos.specification import OperatingPoint, QoSSpecification
 from ..qos.vector import ResourceVector
-from ..recovery.journal import (
-    BEST_EFFORT_SET,
-    DeferredValue,
-    Journal,
-    SLA_SAVED,
-)
+from ..recovery.journal import BEST_EFFORT_SET, DeferredValue, SLA_SAVED
 from ..registry.query import ServiceQuery
 from ..registry.uddie import ServiceRecord, UddieRegistry
 from ..resources.compute import ComputeResourceManager, Job, JobState
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
-from ..telemetry import MetricsRegistry, Telemetry
+from ..telemetry import MetricsRegistry
 from ..sla.document import ServiceSLA, SlaStatus
 from ..sla.lifecycle import Phase, QoSFunction, QoSSession
 from ..sla.negotiation import Negotiation, Offer, ServiceRequest
@@ -200,6 +191,8 @@ class AQoSBroker:
             ``registry``. Chaos wiring swaps in a
             :class:`~repro.core.discovery.ResilientDiscovery` that
             rides the message bus and degrades to a stale cache.
+        probe: The testbed's instrumentation seam, shared with every
+            subsystem the broker builds.
     """
 
     def __init__(self, sim: Simulator, *, registry: UddieRegistry,
@@ -216,8 +209,8 @@ class AQoSBroker:
                  optimizer_levels: int = 4,
                  optimizer_interval: float = 0.0,
                  promotion_policy: Optional[Callable[[ServiceSLA], bool]] = None,
-                 discovery: Optional["DiscoveryService"] = None
-                 ) -> None:
+                 discovery: Optional["DiscoveryService"] = None,
+                 probe: Optional[Probe] = None) -> None:
         self.sim = sim
         self.registry = registry
         self.discovery = (discovery if discovery is not None
@@ -239,22 +232,7 @@ class AQoSBroker:
         #: The broker-wide metrics registry — the single counting
         #: mechanism for cross-cutting operational stats (QLNT113).
         self.metrics = MetricsRegistry(now=lambda: sim.now)
-        #: Optional telemetry hub; :meth:`install_telemetry` wires it
-        #: through every subsystem. ``None`` keeps all hooks disabled.
-        self.telemetry: Optional[Telemetry] = None
-        #: Optional write-ahead journal;
-        #: :func:`repro.recovery.recover.install_journal` wires it
-        #: through every subsystem. ``None`` keeps every write point
-        #: at a single attribute check.
-        self.journal: Optional[Journal] = None
-        #: Optional decision-provenance log
-        #: (:class:`repro.obs.DecisionLog`);
-        #: :func:`repro.core.testbed.install_observability` wires it.
-        #: ``None`` keeps every emit point at a single attribute check.
-        self.decisions: Optional["DecisionLog"] = None
-        #: Optional SLO engine (:class:`repro.obs.SloEngine`) fed from
-        #: session start/end; installed alongside :attr:`decisions`.
-        self.slo: Optional["SloEngine"] = None
+        self.probe = probe if probe is not None else Probe()
         #: Cache of journaled SLA XML keyed by sla_id; an entry is
         #: reused while the mutable document fields (the fingerprint)
         #: are unchanged, which keeps journaling off the XML encoder
@@ -264,9 +242,10 @@ class AQoSBroker:
                                        now=lambda: sim.now)
         self.verifier = SlaVerifier(sim, self.mds, self.repository,
                                     self.hub, trace=trace,
-                                    metrics=self.metrics)
+                                    metrics=self.metrics, probe=self.probe)
         self.reservation_system = ReservationSystem(
-            sim, compute_rm, nrm=nrm, coordinator=coordinator, trace=trace)
+            sim, compute_rm, nrm=nrm, coordinator=coordinator, trace=trace,
+            probe=self.probe)
         self.scenarios = ScenarioEngine(self)
         self.stats = BrokerStats()
         self.optimizer_levels = optimizer_levels
@@ -292,43 +271,8 @@ class AQoSBroker:
             self._schedule_optimizer(optimizer_interval)
 
     # ==================================================================
-    # Telemetry
+    # Instrumentation payloads
     # ==================================================================
-
-    def install_telemetry(self, telemetry: Telemetry) -> None:
-        """Wire a telemetry hub through the broker and its subsystems.
-
-        The hub's registry becomes the broker-wide registry (existing
-        counts are abandoned only when the hub brings its *own*
-        registry — pass ``metrics=broker.metrics`` when building the
-        hub to adopt the live one), spans turn on across the
-        reservation path, and the capacity partition starts feeding
-        the Cg/Ca/Cb gauges on every rebalance.
-        """
-        self.telemetry = telemetry
-        if telemetry.metrics is not self.metrics:
-            self.metrics = telemetry.metrics
-            self.verifier.metrics = telemetry.metrics
-        if hasattr(self.discovery, "metrics"):
-            self.discovery.metrics = self.metrics
-        self.verifier.telemetry = telemetry
-        self.reservation_system.telemetry = telemetry
-        self.compute_rm.gara.telemetry = telemetry
-        if self.nrm is not None:
-            self.nrm.telemetry = telemetry
-        if self.coordinator is not None:
-            for domain_nrm in self.coordinator._nrms.values():  # noqa: SLF001
-                domain_nrm.telemetry = telemetry
-        self.partition.observer = telemetry.capacity.on_rebalance
-        telemetry.capacity.prime(self.partition)
-
-    def _span(self, name: str, **attributes: object
-              ) -> "ContextManager[object]":
-        """A broker-component span, or a no-op when telemetry is off."""
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.tracer.span(name, component="aqos-broker",
-                                          **attributes)
 
     def _pool_headroom(self) -> "Dict[str, float]":
         """Per-pool capacity context for decision records.
@@ -353,19 +297,16 @@ class AQoSBroker:
                 for offer in negotiation.offers]
 
     def _decide(self, action: str, outcome: str, **context: object) -> None:
-        """Emit one decision record when provenance is enabled.
+        """Emit one broker/scenario verdict (the QLNT116 funnel).
 
-        The single guarded funnel for every broker/scenario verdict
-        (QLNT116).  Head-room is attached here so emit sites stay
-        one-liners; anything expensive to build (candidate lists,
-        pricing calls) must itself be gated on
-        ``self.decisions is not None`` at the call site.
+        Head-room is attached here so emit sites stay one-liners;
+        anything expensive to build (candidate lists, pricing calls,
+        f-string reasons) is gated on ``probe.explaining`` at the
+        call site.
         """
-        if self.decisions is None:
-            return
-        self.decisions.decide(action, outcome,
-                              headroom=self._pool_headroom(),
-                              **context)  # type: ignore[arg-type]
+        if self.probe.explaining:  # head-room is payload too
+            self.probe.decide(action, outcome,
+                              headroom=self._pool_headroom(), **context)
 
     def _journal_sla(self, sla: ServiceSLA) -> None:
         """Append an ``sla_saved`` record (document + lifecycle status).
@@ -374,7 +315,7 @@ class AQoSBroker:
         so the journal always holds the latest full Table 4 XML for
         each SLA — recovery rebuilds the repository from these alone.
         """
-        if self.journal is None:
+        if not self.probe.journaling:
             return
         # Most saves are status-only transitions around an unchanged
         # document; re-render the XML only when the mutable document
@@ -407,8 +348,8 @@ class AQoSBroker:
             self._journal_xml_cache[sla.sla_id] = (
                 snapshot.agreed_point, snapshot.delivered_point,
                 sla.price_rate, xml)
-        self.journal.append(SLA_SAVED, sla_id=sla.sla_id,
-                            status=sla.status.value, xml=xml)
+        self.probe.append(SLA_SAVED, sla_id=sla.sla_id,
+                          status=sla.status.value, xml=xml)
 
     # ==================================================================
     # Establishment phase (Figure 2, steps 1-2)
@@ -507,8 +448,9 @@ class AQoSBroker:
         Returns the negotiation (possibly already FAILED) and a reason
         string for failures.
         """
-        with self._span("negotiate", client=request.client,
-                        service=request.service_name):
+        with self.probe.span("negotiate", "aqos-broker",
+                             client=request.client,
+                             service=request.service_name):
             return self._negotiate(request)
 
     def _negotiate(self, request: ServiceRequest
@@ -546,7 +488,7 @@ class AQoSBroker:
         if not fits:
             negotiation.propose([])
             self.stats.rejected_capacity += 1
-            if self.decisions is not None:
+            if self.probe.explaining:
                 self._decide("admission", "reject", subject=request.client,
                              constraint="capacity",
                              reason=f"insufficient resources "
@@ -560,7 +502,7 @@ class AQoSBroker:
                         f"{negotiation.offers[0].price_rate:g})")
             return negotiation, ""
         self.stats.rejected_negotiation += 1
-        if self.decisions is not None:
+        if self.probe.explaining:
             budget = ("unconstrained" if request.budget_rate is None
                       else f"{request.budget_rate:g}")
             self._decide("admission", "reject", subject=request.client,
@@ -571,7 +513,8 @@ class AQoSBroker:
 
     def establish(self, negotiation: Negotiation) -> ServiceOutcome:
         """Turn an accepted negotiation into a live session."""
-        with self._span("establish", client=negotiation.request.client):
+        with self.probe.span("establish", "aqos-broker",
+                             client=negotiation.request.client):
             return self._establish(negotiation)
 
     def _establish(self, negotiation: Negotiation) -> ServiceOutcome:
@@ -595,16 +538,15 @@ class AQoSBroker:
                 self.stats.rejected_capacity += 1
                 session.enter_clearing("violation")
                 session.close()
-                if self.decisions is not None:
+                reason = f"reservation failed: {error}"
+                if self.probe.explaining:
                     self._decide("admission", "reject",
                                  subject=request.client,
-                                 constraint="reservation",
-                                 reason=f"reservation failed: {error}",
+                                 constraint="reservation", reason=reason,
                                  candidates=self._offer_candidates(
                                      negotiation))
                 return ServiceOutcome(request=request, accepted=False,
-                                      reason=f"reservation failed: {error}",
-                                      negotiation=negotiation,
+                                      reason=reason, negotiation=negotiation,
                                       session=session)
 
         self.repository.save(sla)
@@ -616,7 +558,7 @@ class AQoSBroker:
         self.stats.accepted += 1
         self.record(f"SLA {sla.sla_id} established for {sla.client!r} "
                     f"({sla.service_class.value}, rate {sla.price_rate:g})")
-        if self.decisions is not None:
+        if self.probe.explaining:
             self._decide("admission", "accept",
                          subject=self._user_key(sla.sla_id),
                          sla_id=sla.sla_id,
@@ -651,7 +593,8 @@ class AQoSBroker:
         un-admittable session is terminated with a violation (the
         provider broke the agreed window).
         """
-        with self._span("activate-session", sla_id=sla_id):
+        with self.probe.span("activate-session", "aqos-broker",
+                             sla_id=sla_id):
             self._activate_session_impl(sla_id)
 
     def _activate_session_impl(self, sla_id: int) -> None:
@@ -673,7 +616,7 @@ class AQoSBroker:
             except AdmissionError as error:
                 self.record(f"SLA {sla_id}: activation failed "
                             f"({error}); terminating")
-                if self.decisions is not None:
+                if self.probe.explaining:
                     self._decide("activation", "reject", subject=user_key,
                                  sla_id=sla_id, constraint="admission",
                                  reason=f"activation failed: {error}")
@@ -726,9 +669,8 @@ class AQoSBroker:
             self.verifier.attach_sensor(sla_id, network_sensor)
             resources.sensor_names.append(network_sensor.name)
         self.ledger.session_started(sla_id, self.sim.now, sla.price_rate)
-        if self.slo is not None:
-            self.slo.session_started(sla_id, sla.service_class.value,
-                                     self.sim.now)
+        self.probe.session_started(sla_id, sla.service_class.value,
+                                   self.sim.now)
         # Counted up/down on activate/close rather than recounted from
         # the repository: the recount is O(n log n) and sits on the
         # admission hot path. Recovery re-seeds the gauge after replay.
@@ -805,19 +747,16 @@ class AQoSBroker:
           are identical to sequential admission, only the store-level
           write is batched.
         """
-        journal = self.journal
         partition = self.partition
         outcomes: "List[ServiceOutcome]" = []
-        if journal is not None:
-            journal.begin_group()
-        try:
+        with self.probe.group():
             partition.defer_rebalances()
             try:
                 # The batch-level span parents every per-request tree,
                 # so one batched episode renders as one connected
                 # trace instead of len(requests) disjoint roots.
-                with self._span("batch_admission",
-                                batch_size=len(requests)):
+                with self.probe.span("batch_admission", "aqos-broker",
+                                     batch_size=len(requests)):
                     for request in requests:
                         outcomes.append(self.request_service(request))
             finally:
@@ -825,9 +764,6 @@ class AQoSBroker:
                 # group commits, so its journal record lands inside
                 # the group.
                 partition.resume_rebalances()
-        finally:
-            if journal is not None:
-                journal.commit_group()
         return outcomes
 
     def _forward(self, request: ServiceRequest) -> Optional[ServiceOutcome]:
@@ -871,7 +807,7 @@ class AQoSBroker:
             self.record(f"best-effort request by {user!r} for {cpu:g} "
                         f"node(s) refused (idle="
                         f"{self.partition.idle_capacity():g})")
-            if self.decisions is not None:
+            if self.probe.explaining:
                 self._decide("best_effort", "reject", subject=user,
                              constraint="capacity",
                              reason=f"requested {cpu:g} node(s), idle="
@@ -884,29 +820,24 @@ class AQoSBroker:
             self.engine.release_best_effort(key)
             self.record(f"best-effort request by {user!r} for {cpu:g} "
                         f"node(s): nothing available")
-            if self.decisions is not None:
+            if self.probe.explaining:
                 self._decide("best_effort", "reject", subject=user,
                              constraint="capacity",
                              reason=f"requested {cpu:g} node(s): "
                                     f"nothing available")
             return False
-        if self.journal is not None:
-            self.journal.append(BEST_EFFORT_SET, user=key, demand=cpu)
+        self.probe.append(BEST_EFFORT_SET, user=key, demand=cpu)
         if duration is not None:
             def _release() -> None:
                 self.engine.release_best_effort(key)
-                if self.journal is not None:
-                    self.journal.append(BEST_EFFORT_SET, user=key,
-                                        demand=0.0)
+                self.probe.append(BEST_EFFORT_SET, user=key, demand=0.0)
             self.sim.schedule(duration, _release,
                               label=f"best-effort:{key}:release")
         self.stats.best_effort_granted += 1
         self.record(f"best-effort request by {user!r}: granted "
                     f"{decision.granted:g} of {cpu:g} node(s)")
-        if self.decisions is not None:
-            self._decide("best_effort", "grant", subject=user,
-                         chosen={"granted": decision.granted,
-                                 "requested": cpu})
+        self._decide("best_effort", "grant", subject=user,
+                     chosen={"granted": decision.granted, "requested": cpu})
         return True
 
     # ==================================================================
@@ -1022,7 +953,7 @@ class AQoSBroker:
         budget; winning points are applied (network legs fall back
         gracefully if a link refuses the resize).
         """
-        with self._span("optimizer-pass"):
+        with self.probe.span("optimizer-pass", "aqos-broker"):
             return self._run_optimizer()
 
     def _run_optimizer(self) -> Optional[OptimizationResult]:
@@ -1053,7 +984,7 @@ class AQoSBroker:
             services[key] = capped
         budget = self._optimizer_budget(adjustable)
         on_decision = None
-        if self.decisions is not None:
+        if self.probe.explaining:
             def on_decision(outcome: OptimizationResult) -> None:
                 self._decide(
                     "optimizer",
@@ -1064,7 +995,7 @@ class AQoSBroker:
                            f"budget cpu={budget.cpu:g}",
                     chosen={"revenue_rate": outcome.revenue})
         result = greedy_optimize(services, budget, on_decision=on_decision)
-        if self.decisions is not None:
+        if self.probe.explaining:
             for sla in adjustable:
                 key = self._user_key(sla.sla_id)
                 candidate = result.assignment.get(key)
@@ -1129,12 +1060,10 @@ class AQoSBroker:
                          constraint="lookup", reason=str(error))
             return False, str(error)
         if sla.status is not SlaStatus.ACTIVE:
-            if self.decisions is not None:
-                self._decide("renegotiation", "reject", sla_id=sla_id,
-                             constraint="lifecycle",
-                             reason=f"SLA {sla_id} is {sla.status.value}, "
-                                    f"not active")
-            return False, f"SLA {sla_id} is {sla.status.value}, not active"
+            reason = f"SLA {sla_id} is {sla.status.value}, not active"
+            self._decide("renegotiation", "reject", sla_id=sla_id,
+                         constraint="lifecycle", reason=reason)
+            return False, reason
         if self.allocation.has(sla_id):
             self.allocation.get(sla_id).session.perform(
                 QoSFunction.RENEGOTIATION, self.sim.now)
@@ -1146,13 +1075,11 @@ class AQoSBroker:
                          else QoSSpecification.point_demand(new_best).cpu)
         new_rate = self.pricing.point_rate(new_best, sla.service_class)
         if budget_rate is not None and new_rate > budget_rate:
-            if self.decisions is not None:
-                self._decide("renegotiation", "reject", sla_id=sla_id,
-                             constraint="negotiation",
-                             reason=f"offer rate {new_rate:g} exceeds "
-                                    f"budget {budget_rate:g}")
-            return False, (f"offer rate {new_rate:g} exceeds budget "
-                           f"{budget_rate:g}")
+            reason = (f"offer rate {new_rate:g} exceeds budget "
+                      f"{budget_rate:g}")
+            self._decide("renegotiation", "reject", sla_id=sla_id,
+                         constraint="negotiation", reason=reason)
+            return False, reason
 
         # Admission with the session's own holdings netted out.
         holding = self.partition_holding(sla_id)
@@ -1160,14 +1087,11 @@ class AQoSBroker:
         committed_after = (self.partition.committed_total()
                            - old_committed + new_committed)
         if committed_after > self.partition.cg + 1e-9:
-            if self.decisions is not None:
-                self._decide("renegotiation", "reject", sla_id=sla_id,
-                             constraint="capacity",
-                             reason=f"commitments {committed_after:g} "
-                                    f"would exceed "
-                                    f"Cg={self.partition.cg:g}")
-            return False, (f"commitments {committed_after:g} would exceed "
-                           f"Cg={self.partition.cg:g}")
+            reason = (f"commitments {committed_after:g} would exceed "
+                      f"Cg={self.partition.cg:g}")
+            self._decide("renegotiation", "reject", sla_id=sla_id,
+                         constraint="capacity", reason=reason)
+            return False, reason
         new_demand = QoSSpecification.point_demand(new_best)
         now = self.sim.now
         free = self.compute_rm.available_at(now)
@@ -1214,7 +1138,7 @@ class AQoSBroker:
         self._journal_sla(sla)
         self.record(f"SLA {sla_id} re-negotiated: new agreed point at "
                     f"rate {new_rate:g}")
-        if self.decisions is not None:
+        if self.probe.explaining:
             self._decide("renegotiation", "accept", sla_id=sla_id,
                          subject=user_key,
                          chosen={"point": point_payload(new_best),
@@ -1253,7 +1177,7 @@ class AQoSBroker:
         self.ledger.promotion_offered(sla.sla_id, accepted=applied)
         self.record(f"promotion offer to SLA {sla.sla_id}: "
                     f"{'accepted' if applied else 'declined/refused'}")
-        if self.decisions is not None:
+        if self.probe.explaining:
             self._decide("promotion",
                          "accept" if applied else "decline",
                          sla_id=sla.sla_id,
@@ -1277,8 +1201,8 @@ class AQoSBroker:
     def _on_degradation_notice(self, notice: DegradationNotice) -> None:
         if notice.sla_id in self._closing:
             return
-        with self._span("handle-degradation", sla_id=notice.sla_id,
-                        source=notice.source):
+        with self.probe.span("handle-degradation", "aqos-broker",
+                             sla_id=notice.sla_id, source=notice.source):
             if self.allocation.has(notice.sla_id):
                 self.allocation.get(notice.sla_id).session.perform(
                     QoSFunction.ADAPTATION, self.sim.now)
@@ -1303,7 +1227,8 @@ class AQoSBroker:
                                 reason=notice.detail or "degradation")
 
     def _on_capacity_change(self, delta_nodes: int) -> None:
-        with self._span("capacity-change", delta_nodes=delta_nodes):
+        with self.probe.span("capacity-change", "aqos-broker",
+                             delta_nodes=delta_nodes):
             report = self.engine.on_capacity_change(float(delta_nodes))
             if delta_nodes < 0 and not report.guarantees_honored:
                 for user, shortfall in report.shortfalls.items():
@@ -1355,7 +1280,8 @@ class AQoSBroker:
                        note: str = "") -> None:
         if sla_id in self._closing:
             return
-        with self._span("close-session", sla_id=sla_id, cause=cause):
+        with self.probe.span("close-session", "aqos-broker",
+                             sla_id=sla_id, cause=cause):
             self._close_session_impl(sla_id, cause=cause, note=note)
 
     def _close_session_impl(self, sla_id: int, *, cause: str,
@@ -1392,8 +1318,7 @@ class AQoSBroker:
                     sla.terminate()
                 self._journal_sla(sla)
             self.ledger.session_ended(sla_id, self.sim.now)
-            if self.slo is not None:
-                self.slo.session_ended(sla_id, self.sim.now)
+            self.probe.session_ended(sla_id, self.sim.now)
             if was_active:
                 self.metrics.gauge("repro_sla_active_sessions").add(-1.0)
             suffix = f" ({note})" if note else ""

@@ -40,10 +40,11 @@ Priority tiers inside ``rebalance``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import AdmissionError
-from ..recovery.journal import CAPACITY_REBALANCED, Journal
+from ..probe import Probe
+from ..recovery.journal import CAPACITY_REBALANCED
 from ..units import iszero
 
 _EPSILON = 1e-9
@@ -151,11 +152,13 @@ class CapacityPartition:
         failure_order: Which pools absorb capacity failures, first to
             last. The Section 5.6 example loses nodes from the
             guaranteed pool, so ``("g", "a", "b")`` is the default.
+        probe: The testbed's instrumentation seam.
     """
 
     def __init__(self, guaranteed: float, adaptive: float,
                  best_effort: float, *, best_effort_min: float = 0.0,
-                 failure_order: "Tuple[str, ...]" = ("g", "a", "b")) -> None:
+                 failure_order: "Tuple[str, ...]" = ("g", "a", "b"),
+                 probe: Optional[Probe] = None) -> None:
         for name, value in (("guaranteed", guaranteed),
                             ("adaptive", adaptive),
                             ("best_effort", best_effort)):
@@ -190,21 +193,7 @@ class CapacityPartition:
         self._deferred = False
         self._dirty = False
         self.last_report: Optional[RebalanceReport] = None
-        #: Optional callback ``(partition, report)`` invoked after
-        #: every rebalance — the telemetry capacity gauges hook in
-        #: here. Must be set before ``rebalance`` runs, hence above
-        #: the constructor's initial call.
-        self.observer: Optional[Callable[
-            ["CapacityPartition", RebalanceReport], None]] = None
-        #: Optional write-ahead journal; every rebalance appends a
-        #: ``capacity_rebalanced`` record when set.
-        self.journal: Optional[Journal] = None
-        #: Optional decision-provenance log
-        #: (:class:`repro.obs.DecisionLog`); eventful rebalances —
-        #: shortfalls, preemptions, adaptive transfers — emit a
-        #: ``rebalance`` record when set. Like :attr:`observer`, set
-        #: before the constructor's initial :meth:`rebalance`.
-        self.decisions: "Optional[Any]" = None
+        self.probe = probe if probe is not None else Probe()
         self.rebalance()
 
     # ------------------------------------------------------------------
@@ -514,17 +503,16 @@ class CapacityPartition:
         self.last_report = RebalanceReport(
             shortfalls=shortfalls, preempted=preempted,
             adapt_transfer=adapt_transfer, pools=pools)
-        if self.observer is not None:
-            self.observer(self, self.last_report)
-        if self.journal is not None:
-            self.journal.append(CAPACITY_REBALANCED, failed=self._failed,
-                                committed=self.committed_total(),
-                                adapt_transfer=adapt_transfer)
-        if self.decisions is not None and (
+        probe = self.probe
+        probe.rebalanced(self, self.last_report)
+        probe.append(CAPACITY_REBALANCED, failed=self._failed,
+                     committed=self.committed_total(),
+                     adapt_transfer=adapt_transfer)
+        if probe.explaining and (
                 shortfalls or preempted or adapt_transfer > _EPSILON):
             # Only eventful passes are provenance-worthy: a quiet
             # water-fill that moved nothing would drown the log.
-            self.decisions.decide(
+            probe.decide(
                 "rebalance",
                 "shortfall" if shortfalls else "adapted",
                 subject="partition",

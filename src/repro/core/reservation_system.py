@@ -14,20 +14,19 @@ The RS implements the paper's temporary-reservation protocol:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Optional, Union
+from typing import Optional, Union
 
 from ..errors import CapacityError, NetworkError, ReservationError
 from ..gara.reservation import ReservationHandle
 from ..network.interdomain import EndToEndAllocation, InterDomainCoordinator
 from ..network.nrm import FlowAllocation, NetworkResourceManager
+from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..recovery.journal import (
     CANCEL,
     COMPUTE_BOOKED,
     CONFIRM,
-    Journal,
     MODIFY,
     NETWORK_BOOKED,
     RESERVE_BEGIN,
@@ -37,7 +36,6 @@ from ..resources.compute import ComputeResourceManager
 from ..rsl.builder import reservation_rsl
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
-from ..telemetry import Telemetry
 from ..sla.document import NetworkDemand, ServiceSLA
 
 
@@ -74,29 +72,20 @@ class ReservationSystem:
         coordinator: Optional inter-domain coordinator; used instead of
             ``nrm`` when the SLA's endpoints span domains.
         trace: Optional activity recorder.
+        probe: The testbed's instrumentation seam.
     """
 
     def __init__(self, sim: Simulator, compute_rm: ComputeResourceManager, *,
                  nrm: Optional[NetworkResourceManager] = None,
                  coordinator: Optional[InterDomainCoordinator] = None,
-                 trace: Optional[TraceRecorder] = None) -> None:
+                 trace: Optional[TraceRecorder] = None,
+                 probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._compute = compute_rm
         self._nrm = nrm
         self._coordinator = coordinator
         self._trace = trace
-        #: Optional telemetry hub (spans around the RS protocol).
-        self.telemetry: Optional[Telemetry] = None
-        #: Optional write-ahead journal; ``None`` keeps the protocol
-        #: hot path at a single attribute check per write point.
-        self.journal: Optional[Journal] = None
-
-    def _span(self, name: str, sla_id: int) -> "ContextManager[object]":
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.tracer.span(name,
-                                          component="reservation-system",
-                                          sla_id=sla_id)
+        self.probe = probe if probe is not None else Probe()
 
     # ------------------------------------------------------------------
     # Site resolution
@@ -152,7 +141,8 @@ class ReservationSystem:
             CapacityError: When any leg cannot be booked (previous
                 legs are rolled back).
         """
-        with self._span("reserve", sla.sla_id):
+        with self.probe.span("reserve", "reservation-system",
+                             sla_id=sla.sla_id):
             return self._reserve(sla, demand=demand)
 
     def _reserve(self, sla: ServiceSLA, *,
@@ -164,15 +154,13 @@ class ReservationSystem:
                                         memory_mb=demand.memory_mb,
                                         disk_mb=demand.disk_mb)
         composite = CompositeReservation(sla_id=sla.sla_id)
-        if self.journal is not None:
-            self.journal.append(RESERVE_BEGIN, sla_id=sla.sla_id)
+        self.probe.append(RESERVE_BEGIN, sla_id=sla.sla_id)
         if not compute_demand.is_zero():
             rsl = reservation_rsl(compute_demand, sla.start, sla.end,
                                   service_name=sla.service_name)
             composite.compute_handle = self._compute.gara.reservation_create(rsl)
-            if self.journal is not None:
-                self.journal.append(COMPUTE_BOOKED, sla_id=sla.sla_id,
-                                    handle=composite.compute_handle.value)
+            self.probe.append(COMPUTE_BOOKED, sla_id=sla.sla_id,
+                              handle=composite.compute_handle.value)
             self._record(sla, f"temporarily reserved compute "
                               f"{compute_demand} via RSL")
         if sla.network is not None:
@@ -184,16 +172,14 @@ class ReservationSystem:
                     self._compute.gara.reservation_cancel(
                         composite.compute_handle)
                 raise
-            if self.journal is not None:
-                self.journal.append(
-                    NETWORK_BOOKED, sla_id=sla.sla_id,
-                    flows=booking_flow_ids(composite.network_booking))
+            self.probe.append(
+                NETWORK_BOOKED, sla_id=sla.sla_id,
+                flows=booking_flow_ids(composite.network_booking))
             self._record(sla, f"reserved network "
                               f"{sla.network.bandwidth_mbps:g} Mbps "
                               f"{sla.network.source_ip} -> "
                               f"{sla.network.dest_ip}")
-        if self.journal is not None:
-            self.journal.append(RESERVE_END, sla_id=sla.sla_id)
+        self.probe.append(RESERVE_END, sla_id=sla.sla_id)
         return composite
 
     def confirm(self, composite: CompositeReservation) -> None:
@@ -210,7 +196,8 @@ class ReservationSystem:
         no-op rather than an error, so at-least-once delivery can
         never double-commit.
         """
-        with self._span("confirm", composite.sla_id):
+        with self.probe.span("confirm", "reservation-system",
+                             sla_id=composite.sla_id):
             if composite.cancelled:
                 raise ReservationError(
                     f"reservation for SLA {composite.sla_id} was cancelled")
@@ -222,8 +209,7 @@ class ReservationSystem:
             if composite.network_booking is not None:
                 composite.network_booking.commit()
             composite.confirmed = True
-            if self.journal is not None:
-                self.journal.append(CONFIRM, sla_id=composite.sla_id)
+            self.probe.append(CONFIRM, sla_id=composite.sla_id)
 
     def cancel(self, composite: CompositeReservation) -> None:
         """Tear down every leg of the composite reservation.
@@ -237,7 +223,8 @@ class ReservationSystem:
         """
         if composite.cancelled:
             return
-        with self._span("cancel", composite.sla_id):
+        with self.probe.span("cancel", "reservation-system",
+                             sla_id=composite.sla_id):
             if composite.compute_handle is not None:
                 reservation = self._compute.gara.reservation_status(
                     composite.compute_handle)
@@ -247,8 +234,7 @@ class ReservationSystem:
             if composite.network_booking is not None:
                 self._release_network(composite.network_booking)
             composite.cancelled = True
-            if self.journal is not None:
-                self.journal.append(CANCEL, sla_id=composite.sla_id)
+            self.probe.append(CANCEL, sla_id=composite.sla_id)
 
     def modify_compute(self, composite: CompositeReservation,
                        demand: ResourceVector, *, force: bool = False) -> None:
@@ -256,17 +242,16 @@ class ReservationSystem:
         if composite.compute_handle is None:
             raise ReservationError(
                 f"SLA {composite.sla_id} has no compute reservation")
-        with self._span("modify", composite.sla_id):
+        with self.probe.span("modify", "reservation-system",
+                             sla_id=composite.sla_id):
             self._compute.gara.reservation_modify(
                 composite.compute_handle,
                 ResourceVector(cpu=demand.cpu, memory_mb=demand.memory_mb,
                                disk_mb=demand.disk_mb),
                 force=force)
-            if self.journal is not None:
-                self.journal.append(MODIFY, sla_id=composite.sla_id,
-                                    cpu=demand.cpu,
-                                    memory_mb=demand.memory_mb,
-                                    disk_mb=demand.disk_mb)
+            self.probe.append(MODIFY, sla_id=composite.sla_id, cpu=demand.cpu,
+                              memory_mb=demand.memory_mb,
+                              disk_mb=demand.disk_mb)
 
     def _record(self, sla: ServiceSLA, message: str) -> None:
         if self._trace is not None:

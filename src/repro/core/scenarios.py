@@ -94,7 +94,7 @@ class ScenarioEngine:
                 lowest = self._lowest_point(sla)
                 broker.apply_point(sla, lowest)
                 self.stats.squeezes += 1
-                if broker.decisions is not None:
+                if broker.probe.explaining:
                     broker._decide(
                         "adaptation", "squeeze", sla_id=sla.sla_id,
                         subject=f"sla-{sla.sla_id}",
@@ -170,7 +170,7 @@ class ScenarioEngine:
             restored = broker.try_apply_point(sla, sla.agreed_point)
             if restored:
                 self.stats.restorations += 1
-                if broker.decisions is not None:
+                if broker.probe.explaining:
                     broker._decide(
                         "adaptation", "restore", sla_id=sla.sla_id,
                         subject=f"sla-{sla.sla_id}",
@@ -244,7 +244,7 @@ class ScenarioEngine:
                     self.stats.self_degradations += 1
                     broker.record(f"Scenario 3: degraded SLA {sla.sla_id} "
                                   f"to a pre-agreed lower QoS")
-                    if broker.decisions is not None:
+                    if broker.probe.explaining:
                         broker._decide(
                             "adaptation", "degrade", sla_id=sla.sla_id,
                             subject=f"sla-{sla.sla_id}",

@@ -21,10 +21,10 @@ from ..obs import DecisionLog, SloEngine
 from ..network.interdomain import InterDomainCoordinator
 from ..network.nrm import NetworkResourceManager
 from ..network.topology import Topology
+from ..probe import Probe
 from ..qos.cost import PricingPolicy
 from ..qos.parameters import Dimension, range_parameter
 from ..qos.specification import QoSSpecification
-from ..recovery.journal import Journal
 from ..recovery.snapshot import SnapshotKeeper
 from ..registry.uddie import UddieRegistry
 from ..resources.compute import ComputeResourceManager
@@ -52,7 +52,9 @@ class Testbed:
     The control-plane fields (``bus`` onward) are ``None`` until
     :func:`attach_control_plane` puts the broker behind the message
     bus; ``faults`` is additionally ``None`` until
-    :func:`install_chaos` arms fault injection.
+    :func:`install_chaos` arms fault injection. ``telemetry``,
+    ``journal``, ``decisions`` and ``slo`` read the backend an
+    installer put behind :attr:`probe` (``None`` until then).
     """
 
     sim: Simulator
@@ -65,21 +67,24 @@ class Testbed:
     registry: UddieRegistry
     partition: CapacityPartition
     broker: AQoSBroker
+    probe: Probe
     bus: Optional[MessageBus] = None
     gateway: Optional[BrokerGateway] = None
     registry_endpoint: Optional[RegistryEndpoint] = None
     relay: Optional[BusNotificationRelay] = None
     faults: Optional[FaultPlan] = None
-    telemetry: Optional[Telemetry] = None
-    journal: Optional[Journal] = None
     snapshots: Optional[SnapshotKeeper] = None
-    decisions: Optional[DecisionLog] = None
-    slo: Optional[SloEngine] = None
 
     @property
     def repository(self) -> SLARepository:
         """The broker's SLA repository."""
         return self.broker.repository
+
+    # The read side: whatever backend an installer put behind the probe.
+    telemetry = property(lambda self: self.probe.telemetry)
+    journal = property(lambda self: self.probe.journal)
+    decisions = property(lambda self: self.probe.decisions)
+    slo = property(lambda self: self.probe.slo)
 
     def client(self, name: str, *,
                policy: Optional[RetryPolicy] = None) -> ClientStub:
@@ -116,7 +121,8 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
                   trace: Optional[TraceRecorder] = None,
                   rng: Optional[RandomSource] = None,
                   machine_name: Optional[str] = None,
-                  sla_first_id: int = 1000) -> Testbed:
+                  sla_first_id: int = 1000,
+                  probe: Optional[Probe] = None) -> Testbed:
     """Build the Figure 5 testbed with the Section 5.6 proportions.
 
     The default capacity split is the paper's: 26 grid-exposed nodes
@@ -126,7 +132,8 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
     ``sim``/``trace``/``rng`` may be passed to embed the testbed into
     shared infrastructure (the federation builds one testbed per
     domain over a single simulator and recorder); when omitted each
-    testbed owns fresh instances, exactly as before.
+    testbed owns fresh instances, exactly as before. Likewise the
+    ``probe`` every component built here reports through.
     """
     if guaranteed_cpu + adaptive_cpu + best_effort_cpu != total_cpu:
         raise ValidationError(
@@ -135,11 +142,13 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
     sim = sim if sim is not None else Simulator()
     trace = trace if trace is not None else TraceRecorder()
     rng = rng if rng is not None else RandomSource(seed)
+    probe = probe if probe is not None else Probe()
 
     machine = Machine(machine_name or "sgi-siteA", machine_nodes,
                       grid_nodes=total_cpu,
                       memory_mb=memory_mb, disk_mb=disk_mb)
-    compute_rm = ComputeResourceManager(sim, machine, trace=trace)
+    compute_rm = ComputeResourceManager(sim, machine, trace=trace,
+                                        probe=probe)
 
     topology = Topology()
     topology.add_site("siteA", "domain1", address="192.200.168.33")
@@ -148,7 +157,8 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
     topology.add_link("siteA", "siteB", link_mbps, delay_ms=5.0)
     topology.add_link("siteA", "siteC", 155.0, delay_ms=8.0)
     nrm = NetworkResourceManager(sim, topology, "domain1",
-                                 rng=rng.stream("nrm"), trace=trace)
+                                 rng=rng.stream("nrm"), trace=trace,
+                                 probe=probe)
 
     registry = UddieRegistry()
     if register_default_services:
@@ -157,17 +167,19 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
 
     partition = CapacityPartition(guaranteed_cpu, adaptive_cpu,
                                   best_effort_cpu,
-                                  best_effort_min=best_effort_min)
+                                  best_effort_min=best_effort_min,
+                                  probe=probe)
     broker = AQoSBroker(sim, registry=registry, compute_rm=compute_rm,
                         partition=partition, nrm=nrm,
                         pricing=pricing or PricingPolicy(), trace=trace,
                         mds=InformationService(sim),
                         hub=NotificationHub(),
                         repository=SLARepository(first_id=sla_first_id),
-                        optimizer_interval=optimizer_interval)
+                        optimizer_interval=optimizer_interval, probe=probe)
     return Testbed(sim=sim, trace=trace, rng=rng, machine=machine,
                    compute_rm=compute_rm, topology=topology, nrm=nrm,
-                   registry=registry, partition=partition, broker=broker)
+                   registry=registry, partition=partition, broker=broker,
+                   probe=probe)
 
 
 def attach_control_plane(testbed: Testbed, *,
@@ -193,7 +205,8 @@ def attach_control_plane(testbed: Testbed, *,
     if testbed.bus is not None:
         return testbed
     if bus is None:
-        bus = MessageBus(testbed.sim, trace=testbed.trace, latency=latency)
+        bus = MessageBus(testbed.sim, trace=testbed.trace, latency=latency,
+                         probe=testbed.probe)
     testbed.bus = bus
     testbed.gateway = BrokerGateway(testbed.broker, bus,
                                     endpoint_name=gateway_name)
@@ -209,8 +222,6 @@ def attach_control_plane(testbed: Testbed, *,
         "endpoint_name": relay_name}
     testbed.relay = BusNotificationRelay(testbed.broker.hub, bus,
                                          **relay_kwargs)
-    if testbed.telemetry is not None and bus.telemetry is None:
-        bus.telemetry = testbed.telemetry
     return testbed
 
 
@@ -221,19 +232,21 @@ def install_telemetry(testbed: Testbed) -> Telemetry:
     broker's metrics registry and the trace recorder's event stream —
     so there is exactly one counting mechanism and one event log.
     Idempotent: a second call returns the installed hub. Order is
-    free: telemetry installed before :func:`attach_control_plane`
-    is picked up by the bus when it is created, and vice versa.
+    free: every component already holds the probe, so telemetry may
+    go in before or after :func:`attach_control_plane`.
     """
-    if testbed.telemetry is not None:
-        return testbed.telemetry
+    probe = testbed.probe
+    if probe.telemetry is not None:
+        return probe.telemetry
     sim = testbed.sim
     telemetry = Telemetry(now=lambda: sim.now,
                           metrics=testbed.broker.metrics,
                           stream=testbed.trace.stream)
-    testbed.telemetry = telemetry
-    testbed.broker.install_telemetry(telemetry)
+    probe.telemetry = telemetry
+    probe.rebalanced(testbed.partition, None)  # prime the gauges
     if testbed.bus is not None:
-        testbed.bus.telemetry = telemetry
+        # Endpoints that registered first kept private dedup counters.
+        testbed.bus.adopt_endpoints()
     return telemetry
 
 
@@ -242,21 +255,18 @@ def install_observability(testbed: Testbed
     """Turn on decision provenance and SLO tracking testbed-wide.
 
     Telemetry is installed first (the decision log shares its event
-    stream and stamps its span ids), then a :class:`DecisionLog` and
-    :class:`SloEngine` are wired through the broker, the capacity
-    partition and the SLA verifier. The journal is resolved through a
-    getter per record, so ``install_journal`` may run before or after
-    this and LSN stamps still work. Idempotent: a second call returns
-    the installed pair.
+    stream), then a :class:`DecisionLog` and :class:`SloEngine` go
+    behind the probe. The probe stamps each record with the open span
+    and its journal's LSN at emit time, so ``install_journal`` may run
+    before or after this. Idempotent: a second call returns the
+    installed pair.
     """
-    if testbed.decisions is not None and testbed.slo is not None:
-        return testbed.decisions, testbed.slo
+    probe = testbed.probe
+    if probe.decisions is not None and probe.slo is not None:
+        return probe.decisions, probe.slo
     telemetry = install_telemetry(testbed)
     sim = testbed.sim
-    broker = testbed.broker
-    decisions = DecisionLog(now=lambda: sim.now, stream=telemetry.stream,
-                            tracer=telemetry.tracer,
-                            journal_getter=lambda: broker.journal)
+    decisions = DecisionLog(now=lambda: sim.now, stream=telemetry.stream)
     metrics = telemetry.metrics
 
     def occupancy() -> "Dict[str, float]":
@@ -265,13 +275,8 @@ def install_observability(testbed: Testbed
 
     slo = SloEngine(now=lambda: sim.now, stream=telemetry.stream,
                     occupancy=occupancy)
-    broker.decisions = decisions
-    broker.slo = slo
-    broker.verifier.decisions = decisions
-    broker.verifier.slo = slo
-    testbed.partition.decisions = decisions
-    testbed.decisions = decisions
-    testbed.slo = slo
+    probe.decisions = decisions
+    probe.slo = slo
     return decisions, slo
 
 
@@ -313,7 +318,7 @@ def install_all(testbed: Testbed, *,
     """Install every cross-cutting layer on a testbed in one call.
 
     ``install_chaos``/``install_telemetry``/``install_journal``/
-    ``install_observability`` each hand-wire one concern; standing up
+    ``install_observability`` each switch on one concern; standing up
     a multi-domain deployment by calling them individually makes it
     easy to skip a layer on one domain and chase the asymmetry for an
     afternoon. This helper composes all of them — telemetry, control
@@ -378,7 +383,7 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
                       seed: int = 0,
                       inter_domain_mbps: float = 622.0) -> MultiDomainTestbed:
     """Stand up the Figure 1 architecture: ``domains`` AQoS brokers,
-    each with its own RM and NRM, joined by inter-domain links."""
+    each with its own RM, NRM and probe, joined by inter-domain links."""
     if domains < 1:
         raise ValidationError(f"need at least one domain: {domains}")
     sim = Simulator()
@@ -388,24 +393,26 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
     nrms: List[NetworkResourceManager] = []
     machines: Dict[str, Machine] = {}
     compute_rms: Dict[str, ComputeResourceManager] = {}
-    for index in range(domains):
+    probes = [Probe() for _ in range(domains)]
+    for index, probe in enumerate(probes):
         domain = f"domain{index + 1}"
         topology.add_site(f"site{index + 1}", domain,
                           address=f"10.{index + 1}.0.1")
         nrms.append(NetworkResourceManager(
-            sim, topology, domain, rng=rng.stream(domain), trace=trace))
+            sim, topology, domain, rng=rng.stream(domain), trace=trace,
+            probe=probe))
         machine = Machine(f"cluster-{domain}", nodes_per_domain * 2,
                           grid_nodes=nodes_per_domain,
                           memory_mb=8192.0, disk_mb=40_960.0)
         machines[domain] = machine
-        compute_rms[domain] = ComputeResourceManager(sim, machine,
-                                                     trace=trace)
+        compute_rms[domain] = ComputeResourceManager(
+            sim, machine, trace=trace, probe=probe)
     for index in range(domains - 1):
         topology.add_link(f"site{index + 1}", f"site{index + 2}",
                           inter_domain_mbps, delay_ms=10.0)
     coordinator = InterDomainCoordinator(topology, nrms)
     brokers: Dict[str, AQoSBroker] = {}
-    for index in range(domains):
+    for index, probe in enumerate(probes):
         domain = f"domain{index + 1}"
         registry = UddieRegistry()
         _register_default_services(registry, nodes_per_domain, 8192.0,
@@ -414,11 +421,12 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
         adaptive = int(nodes_per_domain * 0.2)
         best_effort = nodes_per_domain - guaranteed - adaptive
         partition = CapacityPartition(guaranteed, adaptive, best_effort,
-                                      best_effort_min=1)
+                                      best_effort_min=1, probe=probe)
         brokers[domain] = AQoSBroker(
             sim, registry=registry, compute_rm=compute_rms[domain],
             partition=partition, coordinator=coordinator, trace=trace,
-            repository=SLARepository(first_id=1000 + 1000 * index))
+            repository=SLARepository(first_id=1000 + 1000 * index),
+            probe=probe)
     # Figure 1 interconnects the AQoS brokers across domains: requests
     # a broker cannot serve are forwarded to its neighbors.
     for domain, broker in brokers.items():

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.testbed import Testbed, build_testbed, install_all
 from ..errors import (BrokerCrash, CircuitOpenError, FederationError,
                       TransientMessageError)
+from ..probe import Probe
 from ..recovery.crashpoints import crash
 from ..recovery.journal import (DELEGATION_BEGIN, DELEGATION_CANCELLED,
                                 DELEGATION_CONFIRMED)
@@ -69,6 +70,11 @@ class FederationDomain:
     endpoint: Optional[FederationEndpoint] = None
     incoming: "Dict[str, IncomingDelegation]" = field(default_factory=dict)
     confirmed: "Set[str]" = field(default_factory=set)
+
+    @property
+    def probe(self) -> Probe:
+        """The domain testbed's instrumentation seam."""
+        return self.testbed.probe
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,11 @@ class FederatedControlPlane:
                         relay_name=f"notification-hub:{name}",
                         discovery_name=f"aqos-discovery:{name}",
                         journal_store=stores.get(name))
+            if index == 0:
+                # One wire, N domains: the wire's own probe traces and
+                # counts into the first domain's hub, nothing else.
+                self.bus.probe.telemetry = testbed.telemetry
+                self.bus.adopt_endpoints()
             caller = ResilientCaller(
                 self.bus, rng=testbed.rng.stream("federation"),
                 policy=policy, trace=self.trace, name=f"fed:{name}")
@@ -208,18 +219,6 @@ class FederatedControlPlane:
 
     def _record(self, message: str) -> None:
         self.trace.record(self.sim.now, "federation", message)
-
-    def _decide(self, domain: FederationDomain, outcome: str,
-                **kwargs) -> None:
-        decisions = domain.testbed.decisions
-        if decisions is not None:
-            decisions.decide("federation", outcome, **kwargs)
-
-    def _journal(self, domain: FederationDomain, record_type: str,
-                 **payload) -> None:
-        journal = domain.testbed.journal
-        if journal is not None:
-            journal.append(record_type, **payload)
 
     # ------------------------------------------------------------------
     # Fault injection (the robustness surface)
@@ -525,10 +524,10 @@ class FederatedControlPlane:
         self.stats["rerouted"] += 1
         self.reroutes.append((self.sim.now, request.client, name,
                               f"acting home {acting.name}"))
-        self._decide(acting, "reroute", subject=request.client,
-                     constraint=f"home {name} unreachable",
-                     reason=f"acting home {acting.name}",
-                     chosen={"from": name, "to": acting.name})
+        acting.probe.decide("federation", "reroute", subject=request.client,
+                            constraint=f"home {name} unreachable",
+                            reason=f"acting home {acting.name}",
+                            chosen={"from": name, "to": acting.name})
         outcome = acting.testbed.broker.request_service(request)
         if outcome.accepted:
             self.stats["local"] += 1
@@ -587,15 +586,15 @@ class FederatedControlPlane:
                                "headroom_after": bid.headroom_after})
             if bid.accept:
                 bids.append(bid)
-        self._decide(acting, "bids", subject=request.client,
-                     constraint=f"solicitation {solicitation}",
-                     reason=local_reason, candidates=candidates)
+        acting.probe.decide("federation", "bids", subject=request.client,
+                            constraint=f"solicitation {solicitation}",
+                            reason=local_reason, candidates=candidates)
         for bid in sorted(bids, key=lambda entry: (-entry.score,
                                                    entry.domain)):
             delegation_id = self._next_id(acting.name)
-            self._journal(acting, DELEGATION_BEGIN, role="home",
-                          delegation_id=delegation_id, peer=bid.domain,
-                          client=request.client)
+            acting.probe.append(DELEGATION_BEGIN, role="home",
+                                delegation_id=delegation_id, peer=bid.domain,
+                                client=request.client)
             envelope = encode_delegate(sender, f"fed:{bid.domain}",
                                        delegation_id, acting.name, request)
             try:
@@ -616,13 +615,14 @@ class FederatedControlPlane:
             self.health.observe_success(acting.name, bid.domain)
             delegated = decode_delegated(reply.body)
             if not delegated.accepted or delegated.sla_id is None:
-                self._journal(acting, DELEGATION_CANCELLED, role="home",
-                              delegation_id=delegation_id, peer=bid.domain,
-                              reason=f"peer rejected: {delegated.reason}")
-                self._decide(acting, "delegate_rejected",
-                             subject=request.client,
-                             constraint=f"delegation {delegation_id}",
-                             reason=delegated.reason)
+                acting.probe.append(
+                    DELEGATION_CANCELLED, role="home",
+                    delegation_id=delegation_id, peer=bid.domain,
+                    reason=f"peer rejected: {delegated.reason}")
+                acting.probe.decide("federation", "delegate_rejected",
+                                    subject=request.client,
+                                    constraint=f"delegation {delegation_id}",
+                                    reason=delegated.reason)
                 continue
             confirm_failure = ""
             envelope = encode_confirm(sender, f"fed:{bid.domain}",
@@ -647,15 +647,16 @@ class FederatedControlPlane:
                               notify_peer=not self.chaos.is_crashed(
                                   bid.domain))
                 continue
-            self._journal(acting, DELEGATION_CONFIRMED, role="home",
-                          delegation_id=delegation_id, peer=bid.domain,
-                          sla_id=delegated.sla_id)
-            self._decide(acting, "delegate", subject=request.client,
-                         sla_id=delegated.sla_id,
-                         constraint=f"delegation {delegation_id}",
-                         reason=local_reason,
-                         chosen={"domain": bid.domain, "score": bid.score,
-                                 "risk": bid.risk})
+            acting.probe.append(DELEGATION_CONFIRMED, role="home",
+                                delegation_id=delegation_id, peer=bid.domain,
+                                sla_id=delegated.sla_id)
+            acting.probe.decide(
+                "federation", "delegate", subject=request.client,
+                sla_id=delegated.sla_id,
+                constraint=f"delegation {delegation_id}",
+                reason=local_reason,
+                chosen={"domain": bid.domain, "score": bid.score,
+                        "risk": bid.risk})
             self.stats["delegated"] += 1
             return FederatedOutcome(
                 request=request, accepted=True, home=origin_home,
@@ -663,8 +664,8 @@ class FederatedControlPlane:
                 rerouted=tuple(rerouted), delegation_id=delegation_id,
                 sla_id=delegated.sla_id, reason="")
         self.stats["rejected"] += 1
-        self._decide(acting, "reject", subject=request.client,
-                     reason=f"no domain could admit ({local_reason})")
+        acting.probe.decide("federation", "reject", subject=request.client,
+                            reason=f"no domain could admit ({local_reason})")
         return FederatedOutcome(
             request=request, accepted=False, home=origin_home, domain=None,
             delegated=False, rerouted=tuple(rerouted), delegation_id="",
@@ -674,15 +675,15 @@ class FederatedControlPlane:
                  peer: str, request: ServiceRequest, reason: str,
                  rerouted: "List[str]", *, notify_peer: bool) -> None:
         """Give up on one delegation attempt and record the reroute."""
-        self._journal(acting, DELEGATION_CANCELLED, role="home",
-                      delegation_id=delegation_id, peer=peer,
-                      reason=reason)
+        acting.probe.append(DELEGATION_CANCELLED, role="home",
+                            delegation_id=delegation_id, peer=peer,
+                            reason=reason)
         self.stats["rerouted"] += 1
         rerouted.append(peer)
         self.reroutes.append((self.sim.now, request.client, peer, reason))
-        self._decide(acting, "reroute", subject=request.client,
-                     constraint=f"delegation {delegation_id}",
-                     reason=reason, chosen={"abandoned": peer})
+        acting.probe.decide("federation", "reroute", subject=request.client,
+                            constraint=f"delegation {delegation_id}",
+                            reason=reason, chosen={"abandoned": peer})
         if notify_peer:
             envelope = encode_cancel(f"fed:{acting.name}", f"fed:{peer}",
                                      delegation_id)
@@ -711,15 +712,15 @@ class FederatedControlPlane:
         domain.confirmed.discard(delegation_id)
         if entry is None:
             return False
-        self._journal(domain, DELEGATION_CANCELLED, role="peer",
-                      delegation_id=delegation_id, sla_id=entry.sla_id,
-                      reason=reason)
+        domain.probe.append(DELEGATION_CANCELLED, role="peer",
+                            delegation_id=delegation_id, sla_id=entry.sla_id,
+                            reason=reason)
         testbed = domain.testbed
         live_ids = {sla.sla_id for sla in testbed.repository.live()}
         if entry.sla_id in live_ids:
             testbed.broker.terminate_session(
                 entry.sla_id, cause="delegation-rollback", note=reason)
-        self._decide(domain, "delegate_cancelled",
-                     subject=f"delegation {delegation_id}",
-                     sla_id=entry.sla_id, reason=reason)
+        domain.probe.decide("federation", "delegate_cancelled",
+                            subject=f"delegation {delegation_id}",
+                            sla_id=entry.sla_id, reason=reason)
         return True

@@ -239,6 +239,7 @@ class FederationEndpoint:
     def __init__(self, plane, domain) -> None:
         self.plane = plane
         self.domain = domain
+        self.probe = domain.probe
         self.endpoint_name = f"fed:{domain.name}"
         endpoint = plane.bus.endpoint(self.endpoint_name)
         endpoint.on("fed_bid", self._on_bid)
@@ -252,9 +253,8 @@ class FederationEndpoint:
     def _on_bid(self, envelope: Envelope) -> Envelope:
         delegation_id, home, request = _decode_request_body(envelope.body)
         bid = compute_bid(self.domain.testbed, request, self.domain.name)
-        decisions = self.domain.testbed.decisions
-        if decisions is not None:
-            decisions.decide(
+        if self.probe.explaining:
+            self.probe.decide(
                 "federation", "bid" if bid.accept else "bid_declined",
                 subject=request.client,
                 constraint=f"delegation {delegation_id} from {home}",
@@ -275,26 +275,22 @@ class FederationEndpoint:
     def _on_delegate(self, envelope: Envelope) -> Envelope:
         delegation_id, home, request = _decode_request_body(envelope.body)
         testbed = self.domain.testbed
-        journal = testbed.journal
         # Durable intent first: whatever admission writes follow, a
         # rejoining broker can tell this booking was on a home's
         # behalf and roll it back unless the confirm also landed.
-        if journal is not None:
-            journal.append(DELEGATION_BEGIN, role="peer",
-                           delegation_id=delegation_id, home=home,
-                           client=request.client)
+        self.probe.append(DELEGATION_BEGIN, role="peer",
+                          delegation_id=delegation_id, home=home,
+                          client=request.client)
         outcome = testbed.broker.request_service(request)
         sla_id = outcome.sla.sla_id if outcome.sla is not None else None
         if outcome.accepted and sla_id is not None:
-            if journal is not None:
-                journal.append(DELEGATION_ACCEPTED, role="peer",
-                               delegation_id=delegation_id, home=home,
-                               sla_id=sla_id)
+            self.probe.append(DELEGATION_ACCEPTED, role="peer",
+                              delegation_id=delegation_id, home=home,
+                              sla_id=sla_id)
             self.domain.incoming[delegation_id] = IncomingDelegation(
                 sla_id=sla_id, home=home, opened_at=testbed.sim.now)
-        decisions = testbed.decisions
-        if decisions is not None:
-            decisions.decide(
+        if self.probe.explaining:
+            self.probe.decide(
                 "federation",
                 "delegate_in" if outcome.accepted else "delegate_in_reject",
                 subject=request.client, sla_id=sla_id,
@@ -311,7 +307,6 @@ class FederationEndpoint:
 
     def _on_confirm(self, envelope: Envelope) -> Envelope:
         delegation_id = child_text(envelope.body, "Delegation-ID")
-        testbed = self.domain.testbed
         entry = self.domain.incoming.get(delegation_id)
         root = element("Federation_Confirmed")
         subelement(root, "Delegation-ID", delegation_id)
@@ -320,10 +315,8 @@ class FederationEndpoint:
             # is gone, tell the home so it reroutes.
             subelement(root, "Status", "unknown")
             return envelope.reply("fed_confirmed", root)
-        if testbed.journal is not None:
-            testbed.journal.append(DELEGATION_CONFIRMED, role="peer",
-                                   delegation_id=delegation_id,
-                                   sla_id=entry.sla_id)
+        self.probe.append(DELEGATION_CONFIRMED, role="peer",
+                          delegation_id=delegation_id, sla_id=entry.sla_id)
         self.domain.confirmed.add(delegation_id)
         subelement(root, "Status", "ok")
         return envelope.reply("fed_confirmed", root)

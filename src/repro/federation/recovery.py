@@ -190,7 +190,7 @@ def _reconcile_incoming(plane, domain, state: DelegationState,
     # Half-delegated: the home never confirmed. By now it has timed
     # out and rerouted, so keeping the booking would double-admit.
     if sla_id is not None and sla_id in live_ids:
-        domain.testbed.journal.append(
+        domain.probe.append(
             DELEGATION_CANCELLED, role="peer",
             delegation_id=delegation_id, sla_id=sla_id,
             reason="half-delegated at crash")
@@ -198,17 +198,15 @@ def _reconcile_incoming(plane, domain, state: DelegationState,
             sla_id, cause="delegation-rollback",
             note=f"{delegation_id}: home never confirmed")
         live_ids.discard(sla_id)
-        decisions = testbed.decisions
-        if decisions is not None:
-            decisions.decide("federation", "reconcile_rollback",
-                             subject=f"delegation {delegation_id}",
-                             sla_id=sla_id,
-                             reason="half-delegated booking rolled back "
-                                    "on rejoin")
+        domain.probe.decide("federation", "reconcile_rollback",
+                            subject=f"delegation {delegation_id}",
+                            sla_id=sla_id,
+                            reason="half-delegated booking rolled back "
+                                   "on rejoin")
         notes.append(f"{delegation_id}: rolled back half-delegated "
                      f"SLA {sla_id}")
         return "cancelled"
-    domain.testbed.journal.append(
+    domain.probe.append(
         DELEGATION_CANCELLED, role="peer", delegation_id=delegation_id,
         reason="no booking survived the crash")
     return "noop"
@@ -219,7 +217,7 @@ def _cancel_outgoing(plane, domain, state: DelegationState,
     """Cancel one home-role delegation left in flight by the crash."""
     delegation_id = state.delegation_id
     peer = state.counterpart
-    domain.testbed.journal.append(
+    domain.probe.append(
         DELEGATION_CANCELLED, role="home", delegation_id=delegation_id,
         peer=peer, reason="in flight when this broker crashed")
     notes.append(f"{delegation_id}: outgoing delegation to {peer} "

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional
 from ..errors import GQoSMError
 from ..qos.classes import ServiceClass
 from ..sim.random import RandomSource
-from ..workloads.replay import batch_schedule, request_for_session
+from ..workloads.replay import (batch_schedule, request_for_session,
+                                schedule_failure_track)
 from ..workloads.scenarios import CompiledScenario, ScenarioSpec
 from .plane import FederatedControlPlane, FederatedOutcome
 
@@ -123,29 +124,11 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
     plane.start_heartbeats(until=horizon)
 
     # Failure tracks land on one domain each: track k hits the machine
-    # of domain k mod N, with domain-scoped repairs (the repair brings
-    # back exactly the nodes that track took down).
+    # of domain k mod N.
     for index, track in enumerate(spec.failures):
-        machine = plane.domains[names[index % len(names)]].testbed.machine
-        downed: "List[int]" = []
-
-        def fail(count: int, machine=machine,
-                 down: "List[int]" = downed) -> None:
-            down.extend(machine.fail_nodes(count))
-
-        def repair(count: int, machine=machine,
-                   down: "List[int]" = downed) -> None:
-            victims = down[:count]
-            del down[:count]
-            machine.repair_nodes(victims)
-
-        for time, delta in track.events:
-            if delta < 0:
-                sim.schedule_at(time, functools.partial(fail, -delta),
-                                label=f"fed:fail:{track.domain}")
-            else:
-                sim.schedule_at(time, functools.partial(repair, delta),
-                                label=f"fed:repair:{track.domain}")
+        schedule_failure_track(
+            sim, plane.domains[names[index % len(names)]].testbed.machine,
+            track, "fed")
 
     # Round-robin home assignment by position in the compiled session
     # order (deterministic; batches reference the same objects).

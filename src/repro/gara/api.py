@@ -22,11 +22,11 @@ import math
 from typing import Dict, List, Optional
 
 from ..errors import ReservationNotFound, ReservationStateError
+from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..rsl.builder import vector_from_rsl
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
-from ..telemetry import Telemetry
 from .reservation import Reservation, ReservationHandle, ReservationState
 from .slot_table import SlotTable
 
@@ -45,12 +45,14 @@ class GaraApi:
         confirm_timeout: How long a temporary reservation survives
             without confirmation.
         trace: Optional activity recorder.
+        probe: The testbed's instrumentation seam.
     """
 
     def __init__(self, sim: Simulator, slot_table: SlotTable, *,
                  name: str = "gara",
                  confirm_timeout: float = DEFAULT_CONFIRM_TIMEOUT,
-                 trace: Optional[TraceRecorder] = None) -> None:
+                 trace: Optional[TraceRecorder] = None,
+                 probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._table = slot_table
         self.name = name
@@ -61,20 +63,17 @@ class GaraApi:
         # ids): two testbeds built in one process assign identical
         # handles, so journal payloads are comparable across runs.
         self._handles = itertools.count(1000)
-        #: Optional telemetry hub; ``None`` keeps the reservation hot
-        #: path exactly as fast as before (a single attribute check).
-        self.telemetry: Optional[Telemetry] = None
+        self.probe = probe if probe is not None else Probe()
 
     def _observe(self, op: str) -> None:
         """Count one GARA operation and refresh the occupancy gauge."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            return
-        telemetry.metrics.counter("repro_gara_operations_total",
-                                  gatekeeper=self.name, op=op).inc()
-        telemetry.metrics.gauge(
-            "repro_gara_cpu_reserved", gatekeeper=self.name).set(
-            self._table.usage_at(self._sim.now).cpu)
+        probe = self.probe
+        if probe.measuring:  # the gauge's value walks the slot table
+            probe.count("repro_gara_operations_total",
+                        gatekeeper=self.name, op=op)
+            probe.gauge("repro_gara_cpu_reserved",
+                        self._table.usage_at(self._sim.now).cpu,
+                        gatekeeper=self.name)
 
     # ------------------------------------------------------------------
     # Table 2 primitives

@@ -20,16 +20,17 @@ The verifier:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 from xml.etree import ElementTree as ET
 
 from ..errors import MonitoringError
 from ..network.nrm import FlowAllocation, NetworkMeasurement
+from ..probe import Probe
 from ..qos.parameters import Dimension
-from ..recovery.journal import Journal, RESTORATION, VIOLATION
+from ..recovery.journal import RESTORATION, VIOLATION
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
-from ..telemetry import MetricsRegistry, Telemetry
+from ..telemetry import MetricsRegistry
 from ..sla.repository import SLARepository
 from ..sla.violations import (
     ConformanceReport,
@@ -54,13 +55,15 @@ class SlaVerifier:
             detected, restorations, tests run); a private one is
             created when omitted so counting always works.
         tolerance: Relative slack before a shortfall is a violation.
+        probe: The testbed's instrumentation seam.
     """
 
     def __init__(self, sim: Simulator, mds: InformationService,
                  repository: SLARepository, hub: NotificationHub, *,
                  trace: Optional[TraceRecorder] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tolerance: float = 0.05) -> None:
+                 tolerance: float = 0.05,
+                 probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._mds = mds
         self._repository = repository
@@ -68,19 +71,7 @@ class SlaVerifier:
         self._trace = trace
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(now=lambda: sim.now))
-        #: Optional telemetry hub (spans for conformance tests).
-        self.telemetry: Optional[Telemetry] = None
-        #: Optional write-ahead journal; violation/restoration state
-        #: *transitions* are appended when set.
-        self.journal: Optional[Journal] = None
-        #: Optional decision-provenance log
-        #: (:class:`repro.obs.DecisionLog`); the same transitions emit
-        #: ``violation``/``restoration`` records citing the worst
-        #: violated dimension.
-        self.decisions: "Optional[Any]" = None
-        #: Optional SLO engine (:class:`repro.obs.SloEngine`); fed the
-        #: same transitions so per-class error budgets accrue bad time.
-        self.slo: "Optional[Any]" = None
+        self.probe = probe if probe is not None else Probe()
         self.tolerance = tolerance
         #: sensor names attached per SLA id
         self._session_sensors: Dict[int, List[str]] = {}
@@ -146,13 +137,11 @@ class SlaVerifier:
 
     def conformance_test(self, sla_id: int) -> ConformanceReport:
         """Run one conformance test (the explicit client request path)."""
-        if self.telemetry is None:
-            return self._conformance_test(sla_id)
-        with self.telemetry.tracer.span("conformance-test",
-                                        component="sla-verif",
-                                        sla_id=sla_id) as span:
+        with self.probe.span("conformance-test", "sla-verif",
+                             sla_id=sla_id) as span:
             report = self._conformance_test(sla_id)
-            span.attributes["conformant"] = report.conformant
+            if span is not None:
+                span.attributes["conformant"] = report.conformant
             return report
 
     def _conformance_test(self, sla_id: int) -> ConformanceReport:
@@ -170,24 +159,23 @@ class SlaVerifier:
                 self._violating.add(sla_id)
                 self.metrics.counter(
                     "repro_sla_violations_detected_total").inc()
-                if self.journal is not None:
-                    self.journal.append(VIOLATION, sla_id=sla_id)
-                if self.decisions is not None:
+                probe = self.probe
+                probe.append(VIOLATION, sla_id=sla_id)
+                if probe.explaining:
                     worst = report.worst()
                     detail = (f"; worst: {worst.dimension.value} "
                               f"expected {worst.expected:g} measured "
                               f"{worst.measured:g} (severity "
                               f"{worst.severity:.2f})"
                               if worst is not None else "")
-                    self.decisions.decide(
+                    probe.decide(
                         "violation", "detected", sla_id=sla_id,
                         subject=f"sla-{sla_id}",
                         constraint=(worst.dimension.value
                                     if worst is not None else ""),
                         reason=f"{len(report.violations)} "
                                f"violation(s){detail}")
-                if self.slo is not None:
-                    self.slo.on_violation(sla_id, self._sim.now)
+                probe.on_violation(sla_id, self._sim.now)
             self.metrics.counter(
                 "repro_sla_degradation_notices_total",
                 source="sla-verif").inc()
@@ -199,15 +187,14 @@ class SlaVerifier:
         elif sla_id in self._violating:
             self._violating.discard(sla_id)
             self.metrics.counter("repro_sla_restorations_total").inc()
-            if self.journal is not None:
-                self.journal.append(RESTORATION, sla_id=sla_id)
-            if self.decisions is not None:
-                self.decisions.decide(
+            probe = self.probe
+            probe.append(RESTORATION, sla_id=sla_id)
+            if probe.explaining:
+                probe.decide(
                     "restoration", "restored", sla_id=sla_id,
                     subject=f"sla-{sla_id}",
                     reason="conformance test back within tolerance")
-            if self.slo is not None:
-                self.slo.on_restoration(sla_id, self._sim.now)
+            probe.on_restoration(sla_id, self._sim.now)
         self.metrics.gauge("repro_sla_violating_sessions").set(
             float(len(self._violating)))
         return report

@@ -17,11 +17,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import CapacityError, NetworkError
 from ..gara.slot_table import SlotEntry, SlotTable
+from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..sim.engine import Simulator
 from ..sim.random import RandomSource
 from ..sim.trace import TraceRecorder
-from ..telemetry import Telemetry
 from .topology import Link, Topology
 
 
@@ -93,12 +93,14 @@ class NetworkResourceManager:
         measurement_noise: Std-dev of multiplicative Gaussian noise on
             measured bandwidth (0 = exact).
         trace: Optional activity recorder.
+        probe: The testbed's instrumentation seam.
     """
 
     def __init__(self, sim: Simulator, topology: Topology, domain: str, *,
                  rng: Optional[RandomSource] = None,
                  measurement_noise: float = 0.0,
-                 trace: Optional[TraceRecorder] = None) -> None:
+                 trace: Optional[TraceRecorder] = None,
+                 probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._topology = topology
         self.domain = domain
@@ -112,19 +114,16 @@ class NetworkResourceManager:
         # so journal payloads are comparable across runs.
         self._flow_ids = itertools.count(1)
         self._listeners: List[DegradationListener] = []
-        #: Optional telemetry hub; ``None`` keeps allocation untouched.
-        self.telemetry: Optional[Telemetry] = None
+        self.probe = probe if probe is not None else Probe()
 
     def _observe(self, op: str) -> None:
         """Count one flow operation and refresh the live-flow gauge."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            return
-        telemetry.metrics.counter("repro_nrm_operations_total",
-                                  domain=self.domain, op=op).inc()
-        telemetry.metrics.gauge("repro_nrm_active_flows",
-                                domain=self.domain).set(
-            float(len(self._flows)))
+        probe = self.probe
+        if probe.measuring:
+            probe.count("repro_nrm_operations_total",
+                        domain=self.domain, op=op)
+            probe.gauge("repro_nrm_active_flows", float(len(self._flows)),
+                        domain=self.domain)
 
     # ------------------------------------------------------------------
     # Tables

@@ -14,10 +14,8 @@ third surface — *why*:
 * :mod:`repro.obs.flight` — the query layer joining decisions, spans
   and journal into ``repro obs why|timeline|slo`` reports.
 
-Like telemetry, everything is zero-cost when disabled: components
-default their ``decisions``/``slo`` attributes to ``None`` and guard
-each hook with a single ``is not None`` check (QLNT116 enforces that
-no reject/degrade path skips the emit).
+Components emit through :mod:`repro.probe`, so everything is a no-op
+until installed (QLNT116: no reject/degrade path skips the emit).
 """
 
 from __future__ import annotations

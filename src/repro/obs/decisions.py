@@ -9,10 +9,10 @@ captures exactly that, one record per admit/reject/degrade/rebalance
 verdict, stamped with the active span and the newest durable journal
 LSN so the three surfaces join into one causal episode.
 
-The log follows the telemetry guard discipline: components default
-their ``decisions`` attribute to ``None`` and pay a single
-``is not None`` check when provenance is off (QLNT116 enforces that no
-reject/degrade path skips the call).  Records are JSON-safe at emit
+Components emit through :meth:`repro.probe.Probe.decide`, a no-op
+until this log is installed; sites that build an expensive payload
+gate on ``probe.explaining`` (QLNT116 enforces that no reject/degrade
+path skips the call).  Records are JSON-safe at emit
 time — operating points keyed by :class:`~repro.qos.parameters.Dimension`
 are re-keyed by the dimension's unit name — and flow into the shared
 :class:`~repro.telemetry.EventStream` under the ``"decision"``
@@ -27,7 +27,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..telemetry.events import EventStream
-from ..telemetry.spans import Tracer
+from ..telemetry.spans import Span
 
 __all__ = [
     "DecisionLog",
@@ -139,13 +139,6 @@ class DecisionLog:
         stream: Optional shared event stream; every record is also
             emitted there under the ``"decision"`` category so the
             JSONL export carries the provenance feed.
-        tracer: Optional tracer; records are stamped with the
-            innermost open span at emit time.
-        journal_getter: Optional callable returning the live journal
-            (or ``None``); resolved per record so a journal installed
-            *after* the log still stamps LSNs.  Inside a PR-6 group
-            commit the stamp is the newest *durable* LSN — buffered
-            group records have not reached the store yet.
 
     Emit sites must pass only **non-flushing** capacity reads in
     ``headroom`` (``effective_sizes()``, ``committed_total()``, the
@@ -155,14 +148,9 @@ class DecisionLog:
     """
 
     def __init__(self, now: "Callable[[], float]", *,
-                 stream: Optional[EventStream] = None,
-                 tracer: Optional[Tracer] = None,
-                 journal_getter: "Optional[Callable[[], Any]]" = None
-                 ) -> None:
+                 stream: Optional[EventStream] = None) -> None:
         self._now = now
         self._stream = stream
-        self._tracer = tracer
-        self._journal_getter = journal_getter
         self._records: "List[DecisionRecord]" = []
 
     @property
@@ -178,21 +166,16 @@ class DecisionLog:
                reason: str = "",
                candidates: "Sequence[Mapping[str, Any]]" = (),
                chosen: "Optional[Mapping[str, Any]]" = None,
-               headroom: "Optional[Mapping[str, float]]" = None
+               headroom: "Optional[Mapping[str, float]]" = None,
+               span: Optional[Span] = None, lsn: int = 0
                ) -> DecisionRecord:
-        """Append one verdict and return the stamped record."""
-        trace_id = ""
-        span_id = ""
-        if self._tracer is not None:
-            span = self._tracer.current()
-            if span is not None:
-                trace_id = span.trace_id
-                span_id = span.span_id
-        lsn = 0
-        if self._journal_getter is not None:
-            journal = self._journal_getter()
-            if journal is not None:
-                lsn = journal.last_lsn
+        """Append one verdict and return the stamped record.
+
+        The probe supplies the stamps: ``span`` is the innermost open
+        span and ``lsn`` the newest *durable* journal LSN at emit time
+        (inside a PR-6 group commit the buffered group records have not
+        reached the store yet).
+        """
         record = DecisionRecord(
             decision_id=len(self._records) + 1,
             time=self._now(),
@@ -207,8 +190,8 @@ class DecisionLog:
             chosen=_jsonify(dict(chosen)) if chosen is not None else None,
             headroom={key: float(value)
                       for key, value in (headroom or {}).items()},
-            trace_id=trace_id,
-            span_id=span_id,
+            trace_id=span.trace_id if span is not None else "",
+            span_id=span.span_id if span is not None else "",
             lsn=lsn,
         )
         self._records.append(record)

@@ -36,7 +36,7 @@ from ..sla.document import NetworkDemand, SlaStatus
 from ..sla.repository import SLARepository
 from ..units import parse_bound
 from .journal import JournalStore, MemoryJournalStore
-from .recover import RecoveryReport, _wire_journal, install_journal, recover
+from .recover import RecoveryReport, _set_journal, install_journal, recover
 from .snapshot import start_snapshots
 
 #: Crash placement relative to the journal append.
@@ -95,7 +95,7 @@ def crash(testbed) -> None:
     """
     broker = testbed.broker
     journal = testbed.journal
-    _wire_journal(testbed, None)
+    _set_journal(testbed, None)
     try:
         broker.repository.restore(SLARepository())
         broker.allocation.reset()
@@ -103,7 +103,7 @@ def crash(testbed) -> None:
         broker._closing.clear()  # noqa: SLF001 — same package family
         broker.partition.clear_holdings()
     finally:
-        _wire_journal(testbed, journal)
+        _set_journal(testbed, journal)
 
 
 # ----------------------------------------------------------------------

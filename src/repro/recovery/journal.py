@@ -19,6 +19,7 @@ the transition never durably happened.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import struct
 from typing import Callable, Iterator, List, Mapping, NamedTuple, Optional
@@ -249,16 +250,26 @@ class FileJournalStore(JournalStore):
     Each record is ``>I`` (big-endian length) followed by the encoded
     body.  Reads tolerate a torn trailing record: a prefix or body cut
     short by a crash mid-write is silently dropped, never surfaced as
-    a half-applied transition.
+    a half-applied transition.  The first append after open truncates
+    such a tail away, so the next frame is not framed inside it.
     """
 
     def __init__(self, path: "pathlib.Path | str") -> None:
         self.path = pathlib.Path(path)
+        self._tail_checked = False
+
+    def _write(self, frames: bytes) -> None:
+        if not self._tail_checked and self.path.exists():
+            raw = self.path.read_bytes()
+            end = self._whole_frames(raw)[1]
+            if end < len(raw):
+                os.truncate(self.path, end)
+        self._tail_checked = True
+        with self.path.open("ab") as handle:
+            handle.write(frames)
 
     def append(self, data: bytes) -> None:
-        with self.path.open("ab") as handle:
-            handle.write(_LENGTH.pack(len(data)))
-            handle.write(data)
+        self._write(_LENGTH.pack(len(data)) + data)
 
     def append_group(self, records: "List[JournalRecord]") -> None:
         """Group commit: encode every record, then one write syscall.
@@ -273,13 +284,11 @@ class FileJournalStore(JournalStore):
             data = encode_record(record)
             frames += _LENGTH.pack(len(data))
             frames += data
-        with self.path.open("ab") as handle:
-            handle.write(frames)
+        self._write(frames)
 
-    def records(self) -> "Iterator[bytes]":
-        if not self.path.exists():
-            return iter(())
-        raw = self.path.read_bytes()
+    @staticmethod
+    def _whole_frames(raw: bytes) -> "tuple[List[bytes], int]":
+        """The whole records in ``raw`` and the offset they end at."""
         out: List[bytes] = []
         offset = 0
         while offset + _LENGTH.size <= len(raw):
@@ -289,7 +298,12 @@ class FileJournalStore(JournalStore):
                 break  # torn trailing record — crash mid-write
             out.append(raw[start:start + size])
             offset = start + size
-        return iter(out)
+        return out, offset
+
+    def records(self) -> "Iterator[bytes]":
+        if not self.path.exists():
+            return iter(())
+        return iter(self._whole_frames(self.path.read_bytes())[0])
 
 
 class Journal:

@@ -104,18 +104,14 @@ class RecoveryReport:
 # Journal installation
 # ----------------------------------------------------------------------
 
-def _wire_journal(testbed, journal: Optional[Journal]) -> None:
-    """Point every write hook in the control plane at ``journal``."""
-    testbed.journal = journal
-    broker = testbed.broker
-    broker.journal = journal
-    broker.reservation_system.journal = journal
-    broker.partition.journal = journal
-    broker.verifier.journal = journal
+def _set_journal(testbed, journal: Optional[Journal]) -> None:
+    """Put ``journal`` behind every write point (``None`` mutes them
+    all, for rebuilding state that must not re-journal history)."""
+    testbed.probe.journal = journal
 
 
 def install_journal(testbed, store=None) -> Journal:
-    """Wire a write-ahead journal through a testbed's control plane.
+    """Put a write-ahead journal behind a testbed's probe.
 
     The journal's clock is the simulation clock; ``store`` defaults to
     an in-memory store (pass a
@@ -129,7 +125,7 @@ def install_journal(testbed, store=None) -> Journal:
     # Bind the ``now`` property's getter directly instead of a lambda:
     # one fewer frame per append on the admission hot path.
     journal = Journal(store, now=type(sim).now.fget.__get__(sim))
-    _wire_journal(testbed, journal)
+    _set_journal(testbed, journal)
     return journal
 
 
@@ -530,8 +526,7 @@ def recover(testbed, *, journal: Optional[Journal] = None,
     """
     broker = testbed.broker
     if journal is None:
-        journal = testbed.journal if testbed.journal is not None \
-            else broker.journal
+        journal = testbed.journal
     if journal is None:
         raise RecoveryError(
             "recover() needs a journal: pass one, or run "
@@ -550,7 +545,7 @@ def recover(testbed, *, journal: Optional[Journal] = None,
     expire_now: "List[int]" = []
 
     # Rebuild silently: reconstruction must not re-journal history.
-    _wire_journal(testbed, None)
+    _set_journal(testbed, None)
     try:
         _wipe_volatile_state(testbed)
         broker.repository.restore(view.repository)
@@ -574,7 +569,7 @@ def recover(testbed, *, journal: Optional[Journal] = None,
                                     f"(no reservation history)")
         _sweep_unowned(testbed, report)
     finally:
-        _wire_journal(testbed, journal)
+        _set_journal(testbed, journal)
     journal.resync()
 
     # Compensating records: the journal must describe the reconciled

@@ -52,7 +52,7 @@ def take_snapshot(broker, *, journal: Optional[Journal] = None) -> Snapshot:
     Raises:
         RecoveryError: When no journal is available to anchor the LSN.
     """
-    journal = journal if journal is not None else broker.journal
+    journal = journal if journal is not None else broker.probe.journal
     if journal is None:
         raise RecoveryError(
             "cannot snapshot a broker without an installed journal")
@@ -138,7 +138,7 @@ class SnapshotKeeper:
 
     def __init__(self, broker, journal: Journal) -> None:
         self._broker = broker
-        self._journal = journal
+        self._journal = journal  # qlint: disable=QLNT118 -- read side: the LSN anchor, never written through
         self.latest: Optional[Snapshot] = None
         self.taken = 0
 

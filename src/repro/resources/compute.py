@@ -20,6 +20,7 @@ from ..errors import ResourceError
 from ..gara.api import GaraApi
 from ..gara.reservation import ReservationHandle
 from ..gara.slot_table import SlotTable
+from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
@@ -65,18 +66,21 @@ class ComputeResourceManager:
         machine: The managed machine.
         trace: Optional activity recorder.
         confirm_timeout: GARA temporary-reservation confirmation window.
+        probe: The testbed's instrumentation seam, for the GARA front.
     """
 
     def __init__(self, sim: Simulator, machine: Machine, *,
                  trace: Optional[TraceRecorder] = None,
-                 confirm_timeout: float = 30.0) -> None:
+                 confirm_timeout: float = 30.0,
+                 probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self.machine = machine
         self._trace = trace
         self._table = SlotTable(machine.grid_capacity())
         self.gara = GaraApi(sim, self._table,
                             name=f"gara.{machine.name}",
-                            confirm_timeout=confirm_timeout, trace=trace)
+                            confirm_timeout=confirm_timeout, trace=trace,
+                            probe=probe)
         self.dsrt = DsrtScheduler(node_count=machine.grid_nodes)
         self._jobs: Dict[int, Job] = {}
         #: handle.value -> job_id for RUNNING jobs; reservation_bind

@@ -1,7 +1,7 @@
 """Deterministic telemetry: spans, metrics, and exporters.
 
 The :class:`Telemetry` hub bundles the three surfaces behind one
-handle that components can hold as an optional attribute:
+handle, installed behind the testbed's :class:`repro.probe.Probe`:
 
 * :attr:`Telemetry.tracer` — sim-clock spans with parent/child
   causality that propagates across bus legs (see
@@ -11,11 +11,6 @@ handle that components can hold as an optional attribute:
 * :attr:`Telemetry.stream` — the shared append-only event log behind
   both the legacy trace and the span export (see
   :mod:`repro.telemetry.events`).
-
-Instrumentation is zero-cost when disabled: components default their
-``telemetry`` attribute to ``None`` and guard every hook with a single
-``is not None`` check, so the PR-1 hot paths pay one attribute load
-when telemetry is off.
 
 The hub *adopts* existing infrastructure rather than replacing it —
 pass the broker's registry and the trace recorder's stream so there is

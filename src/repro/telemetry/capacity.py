@@ -1,8 +1,8 @@
 """Capacity gauges fed by the partition's rebalance reports.
 
 Every :meth:`~repro.core.capacity.CapacityPartition.rebalance` pass
-produces a :class:`~repro.core.capacity.RebalanceReport`; wired as the
-partition's observer, :class:`CapacityGauges` turns each report into
+produces a :class:`~repro.core.capacity.RebalanceReport`; behind the
+probe's ``rebalanced`` verb, :class:`CapacityGauges` turns each report into
 the Figure-6 dashboard quantities:
 
 * ``repro_capacity_effective{pool}`` — effective Cg/Ca/Cb after
@@ -37,40 +37,55 @@ class CapacityGauges:
 
     def __init__(self, metrics: MetricsRegistry) -> None:
         self.metrics = metrics
+        self._pools: Optional[list] = None
+
+    def _resolve(self) -> None:
+        """Look up, once, every instrument that each pass sets.
+
+        Not in the constructor: a hub that never saw a rebalance must
+        export no capacity series. Time gauges open at their first
+        ``set``, so holding them does not dilute their means.
+        """
+        metrics = self.metrics
+        gauge = metrics.time_gauge
+        self._pools = [
+            (gauge("repro_capacity_effective", pool=pool),
+             [gauge("repro_capacity_allocated", pool=pool, tier=tier)
+              for tier in ("guaranteed", "excess", "best_effort")],
+             gauge("repro_capacity_idle", pool=pool))
+            for pool in POOLS]
+        self._adapt_transfer = gauge("repro_capacity_adapt_transfer")
+        self._utilization = gauge("repro_capacity_utilization")
+        self._failed = gauge("repro_capacity_failed")
+        self._shortfall = metrics.gauge("repro_capacity_shortfall")
+        self._rebalances = metrics.counter("repro_capacity_rebalances_total")
 
     def on_rebalance(self, partition: object, report: object) -> None:
-        """Record one rebalance outcome (the partition observer hook)."""
+        """Record one rebalance outcome (``Probe.rebalanced``'s backend)."""
         if report is None:
             report = partition.last_report
         if report is None:
             return
-        metrics = self.metrics
+        if self._pools is None:
+            self._resolve()
         effective = partition.effective_sizes()
-        for pool_key, size, usage in zip(POOLS, effective, report.pools):
-            metrics.time_gauge("repro_capacity_effective",
-                               pool=pool_key).set(size)
-            for tier, supplied in (("guaranteed", usage.guaranteed),
-                                   ("excess", usage.excess),
-                                   ("best_effort", usage.best_effort)):
-                metrics.time_gauge("repro_capacity_allocated",
-                                   pool=pool_key, tier=tier).set(supplied)
-            metrics.time_gauge("repro_capacity_idle",
-                               pool=pool_key).set(usage.idle)
-        metrics.time_gauge("repro_capacity_adapt_transfer").set(
-            report.adapt_transfer)
-        metrics.time_gauge("repro_capacity_utilization").set(
-            partition.utilization())
-        metrics.time_gauge("repro_capacity_failed").set(partition.failed)
-        metrics.gauge("repro_capacity_shortfall").set(
-            sum(report.shortfalls.values()))
-        metrics.counter("repro_capacity_rebalances_total").inc()
+        for (size_gauge, tiers, idle), size, usage in zip(
+                self._pools, effective, report.pools):
+            size_gauge.set(size)
+            for tier_gauge, supplied in zip(tiers, (
+                    usage.guaranteed, usage.excess, usage.best_effort)):
+                tier_gauge.set(supplied)
+            idle.set(usage.idle)
+        self._adapt_transfer.set(report.adapt_transfer)
+        self._utilization.set(partition.utilization())
+        self._failed.set(partition.failed)
+        self._shortfall.set(sum(report.shortfalls.values()))
+        self._rebalances.inc()
+        # Looked up on use: an uneventful run must not export
+        # zero-valued event counters.
         if report.shortfalls:
-            metrics.counter("repro_capacity_shortfall_events_total").inc()
+            self.metrics.counter(
+                "repro_capacity_shortfall_events_total").inc()
         if report.preempted:
-            metrics.counter("repro_capacity_preemptions_total").inc(
+            self.metrics.counter("repro_capacity_preemptions_total").inc(
                 float(len(report.preempted)))
-
-    def prime(self, partition: object,
-              report: Optional[object] = None) -> None:
-        """Record the current partition state (installation helper)."""
-        self.on_rebalance(partition, report)

@@ -221,7 +221,8 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
 
     broker.hub.subscribe(on_notice)
 
-    _schedule_failures(testbed, spec)
+    for track in spec.failures:
+        schedule_failure_track(sim, testbed.machine, track, "atlas")
 
     abandoned = 0
     accepted: "Dict[ServiceClass, int]" = {cls: 0 for cls in
@@ -327,28 +328,26 @@ def check_invariants(result: ReplayResult) -> "List[str]":
     return problems
 
 
-def _schedule_failures(testbed: Testbed, spec: ScenarioSpec) -> None:
-    """Arm every failure track with domain-scoped repairs."""
-    machine = testbed.machine
-    sim = testbed.sim
-    for track in spec.failures:
-        downed: "List[int]" = []
+def schedule_failure_track(sim, machine, track, label_prefix: str) -> None:
+    """Arm one failure track on ``machine`` with domain-scoped repairs:
+    a repair brings back exactly the nodes this track took down."""
+    downed: "List[int]" = []
 
-        def fail(count: int, down: "List[int]" = downed) -> None:
-            down.extend(machine.fail_nodes(count))
+    def fail(count: int) -> None:
+        downed.extend(machine.fail_nodes(count))
 
-        def repair(count: int, down: "List[int]" = downed) -> None:
-            victims = down[:count]
-            del down[:count]
-            machine.repair_nodes(victims)
+    def repair(count: int) -> None:
+        victims = downed[:count]
+        del downed[:count]
+        machine.repair_nodes(victims)
 
-        for time, delta in track.events:
-            if delta < 0:
-                sim.schedule_at(time, lambda c=-delta, f=fail: f(c),
-                                label=f"atlas:fail:{track.domain}")
-            else:
-                sim.schedule_at(time, lambda c=delta, f=repair: f(c),
-                                label=f"atlas:repair:{track.domain}")
+    for time, delta in track.events:
+        if delta < 0:
+            sim.schedule_at(time, functools.partial(fail, -delta),
+                            label=f"{label_prefix}:fail:{track.domain}")
+        else:
+            sim.schedule_at(time, functools.partial(repair, delta),
+                            label=f"{label_prefix}:repair:{track.domain}")
 
 
 def _rejection_reasons(decisions) -> "List[List[object]]":

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..errors import GQoSMError, MessageDropped, MessageError, RemoteFaultError
+from ..probe import Probe
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
-from ..telemetry import Telemetry
 from .envelope import Envelope
 from .faults import FaultDecision, FaultPlan
 from .idempotency import DEFAULT_CAPACITY, DedupCache
@@ -111,36 +111,30 @@ class MessageBus:
         latency: Default delivery delay for :meth:`send_async`.
         faults: Optional fault plan; :meth:`install_faults` can attach
             one later. Without a plan the bus is a perfect transport.
+        probe: The seam of the testbed that owns the wire: spans per
+            request leg and delivery (parented across hops by the
+            envelope's TraceID/SpanID headers), transport and dedup
+            counters in the hub's registry.
     """
 
     def __init__(self, sim: Simulator,
                  trace: Optional[TraceRecorder] = None,
                  latency: float = 0.0,
-                 faults: Optional[FaultPlan] = None) -> None:
+                 faults: Optional[FaultPlan] = None,
+                 probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._trace = trace
         self._endpoints: Dict[str, Endpoint] = {}
         self.latency = latency
         self.faults = faults
         self.dead_letters: List[DeadLetter] = []
-        self._telemetry: Optional[Telemetry] = None
+        self.probe = probe if probe is not None else Probe()
 
-    @property
-    def telemetry(self) -> Optional[Telemetry]:
-        """Optional telemetry hub; when set, every request leg opens a
-        span, deliveries open handler spans parented at the sender's
-        span (via the envelope's TraceID/SpanID headers), and the
-        transport counters — including every endpoint's dedup-cache
-        counters — land in the hub's registry."""
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, telemetry: Optional[Telemetry]) -> None:
-        self._telemetry = telemetry
-        if telemetry is not None:
-            for endpoint in self._endpoints.values():
-                endpoint.dedup.bind_metrics(telemetry.metrics,
-                                            endpoint=endpoint.name)
+    def adopt_endpoints(self) -> None:
+        """Re-home the dedup counters of endpoints that registered
+        before telemetry was installed in the hub's registry."""
+        for endpoint in self._endpoints.values():
+            self.probe.adopt(endpoint.dedup, endpoint=endpoint.name)
 
     @property
     def sim(self) -> Simulator:
@@ -156,9 +150,7 @@ class MessageBus:
         if endpoint.name in self._endpoints:
             raise MessageError(f"endpoint {endpoint.name!r} already registered")
         self._endpoints[endpoint.name] = endpoint
-        if self._telemetry is not None:
-            endpoint.dedup.bind_metrics(self._telemetry.metrics,
-                                        endpoint=endpoint.name)
+        self.probe.adopt(endpoint.dedup, endpoint=endpoint.name)
         return endpoint
 
     def endpoint(self, name: str) -> Endpoint:
@@ -169,18 +161,16 @@ class MessageBus:
         if self.faults is None:
             return None
         decision = self.faults.decide(envelope, leg)
-        kinds: List[str] = []
-        if not decision.clean:
-            kinds = [name for flag, name in (
-                (decision.drop, "drop"), (decision.error, "error"),
-                (decision.duplicate, "duplicate"),
-                (decision.reorder, "reorder"),
-                (decision.delay > 0, "delay")) if flag]
-        if self.telemetry is not None:
-            for kind in kinds:
-                self.telemetry.metrics.counter(
-                    "repro_bus_faults_total", kind=kind, leg=leg).inc()
-        if self._trace is not None and not decision.clean:
+        if decision.clean:
+            return decision
+        kinds = [name for flag, name in (
+            (decision.drop, "drop"), (decision.error, "error"),
+            (decision.duplicate, "duplicate"),
+            (decision.reorder, "reorder"),
+            (decision.delay > 0, "delay")) if flag]
+        for kind in kinds:
+            self.probe.count("repro_bus_faults_total", kind=kind, leg=leg)
+        if self._trace is not None:
             self._trace.record(
                 self._sim.now, "chaos",
                 f"{'+'.join(kinds)} on {leg} {envelope.sender} -> "
@@ -196,9 +186,7 @@ class MessageBus:
             recipient=envelope.recipient, action=envelope.action,
             message_id=envelope.message_id, reason=reason, detail=detail)
         self.dead_letters.append(letter)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "repro_bus_dead_letters_total", reason=reason).inc()
+        self.probe.count("repro_bus_dead_letters_total", reason=reason)
         if self._trace is not None:
             self._trace.record(
                 self._sim.now, "dead-letter",
@@ -219,15 +207,14 @@ class MessageBus:
                 f"{delivered.sender} -> {delivered.recipient}: "
                 f"{delivered.action}",
                 message_id=delivered.message_id, action=delivered.action)
-        if self.telemetry is None or delivered.trace_id is None:
+        if not self.probe.measuring or delivered.trace_id is None:
             return target.dispatch(delivered)
         # Parent the handler span at the *sender's* span carried in the
         # envelope headers, so the episode stays one connected tree even
         # when this delivery was scheduled (empty context stack) or is a
         # duplicate of an earlier leg.
-        with self.telemetry.tracer.span(
-                f"handle:{delivered.action}",
-                component=delivered.recipient,
+        with self.probe.span(
+                f"handle:{delivered.action}", delivered.recipient,
                 trace_id=delivered.trace_id,
                 parent_id=delivered.span_id,
                 message_id=delivered.message_id,
@@ -258,25 +245,22 @@ class MessageBus:
         Raises:
             MessageError: If the handler returns no response.
         """
-        if self.telemetry is None:
+        probe = self.probe
+        if not probe.measuring:
             return self._request(envelope)
         attributes = {"message_id": envelope.message_id,
                       "recipient": envelope.recipient}
         if envelope.retry_of is not None:
             attributes["retry_of"] = envelope.retry_of
-        self.telemetry.metrics.counter(
-            "repro_bus_requests_total", action=envelope.action).inc()
+        probe.count("repro_bus_requests_total", action=envelope.action)
         # A retried envelope already carries its trace id; when the
         # caller holds an open span (the resilient caller's ``call:``
         # span) parent there instead, so every attempt is a sibling
         # child of the one logical call.
         trace_id = (envelope.trace_id
-                    if self.telemetry.tracer.current() is None else None)
-        with self.telemetry.tracer.span(
-                f"request:{envelope.action}",
-                component=envelope.sender,
-                trace_id=trace_id,
-                **attributes) as span:
+                    if probe.current_span() is None else None)
+        with probe.span(f"request:{envelope.action}", envelope.sender,
+                        trace_id=trace_id, **attributes) as span:
             envelope.trace_id = span.trace_id
             envelope.span_id = span.span_id
             return self._request(envelope)
@@ -328,16 +312,14 @@ class MessageBus:
         :attr:`dead_letters` (consumers recover by re-polling, see the
         monitoring verifier); it never raises into the caller.
         """
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "repro_bus_notifications_total",
-                action=envelope.action).inc()
-            current = self.telemetry.tracer.current()
-            if envelope.trace_id is None and current is not None:
-                # Carry the publisher's span across the async hop so the
-                # delayed delivery parents into the same episode tree.
-                envelope.trace_id = current.trace_id
-                envelope.span_id = current.span_id
+        self.probe.count("repro_bus_notifications_total",
+                         action=envelope.action)
+        current = self.probe.current_span()
+        if envelope.trace_id is None and current is not None:
+            # Carry the publisher's span across the async hop so the
+            # delayed delivery parents into the same episode tree.
+            envelope.trace_id = current.trace_id
+            envelope.span_id = current.span_id
         envelope.sent_at = self._sim.now
         delay = self.latency if latency is None else latency
         decision = self._decide(envelope, "notify")

@@ -179,15 +179,14 @@ class ResilientCaller:
             GQoSMError: Non-transient errors from the handler or codec
                 propagate unchanged on first occurrence.
         """
-        telemetry = self._bus.telemetry
-        if telemetry is None:
+        probe = self._bus.probe
+        if not probe.measuring:
             return self._call(envelope)
         attempts_before = self.stats.attempts
         retries_before = self.stats.retries
-        with telemetry.tracer.span(
-                f"call:{envelope.action}", component=self.name,
-                recipient=envelope.recipient,
-                message_id=envelope.message_id) as span:
+        with probe.span(f"call:{envelope.action}", self.name,
+                        recipient=envelope.recipient,
+                        message_id=envelope.message_id) as span:
             try:
                 return self._call(envelope)
             finally:
@@ -195,9 +194,8 @@ class ResilientCaller:
                     self.stats.attempts - attempts_before
                 delta = self.stats.retries - retries_before
                 if delta > 0:
-                    telemetry.metrics.counter(
-                        "repro_rpc_retries_total",
-                        action=envelope.action).inc(float(delta))
+                    probe.count("repro_rpc_retries_total", float(delta),
+                                action=envelope.action)
 
     def _call(self, envelope: Envelope) -> Envelope:
         key = (envelope.recipient, envelope.action)

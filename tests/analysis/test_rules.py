@@ -719,6 +719,63 @@ class TestRawFederationSend:
 
 
 # ----------------------------------------------------------------------
+# QLNT118 — instrumentation side-channel beside the probe
+# ----------------------------------------------------------------------
+
+class TestSideChannel:
+    BROKER = "src/repro/core/broker.py"
+
+    @pytest.mark.parametrize("snippet", [
+        "class C:\n    def __init__(self):\n        self.journal = None\n",
+        ("class C:\n    def __init__(self):\n"
+         "        self.telemetry: object = None\n"),
+        "class C:\n    def wire(self, hub):\n        self._telemetry = hub\n",
+        ("class C:\n    def f(self):\n"
+         "        if self.decisions is not None:\n            pass\n"),
+        ("class C:\n    def f(self):\n"
+         "        return self.probe.slo is None\n"),
+        ("class C:\n    def f(self):\n"
+         "        return self._bus.telemetry is None\n"),
+        "class C:\n    def f(self, cb):\n        self.observer = cb\n",
+        ("class C:\n    def mute(self):\n"
+         "        old, self.journal = self.journal, None\n"),
+    ])
+    def test_private_channel_flags(self, run, snippet):
+        findings = run(snippet, relpath=self.BROKER, rule_id="QLNT118")
+        assert findings and "probe" in findings[0].message
+
+    @pytest.mark.parametrize("snippet", [
+        # The seam itself: take the probe, call its verbs and predicates.
+        ("class C:\n    def __init__(self, probe):\n"
+         "        self.probe = probe\n"
+         "    def f(self):\n"
+         "        self.probe.append('confirm', sla_id=1)\n"
+         "        if self.probe.explaining:\n"
+         "            self.probe.decide('a', 'b', reason=f'{self}')\n"),
+        # An installer filling the shared probe is not a second channel.
+        "def install(testbed, journal):\n    testbed.probe.journal = journal\n",
+        # Read-side locals (report builders) may test what they were given.
+        "def report(testbed):\n    return testbed.slo is not None\n",
+        # Stat bundles and other attributes are untouched.
+        "class C:\n    def f(self):\n        self.stats.decisions += 1\n",
+        "class C:\n    def f(self):\n        return self.faults is None\n",
+    ])
+    def test_seam_and_read_side_are_clean(self, run, snippet):
+        assert run(snippet, relpath=self.BROKER, rule_id="QLNT118") == []
+
+    @pytest.mark.parametrize("relpath", [
+        "src/repro/probe.py", "src/repro/obs/flight.py", "src/repro/cli.py",
+        "benchmarks/bench_thing.py",
+    ])
+    def test_probe_and_read_side_modules_are_exempt(self, run, relpath):
+        snippet = ("class C:\n    def __init__(self, journal):\n"
+                   "        self.journal = journal\n"
+                   "    def f(self):\n"
+                   "        return self.journal is None\n")
+        assert run(snippet, relpath=relpath, rule_id="QLNT118") == []
+
+
+# ----------------------------------------------------------------------
 # Catalogue invariants
 # ----------------------------------------------------------------------
 
@@ -729,5 +786,5 @@ def test_rule_catalogue_is_stable():
     assert len(ids) == len(set(ids))
     assert len(ids) >= 8
     assert all(rule.title for rule in rules)
-    expected = {f"QLNT1{n:02d}" for n in range(1, 18)}
+    expected = {f"QLNT1{n:02d}" for n in range(1, 19)}
     assert set(ids) == expected

@@ -27,18 +27,14 @@ def _request(client: str = "user1", cpu: int = 4,
 class TestGuardDiscipline:
     def test_provenance_is_off_by_default(self):
         testbed = build_testbed()
-        assert testbed.broker.decisions is None
-        assert testbed.broker.slo is None
-        assert testbed.broker.verifier.decisions is None
-        assert testbed.broker.verifier.slo is None
-        assert testbed.partition.decisions is None
+        assert not testbed.probe.explaining
         assert testbed.decisions is None and testbed.slo is None
 
     def test_admissions_work_without_provenance(self):
         testbed = build_testbed()
         outcome = testbed.broker.request_service(_request())
         assert outcome.accepted
-        assert testbed.broker.decisions is None
+        assert testbed.decisions is None
 
     def test_install_is_idempotent(self):
         testbed = build_testbed()
@@ -47,7 +43,6 @@ class TestGuardDiscipline:
         assert first == second
         assert testbed.decisions is first[0]
         assert testbed.slo is first[1]
-        assert testbed.broker.decisions is first[0]
 
 
 class TestDecisionLog:
@@ -178,7 +173,7 @@ class TestBrokerEmitSites:
     def test_journal_installed_after_observability_still_stamps(self):
         testbed = build_testbed()
         decisions, _slo = install_observability(testbed)
-        install_journal(testbed)  # after — journal_getter is late-bound
+        install_journal(testbed)  # after — the probe reads it per record
         outcome = testbed.broker.request_service(_request())
         assert outcome.accepted
         assert decisions.records[-1].lsn > 0

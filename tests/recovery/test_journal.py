@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import pytest
@@ -146,6 +147,37 @@ class TestFileJournalStore:
         assert decode_record(survivors[0]).lsn == 1
         # A journal over the torn store resumes cleanly after LSN 1.
         assert Journal(FileJournalStore(path)).last_lsn == 1
+
+    @pytest.mark.parametrize("tear", ["prefix", "body", "mid-group"])
+    def test_append_after_tear_roundtrips(self, tmp_path, tear):
+        path = tmp_path / "wal.journal"
+        journal = Journal(FileJournalStore(path))
+        journal.append(SLA_SAVED, sla_id=1000, status="active")
+        whole = path.stat().st_size
+        if tear == "mid-group":
+            journal.begin_group()
+            for sla_id in (1, 2, 3):
+                journal.append(CONFIRM, sla_id=sla_id)
+            journal.commit_group()
+            (first,) = struct.unpack_from(">I", path.read_bytes(), whole)
+            # The crash cut the run inside the group's second frame.
+            os.truncate(path, whole + 4 + first + 4 + 5)
+            survivors = 2
+        else:
+            torn = encode_record(JournalRecord(
+                lsn=2, time=0.0, type=CONFIRM, payload={"sla_id": 2}))
+            frame = struct.pack(">I", len(torn)) + torn
+            with open(path, "ab") as handle:
+                handle.write(frame[:2] if tear == "prefix" else frame[:-3])
+            survivors = 1
+        reopened = Journal(FileJournalStore(path))
+        assert reopened.last_lsn == survivors
+        # Appending must not frame the new records inside the garbage.
+        reopened.append(CONFIRM, sla_id=7)
+        reopened.append(CONFIRM, sla_id=8)
+        replayed = Journal(FileJournalStore(path)).records()
+        assert [r.lsn for r in replayed] == list(range(1, survivors + 3))
+        assert [r.payload["sla_id"] for r in replayed[-2:]] == [7, 8]
 
     def test_missing_file_reads_empty(self, tmp_path):
         store = FileJournalStore(tmp_path / "absent.journal")

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.capacity import CapacityPartition
+from repro.probe import Probe
 from repro.telemetry.capacity import POOLS, CapacityGauges
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -28,11 +31,10 @@ def registry(clock):
 
 
 def observed_partition(gauges, **kwargs):
-    """A partition wired to the gauges from its very first rebalance."""
-    partition = CapacityPartition(**kwargs)
-    partition.observer = gauges.on_rebalance
-    gauges.prime(partition)
-    return partition
+    """A partition whose probe feeds the gauges from its very first
+    (constructor) rebalance."""
+    hub = SimpleNamespace(capacity=gauges)
+    return CapacityPartition(probe=Probe(telemetry=hub), **kwargs)
 
 
 class TestGaugeFeed:

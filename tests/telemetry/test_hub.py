@@ -33,12 +33,11 @@ class TestInstallation:
         assert install_telemetry(testbed) is telemetry
 
     def test_every_component_holds_the_same_hub(self, testbed, telemetry):
-        broker = testbed.broker
-        assert broker.telemetry is telemetry
-        assert broker.verifier.telemetry is telemetry
-        assert broker.reservation_system.telemetry is telemetry
-        assert broker.compute_rm.gara.telemetry is telemetry
-        assert testbed.bus.telemetry is telemetry
+        # One field behind the shared probe; which components hold the
+        # probe is pinned in tests/core/test_probe.py.
+        assert testbed.probe.telemetry is telemetry
+        assert testbed.telemetry is telemetry
+        assert testbed.bus.probe is testbed.broker.probe is testbed.probe
 
     def test_capacity_gauges_are_primed_at_install(self, testbed,
                                                    telemetry):
@@ -50,8 +49,7 @@ class TestInstallation:
     def test_disabled_by_default(self):
         testbed = attach_control_plane(build_testbed())
         assert testbed.telemetry is None
-        assert testbed.broker.telemetry is None
-        assert testbed.bus.telemetry is None
+        assert not testbed.probe.measuring
 
 
 class TestEndToEnd:
