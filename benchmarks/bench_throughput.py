@@ -1,17 +1,22 @@
-"""Admission throughput — batched pipeline vs sequential baseline.
+"""Admission throughput — plain sequential vs batched admission.
 
-The sequential broker pays one full capacity rebalance (O(n) over the
-guaranteed holdings) and one journal store append per admission, so at
-n=10k live bookings the rebalance dominates and throughput collapses.
-``request_services`` amortizes both across the batch: one deferred
-rebalance and one WAL group-commit per batch, with admit/reject
-decisions byte-identical to sequential order (pinned by the
-differential test in ``tests/core/test_batch_admission.py``).
+A sequential admission runs one capacity rebalance, which re-draws only
+the holding it touched (the delta water-fill, DESIGN §4), and one
+journal store append per record, so its cost must not grow with the
+number of live bookings. ``request_services`` coalesces what a batch
+emits — one journal group-commit, one ``CAPACITY_REBALANCED`` record
+and one rebalance report per batch — with admit/reject decisions
+byte-identical to sequential order (pinned by the differential test in
+``tests/core/test_batch_admission.py``). If the per-admission pass ever
+walks every holding again, sequential collapses to ~40 admissions/s at
+this n while batch=64 stays in the thousands, which is what the gate
+catches.
 
 Measured here, written to ``benchmarks/BENCH_throughput.json``:
 admissions/sec at n=10k live GUARANTEED bookings for batch sizes
-{1, 8, 64, 256}, where batch=1 is the plain ``request_service``
-baseline. The acceptance gate is >=10x at batch=64.
+{1, 8, 64, 256}, where batch=1 is the plain ``request_service`` path.
+The acceptance gate is ROADMAP's target: sequential at least half of
+batch=64.
 
 All requests share one validity window so the slot table stays at two
 boundaries and every admission does identical O(1) table work — the
@@ -20,12 +25,10 @@ slot-table scaling (that is ``bench_slot_table_scaling.py``).
 
 Batch sizes are measured in ascending order on one growing testbed:
 later (larger) batch sizes face *more* live holdings than the
-sequential baseline did, so the reported speedup is conservative.
+sequential path did.
 
 ``BENCH_THROUGHPUT_SMOKE=1`` switches to a reduced workload for
-``scripts/check.sh``: same schema, asserts batch=64 is at least as
-fast as batch=1, and skips the artifact write and the 10x gate (the
-effect needs the full n to dominate the fixed per-admission cost).
+``scripts/check.sh``: same schema and the same gate, no artifact write.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ ADMISSIONS = 128 if SMOKE else 512
 BATCH_SIZES = (1, 8, 64, 256)
 #: Chunk size used to bring the testbed up to PRELOAD bookings.
 PRELOAD_CHUNK = 256
-TARGET_SPEEDUP = 10.0
+#: ROADMAP: plain sequential admission within 2x of batch=64.
+TARGET_RATIO = 0.5
 
 #: One shared validity window — keeps every slot-table probe O(1).
 WINDOW = (0.0, 1_000_000.0)
@@ -101,7 +105,7 @@ def _measure(broker, batch_size: int, first_index: int) -> Dict[str, object]:
     try:
         started = time.perf_counter()
         if batch_size == 1:
-            # The sequential baseline: the pre-batching admission path.
+            # The plain path: one request_service per admission.
             for request in requests:
                 broker.request_service(request)
         else:
@@ -121,7 +125,7 @@ def _measure(broker, batch_size: int, first_index: int) -> Dict[str, object]:
 def validate_schema(results: Dict[str, object]) -> None:
     """Assert the artifact shape ``scripts/check.sh`` smoke relies on."""
     for key in ("workload", "live_bookings", "batches",
-                "speedup_batch64_vs_sequential", "target_speedup"):
+                "sequential_over_batch64", "target_ratio"):
         assert key in results, f"BENCH_throughput results missing {key!r}"
     batches = results["batches"]
     assert [entry["batch_size"] for entry in batches] == list(BATCH_SIZES)
@@ -144,7 +148,7 @@ def test_throughput_artifact():
 
     rates = {entry["batch_size"]: entry["admissions_per_s"]
              for entry in batches}
-    speedup = rates[64] / rates[1]
+    ratio = rates[1] / rates[64]
 
     results = {
         "workload": f"GUARANTEED admissions (CPU=1, 64MB, shared window) "
@@ -152,8 +156,8 @@ def test_throughput_artifact():
                     f"journal, {ADMISSIONS} admissions per batch size",
         "live_bookings": preloaded,
         "batches": batches,
-        "speedup_batch64_vs_sequential": speedup,
-        "target_speedup": TARGET_SPEEDUP,
+        "sequential_over_batch64": ratio,
+        "target_ratio": TARGET_RATIO,
     }
     validate_schema(results)
     if not SMOKE:
@@ -165,17 +169,13 @@ def test_throughput_artifact():
             f"batch={entry['batch_size']:>3}:  "
             f"{entry['admissions_per_s']:>10.0f} admissions/s  "
             f"({entry['elapsed_s'] * 1e3 / ADMISSIONS:.3f}ms/admission)")
-    lines.append(f"speedup at batch=64: {speedup:.1f}x "
-                 f"(target >={TARGET_SPEEDUP:.0f}x)")
-    report("Throughput — batched admission vs sequential baseline"
+    lines.append(f"sequential / batch=64: {ratio:.2f} "
+                 f"(target >={TARGET_RATIO:g})")
+    report("Throughput — sequential vs batched admission"
            + (" [SMOKE]" if SMOKE else ""), "\n".join(lines))
 
-    if SMOKE:
-        # Reduced-n smoke: batching must never be a pessimization.
-        assert rates[64] >= rates[1], (
-            f"batched admission slower than sequential in smoke mode: "
-            f"{rates[64]:.0f}/s vs {rates[1]:.0f}/s")
-    else:
-        assert speedup >= TARGET_SPEEDUP, (
-            f"batch=64 admission is only {speedup:.1f}x the sequential "
-            f"baseline at n={preloaded} (target {TARGET_SPEEDUP:.0f}x)")
+    assert ratio >= TARGET_RATIO, (
+        f"sequential admission runs at only {ratio:.2f} of batch=64 at "
+        f"n={preloaded} ({rates[1]:.0f}/s vs {rates[64]:.0f}/s, target "
+        f">={TARGET_RATIO:g}): the per-admission rebalance is walking "
+        f"the holdings again")

@@ -32,14 +32,15 @@ diff "$tel_a" "$tel_b" > /dev/null || {
 rm -f "$tel_a" "$tel_b"
 echo "telemetry smoke OK (deterministic)"
 
-echo "== throughput smoke (batched admission) =="
-# Reduced-n run of the batched-admission benchmark: asserts the
-# BENCH_throughput.json schema and that batch=64 is at least as fast
-# as sequential. The full 10x sweep at n=10k stays manual:
+echo "== throughput smoke (sequential vs batched admission) =="
+# Reduced-n run of the admission-throughput benchmark: asserts the
+# BENCH_throughput.json schema and that plain sequential admission
+# runs at no less than half the batch=64 rate. The full run at n=10k
+# stays manual:
 #   python -m pytest benchmarks/bench_throughput.py -s
 BENCH_THROUGHPUT_SMOKE=1 python -m pytest \
     benchmarks/bench_throughput.py -q > /dev/null
-echo "throughput smoke OK (batch=64 >= sequential)"
+echo "throughput smoke OK (sequential >= 1/2 batch=64)"
 
 echo "== crash-recovery smoke (byte-determinism) =="
 # Two fixed-seed crash episodes must print byte-identical reports:

@@ -1,4 +1,4 @@
-"""QLNT115 — allocation in the DES/slot-table hot loops.
+"""QLNT115 — allocation in the DES/slot-table/partition hot loops.
 
 The array-backed cores exist because the event queue pops millions of
 tuples per experiment and the slot table answers a capacity probe per
@@ -7,6 +7,10 @@ the inner loops touch no Python object allocation.  One stray
 ``lambda`` capture or per-event wrapper object in those loops silently
 re-introduces the allocation cost the rewrite removed — and nothing
 functional breaks, so only a benchmark (or this rule) would notice.
+The capacity partition's per-admission path is held to the same rule:
+every request runs one demand update and one water-fill pass, whose
+tier loops draw on local floats (DESIGN §4) — a per-draw closure or a
+per-pool ledger object there is paid by every admission.
 
 The table below names the hot functions.  Inside them three things
 flag: ``lambda`` expressions (closure allocation per iteration),
@@ -16,6 +20,8 @@ capitalized constructor calls.  Declared allowed idioms:
 * ``ResourceVector`` — the slot-table probes *return* one aggregate
   vector per call; building the single result is the contract, it is
   the per-boundary/per-event objects that are banned;
+* ``RebalanceReport`` / ``PoolUsage`` — likewise the one report, with
+  its three pool rows, that every rebalance pass returns;
 * constructor calls inside ``raise`` — error paths are cold.
 """
 
@@ -36,10 +42,15 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
     "repro/gara/slot_table.py": frozenset({
         "usage_at", "available_at", "peak_usage", "available",
         "can_reserve", "utilization_at", "_apply_delta"}),
+    # One admission's way through the partition: the demand update
+    # and the water-fill pass it triggers.
+    "repro/core/capacity.py": frozenset({
+        "rebalance", "set_guaranteed_demand", "effective_sizes"}),
 }
 
 #: Constructors a hot function may call (see module docstring).
-ALLOWED_CONSTRUCTORS: "FrozenSet[str]" = frozenset({"ResourceVector"})
+ALLOWED_CONSTRUCTORS: "FrozenSet[str]" = frozenset({
+    "ResourceVector", "RebalanceReport", "PoolUsage"})
 
 
 def _hot_functions(relpath: str) -> "Optional[FrozenSet[str]]":
@@ -53,7 +64,7 @@ def _hot_functions(relpath: str) -> "Optional[FrozenSet[str]]":
 @register
 class HotPathAllocationRule(Rule):
     rule_id = "QLNT115"
-    title = "object allocation in the DES/slot-table hot loop"
+    title = "object allocation in the DES/slot-table/partition hot loop"
     severity = Severity.ERROR
     node_types = (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
                   ast.Call)

@@ -77,8 +77,7 @@ class AdaptationEngine:
         """``Cn(t) = Ca − (Σ c(u,t) − Cg)``: the adaptive head-room
         after covering guaranteed overflow. Negative means guarantees
         cannot be honored from ``Cg + Ca`` alone."""
-        entitled = sum(h.entitled
-                       for h in self.partition.guaranteed_holdings())
+        entitled = self.partition.entitled_total()
         eff_g, eff_a, _eff_b = self.partition.effective_sizes()
         overflow = max(0.0, entitled - eff_g)
         return eff_a - overflow

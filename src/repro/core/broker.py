@@ -931,7 +931,7 @@ class AQoSBroker:
                           ) -> ResourceVector:
         """Capacity the controlled-load set may collectively use."""
         eff_g, eff_a, _eff_b = self.partition.effective_sizes()
-        tier1 = sum(h.entitled for h in self.partition.guaranteed_holdings())
+        tier1 = self.partition.entitled_total()
         headroom = max(0.0, eff_g + eff_a - tier1)
         floors = sum(sla.floor_demand().cpu for sla in adjustable)
         now = self.sim.now

@@ -19,7 +19,12 @@ one partition per managed resource type). All mutation funnels through
 :meth:`CapacityPartition.rebalance`, a deterministic two-tier
 water-fill, so the allocation state is always a pure function of
 (demands, commitments, failures) — which is what makes the Section 5.6
-timeline exactly replayable.
+timeline exactly replayable. Being a pure function does not mean
+recomputing it: while no pool boundary falls inside a guaranteed tier
+the pass re-draws only the holdings whose inputs changed (see
+:meth:`CapacityPartition.rebalance` and DESIGN §4); the full recompute
+survives as :class:`repro.core._reference.NaiveCapacityPartition`, the
+differential-test oracle.
 
 Priority tiers inside ``rebalance``:
 
@@ -75,6 +80,13 @@ class GuaranteedHolding:
     def entitled(self) -> float:
         """The must-serve portion ``min(c(u,t), g(u))``."""
         return min(self.demand, self.committed)
+
+    @property
+    def excess(self) -> float:
+        """The opportunistic portion ``c(u,t) − g(u)`` (0 when the
+        demand is within the commitment)."""
+        over = self.demand - self.committed
+        return over if over > _EPSILON else 0.0
 
     @property
     def shortfall(self) -> float:
@@ -184,8 +196,19 @@ class CapacityPartition:
         #: Running ``Σ g(u)``, maintained by admit/remove/clear so the
         #: admission test never re-sums the holdings.
         self._committed = 0.0
-        #: Sorted-holdings cache, invalidated by admit/remove/clear;
-        #: the water-fill walks it twice per pass.
+        #: Running ``Σ entitled`` and ``Σ excess`` — the two demand
+        #: lines the pool boundaries are compared against. Maintained
+        #: by set-demand/remove/clear like ``_committed``, and re-derived
+        #: exactly by every full pass, so they cannot drift.
+        self._entitled = 0.0
+        self._excess = 0.0
+        #: Holdings whose demand changed since the last pass.
+        self._touched: Dict[str, GuaranteedHolding] = {}
+        #: Whether the last pass left every holding with
+        #: ``from_g = entitled, from_a = excess, from_b = 0``.
+        self._quiet = False
+        #: Sorted-holdings cache, invalidated by admit/remove/clear and
+        #: rebuilt only by a full pass or a holdings listing.
         self._sorted: Optional[List[GuaranteedHolding]] = None
         #: Deferred-rebalance mode (batch admission): demand updates
         #: mark the assignment dirty instead of rebalancing, and every
@@ -249,6 +272,15 @@ class CapacityPartition:
         """
         return self._committed
 
+    def entitled_total(self) -> float:
+        """``Σ min(c(u,t), g(u))`` — the must-serve demand line.
+
+        A running sum (O(1)). Flushes like every other reader, so a
+        mid-batch read settles the pending pass where it always did.
+        """
+        self._flush()
+        return self._entitled
+
     def available_guaranteed_resource(self, committed: float) -> bool:
         """The paper's ``Available_Guaranteed_Resource(g(u))`` test:
         a new SLA committing ``g(u)`` is admissible iff
@@ -293,7 +325,11 @@ class CapacityPartition:
             raise AdmissionError(f"user {user!r} is not admitted")
         if demand < 0:
             raise AdmissionError(f"demand must be >= 0: {demand}")
+        entitled, excess = holding.entitled, holding.excess
         holding.demand = demand
+        self._entitled += holding.entitled - entitled
+        self._excess += holding.excess - excess
+        self._touched[user] = holding
         if self._deferred:
             self._dirty = True
             return None
@@ -305,8 +341,11 @@ class CapacityPartition:
         if holding is None:
             raise AdmissionError(f"user {user!r} is not admitted")
         self._committed -= holding.committed
+        self._entitled -= holding.entitled
+        self._excess -= holding.excess
         if not self._guaranteed:
-            self._committed = 0.0
+            self._committed = self._entitled = self._excess = 0.0
+        self._touched.pop(user, None)
         self._sorted = None
         return self.rebalance()
 
@@ -369,7 +408,7 @@ class CapacityPartition:
     def best_effort_served(self) -> float:
         """Total best-effort capacity currently served."""
         self._flush()
-        return sum(h.served for h in self._best_effort.values())
+        return sum(pool.best_effort for pool in self.last_report.pools)
 
     def clear_holdings(self) -> RebalanceReport:
         """Drop every holding and rebalance (crash-recovery wipe).
@@ -381,7 +420,8 @@ class CapacityPartition:
         self._guaranteed.clear()
         self._best_effort.clear()
         self._arrivals = 0
-        self._committed = 0.0
+        self._committed = self._entitled = self._excess = 0.0
+        self._touched.clear()
         self._sorted = None
         return self.rebalance()
 
@@ -424,39 +464,67 @@ class CapacityPartition:
     # ------------------------------------------------------------------
 
     def rebalance(self) -> RebalanceReport:
-        """Recompute the full assignment (see module docstring)."""
+        """Recompute the assignment (see module docstring).
+
+        The tier loops below run over one of two domains, chosen from
+        the partition's own totals:
+
+        * **quiet** — ``Σ entitled ≤ Cg`` and ``Σ excess ≤ Ca``
+          (effective sizes), on the previous pass and on this one. No
+          pool boundary falls inside either guaranteed tier, so the
+          draw order is immaterial and every holding whose demand did
+          not change keeps ``from_g = entitled``, ``from_a = excess``,
+          ``from_b = 0``. Only the touched holdings are re-drawn, from
+          pools pre-debited by what the untouched ones hold.
+        * **contended** — a boundary is inside a tier (failure eating
+          into ``Cg``, excess beyond ``Ca``) or was on the previous
+          pass: every holding is re-drawn in sort order from the full
+          pools, and the totals are re-derived from that walk.
+        """
         self._dirty = False
         eff_g, eff_a, eff_b = self.effective_sizes()
-        previous_be = {user: holding.served
-                       for user, holding in self._best_effort.items()}
+        quiet = (self._quiet and self._entitled <= eff_g
+                 and self._excess <= eff_a)
+        if quiet:
+            holdings = list(self._touched.values())
+            settled_g, settled_a = self._entitled, self._excess
+            for holding in holdings:
+                settled_g -= holding.entitled
+                settled_a -= holding.excess
+        else:
+            holdings = self._sorted_holdings()
+            settled_g = settled_a = 0.0
+        self._touched.clear()
 
-        # Pool ledgers: how much each pool supplies to each tier.
-        supply = {name: {"guaranteed": 0.0, "excess": 0.0, "best_effort": 0.0}
-                  for name in ("g", "a", "b")}
-        remaining = {"g": eff_g, "a": eff_a, "b": eff_b}
+        # What each pool still has, and what it supplies to each tier.
+        rem_g, rem_a, rem_b = eff_g - settled_g, eff_a - settled_a, eff_b
         protected_b = min(self.best_effort_min, eff_b)
-
-        def draw(pool: str, tier: str, amount: float, *,
-                 floor: float = 0.0) -> float:
-            """Take up to ``amount`` from a pool, respecting a floor."""
-            grantable = max(0.0, remaining[pool] - floor)
-            granted = min(amount, grantable)
-            remaining[pool] -= granted
-            supply[pool][tier] += granted
-            return granted
+        g_guaranteed, a_excess = settled_g, settled_a
+        a_guaranteed = b_guaranteed = g_excess = 0.0
 
         # --- Tier 1: entitled guaranteed demand -----------------------
         shortfalls: Dict[str, float] = {}
         adapt_transfer = 0.0
-        for holding in self._sorted_holdings():
-            holding.from_g = holding.from_a = holding.from_b = 0.0
+        entitled = 0.0
+        for holding in holdings:
             need = holding.entitled
-            got_g = draw("g", "guaranteed", need)
+            entitled += need
+            got_g = need if need <= rem_g else rem_g
+            rem_g -= got_g
             need -= got_g
-            got_a = draw("a", "guaranteed", need)
+            got_a = need if need <= rem_a else rem_a
+            rem_a -= got_a
             need -= got_a
-            got_b = draw("b", "guaranteed", need, floor=protected_b)
+            got_b = rem_b - protected_b
+            if got_b < 0.0:
+                got_b = 0.0
+            if need <= got_b:
+                got_b = need
+            rem_b -= got_b
             need -= got_b
+            g_guaranteed += got_g
+            a_guaranteed += got_a
+            b_guaranteed += got_b
             adapt_transfer += got_a + got_b
             holding.from_g = got_g
             holding.from_a = got_a
@@ -466,39 +534,54 @@ class CapacityPartition:
                 shortfalls[holding.user] = need
 
         # --- Tier 2: excess guaranteed demand --------------------------
-        for holding in self._sorted_holdings():
-            excess = max(0.0, holding.demand - holding.committed)
-            if excess <= _EPSILON:
+        excess = 0.0
+        for holding in holdings:
+            need = holding.excess
+            if need <= 0.0:
                 continue
-            got_a = draw("a", "excess", excess)
-            excess -= got_a
-            got_g = draw("g", "excess", excess)
-            excess -= got_g
+            excess += need
+            got_a = need if need <= rem_a else rem_a
+            rem_a -= got_a
+            need -= got_a
+            got_g = need if need <= rem_g else rem_g
+            rem_g -= got_g
+            a_excess += got_a
+            g_excess += got_g
             holding.from_a += got_a
             holding.from_g += got_g
             holding.served += got_a + got_g
+        if not quiet:
+            # The walk just summed both demand lines exactly.
+            self._entitled, self._excess = entitled, excess
+            self._quiet = entitled <= eff_g and excess <= eff_a
 
         # --- Tier 3: best-effort demand --------------------------------
+        # FCFS: the dict holds users in arrival order (a departed user
+        # re-arrives at the back).
         preempted: Dict[str, float] = {}
-        for holding in self.best_effort_holdings():
+        g_best_effort = a_best_effort = b_best_effort = 0.0
+        for holding in self._best_effort.values():
             need = holding.demand
-            got_b = draw("b", "best_effort", need)
+            got_b = need if need <= rem_b else rem_b
+            rem_b -= got_b
             need -= got_b
-            got_a = draw("a", "best_effort", need)
+            got_a = need if need <= rem_a else rem_a
+            rem_a -= got_a
             need -= got_a
-            got_g = draw("g", "best_effort", need)
+            got_g = need if need <= rem_g else rem_g
+            rem_g -= got_g
+            b_best_effort += got_b
+            a_best_effort += got_a
+            g_best_effort += got_g
+            before = holding.served
             holding.served = got_b + got_a + got_g
-            before = previous_be.get(holding.user, 0.0)
             if holding.served < before - _EPSILON:
                 preempted[holding.user] = before - holding.served
 
         pools = (
-            PoolUsage("Cg", eff_g, supply["g"]["guaranteed"],
-                      supply["g"]["excess"], supply["g"]["best_effort"]),
-            PoolUsage("Ca", eff_a, supply["a"]["guaranteed"],
-                      supply["a"]["excess"], supply["a"]["best_effort"]),
-            PoolUsage("Cb", eff_b, supply["b"]["guaranteed"],
-                      supply["b"]["excess"], supply["b"]["best_effort"]),
+            PoolUsage("Cg", eff_g, g_guaranteed, g_excess, g_best_effort),
+            PoolUsage("Ca", eff_a, a_guaranteed, a_excess, a_best_effort),
+            PoolUsage("Cb", eff_b, b_guaranteed, 0.0, b_best_effort),
         )
         self.last_report = RebalanceReport(
             shortfalls=shortfalls, preempted=preempted,
@@ -510,7 +593,7 @@ class CapacityPartition:
                      adapt_transfer=adapt_transfer)
         if probe.explaining and (
                 shortfalls or preempted or adapt_transfer > _EPSILON):
-            # Only eventful passes are provenance-worthy: a quiet
+            # Only eventful passes are provenance-worthy: a
             # water-fill that moved nothing would drown the log.
             probe.decide(
                 "rebalance",
@@ -529,11 +612,19 @@ class CapacityPartition:
     # Introspection
     # ------------------------------------------------------------------
 
+    def _guaranteed_served(self) -> float:
+        """Capacity serving guaranteed users (entitled plus excess)."""
+        return sum(pool.guaranteed + pool.excess
+                   for pool in self.last_report.pools)
+
     def total_served(self) -> float:
-        """All capacity currently allocated across every tier."""
+        """All capacity currently allocated across every tier.
+
+        Read off the last pass's pool rows (what the pools supply is
+        what the holdings are served), not re-summed over holdings.
+        """
         self._flush()
-        return (sum(h.served for h in self._guaranteed.values())
-                + self.best_effort_served())
+        return self._guaranteed_served() + self.best_effort_served()
 
     def idle_capacity(self) -> float:
         """Effective capacity not serving anyone."""
@@ -553,17 +644,14 @@ class CapacityPartition:
         """Flat numeric snapshot for metrics and reports."""
         self._flush()
         eff_g, eff_a, eff_b = self.effective_sizes()
-        report = self.last_report
         return {
             "cg": self.cg, "ca": self.ca, "cb": self.cb,
             "eff_g": eff_g, "eff_a": eff_a, "eff_b": eff_b,
             "failed": self._failed,
             "committed": self.committed_total(),
-            "guaranteed_served": sum(h.served
-                                     for h in self._guaranteed.values()),
+            "guaranteed_served": self._guaranteed_served(),
             "best_effort_served": self.best_effort_served(),
             "idle": self.idle_capacity(),
             "utilization": self.utilization(),
-            "adapt_transfer": (report.adapt_transfer
-                               if report is not None else 0.0),
+            "adapt_transfer": self.last_report.adapt_transfer,
         }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..errors import ResourceError
 from ..qos.vector import ResourceVector
@@ -69,6 +69,9 @@ class Machine:
         self.disk_mb = disk_mb
         self._nodes: Dict[int, Node] = {
             i: Node(node_id=i) for i in range(total_nodes)}
+        #: Ids of the nodes currently down, so counting the up nodes
+        #: and repairing never scan the whole machine.
+        self._down: Set[int] = set()
         self._listeners: List[CapacityListener] = []
 
     # ------------------------------------------------------------------
@@ -82,7 +85,7 @@ class Machine:
 
     def up_nodes(self) -> int:
         """Number of nodes currently up."""
-        return sum(1 for node in self._nodes.values() if node.is_up)
+        return len(self._nodes) - len(self._down)
 
     def available_grid_nodes(self) -> int:
         """Grid-exposed nodes currently up.
@@ -114,25 +117,32 @@ class Machine:
         Raises:
             ResourceError: When fewer than ``count`` nodes are up.
         """
-        victims = [node for node in self._nodes.values() if node.is_up]
-        if len(victims) < count:
+        if self.up_nodes() < count:
             raise ResourceError(
-                f"cannot fail {count} nodes; only {len(victims)} are up")
+                f"cannot fail {count} nodes; only {self.up_nodes()} are up")
         failed_ids: List[int] = []
-        for node in victims[:count]:
-            node.state = NodeState.DOWN
-            failed_ids.append(node.node_id)
+        # Lowest ids first: the dict holds the nodes in id order.
+        for node in self._nodes.values():
+            if len(failed_ids) >= count:
+                break
+            if node.is_up:
+                node.state = NodeState.DOWN
+                failed_ids.append(node.node_id)
+        self._down.update(failed_ids)
         self._notify(-count)
         return failed_ids
 
     def repair_nodes(self, node_ids: Optional[List[int]] = None) -> int:
-        """Bring nodes back up (all down nodes when ids omitted)."""
-        repaired = 0
-        for node in self._nodes.values():
-            if node.state is NodeState.DOWN and (
-                    node_ids is None or node.node_id in node_ids):
-                node.state = NodeState.UP
-                repaired += 1
+        """Bring nodes back up (all down nodes when ids omitted).
+
+        Ids that are unknown, already up or repeated are ignored.
+        """
+        repairing = (set(self._down) if node_ids is None
+                     else self._down.intersection(node_ids))
+        for node_id in repairing:
+            self._nodes[node_id].state = NodeState.UP
+        self._down -= repairing
+        repaired = len(repairing)
         if repaired:
             self._notify(repaired)
         return repaired

@@ -534,12 +534,13 @@ class TestJournaledState:
 
 
 # ----------------------------------------------------------------------
-# QLNT115 — object allocation in the DES/slot-table hot loop
+# QLNT115 — object allocation in the DES/slot-table/partition hot loop
 # ----------------------------------------------------------------------
 
 class TestHotPathAllocation:
     EVENTS = "src/repro/sim/events.py"
     TABLE = "src/repro/gara/slot_table.py"
+    PARTITION = "src/repro/core/capacity.py"
 
     def test_lambda_in_hot_loop_flags(self, run):
         snippet = ("class EventQueue:\n"
@@ -572,6 +573,48 @@ class TestHotPathAllocation:
                    "    def usage_at(self, time):\n"
                    "        return ResourceVector(cpu=self._cpu[0])\n")
         assert run(snippet, relpath=self.TABLE, rule_id="QLNT115") == []
+
+    def test_closure_in_the_rebalance_pass_flags(self, run):
+        # The shape the delta water-fill removed must not creep back.
+        snippet = ("class CapacityPartition:\n"
+                   "    def rebalance(self):\n"
+                   "        def draw(pool, amount):\n"
+                   "            return min(amount, self.remaining[pool])\n"
+                   "        return draw('g', 1.0)\n")
+        findings = run(snippet, relpath=self.PARTITION, rule_id="QLNT115")
+        assert findings and "draw()" in findings[0].message
+
+    def test_sort_key_lambda_in_the_rebalance_pass_flags(self, run):
+        snippet = ("class CapacityPartition:\n"
+                   "    def rebalance(self):\n"
+                   "        return sorted(self._best_effort.values(),\n"
+                   "                      key=lambda h: h.arrival_order)\n")
+        findings = run(snippet, relpath=self.PARTITION, rule_id="QLNT115")
+        assert findings and "closure" in findings[0].message
+
+    def test_per_holding_object_in_the_demand_update_flags(self, run):
+        snippet = ("class CapacityPartition:\n"
+                   "    def set_guaranteed_demand(self, user, demand):\n"
+                   "        self._touched[user] = Delta(user, demand)\n")
+        findings = run(snippet, relpath=self.PARTITION, rule_id="QLNT115")
+        assert findings and "Delta" in findings[0].message
+
+    def test_one_report_per_pass_is_allowed(self, run):
+        # A pass returns one report with its three pool rows.
+        snippet = ("class CapacityPartition:\n"
+                   "    def rebalance(self):\n"
+                   "        pools = (PoolUsage('Cg', 1.0, 0.0, 0.0, 0.0),)\n"
+                   "        return RebalanceReport({}, {}, 0.0, pools)\n")
+        assert run(snippet, relpath=self.PARTITION,
+                   rule_id="QLNT115") == []
+
+    def test_admission_may_build_its_holding(self, run):
+        # admit_guaranteed() is not in the declared hot path.
+        snippet = ("class CapacityPartition:\n"
+                   "    def admit_guaranteed(self, user, committed):\n"
+                   "        return GuaranteedHolding(user, committed)\n")
+        assert run(snippet, relpath=self.PARTITION,
+                   rule_id="QLNT115") == []
 
     def test_raised_exception_is_allowed(self, run):
         # Error paths are cold; constructing the exception is fine.

@@ -2,8 +2,13 @@
 operation sequences.
 
 A hypothesis rule-based state machine performs random interleavings of
-admissions, demand changes, removals, best-effort churn, failures and
-repairs, checking the Algorithm 1 invariants after every step.
+admissions, demand changes, removals, best-effort churn, failures
+(including ones sized to land on each pool boundary), repairs and
+deferred-rebalance windows, checking the Algorithm 1 invariants after
+every step — and, after every step, that the delta water-fill left
+exactly the state the full-recompute oracle computes
+(``tests/core/partition_oracle.py``): ``==`` in the runs whose inputs
+are all integer-valued, within 1e-9 in the fractional ones.
 """
 
 from __future__ import annotations
@@ -12,13 +17,14 @@ import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
 )
 from hypothesis import strategies as st
 
-from repro.core.capacity import CapacityPartition
+from .partition_oracle import MirroredPartition
 
 CG, CA, CB, BE_MIN = 15.0, 6.0, 5.0, 2.0
 _EPSILON = 1e-6
@@ -27,11 +33,20 @@ _EPSILON = 1e-6
 class PartitionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.partition = CapacityPartition(CG, CA, CB,
-                                           best_effort_min=BE_MIN)
+        self.mirror = MirroredPartition(CG, CA, CB, best_effort_min=BE_MIN)
+        self.partition = self.mirror.real
         self.guaranteed: dict = {}
         self.best_effort: set = set()
         self.counter = 0
+        self.integral = True
+
+    @initialize(integral=st.booleans())
+    def choose_arithmetic(self, integral):
+        """Integer-valued runs are compared ``==``, the rest to 1e-9."""
+        self.integral = integral
+
+    def _amount(self, value: float) -> float:
+        return float(round(value)) if self.integral else value
 
     # ------------------------------------------------------------------
     # Rules
@@ -42,7 +57,7 @@ class PartitionMachine(RuleBasedStateMachine):
         self.counter += 1
         user = f"g{self.counter}"
         if self.partition.available_guaranteed_resource(committed):
-            self.partition.admit_guaranteed(user, committed)
+            self.mirror.apply("admit_guaranteed", user, committed)
             self.guaranteed[user] = committed
         else:
             with pytest.raises(Exception):
@@ -54,21 +69,21 @@ class PartitionMachine(RuleBasedStateMachine):
           index=st.integers(min_value=0, max_value=10**6))
     def set_demand(self, factor, index):
         user = sorted(self.guaranteed)[index % len(self.guaranteed)]
-        self.partition.set_guaranteed_demand(
-            user, self.guaranteed[user] * factor)
+        self.mirror.apply("set_guaranteed_demand", user,
+                          self._amount(self.guaranteed[user] * factor))
 
     @precondition(lambda self: self.guaranteed)
     @rule(index=st.integers(min_value=0, max_value=10**6))
     def remove(self, index):
         user = sorted(self.guaranteed)[index % len(self.guaranteed)]
-        self.partition.remove_guaranteed(user)
+        self.mirror.apply("remove_guaranteed", user)
         del self.guaranteed[user]
 
     @rule(demand=st.integers(min_value=0, max_value=30))
     def best_effort_churn(self, demand):
         self.counter += 1
         user = f"b{self.counter % 5}"
-        self.partition.set_best_effort_demand(user, demand)
+        self.mirror.apply("set_best_effort_demand", user, demand)
         if demand > 0:
             self.best_effort.add(user)
         else:
@@ -77,15 +92,68 @@ class PartitionMachine(RuleBasedStateMachine):
     @rule(amount=st.floats(min_value=0.0, max_value=26.0,
                            allow_nan=False))
     def fail(self, amount):
-        self.partition.apply_failure(amount)
+        self.mirror.apply("apply_failure", self._amount(amount))
+
+    @rule(boundary=st.sampled_from(["Cg", "Ca", "Cb"]),
+          overshoot=st.integers(min_value=-1, max_value=2))
+    def fail_to_boundary(self, boundary, overshoot):
+        """Shrink the pools until ``boundary`` sits on (or just either
+        side of) the entitled demand line, so the regime flips."""
+        eff_g, eff_a, eff_b = self.partition.effective_sizes()
+        above = {"Cg": eff_g, "Ca": eff_g + eff_a,
+                 "Cb": eff_g + eff_a + eff_b}[boundary]
+        amount = above - self.mirror.entitled_total() + overshoot
+        self.mirror.apply("apply_failure", self._amount(max(0.0, amount)))
 
     @rule()
     def repair_all(self):
-        self.partition.apply_repair()
+        self.mirror.apply("apply_repair")
+
+    @rule(amount=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+    def repair_some(self, amount):
+        self.mirror.apply("apply_repair", self._amount(amount))
+
+    @rule()
+    def defer(self):
+        self.mirror.apply("defer_rebalances")
+
+    @rule()
+    def resume(self):
+        self.mirror.apply("resume_rebalances")
+
+    @precondition(lambda self: self.guaranteed)
+    @rule(steps=st.lists(
+              st.tuples(st.sampled_from(["set", "set", "remove", "admit"]),
+                        st.floats(min_value=0.0, max_value=2.5,
+                                  allow_nan=False)),
+              min_size=2, max_size=8),
+          index=st.integers(min_value=0, max_value=10**6))
+    def deferred_batch(self, steps, index):
+        """A whole window between two checks: the pending pass has to
+        settle repeated updates of one user, users removed while
+        touched, and users admitted mid-window."""
+        self.mirror.apply("defer_rebalances")
+        for offset, (step, factor) in enumerate(steps):
+            users = sorted(self.guaranteed)
+            if step == "admit" or not users:
+                self.admit(1 + int(factor * 2))
+                continue
+            user = users[(index + offset // 2) % len(users)]
+            if step == "remove":
+                self.remove(index + offset // 2)
+            else:
+                self.mirror.apply(
+                    "set_guaranteed_demand", user,
+                    self._amount(self.guaranteed[user] * factor))
+        self.mirror.apply("resume_rebalances")
 
     # ------------------------------------------------------------------
     # Invariants (checked after every rule)
     # ------------------------------------------------------------------
+
+    @invariant()
+    def matches_full_recompute(self):
+        self.mirror.check()
 
     @invariant()
     def never_overallocated(self):

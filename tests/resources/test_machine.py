@@ -78,3 +78,48 @@ class TestListeners:
         sgi.subscribe(lambda machine, delta: deltas.append(delta))
         assert sgi.repair_nodes() == 0
         assert deltas == []
+
+
+class TestFailureBookkeeping:
+    """The down-set must agree with the node states it summarises."""
+
+    @staticmethod
+    def _down_ids(machine):
+        return [node_id for node_id, node in machine._nodes.items()
+                if node.state is NodeState.DOWN]
+
+    def test_victims_are_the_lowest_up_ids(self, sgi):
+        assert sgi.fail_nodes(3) == [0, 1, 2]
+        assert sgi.repair_nodes([1]) == 1
+        # Node 1 is up again, so it is the next victim, then 3 and 4.
+        assert sgi.fail_nodes(3) == [1, 3, 4]
+        assert self._down_ids(sgi) == [0, 1, 2, 3, 4]
+        assert sgi.up_nodes() == 59
+
+    def test_repeated_fail_and_repair_with_explicit_ids(self, sgi):
+        deltas = []
+        sgi.subscribe(lambda machine, delta: deltas.append(delta))
+        for _ in range(3):
+            ids = sgi.fail_nodes(4)
+            assert ids == [0, 1, 2, 3]
+            assert sgi.repair_nodes(ids[:2]) == 2
+            assert self._down_ids(sgi) == [2, 3]
+            assert sgi.repair_nodes(ids[2:]) == 2
+            assert sgi.up_nodes() == 64
+        assert deltas == [-4, 2, 2] * 3
+
+    def test_ids_already_up_are_ignored(self, sgi):
+        deltas = []
+        sgi.subscribe(lambda machine, delta: deltas.append(delta))
+        sgi.fail_nodes(2)
+        assert sgi.repair_nodes([1, 5, 6]) == 1
+        assert sgi.repair_nodes([1, 5, 6]) == 0
+        assert self._down_ids(sgi) == [0]
+        assert sgi.up_nodes() == 63
+        assert deltas == [-2, 1]
+
+    def test_duplicate_and_unknown_ids_count_once(self, sgi):
+        sgi.fail_nodes(3)
+        assert sgi.repair_nodes([2, 2, 0, 2, 999]) == 2
+        assert self._down_ids(sgi) == [1]
+        assert sgi.available_grid_nodes() == 25
