@@ -1,4 +1,4 @@
-"""QLNT115 — allocation in the DES/slot-table/partition hot loops.
+"""QLNT115 — allocation in the DES/slot-table/partition/wire hot loops.
 
 The array-backed cores exist because the event queue pops millions of
 tuples per experiment and the slot table answers a capacity probe per
@@ -10,7 +10,11 @@ functional breaks, so only a benchmark (or this rule) would notice.
 The capacity partition's per-admission path is held to the same rule:
 every request runs one demand update and one water-fill pass, whose
 tier loops draw on local floats (DESIGN §4) — a per-draw closure or a
-per-pool ledger object there is paid by every admission.
+per-pool ledger object there is paid by every admission. So is the
+wire writer: every leg of every bus request renders one envelope
+through ``Envelope.to_xml`` and the recursive ``write_xml`` (DESIGN
+§9), one call per XML node — a closure or a per-node wrapper object in
+that recursion is paid per element of every message.
 
 The table below names the hot functions.  Inside them three things
 flag: ``lambda`` expressions (closure allocation per iteration),
@@ -46,6 +50,10 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
     # and the water-fill pass it triggers.
     "repro/core/capacity.py": frozenset({
         "rebalance", "set_guaranteed_demand", "effective_sizes"}),
+    # One message's way onto the wire: the per-node recursion and the
+    # envelope frame written around it.
+    "repro/xmlmsg/document.py": frozenset({"write_xml", "pretty_xml"}),
+    "repro/xmlmsg/envelope.py": frozenset({"to_xml"}),
 }
 
 #: Constructors a hot function may call (see module docstring).
@@ -64,7 +72,8 @@ def _hot_functions(relpath: str) -> "Optional[FrozenSet[str]]":
 @register
 class HotPathAllocationRule(Rule):
     rule_id = "QLNT115"
-    title = "object allocation in the DES/slot-table/partition hot loop"
+    title = ("object allocation in the DES/slot-table/partition/wire "
+             "hot loop")
     severity = Severity.ERROR
     node_types = (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
                   ast.Call)

@@ -35,7 +35,7 @@ from ..sim.trace import TraceRecorder
 from ..telemetry import MetricsRegistry
 from ..xmlmsg.bus import MessageBus
 from ..xmlmsg.codec import _decode_specification, _encode_specification
-from ..xmlmsg.document import child_text, element, pretty_xml, subelement
+from ..xmlmsg.document import child_text, element, subelement
 from ..xmlmsg.envelope import Envelope
 from ..xmlmsg.resilient import ResilientCaller
 
@@ -226,8 +226,9 @@ class ResilientDiscovery:
         self.registry_name = registry_name
         self._trace = trace
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Last good answer per canonical query text: (time, records).
-        self._cache: "Dict[str, Tuple[float, List[ServiceRecord]]]" = {}
+        #: Last good answer per query: (time, records).
+        self._cache: Dict[ServiceQuery,
+                          Tuple[float, List[ServiceRecord]]] = {}
 
     @property
     def stale_hits(self) -> int:
@@ -242,15 +243,14 @@ class ResilientDiscovery:
         is returned with ``degraded=True``; with no cached answer the
         lookup fails as a :class:`~repro.errors.RegistryError`.
         """
-        body = encode_service_query(query)
-        key = pretty_xml(body)
         envelope = Envelope(sender=self.client_name,
                             recipient=self.registry_name,
-                            action="find_services", body=body)
+                            action="find_services",
+                            body=encode_service_query(query))
         try:
             response = self.caller.call(envelope)
         except (CircuitOpenError, TransientMessageError) as error:
-            cached = self._cache.get(key)
+            cached = self._cache.get(query)
             if cached is None:
                 raise RegistryError(
                     f"discovery unavailable and no cached answer: "
@@ -266,5 +266,5 @@ class ResilientDiscovery:
                     f"for {query.name_pattern!r}", age=age)
             return DiscoveryResult(list(records), degraded=True, age=age)
         records = decode_service_records(response.body)
-        self._cache[key] = (self._bus.sim.now, records)
+        self._cache[query] = (self._bus.sim.now, records)
         return DiscoveryResult(records)

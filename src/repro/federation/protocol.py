@@ -41,7 +41,7 @@ from ..recovery.journal import (DELEGATION_ACCEPTED, DELEGATION_BEGIN,
                                 DELEGATION_CONFIRMED)
 from ..sla.negotiation import ServiceRequest
 from ..xmlmsg import codec
-from ..xmlmsg.document import child_text, element, subelement
+from ..xmlmsg.document import _number, child_text, element, subelement
 from ..xmlmsg.envelope import Envelope
 
 __all__ = [
@@ -125,10 +125,6 @@ def compute_bid(testbed, request: ServiceRequest,
 # ----------------------------------------------------------------------
 # Wire encoding
 # ----------------------------------------------------------------------
-
-def _number(value: float) -> str:
-    return f"{value:.12g}"
-
 
 def _request_body(tag: str, delegation_id: str, home: str,
                   request: ServiceRequest) -> ET.Element:

@@ -6,7 +6,8 @@ report round-trips through real XML (Tables 1, 3, 4) — and replaces the
 socket with an in-process :class:`~repro.xmlmsg.bus.MessageBus` whose
 delivery can be delayed on the simulation clock.
 
-* :mod:`repro.xmlmsg.document` — small helpers over ``xml.etree``.
+* :mod:`repro.xmlmsg.document` — small helpers over ``xml.etree`` and
+  the single-pass writer of the indented wire form.
 * :mod:`repro.xmlmsg.envelope` — SOAP-style envelopes.
 * :mod:`repro.xmlmsg.bus` — the in-process transport (with dead
   letters and per-endpoint idempotency).
@@ -25,6 +26,7 @@ from .document import (
     pretty_xml,
     require_child,
     subelement,
+    write_xml,
 )
 from .envelope import Envelope
 from .faults import FaultDecision, FaultPlan, FaultRule, FaultStats
@@ -51,4 +53,5 @@ __all__ = [
     "pretty_xml",
     "require_child",
     "subelement",
+    "write_xml",
 ]

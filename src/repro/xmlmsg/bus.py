@@ -4,9 +4,13 @@ Components register as named :class:`Endpoint` handlers; the bus routes
 :class:`~repro.xmlmsg.envelope.Envelope` objects between them. Every
 message is serialized to XML and re-parsed on delivery, so the wire
 format is genuinely exercised (a handler never sees the sender's
-objects). Delivery is either synchronous (request/response, used for
-the control-plane calls in Figure 2) or scheduled on the simulator with
-a configurable latency (used to model notification delay).
+objects, a caller never the handler's) — once per leg: the request is
+rendered and parsed at delivery, the reply is rendered by the endpoint
+that produced it, and that one text is what its dedup cache remembers
+and what the caller's copy is parsed from. Delivery is either
+synchronous (request/response, used for the control-plane calls in
+Figure 2) or scheduled on the simulator with a configurable latency
+(used to model notification delay).
 
 Two production concerns live here as well:
 
@@ -69,6 +73,9 @@ class Endpoint:
         self.name = name
         self._actions: Dict[str, Handler] = {}
         self.dedup: "DedupCache[Optional[str]]" = DedupCache(dedup_capacity)
+        #: The clock replies are stamped with; set when the endpoint
+        #: joins a bus (:meth:`MessageBus.register`).
+        self._sim: Optional[Simulator] = None
 
     def on(self, action: str, handler: Handler) -> None:
         """Register a handler for an action name."""
@@ -77,6 +84,13 @@ class Endpoint:
     def dispatch(self, envelope: Envelope) -> Optional[Envelope]:
         """Invoke the handler for the envelope's action.
 
+        The handler's reply is stamped (``SentAt``, and the request's
+        ``TraceID`` when the handler set none), rendered once and
+        remembered as that wire text; what is returned is always a
+        copy parsed from the remembered text, so the caller never sees
+        the handler's objects and a first delivery and a re-delivery
+        take the same way out.
+
         Re-deliveries of an already-executed request (same
         :attr:`~repro.xmlmsg.envelope.Envelope.dedup_key`) are answered
         from the cache without running the handler again — a duplicated
@@ -84,18 +98,23 @@ class Endpoint:
         cached, so a retry after an error re-executes.
         """
         key = envelope.dedup_key
-        if self.dedup.seen(key):
-            cached = self.dedup.get(key)
-            return Envelope.from_xml(cached) if cached is not None else None
-        handler = self._actions.get(envelope.action)
-        if handler is None:
-            raise MessageError(
-                f"endpoint {self.name!r} has no handler for action "
-                f"{envelope.action!r}")
-        response = handler(envelope)
-        self.dedup.put(key, response.to_xml() if response is not None
-                       else None)
-        return response
+        if not self.dedup.seen(key):
+            handler = self._actions.get(envelope.action)
+            if handler is None:
+                raise MessageError(
+                    f"endpoint {self.name!r} has no handler for action "
+                    f"{envelope.action!r}")
+            response = handler(envelope)
+            wire = None
+            if response is not None:
+                if self._sim is not None:
+                    response.sent_at = self._sim.now
+                if response.trace_id is None:
+                    response.trace_id = envelope.trace_id
+                wire = response.to_xml()
+            self.dedup.put(key, wire)
+        cached = self.dedup.get(key)
+        return Envelope.from_xml(cached) if cached is not None else None
 
 
 class MessageBus:
@@ -150,6 +169,7 @@ class MessageBus:
         if endpoint.name in self._endpoints:
             raise MessageError(f"endpoint {endpoint.name!r} already registered")
         self._endpoints[endpoint.name] = endpoint
+        endpoint._sim = self._sim
         self.probe.adopt(endpoint.dedup, endpoint=endpoint.name)
         return endpoint
 
@@ -219,10 +239,7 @@ class MessageBus:
                 parent_id=delivered.span_id,
                 message_id=delivered.message_id,
                 sender=delivered.sender):
-            response = target.dispatch(delivered)
-        if response is not None and response.trace_id is None:
-            response.trace_id = delivered.trace_id
-        return response
+            return target.dispatch(delivered)
 
     def _deliver_async(self, envelope: Envelope) -> None:
         """Scheduled-delivery entry point: failures must not unwind the
@@ -301,8 +318,7 @@ class MessageBus:
                     f"from {envelope.recipient!r}")
             if reply_decision.delay > 0 and not self._sim.running:
                 self._sim.advance(reply_decision.delay)
-        response.sent_at = self._sim.now
-        return Envelope.from_xml(response.to_xml())
+        return response
 
     def send_async(self, envelope: Envelope,
                    latency: Optional[float] = None) -> None:

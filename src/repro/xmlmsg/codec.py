@@ -32,11 +32,8 @@ from ..qos.parameters import (
 from ..qos.specification import OperatingPoint, QoSSpecification
 from ..sla.document import AdaptationOptions, NetworkDemand, ServiceSLA
 from ..sla.violations import MeasuredQoS
-from .document import child_text, element, pretty_xml, require_child, subelement
-
-def _number(value: float) -> str:
-    """Format a numeric field without visible precision loss."""
-    return f"{value:.12g}"
+from .document import (_escape_text, _number, child_text, element,
+                       pretty_xml, require_child, subelement)
 
 
 # ----------------------------------------------------------------------
@@ -308,18 +305,6 @@ def encode_service_sla(sla: ServiceSLA) -> ET.Element:
     subelement(options, "Termination",
                "Accept" if sla.adaptation.accept_termination else "Decline")
     return root
-
-
-def _escape_text(value: str) -> str:
-    """Escape element text exactly as ``ElementTree`` serialization
-    does (``&``, ``<``, ``>``; quotes stay literal in text)."""
-    if "&" in value:
-        value = value.replace("&", "&amp;")
-    if "<" in value:
-        value = value.replace("<", "&lt;")
-    if ">" in value:
-        value = value.replace(">", "&gt;")
-    return value
 
 
 def render_service_sla(sla: ServiceSLA) -> str:

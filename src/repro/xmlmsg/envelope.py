@@ -16,16 +16,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, List, Optional
 from xml.etree import ElementTree as ET
 
 from ..errors import MessageError
-from .document import child_text, element, parse_xml, pretty_xml, require_child, subelement
+from .document import (_escape_text, _number, child_text, parse_xml,
+                       require_child, write_xml)
 
 _message_counter = itertools.count(1)
 
 #: Header fields that must be present and non-empty on the wire.
 _REQUIRED_HEADERS = ("MessageID", "Sender", "Recipient", "Action")
+
+
+def _write_field(write: "Callable[[str], object]", tag: str,
+                 text: str) -> None:
+    """One ``<Header>`` child, as the writer renders a leaf there."""
+    if text:
+        write(f"\n    <{tag}>{_escape_text(text)}</{tag}>")
+    else:
+        write(f"\n    <{tag} />")
 
 
 @dataclass
@@ -43,7 +53,8 @@ class Envelope:
         retry_of: For a client retry, the original attempt's message
             id. Endpoints deduplicate on :attr:`dedup_key`, so a retry
             is answered from the cached reply of the first delivery.
-        sent_at: Simulation time of sending (stamped by the bus).
+        sent_at: Simulation time of sending (a request is stamped by
+            the bus, a reply by the endpoint that produced it).
         trace_id: Telemetry trace this message belongs to (stamped by
             the bus when telemetry is installed).
         span_id: The sender-side span that emitted this message; the
@@ -93,25 +104,26 @@ class Envelope:
 
     def to_xml(self) -> str:
         """Serialize to an ``<Envelope>`` document."""
-        root = element("Envelope")
-        header = subelement(root, "Header")
-        subelement(header, "MessageID", self.message_id)
-        subelement(header, "Sender", self.sender)
-        subelement(header, "Recipient", self.recipient)
-        subelement(header, "Action", self.action)
+        parts: "List[str]" = ["<Envelope>\n  <Header>"]
+        write = parts.append
+        _write_field(write, "MessageID", self.message_id)
+        _write_field(write, "Sender", self.sender)
+        _write_field(write, "Recipient", self.recipient)
+        _write_field(write, "Action", self.action)
         if self.in_reply_to is not None:
-            subelement(header, "InReplyTo", self.in_reply_to)
+            _write_field(write, "InReplyTo", self.in_reply_to)
         if self.retry_of is not None:
-            subelement(header, "RetryOf", self.retry_of)
+            _write_field(write, "RetryOf", self.retry_of)
         if self.sent_at is not None:
-            subelement(header, "SentAt", f"{self.sent_at:g}")
+            _write_field(write, "SentAt", _number(self.sent_at))
         if self.trace_id is not None:
-            subelement(header, "TraceID", self.trace_id)
+            _write_field(write, "TraceID", self.trace_id)
         if self.span_id is not None:
-            subelement(header, "SpanID", self.span_id)
-        body = subelement(root, "Body")
-        body.append(self.body)
-        return pretty_xml(root)
+            _write_field(write, "SpanID", self.span_id)
+        write("\n  </Header>\n  <Body>\n    ")
+        write_xml(write, self.body, "\n    ")
+        write("\n  </Body>\n</Envelope>")
+        return "".join(parts)
 
     @classmethod
     def from_xml(cls, text: str) -> "Envelope":

@@ -534,13 +534,15 @@ class TestJournaledState:
 
 
 # ----------------------------------------------------------------------
-# QLNT115 — object allocation in the DES/slot-table/partition hot loop
+# QLNT115 — object allocation in the DES/slot-table/partition/wire hot loop
 # ----------------------------------------------------------------------
 
 class TestHotPathAllocation:
     EVENTS = "src/repro/sim/events.py"
     TABLE = "src/repro/gara/slot_table.py"
     PARTITION = "src/repro/core/capacity.py"
+    DOCUMENT = "src/repro/xmlmsg/document.py"
+    ENVELOPE = "src/repro/xmlmsg/envelope.py"
 
     def test_lambda_in_hot_loop_flags(self, run):
         snippet = ("class EventQueue:\n"
@@ -607,6 +609,76 @@ class TestHotPathAllocation:
                    "        return RebalanceReport({}, {}, 0.0, pools)\n")
         assert run(snippet, relpath=self.PARTITION,
                    rule_id="QLNT115") == []
+
+    def test_closure_in_the_writer_recursion_flags(self, run):
+        snippet = ("def write_xml(write, node, pad):\n"
+                   "    def emit(child):\n"
+                   "        write_xml(write, child, pad + '  ')\n"
+                   "    for child in node:\n"
+                   "        emit(child)\n")
+        findings = run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115")
+        assert findings and "emit()" in findings[0].message
+
+    def test_per_node_object_in_the_writer_flags(self, run):
+        snippet = ("def write_xml(write, node, pad):\n"
+                   "    frame = Frame(node, pad)\n"
+                   "    write(frame.open())\n")
+        findings = run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115")
+        assert findings and "Frame" in findings[0].message
+
+    def test_lambda_in_pretty_xml_flags(self, run):
+        snippet = ("def pretty_xml(node):\n"
+                   "    parts = []\n"
+                   "    write_xml(lambda piece: parts.append(piece),\n"
+                   "              node, '\\n')\n"
+                   "    return ''.join(parts)\n")
+        findings = run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115")
+        assert findings and "closure" in findings[0].message
+
+    def test_element_tree_built_in_to_xml_flags(self, run):
+        # The shape the single-pass writer removed: an Envelope/Header
+        # /Body tree built per message only to be flattened.
+        snippet = ("class Envelope:\n"
+                   "    def to_xml(self):\n"
+                   "        root = Element('Envelope')\n"
+                   "        return pretty_xml(root)\n")
+        findings = run(snippet, relpath=self.ENVELOPE, rule_id="QLNT115")
+        assert findings and "Element" in findings[0].message
+
+    def test_the_wire_writer_as_written_is_clean(self, run):
+        writer = ("def write_xml(write, node, pad):\n"
+                  "    head = '<' + node.tag\n"
+                  "    for name, value in node.items():\n"
+                  "        head += f' {name}=\"{_escape_attribute(value)}\"'\n"
+                  "    if len(node):\n"
+                  "        write(head + '>')\n"
+                  "        for child in node:\n"
+                  "            write_xml(write, child, pad + '  ')\n"
+                  "    else:\n"
+                  "        write(head + ' />')\n"
+                  "def pretty_xml(node):\n"
+                  "    parts = []\n"
+                  "    write_xml(parts.append, node, '\\n')\n"
+                  "    return ''.join(parts)\n")
+        assert run(writer, relpath=self.DOCUMENT, rule_id="QLNT115") == []
+        frame = ("class Envelope:\n"
+                 "    def to_xml(self):\n"
+                 "        parts = ['<Envelope>']\n"
+                 "        _write_field(parts.append, 'Sender', self.sender)\n"
+                 "        write_xml(parts.append, self.body, '\\n    ')\n"
+                 "        return ''.join(parts)\n"
+                 "    @classmethod\n"
+                 "    def from_xml(cls, text):\n"
+                 "        return cls(body=parse_xml(text))\n")
+        assert run(frame, relpath=self.ENVELOPE, rule_id="QLNT115") == []
+
+    def test_element_builders_stay_out_of_scope(self, run):
+        # element()/subelement() build trees by contract.
+        snippet = ("def element(tag, text=None):\n"
+                   "    return ET.Element(tag)\n"
+                   "def parse_failure(error):\n"
+                   "    return MessageError(str(error))\n")
+        assert run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115") == []
 
     def test_admission_may_build_its_holding(self, run):
         # admit_guaranteed() is not in the declared hot path.

@@ -70,3 +70,22 @@ class TestPrettyPrinting:
 
     def test_leaf_element_unchanged(self):
         assert pretty_xml(element("Leaf", "v")) == "<Leaf>v</Leaf>"
+
+    def test_rendering_does_not_write_layout_into_the_tree(self):
+        root = element("Outer", "ignored text")
+        inner = subelement(root, "Inner")
+        leaf = subelement(inner, "Leaf", "v")
+        leaf.tail = "kept"
+        pretty_xml(root)
+        assert root.text == "ignored text" and root.tail is None
+        assert inner.text is None and inner.tail is None
+        assert leaf.text == "v" and leaf.tail == "kept"
+
+    def test_wire_tree_renders_the_same_twice(self):
+        root = element("Outer")
+        subelement(subelement(root, "Inner"), "Leaf", "  ")
+        subelement(root, "Empty")
+        parsed = parse_xml(pretty_xml(root))
+        first = pretty_xml(parsed)
+        assert first == pretty_xml(parsed) == pretty_xml(root)
+        assert "<Leaf>  </Leaf>" in first and "<Empty />" in first

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MessageError
 from repro.xmlmsg.document import element, subelement
@@ -28,6 +29,23 @@ class TestRoundTrip:
         assert parsed.action == "service_request"
         assert parsed.message_id == envelope.message_id
         assert parsed.sent_at == 3.5
+
+    def test_sent_at_keeps_its_precision(self):
+        """``SentAt`` is a numeric field like any other (``%.12g``):
+        the ``:g`` it used to be written with keeps six digits."""
+        assert "<SentAt>86399.25</SentAt>" in \
+            make_envelope(sent_at=86399.25).to_xml()
+        assert "<SentAt>1234567</SentAt>" in \
+            make_envelope(sent_at=1234567.0).to_xml()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 10))
+    def test_sim_times_round_trip(self, millis):
+        """Any sim time up to 1e7 with millisecond resolution comes
+        back from the wire as the float that went in."""
+        sent_at = millis / 1000.0
+        parsed = Envelope.from_xml(make_envelope(sent_at=sent_at).to_xml())
+        assert parsed.sent_at == sent_at
 
     def test_body_survives(self):
         parsed = Envelope.from_xml(make_envelope().to_xml())
