@@ -103,6 +103,16 @@ echo "== layer-ledger smoke (BENCHMARK.json contract) =="
 python3 benchmarks/ledger/run.py --smoke > /dev/null
 echo "layer-ledger smoke OK (all workloads correct)"
 
+echo "== contended smoke (adaptation under churn) =="
+# The one ledger workload that keeps a pool boundary inside a tier:
+# failures, repairs, departures and admissions near full load, every
+# cycle checked (no holding below its commitment while failed, all
+# demand served again after the repair). The result line must say so.
+python3 benchmarks/ledger/run.py --smoke --workload adapt_churn_2k \
+    | tail -n 1 | grep -q '"correct": true' || {
+    echo "adapt_churn_2k did not report correct: true" >&2; exit 1; }
+echo "contended smoke OK (adapt_churn_2k correct)"
+
 echo "== bench trend (headline regression gate) =="
 # Every BENCH_*.json headline metric vs the recorded baseline in
 # benchmarks/BENCH_trend.json; >20% regression in the bad direction

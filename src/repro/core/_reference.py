@@ -5,10 +5,11 @@
 recomputes the whole assignment over every guaranteed holding, in sort
 order, through one ``draw`` helper and a per-pool supply ledger. It is
 obviously a pure function of (demands, commitments, failures), which is
-exactly why it stays: the production partition re-draws only the
-holdings whose inputs changed while no pool boundary falls inside a
-guaranteed tier (DESIGN §4), and is differentially tested against this
-one after every step of a generated mutation sequence
+exactly why it stays: the production partition keeps a sort-order
+index and re-draws only the holdings whose demand changed or that a
+pool boundary crossed since the last pass (DESIGN §4), and is
+differentially tested against this one after every step of a
+generated mutation sequence
 (``tests/core/test_capacity_statemachine.py``,
 ``tests/core/test_capacity_delta.py``). It emits nothing (no probe, no
 journal record), is not part of the public API, and nothing on a hot
@@ -40,8 +41,8 @@ class NaiveCapacityPartition:
     API and semantics exactly, including deferred rebalancing, so a
     mirrored operation sequence yields the same holdings and the same
     report — ``==`` for integer-valued inputs, within rounding
-    otherwise (the running totals of the production class sum in a
-    different order).
+    otherwise (the production class subtracts prefix sums where this
+    one subtracts draw by draw).
     """
 
     def __init__(self, guaranteed: float, adaptive: float,

@@ -20,8 +20,8 @@ one partition per managed resource type). All mutation funnels through
 water-fill, so the allocation state is always a pure function of
 (demands, commitments, failures) — which is what makes the Section 5.6
 timeline exactly replayable. Being a pure function does not mean
-recomputing it: while no pool boundary falls inside a guaranteed tier
-the pass re-draws only the holdings whose inputs changed (see
+recomputing it: a pass re-draws only the holdings whose demand changed
+and the ones a pool boundary crossed since the last pass (see
 :meth:`CapacityPartition.rebalance` and DESIGN §4); the full recompute
 survives as :class:`repro.core._reference.NaiveCapacityPartition`, the
 differential-test oracle.
@@ -44,7 +44,9 @@ Priority tiers inside ``rebalance``:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import AdmissionError
@@ -196,20 +198,26 @@ class CapacityPartition:
         #: Running ``Σ g(u)``, maintained by admit/remove/clear so the
         #: admission test never re-sums the holdings.
         self._committed = 0.0
-        #: Running ``Σ entitled`` and ``Σ excess`` — the two demand
-        #: lines the pool boundaries are compared against. Maintained
-        #: by set-demand/remove/clear like ``_committed``, and re-derived
-        #: exactly by every full pass, so they cannot drift.
+        #: Running ``Σ entitled`` and ``Σ excess`` — the ends of the two
+        #: demand lines the pool boundaries are compared against.
+        #: Maintained by set-demand/remove/clear like ``_committed``,
+        #: and re-derived exactly by every pass that has the index, so
+        #: they cannot drift.
         self._entitled = 0.0
         self._excess = 0.0
         #: Holdings whose demand changed since the last pass.
         self._touched: Dict[str, GuaranteedHolding] = {}
-        #: Whether the last pass left every holding with
-        #: ``from_g = entitled, from_a = excess, from_b = 0``.
-        self._quiet = False
-        #: Sorted-holdings cache, invalidated by admit/remove/clear and
-        #: rebuilt only by a full pass or a holdings listing.
-        self._sorted: Optional[List[GuaranteedHolding]] = None
+        #: The sort-order index: user keys with their holdings and
+        #: entitled/excess columns in parallel. Absent until a pass
+        #: finds a boundary inside a tier (or the holdings are listed),
+        #: from then on updated in place by admit/remove.
+        self._keys: Optional[List[str]] = None
+        self._rows: List[GuaranteedHolding] = []
+        self._ents: List[float] = []
+        self._excs: List[float] = []
+        #: Index position of the holding each of the five pool
+        #: boundaries fell in on the last pass (``len`` = past the end).
+        self._cuts: List[int] = []
         #: Deferred-rebalance mode (batch admission): demand updates
         #: mark the assignment dirty instead of rebalancing, and every
         #: reader of rebalance-derived state flushes first.
@@ -309,7 +317,14 @@ class CapacityPartition:
         holding = GuaranteedHolding(user=user, committed=committed)
         self._guaranteed[user] = holding
         self._committed += committed
-        self._sorted = None
+        keys = self._keys
+        if keys is not None:
+            at = bisect_left(keys, user)
+            keys.insert(at, user)
+            self._rows.insert(at, holding)
+            self._ents.insert(at, 0.0)
+            self._excs.insert(at, 0.0)
+            self._cuts = [cut + (cut >= at) for cut in self._cuts]
         return holding
 
     def set_guaranteed_demand(self, user: str,
@@ -346,7 +361,11 @@ class CapacityPartition:
         if not self._guaranteed:
             self._committed = self._entitled = self._excess = 0.0
         self._touched.pop(user, None)
-        self._sorted = None
+        keys = self._keys
+        if keys is not None:
+            at = bisect_left(keys, user)
+            del keys[at], self._rows[at], self._ents[at], self._excs[at]
+            self._cuts = [cut - (cut > at) for cut in self._cuts]
         return self.rebalance()
 
     def guaranteed_holding(self, user: str) -> GuaranteedHolding:
@@ -357,18 +376,27 @@ class CapacityPartition:
         self._flush()
         return holding
 
-    def _sorted_holdings(self) -> List[GuaranteedHolding]:
-        """The sort-key-ordered holdings list (cached, not flushed)."""
-        cache = self._sorted
-        if cache is None:
-            cache = self._sorted = [
-                self._guaranteed[user] for user in sorted(self._guaranteed)]
-        return cache
+    def _index(self) -> List[str]:
+        """Build the sort-order index if it is absent.
+
+        Only ever built from a state in which no boundary was inside a
+        tier on the last pass, so every remembered cut starts past the
+        end.
+        """
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = sorted(self._guaranteed)
+            rows = self._rows = [self._guaranteed[user] for user in keys]
+            self._ents = [holding.entitled for holding in rows]
+            self._excs = [holding.excess for holding in rows]
+            self._cuts = [len(keys)] * 5
+        return keys
 
     def guaranteed_holdings(self) -> List[GuaranteedHolding]:
         """All guaranteed holdings (stable order)."""
         self._flush()
-        return list(self._sorted_holdings())
+        self._index()
+        return list(self._rows)
 
     # ------------------------------------------------------------------
     # Best-effort demand
@@ -422,7 +450,7 @@ class CapacityPartition:
         self._arrivals = 0
         self._committed = self._entitled = self._excess = 0.0
         self._touched.clear()
-        self._sorted = None
+        self._keys = None
         return self.rebalance()
 
     # ------------------------------------------------------------------
@@ -466,94 +494,124 @@ class CapacityPartition:
     def rebalance(self) -> RebalanceReport:
         """Recompute the assignment (see module docstring).
 
-        The tier loops below run over one of two domains, chosen from
-        the partition's own totals:
+        Tiers 1 and 2 are a closed form of each holding's place on two
+        cumulative demand lines in sort order: Σ entitled is cut by
+        ``Cg | Ca | Cb − min`` and Σ excess by what tier 1 left of
+        ``Ca | Cg`` (effective sizes). A holding changes only if its
+        own demand did or if one of those five boundaries now falls on
+        the other side of it, so the pass re-draws the touched holdings
+        and the ones between where each boundary fell last time and
+        where it falls now (both straddlers included) — nothing else;
+        the pool rows and ``adapt_transfer`` come from the line ends,
+        the shortfalls from the suffix past the last cut.
 
-        * **quiet** — ``Σ entitled ≤ Cg`` and ``Σ excess ≤ Ca``
-          (effective sizes), on the previous pass and on this one. No
-          pool boundary falls inside either guaranteed tier, so the
-          draw order is immaterial and every holding whose demand did
-          not change keeps ``from_g = entitled``, ``from_a = excess``,
-          ``from_b = 0``. Only the touched holdings are re-drawn, from
-          pools pre-debited by what the untouched ones hold.
-        * **contended** — a boundary is inside a tier (failure eating
-          into ``Cg``, excess beyond ``Ca``) or was on the previous
-          pass: every holding is re-drawn in sort order from the full
-          pools, and the totals are re-derived from that walk.
+        Without the index every cut is past the end, the order is
+        immaterial, and the touched holdings stand as the tail of both
+        lines: the same rule over a degenerate index.
         """
         self._dirty = False
         eff_g, eff_a, eff_b = self.effective_sizes()
-        quiet = (self._quiet and self._entitled <= eff_g
-                 and self._excess <= eff_a)
-        if quiet:
-            holdings = list(self._touched.values())
-            settled_g, settled_a = self._entitled, self._excess
-            for holding in holdings:
-                settled_g -= holding.entitled
-                settled_a -= holding.excess
-        else:
-            holdings = self._sorted_holdings()
-            settled_g = settled_a = 0.0
-        self._touched.clear()
-
-        # What each pool still has, and what it supplies to each tier.
-        rem_g, rem_a, rem_b = eff_g - settled_g, eff_a - settled_a, eff_b
         protected_b = min(self.best_effort_min, eff_b)
-        g_guaranteed, a_excess = settled_g, settled_a
-        a_guaranteed = b_guaranteed = g_excess = 0.0
+        touched = self._touched
+        keys = self._keys
+        if keys is None and (self._entitled > eff_g
+                             or self._excess > eff_a):
+            keys = self._index()
+        if keys is None:
+            rows = list(touched.values())
+            ents = [holding.entitled for holding in rows]
+            excs = [holding.excess for holding in rows]
+            first_e = self._entitled - sum(ents)
+            first_x = self._excess - sum(excs)
+            redraw = set(range(len(rows)))
+            was = [len(rows)] * 5
+        else:
+            rows, ents, excs = self._rows, self._ents, self._excs
+            first_e = first_x = 0.0
+            redraw = set()
+            for user, holding in touched.items():
+                at = bisect_left(keys, user)
+                ents[at], excs[at] = holding.entitled, holding.excess
+                redraw.add(at)
+            was = self._cuts
+        touched.clear()
+        live = len(rows)
+        line_e = list(accumulate(ents, initial=first_e))
+        line_x = list(accumulate(excs, initial=first_x))
+        # The line ends are both sums, added up exactly as a walk would.
+        entitled = self._entitled = line_e[-1]
+        excess = self._excess = line_x[-1]
 
-        # --- Tier 1: entitled guaranteed demand -----------------------
-        shortfalls: Dict[str, float] = {}
-        adapt_transfer = 0.0
-        entitled = 0.0
-        for holding in holdings:
-            need = holding.entitled
-            entitled += need
-            got_g = need if need <= rem_g else rem_g
-            rem_g -= got_g
+        # What each pool supplies to the two guaranteed tiers.
+        raid_b = eff_b - protected_b
+        g_guaranteed = entitled if entitled <= eff_g else eff_g
+        need = entitled - g_guaranteed
+        a_guaranteed = need if need <= eff_a else eff_a
+        need -= a_guaranteed
+        b_guaranteed = need if need <= raid_b else raid_b
+        adapt_transfer = a_guaranteed + b_guaranteed
+        left_a, left_g = eff_a - a_guaranteed, eff_g - g_guaranteed
+        a_excess = excess if excess <= left_a else left_a
+        need = excess - a_excess
+        g_excess = need if need <= left_g else left_g
+
+        # The five boundaries, and the holding each one falls in.
+        end_a = eff_g + eff_a
+        end_b = end_a + raid_b
+        end_x = left_a + left_g
+        cuts = [bisect_right(line_e, eff_g, 1) - 1,
+                bisect_right(line_e, end_a, 1) - 1,
+                bisect_right(line_e, end_b, 1) - 1,
+                bisect_right(line_x, left_a, 1) - 1,
+                bisect_right(line_x, end_x, 1) - 1]
+        if not was == cuts == [live] * 5:  # a cut is or was inside
+            for old, new in zip(was, cuts):
+                if old > new:
+                    old, new = new, old
+                redraw.update(range(old, min(new + 1, live)))
+        if keys is not None:
+            self._cuts = cuts
+
+        for at in redraw:
+            holding = rows[at]
+            # --- Tier 1: entitled demand, from Cg, then Ca, then Cb ---
+            need, start = ents[at], line_e[at]
+            room = eff_g - start
+            got_g = need if need <= room else room if room > 0.0 else 0.0
             need -= got_g
-            got_a = need if need <= rem_a else rem_a
-            rem_a -= got_a
+            room = end_a - (start if start > eff_g else eff_g)
+            got_a = need if need <= room else room if room > 0.0 else 0.0
             need -= got_a
-            got_b = rem_b - protected_b
-            if got_b < 0.0:
-                got_b = 0.0
-            if need <= got_b:
-                got_b = need
-            rem_b -= got_b
-            need -= got_b
-            g_guaranteed += got_g
-            a_guaranteed += got_a
-            b_guaranteed += got_b
-            adapt_transfer += got_a + got_b
+            room = end_b - (start if start > end_a else end_a)
+            got_b = need if need <= room else room if room > 0.0 else 0.0
+            holding.from_b = got_b
+            served = got_g + got_a + got_b
+            # --- Tier 2: excess demand, from Ca, then Cg ---------------
+            need = excs[at]
+            if need > 0.0:
+                start = line_x[at]
+                room = left_a - start
+                more_a = need if need <= room else room if room > 0.0 else 0.0
+                need -= more_a
+                room = end_x - (start if start > left_a else left_a)
+                more_g = need if need <= room else room if room > 0.0 else 0.0
+                got_a += more_a
+                got_g += more_g
+                served += more_a + more_g
             holding.from_g = got_g
             holding.from_a = got_a
-            holding.from_b = got_b
-            holding.served = got_g + got_a + got_b
-            if need > _EPSILON:
-                shortfalls[holding.user] = need
+            holding.served = served
 
-        # --- Tier 2: excess guaranteed demand --------------------------
-        excess = 0.0
-        for holding in holdings:
-            need = holding.excess
-            if need <= 0.0:
-                continue
-            excess += need
-            got_a = need if need <= rem_a else rem_a
-            rem_a -= got_a
-            need -= got_a
-            got_g = need if need <= rem_g else rem_g
-            rem_g -= got_g
-            a_excess += got_a
-            g_excess += got_g
-            holding.from_a += got_a
-            holding.from_g += got_g
-            holding.served += got_a + got_g
-        if not quiet:
-            # The walk just summed both demand lines exactly.
-            self._entitled, self._excess = entitled, excess
-            self._quiet = entitled <= eff_g and excess <= eff_a
+        shortfalls: Dict[str, float] = {}
+        for at in range(cuts[2], live):
+            need = line_e[at + 1] - end_b
+            if need > ents[at]:
+                need = ents[at]
+            if need > _EPSILON:
+                shortfalls[rows[at].user] = need
+        rem_g = left_g - g_excess
+        rem_a = left_a - a_excess
+        rem_b = eff_b - b_guaranteed
 
         # --- Tier 3: best-effort demand --------------------------------
         # FCFS: the dict holds users in arrival order (a departed user

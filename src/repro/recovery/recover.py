@@ -550,24 +550,30 @@ def recover(testbed, *, journal: Optional[Journal] = None,
         _wipe_volatile_state(testbed)
         broker.repository.restore(view.repository)
         _restore_partition_failure(testbed)
-        for user, demand in view.best_effort.items():
-            broker.partition.set_best_effort_demand(user, demand)
-        for sla_id in sorted(view.composites):
-            _reconcile_composite(testbed, view.composites[sla_id], report,
-                                 confirms=confirms, cancels=cancels,
-                                 rollbacks=rollbacks,
-                                 activate_now=activate_now,
-                                 expire_now=expire_now)
-        # A live SLA with no reservation history at all (its reserve
-        # records predate a truncated journal) cannot be trusted.
-        for sla in list(broker.repository.live()):
-            if not broker.allocation.has(sla.sla_id):
-                sla.terminate()
-                rollbacks.append(sla)
-                report.slas_rolled_back += 1
-                report.notes.append(f"SLA {sla.sla_id}: rolled back "
-                                    f"(no reservation history)")
-        _sweep_unowned(testbed, report)
+        # Restore every holding inside the deferred window batch
+        # admission uses: one water-fill for the whole live set.
+        broker.partition.defer_rebalances()
+        try:
+            for user, demand in view.best_effort.items():
+                broker.partition.set_best_effort_demand(user, demand)
+            for sla_id in sorted(view.composites):
+                _reconcile_composite(testbed, view.composites[sla_id],
+                                     report, confirms=confirms,
+                                     cancels=cancels, rollbacks=rollbacks,
+                                     activate_now=activate_now,
+                                     expire_now=expire_now)
+            # A live SLA with no reservation history at all (its reserve
+            # records predate a truncated journal) cannot be trusted.
+            for sla in list(broker.repository.live()):
+                if not broker.allocation.has(sla.sla_id):
+                    sla.terminate()
+                    rollbacks.append(sla)
+                    report.slas_rolled_back += 1
+                    report.notes.append(f"SLA {sla.sla_id}: rolled back "
+                                        f"(no reservation history)")
+            _sweep_unowned(testbed, report)
+        finally:
+            broker.partition.resume_rebalances()
     finally:
         _set_journal(testbed, journal)
     journal.resync()

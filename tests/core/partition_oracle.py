@@ -6,7 +6,8 @@ full-recompute :class:`~repro.core._reference.NaiveCapacityPartition`,
 and :meth:`MirroredPartition.check` asserts that the two agree on every
 holding field and on the whole rebalance report — ``==`` while every
 input so far was integer-valued, within 1e-9 once a fractional one has
-been applied (the production running totals sum in a different order).
+been applied (production subtracts prefix sums where the oracle
+subtracts draw by draw).
 """
 
 from __future__ import annotations
@@ -34,12 +35,30 @@ def count_entitled_reads(monkeypatch) -> list:
     return reads
 
 
+def count_redraws(monkeypatch) -> list:
+    """Count ``GuaranteedHolding.served`` writes — a pass assigns it
+    once per holding it re-draws (and the constructor once)."""
+    writes = [0]
+
+    def assign(holding, value):
+        writes[0] += 1
+        holding.__dict__["served"] = value
+    monkeypatch.setattr(
+        GuaranteedHolding, "served",
+        property(lambda holding: holding.__dict__["served"], assign))
+    return writes
+
+
 class MirroredPartition:
     def __init__(self, *sizes: float, **options: float) -> None:
         self.real = CapacityPartition(*sizes, **options)
         self.reference = NaiveCapacityPartition(*sizes, **options)
         self.exact = all(float(value).is_integer()
                          for value in (*sizes, *options.values()))
+        #: Whether :meth:`holdings` lists through the public call, which
+        #: builds production's sort-order index; left off, the index
+        #: appears only when a pass finds a boundary inside a tier.
+        self.listing = False
 
     def apply(self, operation: str, *args):
         """Run one mutation on both partitions (production's result)."""
@@ -56,6 +75,14 @@ class MirroredPartition:
         self.reference._flush()
         return self.real.entitled_total()
 
+    def holdings(self) -> list:
+        """Production's guaranteed holdings in sort order, settled."""
+        real = self.real
+        if self.listing:
+            return real.guaranteed_holdings()
+        real._flush()
+        return [real._guaranteed[user] for user in sorted(real._guaranteed)]
+
     def _same(self, actual, expected) -> bool:
         if self.exact:
             return actual == expected
@@ -64,7 +91,7 @@ class MirroredPartition:
     def check(self) -> None:
         """Assert the production state equals the oracle's."""
         real, reference = self.real, self.reference
-        mine = real.guaranteed_holdings()
+        mine = self.holdings()
         theirs = reference.guaranteed_holdings()
         assert [h.user for h in mine] == [h.user for h in theirs]
         for got, want in zip(mine, theirs):
@@ -89,6 +116,8 @@ class MirroredPartition:
             assert list(mine) == list(theirs), (field, mine, theirs)
             assert self._same(list(mine.values()), list(theirs.values()))
 
+        self.check_index()
+
         # The O(1) readers against a fresh sum over the oracle.
         guaranteed = sum(h.served for h in reference.guaranteed_holdings())
         best_effort = sum(h.served for h in reference.best_effort_holdings())
@@ -105,3 +134,56 @@ class MirroredPartition:
         assert self._same(
             real.entitled_total(),
             sum(h.entitled for h in reference.guaranteed_holdings()))
+
+    def check_index(self) -> None:
+        """While the sort-order index exists it mirrors the holdings,
+        and the cut positions it remembers (shifted by every admit and
+        remove since) are the ones a from-scratch search finds."""
+        real = self.real
+        if real._keys is None:
+            return
+        holdings = self.holdings()
+        assert real._keys == [h.user for h in holdings]
+        assert all(row is h for row, h in zip(real._rows, holdings))
+        assert real._ents == [h.entitled for h in holdings]
+        assert real._excs == [h.excess for h in holdings]
+        assert real._cuts == scratch_cuts(real, holdings)
+
+
+def fresh_oracle(partition: CapacityPartition) -> NaiveCapacityPartition:
+    """A full recompute of ``partition``'s current inputs, from nothing
+    (so ``preempted``, which is relative to a previous pass, differs)."""
+    oracle = NaiveCapacityPartition(
+        partition.cg, partition.ca, partition.cb,
+        best_effort_min=partition.best_effort_min,
+        failure_order=partition.failure_order)
+    for holding in partition.guaranteed_holdings():
+        oracle.admit_guaranteed(holding.user, holding.committed)
+        oracle._guaranteed[holding.user].demand = holding.demand
+    for holding in partition.best_effort_holdings():
+        oracle.set_best_effort_demand(holding.user, holding.demand)
+    oracle.apply_failure(partition.failed)
+    return oracle
+
+
+def scratch_cuts(partition: CapacityPartition, holdings) -> list:
+    """Where the five pool boundaries fall among ``holdings`` (sort
+    order), searched linearly from the last report's pool rows."""
+    eff_g, eff_a, eff_b = partition.effective_sizes()
+    cg, ca, _ = partition.last_report.pools
+    raidable = eff_b - min(partition.best_effort_min, eff_b)
+    left_a = eff_a - ca.guaranteed
+
+    def cut(demands, boundary):
+        line = 0.0
+        for position, demand in enumerate(demands):
+            line += demand
+            if line > boundary:
+                return position
+        return len(demands)
+    entitled = [h.entitled for h in holdings]
+    excess = [h.excess for h in holdings]
+    return [cut(entitled, eff_g), cut(entitled, eff_g + eff_a),
+            cut(entitled, eff_g + eff_a + raidable),
+            cut(excess, left_a),
+            cut(excess, left_a + (eff_g - cg.guaranteed))]

@@ -8,7 +8,11 @@ deferred-rebalance windows, checking the Algorithm 1 invariants after
 every step — and, after every step, that the delta water-fill left
 exactly the state the full-recompute oracle computes
 (``tests/core/partition_oracle.py``): ``==`` in the runs whose inputs
-are all integer-valued, within 1e-9 in the fractional ones.
+are all integer-valued, within 1e-9 in the fractional ones. The same
+check holds the sort-order index to the holdings and the remembered
+cut positions to a from-scratch search, across admissions that land
+before, between and after the live keys and removals of the holding a
+boundary straddles, in and out of a deferred window.
 """
 
 from __future__ import annotations
@@ -40,10 +44,13 @@ class PartitionMachine(RuleBasedStateMachine):
         self.counter = 0
         self.integral = True
 
-    @initialize(integral=st.booleans())
-    def choose_arithmetic(self, integral):
-        """Integer-valued runs are compared ``==``, the rest to 1e-9."""
+    @initialize(integral=st.booleans(), listing=st.booleans())
+    def choose_arithmetic(self, integral, listing):
+        """Integer-valued runs are compared ``==``, the rest to 1e-9;
+        listing runs build the sort-order index at the first check,
+        the others only once a boundary falls inside a tier."""
         self.integral = integral
+        self.mirror.listing = listing
 
     def _amount(self, value: float) -> float:
         return float(round(value)) if self.integral else value
@@ -62,6 +69,42 @@ class PartitionMachine(RuleBasedStateMachine):
         else:
             with pytest.raises(Exception):
                 self.partition.admit_guaranteed(user, committed)
+
+    @rule(where=st.sampled_from(["before", "between", "after"]),
+          committed=st.integers(min_value=1, max_value=4),
+          factor=st.floats(min_value=0.0, max_value=2.5, allow_nan=False),
+          index=st.integers(min_value=0, max_value=10**6))
+    def admit_at(self, where, committed, factor, index):
+        """Admit a key that sorts before every live one, right after a
+        chosen live one, or after all of them — every remembered cut at
+        or past that position has to shift — and give it demand."""
+        if not self.partition.available_guaranteed_resource(committed):
+            return
+        self.counter += 1
+        users = sorted(self.guaranteed)
+        if where == "before":
+            user = f"a{10**6 - self.counter:06d}"
+        elif where == "after" or not users:
+            user = f"z{self.counter:06d}"
+        else:
+            user = f"{users[index % len(users)]}+{self.counter}"
+        self.mirror.apply("admit_guaranteed", user, committed)
+        self.guaranteed[user] = committed
+        self.mirror.apply("set_guaranteed_demand", user,
+                          self._amount(committed * factor))
+
+    @precondition(lambda self: self.guaranteed)
+    @rule(boundary=st.integers(min_value=0, max_value=4))
+    def remove_straddler(self, boundary):
+        """Remove the holding a pool boundary fell in on the last pass
+        (the last holding when that boundary is past the end)."""
+        users = sorted(self.guaranteed)
+        indexed = self.partition._keys is not None
+        cuts = self.partition._cuts if indexed else []
+        at = cuts[boundary] if cuts else len(users)
+        user = users[min(at, len(users) - 1)]
+        self.mirror.apply("remove_guaranteed", user)
+        del self.guaranteed[user]
 
     @precondition(lambda self: self.guaranteed)
     @rule(factor=st.floats(min_value=0.0, max_value=2.5,
@@ -123,7 +166,9 @@ class PartitionMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.guaranteed)
     @rule(steps=st.lists(
-              st.tuples(st.sampled_from(["set", "set", "remove", "admit"]),
+              st.tuples(st.sampled_from(["set", "set", "remove", "admit",
+                                         "before", "between", "after",
+                                         "straddler"]),
                         st.floats(min_value=0.0, max_value=2.5,
                                   allow_nan=False)),
               min_size=2, max_size=8),
@@ -137,6 +182,12 @@ class PartitionMachine(RuleBasedStateMachine):
             users = sorted(self.guaranteed)
             if step == "admit" or not users:
                 self.admit(1 + int(factor * 2))
+                continue
+            if step in ("before", "between", "after"):
+                self.admit_at(step, 1 + int(factor), factor, index + offset)
+                continue
+            if step == "straddler":
+                self.remove_straddler(offset % 5)
                 continue
             user = users[(index + offset // 2) % len(users)]
             if step == "remove":
@@ -169,7 +220,7 @@ class PartitionMachine(RuleBasedStateMachine):
 
     @invariant()
     def served_never_exceeds_demand(self):
-        for holding in self.partition.guaranteed_holdings():
+        for holding in self.mirror.holdings():
             assert holding.served <= holding.demand + _EPSILON
         for holding in self.partition.best_effort_holdings():
             assert holding.served <= holding.demand + _EPSILON
@@ -180,7 +231,7 @@ class PartitionMachine(RuleBasedStateMachine):
 
     @invariant()
     def sourcing_adds_up(self):
-        for holding in self.partition.guaranteed_holdings():
+        for holding in self.mirror.holdings():
             total = holding.from_g + holding.from_a + holding.from_b
             assert total == pytest.approx(holding.served, abs=_EPSILON)
 
@@ -192,7 +243,7 @@ class PartitionMachine(RuleBasedStateMachine):
         eff_g, eff_a, eff_b = self.partition.effective_sizes()
         raidable = eff_g + eff_a + max(0.0, eff_b - min(BE_MIN, eff_b))
         entitled = sum(h.entitled
-                       for h in self.partition.guaranteed_holdings())
+                       for h in self.mirror.holdings())
         if report.shortfalls:
             assert entitled > raidable - _EPSILON
         else:
