@@ -18,7 +18,7 @@ QLNT111   Debug ``print`` in library code
 QLNT112   Raw ``bus.request()`` outside the transport layer
 QLNT113   Private mutable counter shadowing the metrics registry
 QLNT114   Journaled state mutated outside the journal API
-QLNT115   Object allocation in a DES/slot-table/partition/wire hot loop
+QLNT115   Object allocation in a DES/slot-table/partition/wire/emit hot loop
 QLNT116   Reject/degrade path without a decision record
 QLNT117   Raw bus send inside ``repro.federation``
 QLNT118   Instrumentation side-channel beside the probe

@@ -1,4 +1,4 @@
-"""QLNT115 — allocation in the DES/slot-table/partition/wire hot loops.
+"""QLNT115 — allocation in the DES/slot-table/partition/wire/emit hot loops.
 
 The array-backed cores exist because the event queue pops millions of
 tuples per experiment and the slot table answers a capacity probe per
@@ -14,7 +14,10 @@ per-pool ledger object there is paid by every admission. So is the
 wire writer: every leg of every bus request renders one envelope
 through ``Envelope.to_xml`` and the recursive ``write_xml`` (DESIGN
 §9), one call per XML node — a closure or a per-node wrapper object in
-that recursion is paid per element of every message.
+that recursion is paid per element of every message. So are the
+instruments' emit paths (DESIGN §10), run per gauge, span, row,
+decision and SLO sample of an instrumented replay: each builds its
+one row and nothing else.
 
 The table below names the hot functions.  Inside them three things
 flag: ``lambda`` expressions (closure allocation per iteration),
@@ -26,6 +29,9 @@ capitalized constructor calls.  Declared allowed idioms:
   the per-boundary/per-event objects that are banned;
 * ``RebalanceReport`` / ``PoolUsage`` — likewise the one report, with
   its three pool rows, that every rebalance pass returns;
+* ``Span`` / ``DecisionRecord`` / ``TelemetryEvent`` — the one span
+  ``Tracer.start`` opens, the one record ``DecisionLog.decide``
+  returns and the one row each emit appends;
 * constructor calls inside ``raise`` — error paths are cold.
 """
 
@@ -54,11 +60,19 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
     # envelope frame written around it.
     "repro/xmlmsg/document.py": frozenset({"write_xml", "pretty_xml"}),
     "repro/xmlmsg/envelope.py": frozenset({"to_xml"}),
+    # The instruments' emit paths.
+    "repro/telemetry/metrics.py": frozenset({"_get", "set", "set_at"}),
+    "repro/telemetry/spans.py": frozenset({"start", "finish", "span"}),
+    "repro/telemetry/events.py": frozenset({"emit", "append"}),
+    "repro/telemetry/capacity.py": frozenset({"on_rebalance"}),
+    "repro/obs/decisions.py": frozenset({"decide"}),
+    "repro/obs/slo.py": frozenset({"snapshot", "fold", "window"}),
 }
 
 #: Constructors a hot function may call (see module docstring).
 ALLOWED_CONSTRUCTORS: "FrozenSet[str]" = frozenset({
-    "ResourceVector", "RebalanceReport", "PoolUsage"})
+    "ResourceVector", "RebalanceReport", "PoolUsage", "Span",
+    "DecisionRecord", "TelemetryEvent"})
 
 
 def _hot_functions(relpath: str) -> "Optional[FrozenSet[str]]":
@@ -72,8 +86,8 @@ def _hot_functions(relpath: str) -> "Optional[FrozenSet[str]]":
 @register
 class HotPathAllocationRule(Rule):
     rule_id = "QLNT115"
-    title = ("object allocation in the DES/slot-table/partition/wire "
-             "hot loop")
+    title = ("object allocation in the DES/slot-table/partition/wire/"
+             "emit hot loop")
     severity = Severity.ERROR
     node_types = (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
                   ast.Call)

@@ -26,7 +26,7 @@ from enum import Enum
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..telemetry.events import EventStream
+from ..telemetry.events import EventStream, TelemetryEvent
 from ..telemetry.spans import Span
 
 __all__ = [
@@ -49,8 +49,20 @@ def point_payload(point: "Mapping[Any, float]") -> "Dict[str, float]":
     return {key: flat[key] for key in sorted(flat)}
 
 
+#: Exact types :func:`_jsonify` returns as they are. Being exactly these
+#: builtins, none is an Enum or a Mapping, so they skip the ABC checks.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonify(value: Any) -> Any:
     """Recursively re-key enums and stringify exotic values."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        return {(key if isinstance(key, str) else _jsonify(key)):
+                (item if type(item) in _PLAIN else _jsonify(item))
+                for key, item in value.items()}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Mapping):
@@ -177,32 +189,21 @@ class DecisionLog:
         reached the store yet).
         """
         record = DecisionRecord(
-            decision_id=len(self._records) + 1,
-            time=self._now(),
-            action=action,
-            outcome=outcome,
-            subject=subject,
-            sla_id=sla_id,
-            constraint=constraint,
-            reason=reason,
-            candidates=tuple(_jsonify(dict(candidate))
-                             for candidate in candidates),
-            chosen=_jsonify(dict(chosen)) if chosen is not None else None,
-            headroom={key: float(value)
-                      for key, value in (headroom or {}).items()},
-            trace_id=span.trace_id if span is not None else "",
-            span_id=span.span_id if span is not None else "",
-            lsn=lsn,
-        )
+            len(self._records) + 1, self._now(), action, outcome, subject,
+            sla_id, constraint, reason,
+            tuple(_jsonify(dict(candidate)) for candidate in candidates),
+            _jsonify(dict(chosen)) if chosen is not None else None,
+            {key: float(value) for key, value in (headroom or {}).items()},
+            "" if span is None else span.trace_id,
+            "" if span is None else span.span_id, lsn)
         self._records.append(record)
         if self._stream is not None:
-            details = record.to_dict()
-            # The event carries the same timestamp positionally.
-            del details["time"]
-            self._stream.emit(record.time, "decision",
-                              f"{action} {outcome}: "
-                              f"{subject or record.sla_id or '?'}",
-                              **details)
+            # The stream row: built once, handed over without a copy.
+            row = record.to_dict()
+            del row["time"]  # the event carries it positionally
+            self._stream.append(TelemetryEvent(
+                record.time, "decision",
+                f"{action} {outcome}: {subject or sla_id or '?'}", row))
         return record
 
     # ------------------------------------------------------------------

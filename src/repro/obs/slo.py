@@ -21,6 +21,9 @@ fixed seed always produces the same alert stream.
 
 from __future__ import annotations
 
+import bisect
+import math
+import operator
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple)
 
@@ -94,9 +97,64 @@ class _SlaTrack:
         self.bad: "List[Tuple[float, float]]" = []
 
 
-def _overlap(start: float, end: float, lo: float, hi: float) -> float:
-    """Length of ``[start, end] ∩ [lo, hi]`` (0 when disjoint)."""
-    return max(0.0, min(end, hi) - max(start, lo))
+_BY_ID = operator.itemgetter(1)
+
+
+class _ClassBook:
+    """One class's SLA ids in order (every sum runs in id order), and
+    its closed tracks as ``(end, sla_id, start, bad)`` spans in end
+    order. A closed track's intervals are final, so the sums over the
+    leading closed tracks are kept: ``settled`` of them, folded to
+    ``active`` and ``bad`` as ``sum()`` would have; a snapshot folds on
+    from there, adding the same terms in the same order."""
+
+    __slots__ = ("ids", "closed", "settled", "active", "bad")
+
+    def __init__(self) -> None:
+        self.ids: "List[int]" = []
+        self.closed: "List[Tuple[float, int, float, list]]" = []
+        self.settled = self.active = self.bad = 0  # as sum() starts
+
+    def fold(self, tracks: "Dict[int, _SlaTrack]", now: float
+             ) -> "Tuple[float, float, list]":
+        """``(active, bad, open spans)`` totals, open ones to ``now``."""
+        active, bad, opened = self.active, self.bad, []
+        for sla_id in self.ids[self.settled:]:
+            track = tracks[sla_id]
+            intervals = track.bad
+            if track.active:
+                if track.violation_since is not None:
+                    intervals = [*intervals, (track.violation_since, now)]
+                opened.append((now, sla_id, track.started, intervals))
+            active += (now if track.active else track.ended) - track.started
+            for lo, hi in intervals:
+                bad += hi - lo
+            if not opened:
+                self.settled += 1
+                self.active, self.bad = active, bad
+        return active, bad, opened
+
+    def window(self, opened: list, now: float, lo: float
+               ) -> "Tuple[float, float]":
+        """``(active, bad)`` overlap with ``[lo, now]``, over the open
+        spans and those closed after ``lo`` in id order. Each term is
+        ``max(0.0, min(end, now) - max(start, lo))`` spelled without
+        builtin calls; a 0.0 term is left out, which changes no bit."""
+        closed = self.closed
+        active = bad = 0  # as sum() starts
+        for end, _sla_id, start, intervals in sorted(
+                closed[bisect.bisect(closed, (lo, math.inf)):] + opened,
+                key=_BY_ID):
+            length = ((now if now < end else end)
+                      - (lo if lo > start else start))
+            if length > 0.0:
+                active += length
+            for since, until in intervals:
+                length = ((now if now < until else until)
+                          - (lo if lo > since else since))
+                if length > 0.0:
+                    bad += length
+        return active, bad
 
 
 class SloEngine:
@@ -131,6 +189,7 @@ class SloEngine:
         self._stream = stream
         self._occupancy = occupancy
         self._tracks: "Dict[int, _SlaTrack]" = {}
+        self._books: "Dict[str, _ClassBook]" = {}
         self._alerts: "List[AlertRecord]" = []
         self._burning: "Dict[Tuple[str, float], bool]" = {}
 
@@ -151,7 +210,22 @@ class SloEngine:
     def session_started(self, sla_id: int, service_class: str,
                         time: float) -> None:
         """An SLA's session went active."""
+        old = self._tracks.get(sla_id)
+        if old is not None:  # a restart: the old track leaves its class
+            book = self._books[old.service_class]
+            book.ids.remove(sla_id)
+            book.closed = [span for span in book.closed
+                           if span[1] != sla_id]
+            book.settled = book.active = book.bad = 0
         self._tracks[sla_id] = _SlaTrack(service_class, time)
+        book = self._books.get(service_class)
+        if book is None:
+            book = self._books[service_class] = _ClassBook()
+        if book.ids and sla_id < book.ids[-1]:  # out of id order: refold
+            bisect.insort(book.ids, sla_id)
+            book.settled = book.active = book.bad = 0
+        else:
+            book.ids.append(sla_id)
 
     def session_ended(self, sla_id: int, time: float) -> None:
         """An SLA's session closed (violations close with it)."""
@@ -163,6 +237,11 @@ class SloEngine:
             track.violation_since = None
         track.ended = time
         track.active = False
+        closed = self._books[track.service_class].closed
+        if closed and time < closed[-1][0]:
+            bisect.insort(closed, (time, sla_id, track.started, track.bad))
+        else:
+            closed.append((time, sla_id, track.started, track.bad))
 
     def on_violation(self, sla_id: int, time: float) -> None:
         """The verifier saw this SLA transition into violation."""
@@ -185,23 +264,6 @@ class SloEngine:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def _class_intervals(self) -> "Dict[str, Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]]":
-        """Per class: (active intervals, bad intervals) up to now."""
-        now = self._now()
-        per_class: "Dict[str, Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]]" = {}
-        for sla_id in sorted(self._tracks):
-            track = self._tracks[sla_id]
-            active, bad = per_class.setdefault(track.service_class,
-                                               ([], []))
-            end = now if track.active else (track.ended
-                                            if track.ended is not None
-                                            else now)
-            active.append((track.started, end))
-            bad.extend(track.bad)
-            if track.violation_since is not None and track.active:
-                bad.append((track.violation_since, now))
-        return per_class
-
     def snapshot(self, time: Optional[float] = None
                  ) -> "Dict[str, Dict[str, Any]]":
         """Per-class SLO state at ``time`` (defaults to now).
@@ -209,19 +271,20 @@ class SloEngine:
         Each entry reports total active time, bad (violating) time,
         achieved availability, the budget, and the burn rate per
         configured window; plus the occupancy context when an
-        occupancy callable was wired.
+        occupancy callable was wired. Open intervals run to ``time``.
         """
         now = self._now() if time is None else time
         report: "Dict[str, Dict[str, Any]]" = {}
-        for service_class, (active, bad) in sorted(
-                self._class_intervals().items()):
+        for service_class in sorted(self._books):
+            book = self._books[service_class]
+            if not book.ids:
+                continue
             spec = self._specs.get(service_class)
-            active_total = sum(hi - lo for lo, hi in active)
-            bad_total = sum(hi - lo for lo, hi in bad)
+            active_total, bad_total, opened = book.fold(self._tracks, now)
             availability = (1.0 if active_total <= 0.0
                             else 1.0 - bad_total / active_total)
             entry: "Dict[str, Any]" = {
-                "sessions": len(active),
+                "sessions": len(book.ids),
                 "active_time": round(active_total, 9),
                 "bad_time": round(bad_total, 9),
                 "availability": round(availability, 9),
@@ -231,11 +294,7 @@ class SloEngine:
                 entry["budget"] = round(spec.budget, 9)
                 burn: "Dict[str, float]" = {}
                 for window in spec.windows:
-                    lo = now - window
-                    active_w = sum(_overlap(start, end, lo, now)
-                                   for start, end in active)
-                    bad_w = sum(_overlap(start, end, lo, now)
-                                for start, end in bad)
+                    active_w, bad_w = book.window(opened, now, now - window)
                     if active_w <= 0.0 or spec.budget <= 0.0:
                         rate = 0.0
                     else:

@@ -152,7 +152,7 @@ def _canonical(value: Value) -> Value:
 def _render_value(value: Value) -> str:
     if isinstance(value, tuple):
         return "(" + " ".join(_render_value(item) for item in value) + ")"
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():  # not ±inf/nan
         return str(int(value))
     text = str(value)
     if any(ch in text for ch in " ()=<>!\"'") or text == "":

@@ -12,6 +12,7 @@ window attributes ``start-time`` / ``end-time`` (simulation time).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from ..errors import RSLError
@@ -55,7 +56,8 @@ def vector_from_rsl(text: str) -> "Tuple[ResourceVector, float, float, Optional[
     """Parse a reservation RSL back into ``(demand, start, end, label)``.
 
     Raises:
-        RSLError: When the window attributes are missing or malformed.
+        RSLError: When the window attributes are missing or malformed,
+            or an attribute is NaN (±inf, an open window, is accepted).
     """
     expression = parse_rsl(text)
     attributes = expression.attributes()
@@ -72,7 +74,7 @@ def vector_from_rsl(text: str) -> "Tuple[ResourceVector, float, float, Optional[
             except ValueError:
                 raise RSLError(
                     f"attribute {name!r} is not numeric: {value!r}") from None
-        if not isinstance(value, float):
+        if not isinstance(value, float) or math.isnan(value):
             raise RSLError(f"attribute {name!r} is not numeric: {value!r}")
         return value
 

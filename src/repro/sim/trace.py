@@ -43,7 +43,8 @@ class TraceRecorder:
     def record(self, time: float, category: str, message: str,
                **details: Any) -> TraceEntry:
         """Append a row and return it."""
-        return self._stream.emit(time, category, message, **details)
+        return self._stream.append(
+            TelemetryEvent(time, category, message, details))
 
     def __len__(self) -> int:
         return len(self._stream)

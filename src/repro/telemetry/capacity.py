@@ -50,8 +50,8 @@ class CapacityGauges:
         gauge = metrics.time_gauge
         self._pools = [
             (gauge("repro_capacity_effective", pool=pool),
-             [gauge("repro_capacity_allocated", pool=pool, tier=tier)
-              for tier in ("guaranteed", "excess", "best_effort")],
+             *(gauge("repro_capacity_allocated", pool=pool, tier=tier)
+               for tier in ("guaranteed", "excess", "best_effort")),
              gauge("repro_capacity_idle", pool=pool))
             for pool in POOLS]
         self._adapt_transfer = gauge("repro_capacity_adapt_transfer")
@@ -68,17 +68,19 @@ class CapacityGauges:
             return
         if self._pools is None:
             self._resolve()
-        effective = partition.effective_sizes()
-        for (size_gauge, tiers, idle), size, usage in zip(
-                self._pools, effective, report.pools):
-            size_gauge.set(size)
-            for tier_gauge, supplied in zip(tiers, (
-                    usage.guaranteed, usage.excess, usage.best_effort)):
-                tier_gauge.set(supplied)
-            idle.set(usage.idle)
-        self._adapt_transfer.set(report.adapt_transfer)
-        self._utilization.set(partition.utilization())
-        self._failed.set(partition.failed)
+        # Every gauge reads the registry's clock: one reading per pass.
+        now = self.metrics.now()
+        for (size, guaranteed, excess, best_effort, idle), effective, usage \
+                in zip(self._pools, partition.effective_sizes(),
+                       report.pools):
+            size.set_at(now, effective)
+            guaranteed.set_at(now, usage.guaranteed)
+            excess.set_at(now, usage.excess)
+            best_effort.set_at(now, usage.best_effort)
+            idle.set_at(now, usage.idle)
+        self._adapt_transfer.set_at(now, report.adapt_transfer)
+        self._utilization.set_at(now, partition.utilization())
+        self._failed.set_at(now, partition.failed)
         self._shortfall.set(sum(report.shortfalls.values()))
         self._rebalances.inc()
         # Looked up on use: an uneventful run must not export

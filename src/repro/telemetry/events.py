@@ -17,13 +17,11 @@ for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One event row.
+class TelemetryEvent(NamedTuple):
+    """One event row (an immutable tuple).
 
     Attributes:
         time: Simulation time of the action.
@@ -36,7 +34,7 @@ class TelemetryEvent:
     time: float
     category: str
     message: str
-    details: Dict[str, Any] = field(default_factory=dict)
+    details: Dict[str, Any]
 
 
 class EventStream:
@@ -48,13 +46,11 @@ class EventStream:
     def emit(self, time: float, category: str, message: str,
              **details: Any) -> TelemetryEvent:
         """Append a new event and return it."""
-        event = TelemetryEvent(time=time, category=category,
-                               message=message, details=dict(details))
-        self._events.append(event)
-        return event
+        return self.append(TelemetryEvent(time, category, message, details))
 
     def append(self, event: TelemetryEvent) -> TelemetryEvent:
-        """Append an existing event (stream-migration helper)."""
+        """Append a built event and return it; a row keeps the details
+        dict its builder made, without a copy."""
         self._events.append(event)
         return event
 

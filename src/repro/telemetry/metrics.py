@@ -8,10 +8,11 @@ cardinality dimensions (pool, tier, action, op). The registry is the
 components must not keep private ``self.foo += 1`` counters for them
 (enforced by lint rule QLNT113).
 
-Time-weighted gauges wrap
-:class:`~repro.telemetry.timeweighted.TimeWeightedMetrics` so the
-exported means are exact integrals of the piecewise-constant signal on
-the *simulation* clock, not sample averages.
+Time-weighted gauges integrate in place, so the exported means are
+exact integrals of the piecewise-constant signal on the *simulation*
+clock, not sample averages. A lookup is two dict reads: a call's
+signature (name, label names, stringified values) is validated once
+per process into its series key, in a table every registry shares.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ValidationError
-from .timeweighted import TimeWeightedMetrics
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -31,6 +31,23 @@ DEFAULT_BUCKETS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 
 _LabelTuple = Tuple[Tuple[str, str], ...]
 _Key = Tuple[str, _LabelTuple]
+
+#: Call signature -> validated series key (as many as distinct label
+#: sets a process emits: few, by the low-cardinality convention).
+_SERIES: "Dict[Tuple[str, ...], _Key]" = {}
+
+
+def _key(signature: "Tuple[str, ...]", labels: "Dict[str, Any]") -> _Key:
+    """Validate a call signature's series key and remember it."""
+    name = signature[0]
+    if not _NAME_RE.match(name):
+        raise ValidationError(f"invalid metric name: {name!r}")
+    for label in labels:
+        if not _LABEL_RE.match(label):
+            raise ValidationError(f"invalid label name: {label!r}")
+    key = _SERIES[signature] = name, tuple(sorted(
+        (label, str(value)) for label, value in labels.items()))
+    return key
 
 
 class Counter:
@@ -101,32 +118,47 @@ class Histogram:
 class TimeWeightedGauge:
     """A gauge whose mean is an exact time-weighted integral.
 
-    The underlying window opens lazily at the first :meth:`set`, so a
-    gauge created late does not dilute its mean with a zero-filled
-    lead-in (see
-    :meth:`~repro.telemetry.timeweighted.TimeWeightedMetrics.observe`
-    for the shared-window semantics this avoids).
+    The window opens lazily at the first :meth:`set`, so a gauge
+    created late does not dilute its mean with a zero-filled lead-in.
+    The running integral adds ``value * span`` at every set and mean:
+    the products :class:`~repro.telemetry.timeweighted.TimeWeightedMetrics`
+    adds, in its order, so both give bit-equal means.
     """
+
+    __slots__ = ("_now", "_start", "_last", "_integral", "value")
 
     def __init__(self, now: Callable[[], float]) -> None:
         self._now = now
-        self._window: Optional[TimeWeightedMetrics] = None
+        self._start: Optional[float] = None
+        self._last = 0.0
+        self._integral = 0.0
         self.value = 0.0
 
     def set(self, value: float) -> None:
         """Record the value holding from now onwards."""
-        time = self._now()
-        if self._window is None:
-            self._window = TimeWeightedMetrics(start=time)
-        self._window.observe(time, value=float(value))
+        self.set_at(self._now(), value)
+
+    def set_at(self, time: float, value: float) -> None:
+        """Record the value holding from ``time``, a reading of this
+        gauge's clock the caller already took (gauges written at one
+        instant can share one reading)."""
+        if self._start is None:
+            self._start = time
+        elif time < self._last:
+            raise ValidationError(
+                f"observation at {time} precedes last at {self._last}")
+        else:
+            self._integral += self.value * (time - self._last)
+        self._last = time
         self.value = float(value)
 
     def mean(self) -> float:
         """Time-weighted mean from the first set to now."""
-        if self._window is None:
+        if self._start is None:
             return 0.0
-        self._window.observe(self._now())
-        return self._window.mean("value")
+        self.set_at(self._now(), self.value)
+        elapsed = self._last - self._start
+        return 0.0 if elapsed <= 0 else self._integral / elapsed
 
 
 class MetricsRegistry:
@@ -135,11 +167,12 @@ class MetricsRegistry:
     Args:
         now: Clock callable feeding the time-weighted gauges; a
             registry built without one treats every instant as ``t=0``
-            (plain counters and gauges are unaffected).
+            (plain counters and gauges are unaffected). Readable as
+            :attr:`now`.
     """
 
     def __init__(self, now: Optional[Callable[[], float]] = None) -> None:
-        self._now = now if now is not None else (lambda: 0.0)
+        self.now = now if now is not None else (lambda: 0.0)
         self._kinds: Dict[str, str] = {}
         self._counters: "Dict[_Key, Counter]" = {}
         self._gauges: "Dict[_Key, Gauge]" = {}
@@ -150,19 +183,31 @@ class MetricsRegistry:
     # Keying
     # ------------------------------------------------------------------
 
-    def _key(self, name: str, kind: str, labels: "Dict[str, Any]") -> _Key:
-        if not _NAME_RE.match(name):
-            raise ValidationError(f"invalid metric name: {name!r}")
+    def _series(self, name: str, kind: str, labels: "Dict[str, Any]"
+                ) -> _Key:
+        """The validated series key, with ``name`` held to one kind."""
+        signature = (name, *labels, *map(str, labels.values()))
+        key = _SERIES.get(signature) or _key(signature, labels)
         declared = self._kinds.setdefault(name, kind)
         if declared != kind:
             raise ValidationError(
                 f"metric {name!r} already registered as a {declared}, "
                 f"cannot reuse it as a {kind}")
-        for label in labels:
-            if not _LABEL_RE.match(label):
-                raise ValidationError(f"invalid label name: {label!r}")
-        return name, tuple(sorted(
-            (label, str(value)) for label, value in labels.items()))
+        return key
+
+    def _get(self, table: "Dict[_Key, Any]", kind: str, name: str,
+             labels: "Dict[str, Any]", factory: Callable[..., Any],
+             *args: Any) -> Any:
+        """Get or create. A key already in ``table`` passed the kind
+        check when it was put there, so a hit needs no other test."""
+        instrument = table.get(_SERIES.get(
+            (name, *labels, *map(str, labels.values()))))
+        if instrument is None:
+            key = self._series(name, kind, labels)
+            instrument = table.get(key)
+            if instrument is None:
+                instrument = table[key] = factory(*args)
+        return instrument
 
     # ------------------------------------------------------------------
     # Instruments
@@ -170,38 +215,23 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get or create a counter."""
-        key = self._key(name, "counter", labels)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
+        return self._get(self._counters, "counter", name, labels, Counter)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Get or create a gauge."""
-        key = self._key(name, "gauge", labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
+        return self._get(self._gauges, "gauge", name, labels, Gauge)
 
     def histogram(self, name: str,
                   buckets: "Tuple[float, ...]" = DEFAULT_BUCKETS,
                   **labels: Any) -> Histogram:
         """Get or create a fixed-bucket histogram."""
-        key = self._key(name, "histogram", labels)
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            instrument = self._histograms[key] = Histogram(buckets)
-        return instrument
+        return self._get(self._histograms, "histogram", name, labels,
+                         Histogram, buckets)
 
     def time_gauge(self, name: str, **labels: Any) -> TimeWeightedGauge:
         """Get or create a time-weighted gauge."""
-        key = self._key(name, "timegauge", labels)
-        instrument = self._time_gauges.get(key)
-        if instrument is None:
-            instrument = self._time_gauges[key] = TimeWeightedGauge(
-                self._now)
-        return instrument
+        return self._get(self._time_gauges, "timegauge", name, labels,
+                         TimeWeightedGauge, self.now)
 
     # ------------------------------------------------------------------
     # Reading
@@ -209,13 +239,13 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, **labels: Any) -> float:
         """A counter's value (0 when never incremented)."""
-        key = self._key(name, "counter", labels)
+        key = self._series(name, "counter", labels)
         instrument = self._counters.get(key)
         return instrument.value if instrument is not None else 0.0
 
     def gauge_value(self, name: str, **labels: Any) -> float:
         """A gauge's value (0 when never set)."""
-        key = self._key(name, "gauge", labels)
+        key = self._series(name, "gauge", labels)
         instrument = self._gauges.get(key)
         return instrument.value if instrument is not None else 0.0
 

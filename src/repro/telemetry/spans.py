@@ -18,16 +18,15 @@ process-global state.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
-from .events import EventStream
+from .events import EventStream, TelemetryEvent
 
 
-@dataclass
+@dataclass(eq=False)  # an entity: equal only to itself
 class Span:
-    """One timed operation in a trace.
+    """One timed operation in a trace (opened by :meth:`Tracer.start`).
 
     Attributes:
         trace_id: The episode this span belongs to.
@@ -41,20 +40,44 @@ class Span:
         attributes: Structured payload (message ids, attempt counts…).
     """
 
+    __slots__ = ("trace_id", "span_id", "parent_id", "name", "component",
+                 "start", "end", "status", "attributes")
     trace_id: str
     span_id: str
     parent_id: Optional[str]
     name: str
     component: str
     start: float
-    end: Optional[float] = None
-    status: str = "ok"
-    attributes: Dict[str, Any] = field(default_factory=dict)
+    end: Optional[float]
+    status: str
+    attributes: Dict[str, Any]
 
     @property
     def duration(self) -> float:
         """Elapsed sim time (0 while the span is still open)."""
         return 0.0 if self.end is None else self.end - self.start
+
+
+class _OpenSpan:
+    """What :meth:`Tracer.span` returns: a context that pushes the span
+    and, on exit, pops and finishes it (see :meth:`Tracer.span`)."""
+
+    __slots__ = ("tracer", "span")
+
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
+        self.tracer = tracer
+        self.span = span
+
+    def __enter__(self) -> Span:
+        self.tracer._stack.append(self.span)
+        return self.span
+
+    def __exit__(self, kind: Any, error: Any, traceback: Any) -> None:
+        tracer, span = self.tracer, self.span
+        if kind is not None:
+            tracer.finish(span, status=f"error:{kind.__name__}")
+        tracer._stack.remove(span)
+        tracer.finish(span)
 
 
 class Tracer:
@@ -95,17 +118,16 @@ class Tracer:
         nor explicit ids it roots a fresh trace. Explicit ids are how
         a bus delivery resumes the *sender's* trace (remote parent).
         """
-        parent = self.current()
-        if parent_id is None and trace_id is None and parent is not None:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
+        stack = self._stack
+        if parent_id is None and trace_id is None and stack:
+            trace_id = stack[-1].trace_id
+            parent_id = stack[-1].span_id
         if trace_id is None:
             self._trace_counter += 1
             trace_id = f"trace-{self._trace_counter}"
         self._span_counter += 1
-        span = Span(trace_id=trace_id, span_id=f"span-{self._span_counter}",
-                    parent_id=parent_id, name=name, component=component,
-                    start=self._now(), attributes=dict(attributes))
+        span = Span(trace_id, f"span-{self._span_counter}", parent_id, name,
+                    component, self._now(), None, "ok", attributes)
         self._spans.append(span)
         return span
 
@@ -115,37 +137,28 @@ class Tracer:
             return
         if status is not None:
             span.status = status
-        span.end = self._now()
+        end = span.end = self._now()
         if self._stream is not None:
-            self._stream.emit(
-                span.end, "span",
+            self._stream.append(TelemetryEvent(
+                end, "span",
                 f"{span.component or '?'}: {span.name} ({span.status})",
-                trace_id=span.trace_id, span_id=span.span_id,
-                parent_id=span.parent_id or "", start=span.start,
-                duration=span.duration, **span.attributes)
+                {"trace_id": span.trace_id, "span_id": span.span_id,
+                 "parent_id": span.parent_id or "", "start": span.start,
+                 "duration": end - span.start, **span.attributes}))
 
-    @contextmanager
     def span(self, name: str, *, component: str = "",
              trace_id: Optional[str] = None,
              parent_id: Optional[str] = None,
-             **attributes: Any) -> Iterator[Span]:
+             **attributes: Any) -> _OpenSpan:
         """Open a span, push it as the context, close it on exit.
 
         An exception escaping the block marks the span
         ``error:<ExceptionName>`` and re-raises — failed legs stay in
         the tree with their failure mode visible.
         """
-        opened = self.start(name, component=component, trace_id=trace_id,
-                            parent_id=parent_id, **attributes)
-        self._stack.append(opened)
-        try:
-            yield opened
-        except BaseException as error:
-            self.finish(opened, status=f"error:{type(error).__name__}")
-            raise
-        finally:
-            self._stack.remove(opened)
-            self.finish(opened)
+        return _OpenSpan(self, self.start(
+            name, component=component, trace_id=trace_id,
+            parent_id=parent_id, **attributes))
 
     # ------------------------------------------------------------------
     # Introspection / rendering

@@ -709,6 +709,101 @@ class TestHotPathAllocation:
         assert run(snippet, relpath="src/repro/core/broker.py",
                    rule_id="QLNT115") == []
 
+    # -- the instruments' emit paths -----------------------------------
+
+    METRICS = "src/repro/telemetry/metrics.py"
+    SPANS = "src/repro/telemetry/spans.py"
+    EVENTS_LOG = "src/repro/telemetry/events.py"
+    GAUGES = "src/repro/telemetry/capacity.py"
+    DECISIONS = "src/repro/obs/decisions.py"
+    SLO = "src/repro/obs/slo.py"
+
+    def test_window_object_in_a_time_gauge_write_flags(self, run):
+        # The shape the in-place integral removed: a multi-signal
+        # window observed on every set.
+        snippet = ("class TimeWeightedGauge:\n"
+                   "    def set(self, value):\n"
+                   "        if self._window is None:\n"
+                   "            self._window = TimeWeightedMetrics(0.0)\n"
+                   "        self._window.observe(self._now(), value=value)\n")
+        findings = run(snippet, relpath=self.METRICS, rule_id="QLNT115")
+        assert findings and "TimeWeightedMetrics" in findings[0].message
+
+    def test_generator_context_manager_in_span_flags(self, run):
+        snippet = ("class Tracer:\n"
+                   "    def span(self, name):\n"
+                   "        def scope():\n"
+                   "            yield self.start(name)\n"
+                   "        return contextmanager(scope)()\n")
+        findings = run(snippet, relpath=self.SPANS, rule_id="QLNT115")
+        assert findings and "scope()" in findings[0].message
+
+    def test_per_row_wrapper_in_emit_flags(self, run):
+        snippet = ("class EventStream:\n"
+                   "    def emit(self, time, category, message, **details):\n"
+                   "        row = Row(time, category, message, Details(details))\n"
+                   "        self._events.append(row)\n")
+        findings = run(snippet, relpath=self.EVENTS_LOG, rule_id="QLNT115")
+        assert {"Row", "Details"} <= {finding.message.split("(")[0]
+                                      for finding in findings}
+
+    def test_per_gauge_sample_in_on_rebalance_flags(self, run):
+        snippet = ("class CapacityGauges:\n"
+                   "    def on_rebalance(self, partition, report):\n"
+                   "        for gauge, value in zip(self._all, report.pools):\n"
+                   "            gauge.record(Sample(self.now(), value))\n")
+        findings = run(snippet, relpath=self.GAUGES, rule_id="QLNT115")
+        assert findings and "Sample" in findings[0].message
+
+    def test_sort_key_lambda_in_slo_window_flags(self, run):
+        snippet = ("class _ClassBook:\n"
+                   "    def window(self, opened, now, lo):\n"
+                   "        return sorted(opened, key=lambda span: span[1])\n")
+        findings = run(snippet, relpath=self.SLO, rule_id="QLNT115")
+        assert findings and "closure" in findings[0].message
+
+    def test_the_emit_paths_as_written_are_clean(self, run):
+        gauge = ("class TimeWeightedGauge:\n"
+                 "    def set(self, value):\n"
+                 "        self.set_at(self._now(), value)\n"
+                 "    def set_at(self, time, value):\n"
+                 "        if time < self._last:\n"
+                 "            raise ValidationError('precedes')\n"
+                 "        self._integral += self.value * (time - self._last)\n"
+                 "        self.value = float(value)\n"
+                 "class MetricsRegistry:\n"
+                 "    def _get(self, table, kind, name, labels, factory):\n"
+                 "        instrument = table.get(_SERIES.get(\n"
+                 "            (name, *labels, *map(str, labels.values()))))\n"
+                 "        if instrument is None:\n"
+                 "            instrument = table[name] = factory()\n"
+                 "        return instrument\n")
+        assert run(gauge, relpath=self.METRICS, rule_id="QLNT115") == []
+        spans = ("class Tracer:\n"
+                 "    def start(self, name, **attributes):\n"
+                 "        span = Span('t', 's', None, name, '', 0.0, None,\n"
+                 "                    'ok', attributes)\n"
+                 "        self._spans.append(span)\n"
+                 "        return span\n"
+                 "    def span(self, name, **attributes):\n"
+                 "        return _OpenSpan(self, self.start(name, **attributes))\n")
+        assert run(spans, relpath=self.SPANS, rule_id="QLNT115") == []
+        decide = ("class DecisionLog:\n"
+                  "    def decide(self, action, outcome):\n"
+                  "        record = DecisionRecord(1, 0.0, action, outcome)\n"
+                  "        self._stream.append(TelemetryEvent(\n"
+                  "            0.0, 'decision', action, record.to_dict()))\n"
+                  "        return record\n")
+        assert run(decide, relpath=self.DECISIONS, rule_id="QLNT115") == []
+        rows = ("class EventStream:\n"
+                "    def emit(self, time, category, message, **details):\n"
+                "        return self.append(\n"
+                "            TelemetryEvent(time, category, message, details))\n"
+                "    def append(self, event):\n"
+                "        self._events.append(event)\n"
+                "        return event\n")
+        assert run(rows, relpath=self.EVENTS_LOG, rule_id="QLNT115") == []
+
 
 # ----------------------------------------------------------------------
 # QLNT116 — reject/degrade path without a decision record

@@ -74,6 +74,18 @@ class TestIntervalMath:
         clock.now = 20.0
         assert engine.snapshot()["Guaranteed"]["bad_time"] == 5.0
 
+    def test_snapshot_time_bounds_open_intervals(self):
+        # Open intervals run to the snapshot's time, not the clock's.
+        clock = _Clock()
+        engine = _engine(clock)
+        engine.session_started(1, "Guaranteed", 0.0)
+        engine.on_violation(1, 50.0)
+        clock.now = 100.0
+        entry = engine.snapshot(time=60.0)["Guaranteed"]
+        assert entry["active_time"] == 60.0
+        assert entry["bad_time"] == 10.0
+        assert entry["availability"] == round(1.0 - 10.0 / 60.0, 9)
+
     def test_unknown_sla_signals_are_ignored(self):
         engine = _engine(_Clock())
         engine.on_violation(99, 1.0)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import RSLError
+from repro.gara.api import GaraApi
+from repro.gara.slot_table import SlotTable
 from repro.qos.vector import ResourceVector
 from repro.rsl.builder import reservation_rsl, vector_from_rsl
+from repro.sim.engine import Simulator
 
 
 class TestReservationRsl:
@@ -75,3 +80,40 @@ class TestVectorFromRsl:
         for field_name in ResourceVector._FIELDS:
             assert getattr(parsed, field_name) == pytest.approx(
                 getattr(demand, field_name), rel=1e-9, abs=1e-9)
+
+
+class TestNonFiniteValues:
+    """Render and parse agree on ±inf; NaN is refused at the parse."""
+
+    def test_open_ended_window_renders_and_round_trips(self):
+        text = reservation_rsl(ResourceVector(cpu=2), 0.0, math.inf)
+        assert "(end-time=inf)" in text
+        demand, start, end, _label = vector_from_rsl(text)
+        assert demand == ResourceVector(cpu=2)
+        assert (start, end) == (0.0, math.inf)
+
+    def test_negative_infinite_start_round_trips(self):
+        text = reservation_rsl(ResourceVector(cpu=1), -math.inf, 5.0)
+        _demand, start, end, _label = vector_from_rsl(text)
+        assert (start, end) == (-math.inf, 5.0)
+
+    def test_infinite_demand_round_trips(self):
+        text = reservation_rsl(ResourceVector(bandwidth_mbps=math.inf),
+                               0.0, 1.0)
+        demand, _start, _end, _label = vector_from_rsl(text)
+        assert demand.bandwidth_mbps == math.inf
+
+    @pytest.mark.parametrize("text", [
+        "&(count=nan)(start-time=0)(end-time=5)",
+        "&(count=1)(start-time=nan)(end-time=5)",
+        "&(count=1)(start-time=0)(end-time=nan)",
+        "&(memory=NaN)(start-time=0)(end-time=5)",
+    ])
+    def test_nan_is_rejected_as_rsl(self, text):
+        with pytest.raises(RSLError, match="not numeric"):
+            vector_from_rsl(text)
+
+    def test_nan_never_reaches_the_slot_table(self):
+        gara = GaraApi(Simulator(), SlotTable(ResourceVector(cpu=8)))
+        with pytest.raises(RSLError):
+            gara.reservation_create("&(count=nan)(start-time=0)(end-time=5)")

@@ -79,6 +79,53 @@ class TestLifecycle:
         assert span.end is not None
         assert tracer.current() is None
 
+    def test_exception_unwinds_nested_spans_in_order(self, clock):
+        stream = EventStream()
+        tracer = Tracer(clock, stream=stream)
+        error = KeyError("gone")
+        with pytest.raises(KeyError) as raised:
+            with tracer.span("outer") as outer:
+                with tracer.span("middle") as middle:
+                    with tracer.span("inner") as inner:
+                        assert tracer.current() is inner
+                        raise error
+        assert raised.value is error  # re-raised, not wrapped
+        assert tracer.current() is None
+        assert [span.status for span in (outer, middle, inner)] \
+            == ["error:KeyError"] * 3
+        # One row per span, innermost first: the order they closed in.
+        assert [(event.message, event.details["span_id"])
+                for event in stream.events] == [
+            ("?: inner (error:KeyError)", inner.span_id),
+            ("?: middle (error:KeyError)", middle.span_id),
+            ("?: outer (error:KeyError)", outer.span_id)]
+        assert [span.name for span in tracer.spans] \
+            == ["outer", "middle", "inner"]
+
+    def test_base_exceptions_are_marked_too(self, tracer):
+        with pytest.raises(KeyboardInterrupt):
+            with tracer.span("op") as span:
+                raise KeyboardInterrupt
+        assert span.status == "error:KeyboardInterrupt"
+        assert tracer.current() is None
+
+    def test_exception_handled_inside_leaves_the_span_ok(self, tracer):
+        with tracer.span("outer") as outer:
+            try:
+                with tracer.span("inner") as inner:
+                    raise ValueError
+            except ValueError:
+                pass
+            assert tracer.current() is outer
+        assert (outer.status, inner.status) == ("ok", "error:ValueError")
+
+    def test_span_context_opens_the_span_once(self, tracer):
+        with tracer.span("op", component="c", attempt=2) as span:
+            assert tracer.spans == [span]
+            assert span.attributes == {"attempt": 2}
+            assert span.end is None
+        assert span.end is not None and span.status == "ok"
+
     def test_finish_is_idempotent(self, tracer, clock):
         span = tracer.start("op")
         tracer.finish(span)
