@@ -10,8 +10,10 @@ functional breaks, so only a benchmark (or this rule) would notice.
 The capacity partition's per-admission path is held to the same rule:
 every request runs one demand update and one water-fill pass, whose
 tier loops draw on local floats (DESIGN §4) — a per-draw closure or a
-per-pool ledger object there is paid by every admission. So is the
-wire writer: every leg of every bus request renders one envelope
+per-pool ledger object there is paid by every admission and departure.
+So are the machine's ``fail_nodes``/``repair_nodes``: node state is one
+down-set, so a churn cycle builds no per-node object. So is the wire
+writer: every leg of every bus request renders one envelope
 through ``Envelope.to_xml`` and the recursive ``write_xml`` (DESIGN
 §9), one call per XML node — a closure or a per-node wrapper object in
 that recursion is paid per element of every message. So are the
@@ -53,9 +55,12 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
         "usage_at", "available_at", "peak_usage", "available",
         "can_reserve", "utilization_at", "_apply_delta"}),
     # One admission's way through the partition: the demand update
-    # and the water-fill pass it triggers.
+    # and the water-fill pass it triggers; and one departure's.
     "repro/core/capacity.py": frozenset({
-        "rebalance", "set_guaranteed_demand", "effective_sizes"}),
+        "rebalance", "set_guaranteed_demand", "effective_sizes",
+        "remove_guaranteed"}),
+    # One churn cycle's node bookkeeping, kept as set arithmetic.
+    "repro/resources/machine.py": frozenset({"fail_nodes", "repair_nodes"}),
     # One message's way onto the wire: the per-node recursion and the
     # envelope frame written around it.
     "repro/xmlmsg/document.py": frozenset({"write_xml", "pretty_xml"}),

@@ -81,12 +81,6 @@ STATE_MACHINES: "Dict[str, MachineSpec]" = {
         _complete=("COMPLETED",),
         kill=("KILLED",),
     ),
-    # Machine nodes under failure injection.
-    "NodeState": _spec(
-        "state",
-        fail_nodes=("DOWN",),
-        repair_nodes=("UP",),
-    ),
 }
 
 #: Attribute names treated as state fields wherever they are assigned.

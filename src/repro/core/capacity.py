@@ -218,6 +218,11 @@ class CapacityPartition:
         #: Index position of the holding each of the five pool
         #: boundaries fell in on the last pass (``len`` = past the end).
         self._cuts: List[int] = []
+        #: The two demand lines, kept between passes, and the low-water
+        #: mark: the lowest index position changed since they were summed.
+        self._line_e: List[float] = [0.0]
+        self._line_x: List[float] = [0.0]
+        self._low = 0
         #: Deferred-rebalance mode (batch admission): demand updates
         #: mark the assignment dirty instead of rebalancing, and every
         #: reader of rebalance-derived state flushes first.
@@ -325,6 +330,7 @@ class CapacityPartition:
             self._ents.insert(at, 0.0)
             self._excs.insert(at, 0.0)
             self._cuts = [cut + (cut >= at) for cut in self._cuts]
+            self._low = min(self._low, at)
         return holding
 
     def set_guaranteed_demand(self, user: str,
@@ -366,6 +372,7 @@ class CapacityPartition:
             at = bisect_left(keys, user)
             del keys[at], self._rows[at], self._ents[at], self._excs[at]
             self._cuts = [cut - (cut > at) for cut in self._cuts]
+            self._low = min(self._low, at)
         return self.rebalance()
 
     def guaranteed_holding(self, user: str) -> GuaranteedHolding:
@@ -381,7 +388,7 @@ class CapacityPartition:
 
         Only ever built from a state in which no boundary was inside a
         tier on the last pass, so every remembered cut starts past the
-        end.
+        end; the demand lines start unsummed.
         """
         keys = self._keys
         if keys is None:
@@ -390,6 +397,7 @@ class CapacityPartition:
             self._ents = [holding.entitled for holding in rows]
             self._excs = [holding.excess for holding in rows]
             self._cuts = [len(keys)] * 5
+            self._low = 0
         return keys
 
     def guaranteed_holdings(self) -> List[GuaranteedHolding]:
@@ -503,7 +511,8 @@ class CapacityPartition:
         and the ones between where each boundary fell last time and
         where it falls now (both straddlers included) — nothing else;
         the pool rows and ``adapt_transfer`` come from the line ends,
-        the shortfalls from the suffix past the last cut.
+        the shortfalls from the suffix past the last cut. The kept
+        lines are re-summed only from the lowest changed position.
 
         Without the index every cut is past the end, the order is
         immaterial, and the touched holdings stand as the tail of both
@@ -521,23 +530,32 @@ class CapacityPartition:
             rows = list(touched.values())
             ents = [holding.entitled for holding in rows]
             excs = [holding.excess for holding in rows]
-            first_e = self._entitled - sum(ents)
-            first_x = self._excess - sum(excs)
+            line_e = list(accumulate(ents,
+                                     initial=self._entitled - sum(ents)))
+            line_x = list(accumulate(excs,
+                                     initial=self._excess - sum(excs)))
             redraw = set(range(len(rows)))
             was = [len(rows)] * 5
         else:
             rows, ents, excs = self._rows, self._ents, self._excs
-            first_e = first_x = 0.0
+            low = self._low
             redraw = set()
             for user, holding in touched.items():
                 at = bisect_left(keys, user)
                 ents[at], excs[at] = holding.entitled, holding.excess
                 redraw.add(at)
+                low = min(low, at)
+            # A prefix sum is a left fold: re-summing from the lowest
+            # changed column gives every later entry bit for bit.
+            line_e, line_x = self._line_e, self._line_x
+            start_e, start_x = line_e[low], line_x[low]
+            del line_e[low:], line_x[low:]
+            line_e += accumulate(ents[low:], initial=start_e)
+            line_x += accumulate(excs[low:], initial=start_x)
+            self._low = len(rows)
             was = self._cuts
         touched.clear()
         live = len(rows)
-        line_e = list(accumulate(ents, initial=first_e))
-        line_x = list(accumulate(excs, initial=first_x))
         # The line ends are both sums, added up exactly as a walk would.
         entitled = self._entitled = line_e[-1]
         excess = self._excess = line_x[-1]

@@ -13,6 +13,10 @@ and by our Scenario 1/3 adaptation to resize live allocations) and
 ``reservation_commit`` (the confirmation step of the paper's temporary
 reservation protocol). Uncommitted reservations auto-cancel when the
 confirmation deadline passes, exactly as Section 3.1 describes.
+
+A reservation's timers die with the state they guard: commit retires
+its confirm-timeout, cancel (or the timeout itself) its window-expiry
+too, and expiry the confirm-timeout — none fires later as a no-op.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..rsl.builder import vector_from_rsl
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from ..sim.trace import TraceRecorder
 from .reservation import Reservation, ReservationHandle, ReservationState
 from .slot_table import SlotTable
@@ -59,6 +64,10 @@ class GaraApi:
         self.confirm_timeout = confirm_timeout
         self._trace = trace
         self._reservations: Dict[int, Reservation] = {}
+        #: Pending timers by handle value: the confirm-timeout of each
+        #: temporary reservation and the window-expiry of each live one.
+        self._confirm_timers: Dict[int, Event] = {}
+        self._expiry_timers: Dict[int, Event] = {}
         # Per-gatekeeper handle numbering (like per-table slot-entry
         # ids): two testbeds built in one process assign identical
         # handles, so journal payloads are comparable across runs.
@@ -102,7 +111,7 @@ class GaraApi:
         if temporary:
             deadline = self._sim.now + self.confirm_timeout
             reservation.confirm_deadline = deadline
-            self._sim.schedule_at(
+            self._confirm_timers[handle.value] = self._sim.schedule_at(
                 deadline, lambda: self._confirm_timeout(handle),
                 label=f"{self.name}:confirm-timeout:{handle}")
         self._schedule_expiry(reservation)
@@ -115,6 +124,7 @@ class GaraApi:
         """Confirm a temporary reservation (the broker approved the SLA)."""
         reservation = self._get(handle)
         reservation.commit()
+        self._retire(self._confirm_timers, handle)
         self._observe("commit")
         self._record(f"reservation_commit {handle}")
 
@@ -137,6 +147,8 @@ class GaraApi:
         reservation = self._get(handle)
         reservation.cancel()
         self._table.release(reservation.entry)
+        self._retire(self._confirm_timers, handle)
+        self._retire(self._expiry_timers, handle)
         self._observe("cancel")
         self._record(f"reservation_cancel {handle}")
 
@@ -185,12 +197,19 @@ class GaraApi:
             raise ReservationNotFound(f"unknown reservation handle {handle}")
         return reservation
 
+    def _retire(self, timers: Dict[int, Event],
+                handle: ReservationHandle) -> None:
+        """Cancel ``handle``'s pending timer in ``timers``, if any."""
+        event = timers.pop(handle.value, None)
+        if event is not None:
+            self._sim.cancel(event)
+
     def _confirm_timeout(self, handle: ReservationHandle) -> None:
-        reservation = self._reservations.get(handle.value)
-        if reservation is None or reservation.state is not ReservationState.TEMPORARY:
-            return
+        del self._confirm_timers[handle.value]
+        reservation = self._reservations[handle.value]
         reservation.cancel()
         self._table.release(reservation.entry)
+        self._retire(self._expiry_timers, handle)
         self._observe("confirm_timeout")
         self._record(f"confirmation timeout — cancelled {handle}")
 
@@ -201,16 +220,16 @@ class GaraApi:
         handle = reservation.handle
 
         def expire() -> None:
-            live = self._reservations.get(handle.value)
-            if live is None or not live.state.is_live:
-                return
+            del self._expiry_timers[handle.value]
+            live = self._reservations[handle.value]
             live.expire()
             self._table.release(live.entry)
+            self._retire(self._confirm_timers, handle)
             self._observe("expire")
             self._record(f"reservation expired {handle}")
 
-        self._sim.schedule_at(end, expire,
-                              label=f"{self.name}:expiry:{handle}")
+        self._expiry_timers[handle.value] = self._sim.schedule_at(
+            end, expire, label=f"{self.name}:expiry:{handle}")
 
     def _record(self, message: str) -> None:
         if self._trace is not None:

@@ -15,7 +15,7 @@ real-time CPU scheduler, with GARA as the reservation interface. Here:
 from .compute import ComputeResourceManager, Job, JobState
 from .dsrt import DsrtContract, DsrtScheduler
 from .failures import FailureInjector, FailureSchedule
-from .machine import Machine, Node, NodeState
+from .machine import Machine
 
 __all__ = [
     "ComputeResourceManager",
@@ -26,6 +26,4 @@ __all__ = [
     "Job",
     "JobState",
     "Machine",
-    "Node",
-    "NodeState",
 ]

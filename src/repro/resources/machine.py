@@ -3,38 +3,18 @@
 The Section 5.6 example runs on "an SGI multiprocessor machine with 64
 CPU/processor nodes and 10 GB of memory", 26 of which are exposed to
 Grid users; at ``t3`` "three processors ... become inaccessible" and
-later recover. :class:`Machine` models exactly that: a set of
-:class:`Node` objects whose up/down state determines the capacity the
-resource manager can sell.
+later recover. :class:`Machine` models exactly that: nodes ``0 ..
+total - 1``, whose one piece of state is whether they are down — the
+set of down ids determines the capacity the resource manager can sell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Dict, List, Optional, Set
+from itertools import filterfalse, islice
+from typing import Callable, List, Optional, Set
 
 from ..errors import ResourceError
 from ..qos.vector import ResourceVector
-
-
-class NodeState(Enum):
-    """Up/down state of one processor node."""
-
-    UP = "up"
-    DOWN = "down"
-
-
-@dataclass
-class Node:
-    """One processor node."""
-
-    node_id: int
-    state: NodeState = NodeState.UP
-
-    @property
-    def is_up(self) -> bool:
-        return self.state is NodeState.UP
 
 
 #: Callback signature for capacity-change listeners:
@@ -61,16 +41,15 @@ class Machine:
         if total_nodes <= 0:
             raise ResourceError(f"machine needs at least one node: {total_nodes}")
         self.name = name
+        self._total = total_nodes
         self.grid_nodes = total_nodes if grid_nodes is None else grid_nodes
         if not 0 < self.grid_nodes <= total_nodes:
             raise ResourceError(
                 f"grid_nodes={self.grid_nodes} out of (0, {total_nodes}]")
         self.memory_mb = memory_mb
         self.disk_mb = disk_mb
-        self._nodes: Dict[int, Node] = {
-            i: Node(node_id=i) for i in range(total_nodes)}
-        #: Ids of the nodes currently down, so counting the up nodes
-        #: and repairing never scan the whole machine.
+        #: Ids of the nodes currently down: the machine's only record
+        #: of node state (every other id is up).
         self._down: Set[int] = set()
         self._listeners: List[CapacityListener] = []
 
@@ -81,11 +60,11 @@ class Machine:
     @property
     def total_nodes(self) -> int:
         """Physical processor count."""
-        return len(self._nodes)
+        return self._total
 
     def up_nodes(self) -> int:
         """Number of nodes currently up."""
-        return len(self._nodes) - len(self._down)
+        return self._total - len(self._down)
 
     def available_grid_nodes(self) -> int:
         """Grid-exposed nodes currently up.
@@ -94,8 +73,7 @@ class Machine:
         conservative reading of the Section 5.6 example, where the
         3-node failure directly shrinks the guaranteed pool).
         """
-        failed = self.total_nodes - self.up_nodes()
-        return max(0, self.grid_nodes - failed)
+        return max(0, self.grid_nodes - len(self._down))
 
     def grid_capacity(self) -> ResourceVector:
         """The capacity vector the resource manager can sell now."""
@@ -112,23 +90,21 @@ class Machine:
         self._listeners.append(listener)
 
     def fail_nodes(self, count: int) -> List[int]:
-        """Mark ``count`` up nodes as down; returns their ids.
+        """Take down the ``count`` lowest-numbered up nodes; returns their ids.
 
         Raises:
-            ResourceError: When fewer than ``count`` nodes are up.
+            ResourceError: When ``count`` is negative or fewer than
+                ``count`` nodes are up.
         """
+        if count < 0:
+            raise ResourceError(f"cannot fail a negative node count: {count}")
         if self.up_nodes() < count:
             raise ResourceError(
                 f"cannot fail {count} nodes; only {self.up_nodes()} are up")
-        failed_ids: List[int] = []
-        # Lowest ids first: the dict holds the nodes in id order.
-        for node in self._nodes.values():
-            if len(failed_ids) >= count:
-                break
-            if node.is_up:
-                node.state = NodeState.DOWN
-                failed_ids.append(node.node_id)
-        self._down.update(failed_ids)
+        down = self._down
+        failed_ids = list(islice(
+            filterfalse(down.__contains__, range(self._total)), count))
+        down.update(failed_ids)
         self._notify(-count)
         return failed_ids
 
@@ -137,12 +113,13 @@ class Machine:
 
         Ids that are unknown, already up or repeated are ignored.
         """
-        repairing = (set(self._down) if node_ids is None
-                     else self._down.intersection(node_ids))
-        for node_id in repairing:
-            self._nodes[node_id].state = NodeState.UP
-        self._down -= repairing
-        repaired = len(repairing)
+        down = self._down
+        before = len(down)
+        if node_ids is None:
+            down.clear()
+        else:
+            down.difference_update(node_ids)
+        repaired = before - len(down)
         if repaired:
             self._notify(repaired)
         return repaired

@@ -252,12 +252,11 @@ class TestStateTransitions:
         """Every member the table references must exist on the enum."""
         from repro.gara.reservation import ReservationState
         from repro.resources.compute import JobState
-        from repro.resources.machine import NodeState
         from repro.sla.lifecycle import Phase
         from repro.sla.negotiation import NegotiationState
         enums = {"ReservationState": ReservationState, "Phase": Phase,
                  "NegotiationState": NegotiationState,
-                 "JobState": JobState, "NodeState": NodeState}
+                 "JobState": JobState}
         assert set(STATE_MACHINES) == set(enums)
         for name, spec in STATE_MACHINES.items():
             members = {member.name for member in enums[name]}
@@ -679,6 +678,65 @@ class TestHotPathAllocation:
                    "def parse_failure(error):\n"
                    "    return MessageError(str(error))\n")
         assert run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115") == []
+
+    def test_per_departure_object_in_remove_flags(self, run):
+        snippet = ("class CapacityPartition:\n"
+                   "    def remove_guaranteed(self, user):\n"
+                   "        self._log.append(Departure(user))\n"
+                   "        return self.rebalance()\n")
+        findings = run(snippet, relpath=self.PARTITION, rule_id="QLNT115")
+        assert findings and "Departure" in findings[0].message
+
+    def test_remove_as_written_is_clean(self, run):
+        snippet = ("class CapacityPartition:\n"
+                   "    def remove_guaranteed(self, user):\n"
+                   "        holding = self._guaranteed.pop(user, None)\n"
+                   "        if holding is None:\n"
+                   "            raise AdmissionError(f'{user} not admitted')\n"
+                   "        at = bisect_left(self._keys, user)\n"
+                   "        del self._keys[at]\n"
+                   "        self._cuts = [cut - (cut > at)\n"
+                   "                      for cut in self._cuts]\n"
+                   "        self._low = min(self._low, at)\n"
+                   "        return self.rebalance()\n")
+        assert run(snippet, relpath=self.PARTITION,
+                   rule_id="QLNT115") == []
+
+    MACHINE = "src/repro/resources/machine.py"
+
+    def test_per_node_object_in_fail_nodes_flags(self, run):
+        # The shape the down-set replaced: one state object per node,
+        # walked and flipped on every failure.
+        snippet = ("class Machine:\n"
+                   "    def fail_nodes(self, count):\n"
+                   "        nodes = [Node(i) for i in range(self._total)]\n"
+                   "        return [n.node_id for n in nodes[:count]]\n")
+        findings = run(snippet, relpath=self.MACHINE, rule_id="QLNT115")
+        assert findings and "Node" in findings[0].message
+
+    def test_closure_in_repair_nodes_flags(self, run):
+        snippet = ("class Machine:\n"
+                   "    def repair_nodes(self, node_ids=None):\n"
+                   "        keep = lambda i: i not in node_ids\n"
+                   "        self._down = set(filter(keep, self._down))\n")
+        findings = run(snippet, relpath=self.MACHINE, rule_id="QLNT115")
+        assert findings and "closure" in findings[0].message
+
+    def test_the_down_set_as_written_is_clean(self, run):
+        snippet = ("class Machine:\n"
+                   "    def fail_nodes(self, count):\n"
+                   "        if count < 0:\n"
+                   "            raise ResourceError(f'negative: {count}')\n"
+                   "        down = self._down\n"
+                   "        failed_ids = list(islice(filterfalse(\n"
+                   "            down.__contains__, range(self._total)), count))\n"
+                   "        down.update(failed_ids)\n"
+                   "        return failed_ids\n"
+                   "    def repair_nodes(self, node_ids=None):\n"
+                   "        before = len(self._down)\n"
+                   "        self._down.difference_update(node_ids)\n"
+                   "        return before - len(self._down)\n")
+        assert run(snippet, relpath=self.MACHINE, rule_id="QLNT115") == []
 
     def test_admission_may_build_its_holding(self, run):
         # admit_guaranteed() is not in the declared hot path.

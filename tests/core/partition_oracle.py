@@ -13,9 +13,11 @@ subtracts draw by draw).
 from __future__ import annotations
 
 from dataclasses import astuple
+from itertools import accumulate
 
 import pytest
 
+from repro.core import capacity
 from repro.core._reference import NaiveCapacityPartition
 from repro.core.capacity import CapacityPartition, GuaranteedHolding
 
@@ -47,6 +49,36 @@ def count_redraws(monkeypatch) -> list:
         GuaranteedHolding, "served",
         property(lambda holding: holding.__dict__["served"], assign))
     return writes
+
+
+def count_resummed(monkeypatch) -> list:
+    """Record how many entries each demand-line prefix sum folds — a
+    pass sums two lines, so it appends two counts."""
+    folds: list = []
+
+    def counting(iterable, **options):
+        entries = list(iterable)
+        folds.append(len(entries))
+        return accumulate(entries, **options)
+    monkeypatch.setattr(capacity, "accumulate", counting)
+    return folds
+
+
+def assert_lines_kept(partition: CapacityPartition) -> None:
+    """The kept demand lines, up to the low-water mark, are a fresh
+    prefix sum of the index columns bit for bit — the whole line once
+    no column is pending (the mark is past the end)."""
+    if partition._keys is None:
+        return
+    low = partition._low
+    for line, column in ((partition._line_e, partition._ents),
+                         (partition._line_x, partition._excs)):
+        fresh = list(accumulate(column, initial=0.0))
+        assert low <= len(column)
+        assert ([value.hex() for value in line[:low + 1]]
+                == [value.hex() for value in fresh[:low + 1]])
+        if low == len(column):
+            assert len(line) == len(fresh)
 
 
 class MirroredPartition:

@@ -5,7 +5,8 @@ changed and the ones lying between where each pool boundary fell on
 the previous pass and where it falls now. These tests drive it across
 each crossing beside the full-recompute oracle, edit the sort-order
 index while a boundary is inside a tier, and pin the work done —
-counted in draws, not time — whatever the number of live holdings.
+counted in draws and in prefix-sum entries, not time — whatever the
+number of live holdings.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from repro.core.capacity import CapacityPartition
 
 from .partition_oracle import (
     MirroredPartition,
+    assert_lines_kept,
     count_entitled_reads,
     count_redraws,
+    count_resummed,
     fresh_oracle,
 )
 
@@ -441,3 +444,49 @@ class TestContendedPassWork:
         assert total <= 2 * self.LIVE + 24
         if lost == 350:
             assert total < 250
+
+    @pytest.mark.parametrize("position", [0, 1, 1234, 1999])
+    def test_a_touched_holding_resums_from_its_position(
+            self, monkeypatch, partition, position):
+        folds = count_resummed(monkeypatch)
+        partition.set_guaranteed_demand(f"u{position:05d}", 3)
+        assert folds == [self.LIVE - position] * 2
+        self._matches_a_fresh_recompute(partition)
+
+    def test_admit_and_remove_resum_from_their_position(self, monkeypatch,
+                                                        partition):
+        folds = count_resummed(monkeypatch)
+        partition.remove_guaranteed("u00007")  # position 7 of 1 999 left
+        assert folds == [1999 - 7] * 2
+        partition.admit_guaranteed("u01500+", 1)  # lands at 1 500
+        partition.set_guaranteed_demand("u01500+", 2)
+        assert folds[2:] == [2000 - 1500] * 2
+        # The lowest change wins: a later and an earlier one, one pass.
+        partition.defer_rebalances()
+        partition.set_guaranteed_demand("u01800", 2)
+        partition.set_guaranteed_demand("u00300", 2)
+        partition.resume_rebalances()
+        assert folds[4:] == [2000 - 299] * 2  # u00007 left: 300 is at 299
+        self._matches_a_fresh_recompute(partition)
+
+    def test_a_rebuilt_index_sums_its_lines_from_the_start(self, partition):
+        # The crash-recovery wipe drops the index; the one the next
+        # contended pass builds must not trust the old lines' entries.
+        partition.clear_holdings()
+        for index in range(self.LIVE + 400):
+            user = f"v{index:05d}"
+            partition.admit_guaranteed(user, 1)
+            partition.set_guaranteed_demand(user, 2 - index % 2)
+        assert partition._keys is not None
+        assert_lines_kept(partition)
+        self._matches_a_fresh_recompute(partition)
+
+    @pytest.mark.parametrize("lost", [350, 770])
+    def test_failure_and_repair_resum_nothing(self, monkeypatch, partition,
+                                              lost):
+        folds = count_resummed(monkeypatch)
+        partition.apply_failure(lost)
+        partition.apply_repair(lost / 2)
+        partition.apply_repair()
+        assert folds == [0] * 6
+        self._matches_a_fresh_recompute(partition)

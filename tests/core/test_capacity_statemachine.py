@@ -12,7 +12,9 @@ are all integer-valued, within 1e-9 in the fractional ones. The same
 check holds the sort-order index to the holdings and the remembered
 cut positions to a from-scratch search, across admissions that land
 before, between and after the live keys and removals of the holding a
-boundary straddles, in and out of a deferred window.
+boundary straddles, in and out of a deferred window — and the two
+demand lines the partition keeps between passes to a fresh prefix sum,
+bit for bit, up to their low-water mark.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from .partition_oracle import MirroredPartition
+from .partition_oracle import MirroredPartition, assert_lines_kept
 
 CG, CA, CB, BE_MIN = 15.0, 6.0, 5.0, 2.0
 _EPSILON = 1e-6
@@ -205,6 +207,10 @@ class PartitionMachine(RuleBasedStateMachine):
     @invariant()
     def matches_full_recompute(self):
         self.mirror.check()
+
+    @invariant()
+    def kept_lines_match_a_fresh_sum(self):
+        assert_lines_kept(self.partition)
 
     @invariant()
     def never_overallocated(self):

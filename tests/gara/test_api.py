@@ -14,6 +14,7 @@ from repro.gara.reservation import ReservationState
 from repro.gara.slot_table import SlotTable
 from repro.qos.vector import ResourceVector
 from repro.rsl.builder import reservation_rsl
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -131,3 +132,59 @@ class TestExpiry:
         gara.reservation_cancel(first)
         live = gara.live_reservations()
         assert [r.handle for r in live] == [second]
+
+
+class TestTimersDieWithTheirState:
+    """A reservation's pending timers are retired when it leaves the
+    state they guard, so none fires as a no-op later."""
+
+    def test_commit_retires_the_confirm_timeout(self, gara, sim):
+        handle = gara.reservation_create(rsl(cpu=10))
+        assert len(sim) == 2  # confirm-timeout and window-expiry
+        gara.reservation_commit(handle)
+        assert len(sim) == 1
+        assert handle.value not in gara._confirm_timers
+        # Only the expiry is left to fire.
+        assert sim.run(until=200.0) == 1
+        assert gara.reservation_status(handle).state is \
+            ReservationState.EXPIRED
+
+    def test_cancel_retires_both_timers(self, gara, sim):
+        temporary = gara.reservation_create(rsl(cpu=10))
+        committed = gara.reservation_create(rsl(cpu=10))
+        gara.reservation_commit(committed)
+        gara.reservation_cancel(temporary)
+        gara.reservation_cancel(committed)
+        assert len(sim) == 0
+        assert sim.run(until=200.0) == 0
+        assert not gara._confirm_timers and not gara._expiry_timers
+
+    def test_a_cancelled_reservations_expiry_never_fires(self, trace):
+        sim = Simulator(trace=trace)
+        gara = GaraApi(sim, SlotTable(ResourceVector(cpu=26)))
+        handle = gara.reservation_create(rsl(cpu=10, end=50.0))
+        gara.reservation_commit(handle)
+        gara.reservation_cancel(handle)
+        sim.run(until=100.0)
+        assert trace.filter(category="event") == []
+
+    def test_a_fired_confirm_timeout_retires_the_expiry(self, gara, sim):
+        handle = gara.reservation_create(rsl(cpu=10))
+        assert sim.run(until=200.0) == 1
+        assert gara.reservation_status(handle).state is \
+            ReservationState.CANCELLED
+        assert not gara._confirm_timers and not gara._expiry_timers
+
+    def test_an_expiry_before_the_deadline_retires_the_timeout(self, gara,
+                                                               sim):
+        handle = gara.reservation_create(rsl(cpu=10, end=10.0))
+        assert sim.run(until=200.0) == 1
+        assert gara.reservation_status(handle).state is \
+            ReservationState.EXPIRED
+        assert not gara._confirm_timers and not gara._expiry_timers
+
+    def test_unbounded_committed_booking_holds_no_timer(self, gara, sim):
+        handle = gara.reservation_create(
+            rsl(cpu=10, end=float("inf")))
+        gara.reservation_commit(handle)
+        assert len(sim) == 0

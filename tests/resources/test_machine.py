@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.testbed import build_testbed
 from repro.errors import ResourceError
-from repro.resources.machine import Machine, NodeState
+from repro.resources.machine import Machine
+
+from .machine_reference import ReferenceMachine
 
 
 @pytest.fixture
@@ -80,13 +85,40 @@ class TestListeners:
         assert deltas == []
 
 
+class TestNegativeCount:
+    def test_negative_count_is_refused(self, sgi):
+        deltas = []
+        sgi.subscribe(lambda machine, delta: deltas.append(delta))
+        sgi.fail_nodes(3)
+        with pytest.raises(ResourceError):
+            sgi.fail_nodes(-2)
+        assert sgi.up_nodes() == 61
+        assert deltas == [-3]
+
+    def test_negative_count_repairs_nothing_in_the_testbed(self):
+        # A "failure" of -2 nodes used to take nothing down yet notify
+        # +2, so the partition and slot table "repaired" 2 units.
+        testbed = build_testbed()
+        testbed.machine.fail_nodes(3)
+        with pytest.raises(ResourceError):
+            testbed.machine.fail_nodes(-2)
+        assert testbed.machine.up_nodes() == 61
+        assert testbed.compute_rm.capacity().cpu == 23
+        assert testbed.partition.failed == 3.0
+
+    def test_zero_count_still_notifies_zero(self, sgi):
+        deltas = []
+        sgi.subscribe(lambda machine, delta: deltas.append(delta))
+        assert sgi.fail_nodes(0) == []
+        assert deltas == [0]
+
+
 class TestFailureBookkeeping:
-    """The down-set must agree with the node states it summarises."""
+    """The down-set is the machine's only record of node state."""
 
     @staticmethod
     def _down_ids(machine):
-        return [node_id for node_id, node in machine._nodes.items()
-                if node.state is NodeState.DOWN]
+        return sorted(machine._down)
 
     def test_victims_are_the_lowest_up_ids(self, sgi):
         assert sgi.fail_nodes(3) == [0, 1, 2]
@@ -123,3 +155,45 @@ class TestFailureBookkeeping:
         assert sgi.repair_nodes([2, 2, 0, 2, 999]) == 2
         assert self._down_ids(sgi) == [1]
         assert sgi.available_grid_nodes() == 25
+
+
+# One step: ("fail", count), ("repair", ids) or ("repair_all", None).
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("fail"), st.integers(min_value=0, max_value=12)),
+    st.tuples(st.just("repair"),
+              st.lists(st.integers(min_value=-2, max_value=20),
+                       max_size=6)),
+    st.tuples(st.just("repair_all"), st.none())), max_size=30)
+
+
+class TestAgainstTheNodeWalkingMachine:
+    """The down-set machine against the one that kept a node object per
+    processor (``machine_reference.py``): same ids, same deltas, same
+    counts after every step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(total=st.integers(min_value=1, max_value=16),
+           grid=st.integers(min_value=1, max_value=16), steps=_STEPS)
+    def test_generated_fail_and_repair_sequences(self, total, grid, steps):
+        grid = min(grid, total)
+        real = Machine("m", total, grid_nodes=grid)
+        reference = ReferenceMachine("m", total, grid_nodes=grid)
+        deltas, expected = [], []
+        real.subscribe(lambda machine, delta: deltas.append(delta))
+        reference.subscribe(lambda machine, delta: expected.append(delta))
+        for step, argument in steps:
+            if step == "fail":
+                if argument > reference.up_nodes():
+                    with pytest.raises(ResourceError):
+                        real.fail_nodes(argument)
+                    continue
+                assert real.fail_nodes(argument) == \
+                    reference.fail_nodes(argument)
+            else:
+                ids = argument if step == "repair" else None
+                assert real.repair_nodes(ids) == reference.repair_nodes(ids)
+            assert deltas == expected
+            assert sorted(real._down) == reference.down_ids()
+            assert real.up_nodes() == reference.up_nodes()
+            assert real.available_grid_nodes() == \
+                reference.available_grid_nodes()
