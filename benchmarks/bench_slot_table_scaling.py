@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import time
 
-from repro.gara._reference import NaiveSlotTable
 from repro.gara.slot_table import SlotTable
 from repro.qos.vector import ResourceVector
+from tests.gara.slot_table_reference import NaiveSlotTable
 
 from .conftest import report, write_artifact
 

@@ -23,8 +23,8 @@ timeline exactly replayable. Being a pure function does not mean
 recomputing it: a pass re-draws only the holdings whose demand changed
 and the ones a pool boundary crossed since the last pass (see
 :meth:`CapacityPartition.rebalance` and DESIGN §4); the full recompute
-survives as :class:`repro.core._reference.NaiveCapacityPartition`, the
-differential-test oracle.
+survives as ``tests/core/capacity_reference.NaiveCapacityPartition``,
+the differential-test oracle.
 
 Priority tiers inside ``rebalance``:
 

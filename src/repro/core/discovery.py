@@ -9,11 +9,15 @@ transports implement it behind one interface:
   trace records), so fault-free runs stay byte-identical.
 * :class:`ResilientDiscovery` — discovery as a ``find_services``
   request to a :class:`RegistryEndpoint` on the message bus, through a
-  :class:`~repro.xmlmsg.resilient.ResilientCaller`. When the registry
+  :class:`~repro.xmlmsg.resilient.ResilientCaller`. It keeps the last
+  good answer per query together with the registry validator it was
+  sent with, and asks conditionally: when the registry has not changed
+  since, the endpoint answers ``unchanged`` without decoding the query
+  or searching, and the held answer is served again. When the registry
   becomes unreachable (retries exhausted, circuit open) it degrades
-  gracefully: the last good answer for the same query is served from a
-  stale cache with :attr:`DiscoveryResult.degraded` set, rather than
-  failing the whole service request.
+  gracefully: the same held answer is served with
+  :attr:`DiscoveryResult.degraded` set, rather than failing the whole
+  service request.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ except ImportError:  # pragma: no cover - Python < 3.8
     Protocol = object  # type: ignore[assignment]
 from xml.etree import ElementTree as ET
 
-from ..errors import CircuitOpenError, RegistryError, TransientMessageError
+from ..errors import (CircuitOpenError, MessageError, RegistryError,
+                      TransientMessageError)
 from ..qos.specification import QoSSpecification
 from ..registry.query import PropertyConstraint, PropertyValue, ServiceQuery
 from ..registry.uddie import ServiceRecord, UddieRegistry
@@ -35,7 +40,7 @@ from ..sim.trace import TraceRecorder
 from ..telemetry import MetricsRegistry
 from ..xmlmsg.bus import MessageBus
 from ..xmlmsg.codec import _decode_specification, _encode_specification
-from ..xmlmsg.document import child_text, element, subelement
+from ..xmlmsg.document import element, subelement
 from ..xmlmsg.envelope import Envelope
 from ..xmlmsg.resilient import ResilientCaller
 
@@ -104,6 +109,29 @@ def _decode_value(type_name: str, text: str) -> PropertyValue:
     return text
 
 
+def _text(parent: ET.Element, tag: str, absent: str) -> str:
+    """The exact text of child ``tag``: ``""`` when it is empty,
+    ``absent`` only when there is no such child. Unlike ``child_text``
+    it does not strip, so a padded name pattern stays the query the
+    sender asked."""
+    node = parent.find(tag)
+    if node is None:
+        return absent
+    return node.text or ""
+
+
+def _exact(query: ServiceQuery) -> "Tuple[ServiceQuery, tuple]":
+    """``query`` with its constraint values as the wire writes them.
+
+    Query ``==`` is lossy where the answer is not: constraints on
+    ``True``, ``1`` and ``1.0`` (or ``0.0`` and ``-0.0``) compare equal
+    but match a string property differently. An answer is held under
+    this key, so it only ever serves the exact query it was found for.
+    """
+    return query, tuple(_encode_value(constraint.value)
+                        for constraint in query.constraints)
+
+
 def encode_service_query(query: ServiceQuery) -> ET.Element:
     """Serialize a :class:`ServiceQuery` to a ``<Service_Query>``."""
     root = element("Service_Query")
@@ -131,7 +159,7 @@ def decode_service_query(node: ET.Element) -> ServiceQuery:
     qos_node = node.find("QoS_Specification")
     qos = _decode_specification(qos_node) if qos_node is not None else None
     return ServiceQuery(
-        name_pattern=child_text(node, "Name_Pattern", default="*") or "*",
+        name_pattern=_text(node, "Name_Pattern", "*"),
         constraints=tuple(constraints), qos=qos)
 
 
@@ -167,9 +195,9 @@ def decode_service_records(node: ET.Element) -> "List[ServiceRecord]":
                 prop.get("type", "str"), prop.text or "")
         records.append(ServiceRecord(
             record_id=int(child.get("id", "0")),
-            name=child_text(child, "Name", default=""),
-            provider=child_text(child, "Provider", default=""),
-            endpoint=child_text(child, "Endpoint", default=""),
+            name=_text(child, "Name", ""),
+            provider=_text(child, "Provider", ""),
+            endpoint=_text(child, "Endpoint", ""),
             capability=capability,
             properties=properties))
     return records
@@ -179,7 +207,11 @@ class RegistryEndpoint:
     """Exposes a :class:`UddieRegistry` as a bus endpoint.
 
     Handles ``find_services`` requests carrying a ``<Service_Query>``
-    and replies with the matching ``<Service_Records>``.
+    and replies with the matching ``<Service_Records>``, stamped with
+    the registry's validator. A query that carries the current
+    validator is answered ``<Service_Records validator=".."
+    unchanged="true" />`` before it is decoded: the sender already holds
+    this registry state's answer to it.
     """
 
     def __init__(self, registry: UddieRegistry, bus: MessageBus, *,
@@ -190,10 +222,14 @@ class RegistryEndpoint:
         endpoint.on("find_services", self._on_find_services)
 
     def _on_find_services(self, envelope: Envelope) -> Envelope:
-        query = decode_service_query(envelope.body)
-        matches = self.registry.find(query)
-        return envelope.reply("service_records",
-                              encode_service_records(matches))
+        validator = self.registry.validator
+        if envelope.body.get("validator") == validator:
+            return envelope.reply("service_records", element(
+                "Service_Records", validator=validator, unchanged="true"))
+        reply = encode_service_records(
+            self.registry.find(decode_service_query(envelope.body)))
+        reply.set("validator", validator)
+        return envelope.reply("service_records", reply)
 
 
 class ResilientDiscovery:
@@ -226,9 +262,10 @@ class ResilientDiscovery:
         self.registry_name = registry_name
         self._trace = trace
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Last good answer per query: (time, records).
-        self._cache: Dict[ServiceQuery,
-                          Tuple[float, List[ServiceRecord]]] = {}
+        #: Last good answer per query: (time, validator, records).
+        #: Revalidated by every lookup, served alone when degraded.
+        self._cache: Dict[tuple, Tuple[float, Optional[str],
+                                       List[ServiceRecord]]] = {}
 
     @property
     def stale_hits(self) -> int:
@@ -239,23 +276,34 @@ class ResilientDiscovery:
     def find(self, query: ServiceQuery) -> DiscoveryResult:
         """Look up matches over the bus.
 
-        On transport failure the last good answer for the same query
-        is returned with ``degraded=True``; with no cached answer the
+        The query carries the validator of the answer held for it, if
+        any; an ``unchanged`` reply serves that answer again. On
+        transport failure the last good answer for the same query is
+        returned with ``degraded=True``; with no cached answer the
         lookup fails as a :class:`~repro.errors.RegistryError`.
+
+        Raises:
+            MessageError: When the registry answers ``unchanged`` to a
+                validator this client did not send.
         """
+        key = _exact(query)
+        held = self._cache.get(key)
+        sent = held[1] if held is not None else None
+        body = encode_service_query(query)
+        if sent is not None:
+            body.set("validator", sent)
         envelope = Envelope(sender=self.client_name,
                             recipient=self.registry_name,
-                            action="find_services",
-                            body=encode_service_query(query))
+                            action="find_services", body=body)
         try:
             response = self.caller.call(envelope)
         except (CircuitOpenError, TransientMessageError) as error:
-            cached = self._cache.get(query)
+            cached = self._cache.get(key)
             if cached is None:
                 raise RegistryError(
                     f"discovery unavailable and no cached answer: "
                     f"{error}") from error
-            cached_at, records = cached
+            cached_at, _, records = cached
             age = self._bus.sim.now - cached_at
             self.metrics.counter(
                 "repro_discovery_stale_hits_total").inc()
@@ -265,6 +313,16 @@ class ResilientDiscovery:
                     f"degraded: serving {len(records)} stale record(s) "
                     f"for {query.name_pattern!r}", age=age)
             return DiscoveryResult(list(records), degraded=True, age=age)
-        records = decode_service_records(response.body)
-        self._cache[query] = (self._bus.sim.now, records)
-        return DiscoveryResult(records)
+        reply = response.body
+        validator = reply.get("validator")
+        if reply.get("unchanged") != "true":
+            records = decode_service_records(reply)
+        elif held is not None and sent is not None and validator == sent:
+            records = held[2]
+        else:
+            raise MessageError(
+                f"registry answered 'unchanged' for "
+                f"{query.name_pattern!r} under validator {validator!r}, "
+                f"which holds no answer here")
+        self._cache[key] = (self._bus.sim.now, validator, records)
+        return DiscoveryResult(list(records))

@@ -1,7 +1,5 @@
-"""Experiment harness: metrics, policy runner, the Section 5.6 replay.
+"""Experiment harness: policy runner, the Section 5.6 replay.
 
-* :mod:`repro.experiments.metrics` — time-weighted accumulators
-  (re-exported from :mod:`repro.telemetry.timeweighted`).
 * :mod:`repro.experiments.harness` — drive a workload through an
   allocation policy (fast path) or a full broker testbed.
 * :mod:`repro.experiments.example56` — the paper's worked example.
@@ -11,10 +9,10 @@
   under fault injection / with the telemetry hub installed.
 """
 
+from ..telemetry.timeweighted import TimeWeightedMetrics
 from .chaos_demo import run_chaos_quickstart
 from .example56 import Example56Result, TimelineRow, run_example56
 from .harness import PolicyRunResult, run_broker_workload, run_policy_workload
-from .metrics import TimeWeightedMetrics
 from .reporting import format_table
 from .sequence import figure2_diagram
 from .telemetry_demo import run_telemetry_quickstart

@@ -23,8 +23,8 @@ from ..qos.parameters import Dimension, exact_parameter, range_parameter
 from ..qos.specification import QoSSpecification
 from ..sla.document import AdaptationOptions
 from ..sla.negotiation import ServiceRequest
+from ..telemetry.timeweighted import TimeWeightedMetrics
 from ..workloads.sessions import SessionSpec, Workload
-from .metrics import TimeWeightedMetrics
 
 _EPSILON = 1e-9
 

@@ -8,8 +8,6 @@ contract over an advance-reservation slot table:
 
 * :mod:`repro.gara.slot_table` — time-indexed capacity accounting
   (sweep-line usage-profile index; O(log n) point queries).
-* :mod:`repro.gara._reference` — the original event-point-scan table,
-  kept as the differential-testing oracle for the index.
 * :mod:`repro.gara.reservation` — reservation objects and their state
   machine (temporary → committed → bound → finished).
 * :mod:`repro.gara.api` — the ``globus_gara_reservation_*`` primitives.

@@ -13,7 +13,7 @@ consecutive boundaries. Point queries (:meth:`usage_at`,
 over the ``k`` segments the window overlaps, and mutations patch only
 the affected segments — O(log n) / O(log n + k) instead of the
 O(n²)-per-query event-point scan the first implementation used (kept
-as :class:`repro.gara._reference.NaiveSlotTable` for differential
+as ``tests/gara/slot_table_reference.NaiveSlotTable`` for differential
 testing).
 
 The table also supports capacity *reduction* (node failures shrink the

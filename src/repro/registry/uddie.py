@@ -6,12 +6,21 @@ describing what the provider can deliver). Discovery returns the
 records whose name, properties and capability match a
 :class:`~repro.registry.query.ServiceQuery` — the "list of matching
 services" the AQoS receives in Figure 2.
+
+Every registry carries a *validator* naming its current contents.
+Records are read-only once registered, so only :meth:`register` and
+:meth:`unregister` change what :meth:`UddieRegistry.find` answers, and
+both draw a fresh validator. Validators come from one process-wide
+counter, as record ids do, so no two registry states — of one instance
+or of two — ever share one: an unchanged validator means an unchanged
+answer to any query (the conditional discovery of DESIGN §9).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
 from ..errors import RegistryError, ServiceNotFound
@@ -19,6 +28,7 @@ from ..qos.specification import QoSSpecification
 from .query import PropertyValue, ServiceQuery
 
 _record_counter = itertools.count(1)
+_validator_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -31,7 +41,8 @@ class ServiceRecord:
         provider: Owning business/provider name.
         endpoint: Logical bus endpoint handling invocations.
         capability: Advertised QoS the provider can deliver.
-        properties: Free-form QoS/metadata properties (UDDIe pages).
+        properties: Free-form QoS/metadata properties (UDDIe pages),
+            held as a read-only copy of the mapping given.
     """
 
     record_id: int
@@ -39,7 +50,11 @@ class ServiceRecord:
     provider: str
     endpoint: str
     capability: QoSSpecification
-    properties: "Dict[str, PropertyValue]" = field(default_factory=dict)
+    properties: "Mapping[str, PropertyValue]" = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "properties",
+                           MappingProxyType(dict(self.properties)))
 
 
 class UddieRegistry:
@@ -47,9 +62,16 @@ class UddieRegistry:
 
     def __init__(self) -> None:
         self._records: Dict[int, ServiceRecord] = {}
+        self._validator = str(next(_validator_counter))
 
     def __len__(self) -> int:
         return len(self._records)
+
+    @property
+    def validator(self) -> str:
+        """The current contents' validator; any registration or removal
+        replaces it with one no registry has carried before."""
+        return self._validator
 
     def register(self, name: str, provider: str, *,
                  endpoint: str = "",
@@ -69,8 +91,9 @@ class UddieRegistry:
             record_id=next(_record_counter), name=name, provider=provider,
             endpoint=endpoint,
             capability=capability or QoSSpecification.of(),
-            properties=dict(properties or {}))
+            properties=properties or {})
         self._records[record.record_id] = record
+        self._validator = str(next(_validator_counter))
         return record
 
     def unregister(self, record_id: int) -> None:
@@ -82,6 +105,7 @@ class UddieRegistry:
         if record_id not in self._records:
             raise ServiceNotFound(f"no service record {record_id}")
         del self._records[record_id]
+        self._validator = str(next(_validator_counter))
 
     def get(self, record_id: int) -> ServiceRecord:
         """Look up a record by id."""

@@ -11,23 +11,23 @@ pool boundary crossed since the last pass (DESIGN §4), and is
 differentially tested against this one after every step of a
 generated mutation sequence
 (``tests/core/test_capacity_statemachine.py``,
-``tests/core/test_capacity_delta.py``). It emits nothing (no probe, no
-journal record), is not part of the public API, and nothing on a hot
-path may import it.
+``tests/core/test_capacity_delta.py``, through
+``tests/core/partition_oracle.py``). It emits nothing (no probe, no
+journal record) and lives with the tests, outside the library.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import AdmissionError
-from ..units import iszero
-from .capacity import (
+from repro.core.capacity import (
     BestEffortHolding,
     GuaranteedHolding,
     PoolUsage,
     RebalanceReport,
 )
+from repro.errors import AdmissionError
+from repro.units import iszero
 
 __all__ = ["NaiveCapacityPartition"]
 

@@ -2,7 +2,7 @@
 
 :class:`MirroredPartition` forwards every mutation to a
 :class:`~repro.core.capacity.CapacityPartition` and to the
-full-recompute :class:`~repro.core._reference.NaiveCapacityPartition`,
+full-recompute :class:`~tests.core.capacity_reference.NaiveCapacityPartition`,
 and :meth:`MirroredPartition.check` asserts that the two agree on every
 holding field and on the whole rebalance report — ``==`` while every
 input so far was integer-valued, within 1e-9 once a fractional one has
@@ -18,8 +18,9 @@ from itertools import accumulate
 import pytest
 
 from repro.core import capacity
-from repro.core._reference import NaiveCapacityPartition
 from repro.core.capacity import CapacityPartition, GuaranteedHolding
+
+from .capacity_reference import NaiveCapacityPartition
 
 TOLERANCE = 1e-9
 

@@ -1,10 +1,10 @@
-"""Tests for time-weighted metrics (repro.experiments.metrics)."""
+"""Tests for time-weighted metrics (repro.telemetry.timeweighted)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.metrics import TimeWeightedMetrics
+from repro.telemetry.timeweighted import TimeWeightedMetrics
 
 
 class TestIntegration:

@@ -8,8 +8,8 @@ correct, which is exactly why it stays: the production
 :class:`~repro.gara.slot_table.SlotTable` (sweep-line profile index)
 is differentially tested against it on randomized mutation sequences
 (``tests/gara/test_slot_table_index.py``) and benchmarked against it
-(``benchmarks/bench_slot_table_scaling.py``). It is not part of the
-public API and nothing on a hot path may import it.
+(``benchmarks/bench_slot_table_scaling.py``). It lives with the tests,
+outside the library.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List
 
-from ..errors import CapacityError, ReservationNotFound
-from ..qos.vector import ResourceVector
-from .slot_table import SlotEntry
+from repro.errors import CapacityError, ReservationNotFound
+from repro.gara.slot_table import SlotEntry
+from repro.qos.vector import ResourceVector
 
 __all__ = ["NaiveSlotTable"]
 

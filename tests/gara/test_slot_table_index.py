@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CapacityError
-from repro.gara._reference import NaiveSlotTable
 from repro.gara.slot_table import FOREVER, SlotTable
 from repro.qos.vector import ResourceVector
 from repro.xmlmsg.idempotency import DedupCache
+
+from .slot_table_reference import NaiveSlotTable
 
 CAPACITY = ResourceVector(cpu=12, memory_mb=2048, disk_mb=4096,
                           bandwidth_mbps=100)

@@ -1,0 +1,67 @@
+"""The CLI reports, pinned across commits.
+
+``scripts/check.sh`` proves that two runs of the *same* code print the
+same bytes. This test proves more: that the code prints the bytes it
+printed when these digests were recorded. Each command runs in a fresh
+interpreter (the process-global message, record and span counters start
+where a user's run starts them) and the sha256 of its stdout is
+compared with the golden value. A mismatch means a report moved; it is
+reviewed and re-pinned deliberately, never absorbed.
+
+These are CPython 3.11 pins. Several reports print float sums, and
+CPython 3.12 changed builtin ``sum`` over floats to compensated
+summation, so another interpreter may render a different last digit
+for the same seed (ROADMAP item 1's float-determinism caveat).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+
+#: ``repro`` arguments -> sha256 of stdout. Golden values, reviewed.
+REPORT_SHA256 = {
+    "quickstart":
+        "33ab76983072053baa28ea62549515356ee5be8b98c343d1620bc5a6fdec6f2a",
+    "quickstart --telemetry":
+        "01a8719dfb3678c25c448d11502073070e990781faf9c2600a2b3b06ad210d48",
+    "quickstart --chaos 7":
+        "ff0e572a383540db91ab12b19de1d7eb3155113108adb266fb186aadcd95f87b",
+    "quickstart --crash 7":
+        "a71cb1c7553497fffe6f320d6b6ca5dcb1da3641997be6722fb24b8d6225a8dc",
+    "telemetry --chaos 3":
+        "a877cfa6f937f096b8102e8f45a38ee50c3e7ef39dae4edd675a85449976ebf7",
+    "telemetry --seed 5":
+        "ec5c4dea1376defdd211b53e502f607c0f221a1326169dad596d4dd8af505763",
+    "federate --domains 3 --crash 7":
+        "d34c7fdcd9d1e9095acb84ebe95663f9f536731b8c9aa28c684de3f76db7ae09",
+    "example56":
+        "6af1a9a58257c5016cc37e892fd15b4f80314bc7ff87ae3077924fc30626596f",
+}
+
+
+def _report_sha256(command: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *command.split()],
+        cwd=REPO, env={"PYTHONPATH": str(SRC), "PATH": ""},
+        capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    return hashlib.sha256(result.stdout).hexdigest()
+
+
+@pytest.mark.skipif(
+    (sys.implementation.name, sys.version_info[:2]) != ("cpython", (3, 11)),
+    reason="the digests are CPython 3.11 pins")
+def test_cli_reports_match_their_pins():
+    digests = {command: _report_sha256(command)
+               for command in REPORT_SHA256}
+    moved = sorted(command for command in REPORT_SHA256
+                   if digests[command] != REPORT_SHA256[command])
+    assert not moved, f"reports moved: {moved}"
