@@ -19,7 +19,11 @@ through ``Envelope.to_xml`` and the recursive ``write_xml`` (DESIGN
 that recursion is paid per element of every message. So are the
 instruments' emit paths (DESIGN §10), run per gauge, span, row,
 decision and SLO sample of an instrumented replay: each builds its
-one row and nothing else.
+one row and nothing else. So is the RSL leg every compute booking
+takes (DESIGN §12): the Reservation System writes the string clause by
+clause, GARA lexes it with one compiled pattern, walks the lexemes and
+reads the relations in one pass — a per-lexeme token object or a
+per-call closure there is paid by every admission.
 
 The table below names the hot functions.  Inside them three things
 flag: ``lambda`` expressions (closure allocation per iteration),
@@ -34,6 +38,7 @@ capitalized constructor calls.  Declared allowed idioms:
 * ``Span`` / ``DecisionRecord`` / ``TelemetryEvent`` — the one span
   ``Tracer.start`` opens, the one record ``DecisionLog.decide``
   returns and the one row each emit appends;
+* ``RSLRelation`` / ``RSLExpression`` — the one AST a parse returns;
 * constructor calls inside ``raise`` — error paths are cold.
 """
 
@@ -72,12 +77,19 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
     "repro/telemetry/capacity.py": frozenset({"on_rebalance"}),
     "repro/obs/decisions.py": frozenset({"decide"}),
     "repro/obs/slo.py": frozenset({"snapshot", "fold", "window"}),
+    # One reservation's RSL leg: rendered by the Reservation System,
+    # lexed and parsed back by GARA, read into a demand vector.
+    "repro/rsl/parser.py": frozenset({
+        "parse_rsl", "_parse_expression", "_parse_relation",
+        "_parse_value"}),
+    "repro/rsl/builder.py": frozenset({"reservation_rsl", "vector_from_rsl"}),
+    "repro/rsl/ast.py": frozenset({"_render_value"}),
 }
 
 #: Constructors a hot function may call (see module docstring).
 ALLOWED_CONSTRUCTORS: "FrozenSet[str]" = frozenset({
     "ResourceVector", "RebalanceReport", "PoolUsage", "Span",
-    "DecisionRecord", "TelemetryEvent"})
+    "DecisionRecord", "TelemetryEvent", "RSLRelation", "RSLExpression"})
 
 
 def _hot_functions(relpath: str) -> "Optional[FrozenSet[str]]":

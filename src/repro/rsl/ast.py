@@ -13,6 +13,7 @@ operators ``= != < <= > >=``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -149,13 +150,38 @@ def _canonical(value: Value) -> Value:
     return tuple(_canonical(item) for item in value)
 
 
+#: A character that ends a bare token, or ``'`` (always quoted).
+_NEEDS_QUOTES = re.compile(r"[\s()=<>!\"']")
+
+
 def _render_value(value: Value) -> str:
+    """One value as the parser reads it back.
+
+    A float prints bare (integral ones without ``.0``; no float's
+    ``str`` holds a character that needs quoting). A string is quoted
+    when it is empty, holds whitespace or one of ``()=<>!"'``, or would
+    read back as a number.
+    """
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() else str(value)
     if isinstance(value, tuple):
-        return "(" + " ".join(_render_value(item) for item in value) + ")"
-    if isinstance(value, float) and value.is_integer():  # not ±inf/nan
-        return str(int(value))
+        return "(" + " ".join(map(_render_value, value)) + ")"
     text = str(value)
-    if any(ch in text for ch in " ()=<>!\"'") or text == "":
-        escaped = text.replace('"', '""')
-        return f'"{escaped}"'
+    if (not text or _NEEDS_QUOTES.search(text) is not None
+            or (isinstance(value, str) and _reads_as_number(text))):
+        return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _reads_as_number(text: str) -> bool:
+    """Whether ``float()`` accepts ``text`` — so the parser, which tries
+    it on every bare token, would read it back as a number."""
+    # float() only accepts text opening with a sign, a point, a decimal
+    # digit or inf/nan (whitespace is quoted before this is asked).
+    if text[0] not in "+-.iInN" and not text[0].isdecimal():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

@@ -13,52 +13,59 @@ Grammar (whitespace-insensitive)::
 Multiple values after one operator form a list, matching Globus
 (``(arguments=a b c)``). Quoted strings use double quotes with ``""``
 as the escape.
+
+One compiled pattern, :data:`_LEXEME`, cuts the text into lexemes in a
+single pass, and the descent walks the lexeme list. Three details keep
+the grammar exact:
+
+* whitespace is ``\\s``, which in a ``str`` pattern is exactly the set
+  ``str.isspace()`` accepts;
+* ``&``, ``|`` and ``+`` are token characters: they open a nested
+  expression only as the first character of a token directly after
+  ``(`` (or at the start of the text), so ``a&b`` and ``+2`` stay
+  tokens;
+* ``!``, ``<`` and ``>`` take an ``=`` only when it is adjacent, and a
+  quoted string runs to the first ``"`` not doubled — possessively, so
+  an unterminated string never re-reads as two shorter ones.
+
+The commonest clause, one ``(attribute op token)``, is one lexeme;
+everything else (quoted strings, value lists, several values, nesting)
+is lexed one bracket, operator, quoted string or token at a time. Both
+shapes go through the same descent. Lexemes carry no position: an
+error re-lexes the text to report where it stopped.
 """
 
 from __future__ import annotations
 
-from typing import List
+import re
+from typing import List, Tuple
 
 from ..errors import RSLError
 from .ast import RSLExpression, RSLRelation, Value
 
-_COMBINATORS = "&|+"
-_OPERATOR_STARTS = "=!<>"
+#: One lexeme per match; ``findall`` yields its eight groups:
+#: ``(attribute, op, token)`` of a one-value clause, a bracket, a quoted
+#: string (quotes included), an operator, a token, or a lone ``"`` that
+#: starts no terminated string.
+_LEXEME = re.compile(r"""
+    \s*(?:
+        \(\s*([^\s()"=!<>&|+][^\s()"=!<>]*)\s*(=|!=|<=?|>=?)\s*
+            ([^\s()"=!<>]+)\s*\)
+      | ([()])
+      | ("(?:[^"]|"")*+")
+      | (=|!=?|<=?|>=?)
+      | ([^\s()"=!<>]+)
+      | (")
+    )""", re.VERBOSE)
 
+#: A lexeme as ``findall`` returns it: the first three fields together,
+#: or exactly one of the others, are non-empty.
+_Lexeme = Tuple[str, str, str, str, str, str, str, str]
+#: Where each group lands in a :data:`_Lexeme`.
+(_CLAUSE, _CLAUSE_OP, _CLAUSE_TOKEN, _BRACKET, _QUOTED, _OPERATOR, _TOKEN,
+ _LONE_QUOTE) = range(8)
 
-class _Scanner:
-    """Character scanner with look-ahead."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_space()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take(self) -> str:
-        char = self.peek()
-        if char:
-            self.pos += 1
-        return char
-
-    def expect(self, char: str) -> None:
-        got = self.take()
-        if got != char:
-            raise RSLError(
-                f"expected {char!r} at position {self.pos} "
-                f"of {self.text!r}, got {got!r}")
-
-    def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
+_COMBINATORS = ("&", "|", "+")
 
 
 def parse_rsl(text: str) -> RSLExpression:
@@ -67,124 +74,127 @@ def parse_rsl(text: str) -> RSLExpression:
     A bare relation list without a combinator (``(count=10)(memory=64)``)
     is treated as a conjunction, matching common Globus usage.
     """
-    scanner = _Scanner(text)
-    if scanner.at_end():
+    lexemes = _LEXEME.findall(text)
+    if not lexemes:
         raise RSLError("empty RSL specification")
-    expression = _parse_expression(scanner)
-    if not scanner.at_end():
+    expression, at = _parse_expression(lexemes, 0, text)
+    if at < len(lexemes):
         raise RSLError(
-            f"trailing input at position {scanner.pos} of {text!r}")
+            f"trailing input at position {_position(text, at)} of {text!r}")
     return expression
 
 
-def _parse_expression(scanner: _Scanner) -> RSLExpression:
-    char = scanner.peek()
-    if char in _COMBINATORS:
-        scanner.take()
-        operator = char
-    else:
-        operator = "&"
+def _parse_expression(lexemes: "List[_Lexeme]", at: int,
+                      text: str) -> "Tuple[RSLExpression, int]":
+    size = len(lexemes)
+    operator = "&"
+    if at < size and lexemes[at][_TOKEN][:1] in _COMBINATORS:
+        operator = lexemes[at][_TOKEN]
+        if len(operator) > 1:  # '&x': the combinator is one character
+            raise RSLError(
+                f"expected '(' at position {_position(text, at) + 1} "
+                f"of {text!r}")
+        at += 1
+    if at == size or not (lexemes[at][_CLAUSE]
+                          or lexemes[at][_BRACKET] == "("):
+        raise RSLError(
+            f"expected '(' at position {_position(text, at)} of {text!r}")
     relations: List[RSLRelation] = []
     children: List[RSLExpression] = []
-    saw_clause = False
-    while scanner.peek() == "(":
-        saw_clause = True
-        scanner.expect("(")
-        if scanner.peek() in _COMBINATORS:
-            children.append(_parse_expression(scanner))
+    while at < size:
+        attribute, op, token, bracket = lexemes[at][:4]
+        if attribute:  # a whole one-value clause
+            try:
+                value: Value = float(token)
+            except ValueError:
+                value = token
+            relations.append(RSLRelation(attribute, op, value))
+            at += 1
+            continue
+        if bracket != "(":
+            break
+        at += 1
+        if at == size or lexemes[at][_TOKEN][:1] in _COMBINATORS:
+            child, at = _parse_expression(lexemes, at, text)
+            children.append(child)
         else:
-            relations.append(_parse_relation(scanner))
-        scanner.expect(")")
-    if not saw_clause:
-        raise RSLError(
-            f"expected '(' at position {scanner.pos} of {scanner.text!r}")
-    return RSLExpression(operator=operator, relations=tuple(relations),
-                         children=tuple(children))
+            relation, at = _parse_relation(lexemes, at, text)
+            relations.append(relation)
+        if at == size or lexemes[at][_BRACKET] != ")":
+            stop = _position(text, at)
+            got = text[stop:stop + 1]
+            raise RSLError(
+                f"expected ')' at position {stop + len(got)} "
+                f"of {text!r}, got {got!r}")
+        at += 1
+    return RSLExpression(operator, tuple(relations), tuple(children)), at
 
 
-def _parse_relation(scanner: _Scanner) -> RSLRelation:
-    attribute = _parse_token(scanner)
+def _parse_relation(lexemes: "List[_Lexeme]", at: int,
+                    text: str) -> "Tuple[RSLRelation, int]":
+    size = len(lexemes)
+    attribute = lexemes[at][_TOKEN] if at < size else ""
     if not attribute:
         raise RSLError(
-            f"expected attribute name at position {scanner.pos}")
-    operator = _parse_operator(scanner)
-    values: List[Value] = []
-    while True:
-        char = scanner.peek()
-        if char == ")" or char == "":
-            break
-        values.append(_parse_value(scanner))
-    if not values:
-        raise RSLError(f"relation {attribute!r} has no value")
-    value: Value = values[0] if len(values) == 1 else tuple(values)
-    return RSLRelation(attribute=attribute, operator=operator, value=value)
-
-
-def _parse_operator(scanner: _Scanner) -> str:
-    first = scanner.take()
-    if first not in _OPERATOR_STARTS:
-        raise RSLError(
-            f"expected operator at position {scanner.pos}, got {first!r}")
-    if first == "=":
-        return "="
-    second = ""
-    if scanner.pos < len(scanner.text) and scanner.text[scanner.pos] == "=":
-        scanner.pos += 1
-        second = "="
-    operator = first + second
+            f"expected attribute name at position {_position(text, at)}")
+    at += 1
+    # At the end of the text this is a relation with no value.
+    operator = lexemes[at][_OPERATOR] if at < size else ""
+    if at < size and not operator:
+        stop = _position(text, at)
+        raise RSLError(f"expected operator at position {stop + 1}, "
+                       f"got {text[stop]!r}")
     if operator == "!":
         raise RSLError("'!' must be followed by '='")
-    return operator
+    values: List[Value] = []
+    at += 1
+    while at < size and lexemes[at][_BRACKET] != ")":
+        value, at = _parse_value(lexemes, at, text)
+        values.append(value)
+    if not values:
+        raise RSLError(f"relation {attribute!r} has no value")
+    value = values[0] if len(values) == 1 else tuple(values)
+    return RSLRelation(attribute, operator, value), at
 
 
-def _parse_value(scanner: _Scanner) -> Value:
-    char = scanner.peek()
-    if char == "(":
-        scanner.expect("(")
+def _parse_value(lexemes: "List[_Lexeme]", at: int,
+                 text: str) -> "Tuple[Value, int]":
+    _, _, _, bracket, quoted, _, token, lone_quote = lexemes[at]
+    if token:
+        try:
+            return float(token), at + 1
+        except ValueError:
+            return token, at + 1
+    if quoted:
+        return quoted[1:-1].replace('""', '"'), at + 1
+    if bracket == "(":
+        size = len(lexemes)
         items: List[Value] = []
-        while scanner.peek() != ")":
-            if scanner.peek() == "":
-                raise RSLError("unterminated value list")
-            items.append(_parse_value(scanner))
-        scanner.expect(")")
-        return tuple(items)
-    if char == '"':
-        return _parse_quoted(scanner)
-    token = _parse_token(scanner)
-    if token == "":
-        raise RSLError(f"expected a value at position {scanner.pos}")
-    try:
-        return float(token)
-    except ValueError:
-        return token
+        at += 1
+        while at < size and lexemes[at][_BRACKET] != ")":
+            item, at = _parse_value(lexemes, at, text)
+            items.append(item)
+        if at == size:
+            raise RSLError("unterminated value list")
+        return tuple(items), at + 1
+    if lone_quote:
+        raise RSLError("unterminated quoted string")
+    # An operator, or a whole clause inside a list: either way the
+    # value stops at the operator (regex groups count from 1).
+    group = _CLAUSE_OP + 1 if lexemes[at][_CLAUSE_OP] else 0
+    raise RSLError(
+        f"expected a value at position {_position(text, at, group)}")
 
 
-def _parse_quoted(scanner: _Scanner) -> str:
-    scanner.expect('"')
-    pieces: List[str] = []
-    text = scanner.text
-    while True:
-        if scanner.pos >= len(text):
-            raise RSLError("unterminated quoted string")
-        char = text[scanner.pos]
-        scanner.pos += 1
-        if char == '"':
-            # '""' is an escaped quote.
-            if scanner.pos < len(text) and text[scanner.pos] == '"':
-                pieces.append('"')
-                scanner.pos += 1
-                continue
-            return "".join(pieces)
-        pieces.append(char)
+def _position(text: str, at: int, group: int = 0) -> int:
+    """Where lexeme ``at`` (or its ``group``) starts in ``text``, and
+    ``len(text)`` past the last lexeme.
 
-
-def _parse_token(scanner: _Scanner) -> str:
-    scanner.skip_space()
-    start = scanner.pos
-    text = scanner.text
-    while scanner.pos < len(text):
-        char = text[scanner.pos]
-        if char.isspace() or char in "()\"" or char in _OPERATOR_STARTS:
-            break
-        scanner.pos += 1
-    return text[start:scanner.pos]
+    Only error paths ask, so lexemes need not carry their offsets.
+    """
+    for index, match in enumerate(_LEXEME.finditer(text)):
+        if index == at:
+            if group:
+                return match.start(group)
+            return match.end() - len(match.group().lstrip())
+    return len(text)

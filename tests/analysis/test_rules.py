@@ -862,6 +862,63 @@ class TestHotPathAllocation:
                 "        return event\n")
         assert run(rows, relpath=self.EVENTS_LOG, rule_id="QLNT115") == []
 
+    # -- the RSL leg ---------------------------------------------------
+
+    PARSER = "src/repro/rsl/parser.py"
+    BUILDER = "src/repro/rsl/builder.py"
+    RSL_AST = "src/repro/rsl/ast.py"
+
+    def test_per_lexeme_token_object_flags(self, run):
+        snippet = ("def _parse_value(lexemes, at, text):\n"
+                   "    token = Token(lexemes[at][6], at)\n"
+                   "    return token.value, at + 1\n")
+        findings = run(snippet, relpath=self.PARSER, rule_id="QLNT115")
+        assert findings and "Token" in findings[0].message
+
+    def test_numeric_closure_in_vector_from_rsl_flags(self, run):
+        # The seed's per-call ``numeric`` closure.
+        snippet = ("def vector_from_rsl(text):\n"
+                   "    attributes = parse_rsl(text).attributes()\n"
+                   "    def numeric(name):\n"
+                   "        return float(attributes[name])\n"
+                   "    return numeric('count')\n")
+        findings = run(snippet, relpath=self.BUILDER, rule_id="QLNT115")
+        assert findings and "numeric()" in findings[0].message
+
+    def test_closure_in_the_value_renderer_flags(self, run):
+        snippet = ("def _render_value(value):\n"
+                   "    text = str(value)\n"
+                   "    if any(map(lambda ch: ch in text, ' ()=')):\n"
+                   "        return '\"' + text + '\"'\n"
+                   "    return text\n")
+        findings = run(snippet, relpath=self.RSL_AST, rule_id="QLNT115")
+        assert findings and "closure" in findings[0].message
+
+    def test_the_rsl_leg_as_written_is_clean(self, run):
+        parser = ("def parse_rsl(text):\n"
+                  "    lexemes = _LEXEME.findall(text)\n"
+                  "    if not lexemes:\n"
+                  "        raise RSLError('empty RSL specification')\n"
+                  "    expression, at = _parse_expression(lexemes, 0, text)\n"
+                  "    return expression\n"
+                  "def _parse_expression(lexemes, at, text):\n"
+                  "    relations = []\n"
+                  "    for attribute, op, token in lexemes:\n"
+                  "        relations.append(RSLRelation(attribute, op, token))\n"
+                  "    return RSLExpression('&', tuple(relations), ()), at\n")
+        assert run(parser, relpath=self.PARSER, rule_id="QLNT115") == []
+        builder = ("def reservation_rsl(demand, start, end):\n"
+                   "    text = '&'\n"
+                   "    for name, value in zip(_NAMES, demand.as_tuple()):\n"
+                   "        text += f'({name}={_render_value(value)})'\n"
+                   "    return text\n"
+                   "def vector_from_rsl(text):\n"
+                   "    bound = [0.0, 0.0, 0.0, 0.0]\n"
+                   "    for relation in parse_rsl(text).relations:\n"
+                   "        bound[_SLOTS[relation.attribute]] = relation.value\n"
+                   "    return ResourceVector(*map(_numeric, bound))\n")
+        assert run(builder, relpath=self.BUILDER, rule_id="QLNT115") == []
+
 
 # ----------------------------------------------------------------------
 # QLNT116 — reject/degrade path without a decision record
