@@ -81,9 +81,9 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
     # lexed and parsed back by GARA, read into a demand vector.
     "repro/rsl/parser.py": frozenset({
         "parse_rsl", "_parse_expression", "_parse_relation",
-        "_parse_value"}),
+        "_parse_values"}),
     "repro/rsl/builder.py": frozenset({"reservation_rsl", "vector_from_rsl"}),
-    "repro/rsl/ast.py": frozenset({"_render_value"}),
+    "repro/rsl/ast.py": frozenset({"_token_value", "_render_value"}),
 }
 
 #: Constructors a hot function may call (see module docstring).

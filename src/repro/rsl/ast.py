@@ -150,8 +150,23 @@ def _canonical(value: Value) -> Value:
     return tuple(_canonical(item) for item in value)
 
 
+#: The characters other than whitespace that end a bare token; each
+#: starts a lexeme of its own (a bracket, a quoted string or an
+#: operator). The parser's lexer and the renderer's quoting test are
+#: both built from it, so they cannot disagree.
+_PUNCTUATION = '()"=!<>'
+
 #: A character that ends a bare token, or ``'`` (always quoted).
-_NEEDS_QUOTES = re.compile(r"[\s()=<>!\"']")
+_NEEDS_QUOTES = re.compile(rf"[\s{_PUNCTUATION}']")
+
+
+def _token_value(token: str) -> Value:
+    """A bare token as the parser reads it: a number when ``float()``
+    accepts it, otherwise the text itself."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
 
 
 def _render_value(value: Value) -> str:
@@ -159,7 +174,7 @@ def _render_value(value: Value) -> str:
 
     A float prints bare (integral ones without ``.0``; no float's
     ``str`` holds a character that needs quoting). A string is quoted
-    when it is empty, holds whitespace or one of ``()=<>!"'``, or would
+    when it is empty, holds whitespace, punctuation or ``'``, or would
     read back as a number.
     """
     if isinstance(value, float):
@@ -168,20 +183,7 @@ def _render_value(value: Value) -> str:
         return "(" + " ".join(map(_render_value, value)) + ")"
     text = str(value)
     if (not text or _NEEDS_QUOTES.search(text) is not None
-            or (isinstance(value, str) and _reads_as_number(text))):
+            or (isinstance(value, str)
+                and isinstance(_token_value(text), float))):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _reads_as_number(text: str) -> bool:
-    """Whether ``float()`` accepts ``text`` — so the parser, which tries
-    it on every bare token, would read it back as a number."""
-    # float() only accepts text opening with a sign, a point, a decimal
-    # digit or inf/nan (whitespace is quoted before this is asked).
-    if text[0] not in "+-.iInN" and not text[0].isdecimal():
-        return False
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True

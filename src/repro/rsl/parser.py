@@ -15,24 +15,26 @@ Multiple values after one operator form a list, matching Globus
 as the escape.
 
 One compiled pattern, :data:`_LEXEME`, cuts the text into lexemes in a
-single pass, and the descent walks the lexeme list. Three details keep
-the grammar exact:
+single ``findall`` pass — brackets, quoted strings, operators and
+tokens — and the descent walks the list. A lexeme's first character
+says which kind it is: a token is the only kind that cannot start with
+one of :data:`~repro.rsl.ast._PUNCTUATION`. Three details keep the
+grammar exact:
 
 * whitespace is ``\\s``, which in a ``str`` pattern is exactly the set
-  ``str.isspace()`` accepts;
+  ``str.isspace()`` accepts: every other character starts a lexeme, so
+  ``findall`` skips whitespace and nothing else;
 * ``&``, ``|`` and ``+`` are token characters: they open a nested
   expression only as the first character of a token directly after
   ``(`` (or at the start of the text), so ``a&b`` and ``+2`` stay
   tokens;
 * ``!``, ``<`` and ``>`` take an ``=`` only when it is adjacent, and a
-  quoted string runs to the first ``"`` not doubled — possessively, so
-  an unterminated string never re-reads as two shorter ones.
+  quoted string runs to the first ``"`` not doubled: the look-ahead
+  after its closing quote stops an unterminated string from re-reading
+  as a shorter one that ends inside a ``""``.
 
-The commonest clause, one ``(attribute op token)``, is one lexeme;
-everything else (quoted strings, value lists, several values, nesting)
-is lexed one bracket, operator, quoted string or token at a time. Both
-shapes go through the same descent. Lexemes carry no position: an
-error re-lexes the text to report where it stopped.
+Lexemes carry no position: an error re-lexes the text to report where
+it stopped.
 """
 
 from __future__ import annotations
@@ -41,31 +43,19 @@ import re
 from typing import List, Tuple
 
 from ..errors import RSLError
-from .ast import RSLExpression, RSLRelation, Value
+from .ast import _PUNCTUATION, RSLExpression, RSLRelation, Value, _token_value
 
-#: One lexeme per match; ``findall`` yields its eight groups:
-#: ``(attribute, op, token)`` of a one-value clause, a bracket, a quoted
-#: string (quotes included), an operator, a token, or a lone ``"`` that
-#: starts no terminated string.
-_LEXEME = re.compile(r"""
-    \s*(?:
-        \(\s*([^\s()"=!<>&|+][^\s()"=!<>]*)\s*(=|!=|<=?|>=?)\s*
-            ([^\s()"=!<>]+)\s*\)
-      | ([()])
-      | ("(?:[^"]|"")*+")
-      | (=|!=?|<=?|>=?)
-      | ([^\s()"=!<>]+)
-      | (")
-    )""", re.VERBOSE)
+#: One lexeme per match.
+_LEXEME = re.compile(rf"""
+      [()]                     # a bracket
+    | "(?:[^"]|"")*"(?!")      # a quoted string, quotes included
+    | =|!=?|<=?|>=?            # an operator
+    | [^\s{_PUNCTUATION}]+     # a token
+    | "                        # a lone quote: it ends no string
+    """, re.VERBOSE)
 
-#: A lexeme as ``findall`` returns it: the first three fields together,
-#: or exactly one of the others, are non-empty.
-_Lexeme = Tuple[str, str, str, str, str, str, str, str]
-#: Where each group lands in a :data:`_Lexeme`.
-(_CLAUSE, _CLAUSE_OP, _CLAUSE_TOKEN, _BRACKET, _QUOTED, _OPERATOR, _TOKEN,
- _LONE_QUOTE) = range(8)
-
-_COMBINATORS = ("&", "|", "+")
+_COMBINATORS = "&|+"
+_OPERATOR_STARTS = "=!<>"
 
 
 def parse_rsl(text: str) -> RSLExpression:
@@ -84,43 +74,31 @@ def parse_rsl(text: str) -> RSLExpression:
     return expression
 
 
-def _parse_expression(lexemes: "List[_Lexeme]", at: int,
+def _parse_expression(lexemes: List[str], at: int,
                       text: str) -> "Tuple[RSLExpression, int]":
     size = len(lexemes)
     operator = "&"
-    if at < size and lexemes[at][_TOKEN][:1] in _COMBINATORS:
-        operator = lexemes[at][_TOKEN]
+    if at < size and lexemes[at][0] in _COMBINATORS:
+        operator = lexemes[at]
         if len(operator) > 1:  # '&x': the combinator is one character
             raise RSLError(
                 f"expected '(' at position {_position(text, at) + 1} "
                 f"of {text!r}")
         at += 1
-    if at == size or not (lexemes[at][_CLAUSE]
-                          or lexemes[at][_BRACKET] == "("):
+    if at == size or lexemes[at] != "(":
         raise RSLError(
             f"expected '(' at position {_position(text, at)} of {text!r}")
     relations: List[RSLRelation] = []
     children: List[RSLExpression] = []
-    while at < size:
-        attribute, op, token, bracket = lexemes[at][:4]
-        if attribute:  # a whole one-value clause
-            try:
-                value: Value = float(token)
-            except ValueError:
-                value = token
-            relations.append(RSLRelation(attribute, op, value))
-            at += 1
-            continue
-        if bracket != "(":
-            break
+    while at < size and lexemes[at] == "(":
         at += 1
-        if at == size or lexemes[at][_TOKEN][:1] in _COMBINATORS:
+        if at == size or lexemes[at][0] in _COMBINATORS:
             child, at = _parse_expression(lexemes, at, text)
             children.append(child)
         else:
             relation, at = _parse_relation(lexemes, at, text)
             relations.append(relation)
-        if at == size or lexemes[at][_BRACKET] != ")":
+        if at == size or lexemes[at] != ")":
             stop = _position(text, at)
             got = text[stop:stop + 1]
             raise RSLError(
@@ -130,71 +108,65 @@ def _parse_expression(lexemes: "List[_Lexeme]", at: int,
     return RSLExpression(operator, tuple(relations), tuple(children)), at
 
 
-def _parse_relation(lexemes: "List[_Lexeme]", at: int,
+def _parse_relation(lexemes: List[str], at: int,
                     text: str) -> "Tuple[RSLRelation, int]":
     size = len(lexemes)
-    attribute = lexemes[at][_TOKEN] if at < size else ""
-    if not attribute:
+    attribute = lexemes[at]
+    if attribute[0] in _PUNCTUATION:
         raise RSLError(
             f"expected attribute name at position {_position(text, at)}")
     at += 1
     # At the end of the text this is a relation with no value.
-    operator = lexemes[at][_OPERATOR] if at < size else ""
-    if at < size and not operator:
+    operator = lexemes[at] if at < size else ""
+    if operator and operator[0] not in _OPERATOR_STARTS:
         stop = _position(text, at)
         raise RSLError(f"expected operator at position {stop + 1}, "
                        f"got {text[stop]!r}")
     if operator == "!":
         raise RSLError("'!' must be followed by '='")
-    values: List[Value] = []
-    at += 1
-    while at < size and lexemes[at][_BRACKET] != ")":
-        value, at = _parse_value(lexemes, at, text)
-        values.append(value)
+    values, at = _parse_values(lexemes, at + 1, text)
     if not values:
         raise RSLError(f"relation {attribute!r} has no value")
     value = values[0] if len(values) == 1 else tuple(values)
     return RSLRelation(attribute, operator, value), at
 
 
-def _parse_value(lexemes: "List[_Lexeme]", at: int,
-                 text: str) -> "Tuple[Value, int]":
-    _, _, _, bracket, quoted, _, token, lone_quote = lexemes[at]
-    if token:
-        try:
-            return float(token), at + 1
-        except ValueError:
-            return token, at + 1
-    if quoted:
-        return quoted[1:-1].replace('""', '"'), at + 1
-    if bracket == "(":
-        size = len(lexemes)
-        items: List[Value] = []
+def _parse_values(lexemes: List[str], at: int,
+                  text: str) -> "Tuple[List[Value], int]":
+    """The values from lexeme ``at`` up to the next ``)`` (or the end of
+    the text), and where they stop."""
+    size = len(lexemes)
+    values: List[Value] = []
+    while at < size:
+        lexeme = lexemes[at]
+        first = lexeme[0]
+        if first not in _PUNCTUATION:
+            values.append(_token_value(lexeme))
+        elif first == ")":
+            break
+        elif first == '"':
+            if len(lexeme) == 1:
+                raise RSLError("unterminated quoted string")
+            values.append(lexeme[1:-1].replace('""', '"'))
+        elif first == "(":
+            items, at = _parse_values(lexemes, at + 1, text)
+            if at == size:
+                raise RSLError("unterminated value list")
+            values.append(tuple(items))
+        else:
+            raise RSLError(
+                f"expected a value at position {_position(text, at)}")
         at += 1
-        while at < size and lexemes[at][_BRACKET] != ")":
-            item, at = _parse_value(lexemes, at, text)
-            items.append(item)
-        if at == size:
-            raise RSLError("unterminated value list")
-        return tuple(items), at + 1
-    if lone_quote:
-        raise RSLError("unterminated quoted string")
-    # An operator, or a whole clause inside a list: either way the
-    # value stops at the operator (regex groups count from 1).
-    group = _CLAUSE_OP + 1 if lexemes[at][_CLAUSE_OP] else 0
-    raise RSLError(
-        f"expected a value at position {_position(text, at, group)}")
+    return values, at
 
 
-def _position(text: str, at: int, group: int = 0) -> int:
-    """Where lexeme ``at`` (or its ``group``) starts in ``text``, and
-    ``len(text)`` past the last lexeme.
+def _position(text: str, at: int) -> int:
+    """Where lexeme ``at`` starts in ``text``, and ``len(text)`` past the
+    last lexeme.
 
     Only error paths ask, so lexemes need not carry their offsets.
     """
     for index, match in enumerate(_LEXEME.finditer(text)):
         if index == at:
-            if group:
-                return match.start(group)
-            return match.end() - len(match.group().lstrip())
+            return match.start()
     return len(text)

@@ -869,9 +869,9 @@ class TestHotPathAllocation:
     RSL_AST = "src/repro/rsl/ast.py"
 
     def test_per_lexeme_token_object_flags(self, run):
-        snippet = ("def _parse_value(lexemes, at, text):\n"
-                   "    token = Token(lexemes[at][6], at)\n"
-                   "    return token.value, at + 1\n")
+        snippet = ("def _parse_values(lexemes, at, text):\n"
+                   "    token = Token(lexemes[at], at)\n"
+                   "    return [token.value], at + 1\n")
         findings = run(snippet, relpath=self.PARSER, rule_id="QLNT115")
         assert findings and "Token" in findings[0].message
 
@@ -903,10 +903,19 @@ class TestHotPathAllocation:
                   "    return expression\n"
                   "def _parse_expression(lexemes, at, text):\n"
                   "    relations = []\n"
-                  "    for attribute, op, token in lexemes:\n"
-                  "        relations.append(RSLRelation(attribute, op, token))\n"
+                  "    while lexemes[at] == '(':\n"
+                  "        attribute, op = lexemes[at + 1], lexemes[at + 2]\n"
+                  "        values, at = _parse_values(lexemes, at + 3, text)\n"
+                  "        relations.append(RSLRelation(attribute, op, values[0]))\n"
+                  "        at += 1\n"
                   "    return RSLExpression('&', tuple(relations), ()), at\n")
         assert run(parser, relpath=self.PARSER, rule_id="QLNT115") == []
+        token = ("def _token_value(token):\n"
+                 "    try:\n"
+                 "        return float(token)\n"
+                 "    except ValueError:\n"
+                 "        return token\n")
+        assert run(token, relpath=self.RSL_AST, rule_id="QLNT115") == []
         builder = ("def reservation_rsl(demand, start, end):\n"
                    "    text = '&'\n"
                    "    for name, value in zip(_NAMES, demand.as_tuple()):\n"

@@ -21,6 +21,8 @@ from repro.errors import RSLError, ValidationError
 from repro.qos.vector import ResourceVector
 from repro.rsl import (RSLExpression, RSLRelation, parse_rsl,
                        reservation_rsl, vector_from_rsl)
+from repro.rsl.ast import _NEEDS_QUOTES
+from repro.rsl.parser import _LEXEME
 
 from . import rsl_reference as seed
 
@@ -148,6 +150,7 @@ EDGE_CASES = [
     "&(a< =1)", "&(a<==1)", "&(a==1)", "&(a=<1)", "&(a>= 1)",
     '&(a="x")', '&(a="")', '&(a="say ""hi""")', '&(a="x"y)',
     '&(a=x"y")', '&(a="a"")', '&(a="a""b"")', '&(a="(b=c)")',
+    '&(a="x""', '&(a="x""")', '&(a="""")',
     '&("a"=1)', "&(a=())", "&(a=(1 (2 3)) 4)", "&(a=nan)",
     "&(a=-inf)(b=1_000)", "&(a=1)trailing", "&(a=1) trailing",
     "&(a=1))", "&(a=1) )", "&(a=1)(", "&(a=1)(b=2", "&(a", "&(a=",
@@ -173,6 +176,13 @@ class TestParser:
                 parse_rsl("&(a=1)")
         # A zero-width space is not whitespace: it is a token character.
         assert parse_rsl("&(a=\u200b)").attributes() == {"a": "\u200b"}
+
+    def test_lexer_compiles_on_the_oldest_supported_python(self):
+        # Possessive quantifiers and atomic groups are re syntax from
+        # 3.11 on; pyproject.toml declares 3.9.
+        for pattern in (_LEXEME.pattern, _NEEDS_QUOTES.pattern):
+            for syntax in ("*+", "++", "?+", "}+", "(?>"):
+                assert syntax not in pattern
 
 
 # ----------------------------------------------------------------------
