@@ -44,6 +44,14 @@ REPORT_SHA256 = {
         "d34c7fdcd9d1e9095acb84ebe95663f9f536731b8c9aa28c684de3f76db7ae09",
     "example56":
         "6af1a9a58257c5016cc37e892fd15b4f80314bc7ff87ae3077924fc30626596f",
+    "sweep":
+        "15a8b7df45fe0dfe77b1ae54d0a823b31e57fba714a4162fb2943e83db083832",
+    "reserve":
+        "e0c31bcd7364f63c9037b826b273c68fe8756be061c1c3b889a82a85e58d6676",
+    "diagram":
+        "5486ddcef86ecf38e9a53de5a4d8146f9d46f1f008f556b75f0627401b06f223",
+    "obs why all":
+        "921be6a3b69b9f30d92b0df2ae6d51c5288b32280ecf3f47871080b4d5f76a3f",
 }
 
 
