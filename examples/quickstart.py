@@ -5,7 +5,9 @@ Builds the paper's Figure 5 testbed (26 grid nodes partitioned
 Cg=15 / Ca=6 / Cb=5), submits a guaranteed service request with a
 network demand, accepts the SLA offer, runs an explicit SLA
 conformance test (the Table 3 reply), and prints the broker activity
-log — the reproduction of the Figure 6 screenshot.
+log — the reproduction of the Figure 6 screenshot. The walkthrough
+itself is :mod:`repro.experiments.quickstart`, the same episode
+``python -m repro quickstart`` prints.
 
 Run with::
 
@@ -14,64 +16,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.testbed import build_testbed
-from repro.qos.classes import ServiceClass
-from repro.qos.parameters import Dimension, exact_parameter
-from repro.qos.specification import QoSSpecification
-from repro.sla.document import NetworkDemand
-from repro.sla.negotiation import ServiceRequest
-from repro.units import parse_bound
-from repro.xmlmsg import codec
+from repro.experiments.quickstart import run_quickstart
 
 
 def main() -> None:
-    testbed = build_testbed()
-    broker = testbed.broker
-
-    # --- the client's QoS requirements (Table 1's numbers) -----------
-    specification = QoSSpecification.of(
-        exact_parameter(Dimension.CPU, 4),
-        exact_parameter(Dimension.MEMORY_MB, 64),
-    )
-    request = ServiceRequest(
-        client="user1",
-        service_name="simulation-service",
-        service_class=ServiceClass.GUARANTEED,
-        specification=specification,
-        start=0.0, end=100.0,
-        network=NetworkDemand(
-            source_ip="135.200.50.101", dest_ip="192.200.168.33",
-            bandwidth_mbps=10.0,
-            packet_loss_bound=parse_bound("LessThan 10%")),
-    )
-
-    # --- discovery, negotiation, SLA establishment, allocation -------
-    outcome = broker.request_service(request)
-    assert outcome.accepted, outcome.reason
-    sla = outcome.sla
-    print("=" * 70)
-    print(f"SLA {sla.sla_id} established for {sla.client!r} at rate "
-          f"{sla.price_rate:g}")
-    print("=" * 70)
-
-    # --- the SLA portion relayed to the resource managers (Table 1) --
-    print("\nSLA portion relayed to the RMs (Table 1):\n")
-    print(codec.render(codec.encode_service_specific(sla)))
-
-    # --- explicit SLA conformance test (Table 3) ----------------------
-    testbed.sim.run(until=10.0)
-    print("\nSLA conformance-test reply (Table 3):\n")
-    print(codec.render(broker.verifier.conformance_reply_xml(sla.sla_id)))
-
-    # --- run the session to completion --------------------------------
-    testbed.sim.run(until=120.0)
-    print(f"\nSession finished: status={sla.status.value}, provider "
-          f"revenue {broker.ledger.provider_net(testbed.sim.now):.1f}")
-
-    # --- the broker activity log (the Figure 6 screenshot) ------------
-    print("\nBroker activity log (Figure 6 view):")
-    print("-" * 70)
-    print(testbed.trace.render())
+    print(run_quickstart())
 
 
 if __name__ == "__main__":

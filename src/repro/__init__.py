@@ -18,7 +18,8 @@ Quickstart::
     broker = testbed.broker
     offer = broker.request_service(...)
 
-See ``examples/quickstart.py`` for the full walkthrough.
+See :mod:`repro.experiments.quickstart` (``python -m repro quickstart``)
+for the full walkthrough.
 """
 
 __version__ = "1.0.0"

@@ -3,7 +3,11 @@
 Commands:
 
 * ``quickstart`` — one full QoS session; prints the Table 1 / Table 3
-  XML and the broker activity log.
+  XML and the broker activity log. ``--chaos``, ``--telemetry`` and
+  ``--crash`` run the same episode under fault injection, with the
+  telemetry report, or with a broker crash
+  (:mod:`repro.experiments.quickstart`); ``telemetry`` is
+  ``quickstart --telemetry`` with a ``--seed``.
 * ``example56`` — replay the Section 5.6 worked example and print the
   timeline table.
 * ``sweep`` — run the X1 adaptation-vs-baselines load sweep and print
@@ -41,40 +45,10 @@ from .workloads.generators import (
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
-    if getattr(args, "crash", None) is not None:
-        from .experiments.crash_demo import run_crash_quickstart
-        print(run_crash_quickstart(args.crash,
-                                   journal_path=args.journal))
-        return 0
-    if getattr(args, "telemetry", False):
-        from .experiments.telemetry_demo import run_telemetry_quickstart
-        print(run_telemetry_quickstart(
-            chaos_seed=getattr(args, "chaos", None)))
-        return 0
-    if getattr(args, "chaos", None) is not None:
-        from .experiments.chaos_demo import run_chaos_quickstart
-        print(run_chaos_quickstart(args.chaos))
-        return 0
-    import importlib.util
-    import pathlib
-    # The quickstart example is the canonical walkthrough; reuse it.
-    candidates = [
-        pathlib.Path(__file__).resolve().parents[2] / "examples"
-        / "quickstart.py",
-        pathlib.Path.cwd() / "examples" / "quickstart.py",
-    ]
-    for path in candidates:
-        if path.exists():
-            spec = importlib.util.spec_from_file_location("quickstart",
-                                                          path)
-            module = importlib.util.module_from_spec(spec)
-            assert spec.loader is not None
-            spec.loader.exec_module(module)
-            module.main()
-            return 0
-    print("examples/quickstart.py not found; run from the repository "
-          "root", file=sys.stderr)
-    return 1
+    from .experiments.quickstart import run_quickstart
+    print(run_quickstart(chaos_seed=args.chaos, telemetry=args.telemetry,
+                         crash_seed=args.crash, journal_path=args.journal))
+    return 0
 
 
 def _cmd_example56(_args: argparse.Namespace) -> int:
@@ -276,15 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from .experiments.telemetry_demo import run_telemetry_quickstart
-    print(run_telemetry_quickstart(seed=args.seed,
-                                   chaos_seed=args.chaos))
+    from .experiments.quickstart import run_quickstart
+    print(run_quickstart(seed=args.seed, chaos_seed=args.chaos,
+                         telemetry=True))
     return 0
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     import pathlib
-    from .experiments.crash_demo import summarize_journal
+    from .recovery.recover import summarize_journal
     if not pathlib.Path(args.journal).exists():
         print(f"no journal at {args.journal}", file=sys.stderr)
         return 1

@@ -252,8 +252,6 @@ class AQoSBroker:
         self.promotion_policy = promotion_policy or (lambda sla: True)
         self._closing: set = set()
         self._be_counter = 0
-        #: Neighboring AQoS brokers (Figure 1's AQoS-to-AQoS links).
-        self._peers: List["AQoSBroker"] = []
 
         compute_rm.subscribe_capacity(self._on_capacity_change)
         compute_rm.subscribe_job_end(self._on_job_end)
@@ -676,25 +674,10 @@ class AQoSBroker:
         # admission hot path. Recovery re-seeds the gauge after replay.
         self.metrics.gauge("repro_sla_active_sessions").add(1.0)
 
-    def add_peer(self, peer: "AQoSBroker") -> None:
-        """Register a neighboring AQoS broker (Figure 1 shows the
-        AQoS-to-AQoS interconnections between domains). Requests this
-        broker cannot serve are forwarded to peers in registration
-        order."""
-        if peer is self:
-            raise SLAError("a broker cannot peer with itself")
-        if peer not in self._peers:
-            self._peers.append(peer)
-
-    def request_service(self, request: ServiceRequest, *,
-                        _forwarded: bool = False) -> ServiceOutcome:
+    def request_service(self, request: ServiceRequest) -> ServiceOutcome:
         """One-call client flow: negotiate, auto-accept the first offer,
         establish. Best-effort requests route to
         :meth:`request_best_effort` semantics and report granted/not.
-
-        A request this broker must refuse is offered to each peer AQoS
-        (once — forwarded requests are never re-forwarded, so a ring of
-        brokers cannot loop).
         """
         if request.service_class is ServiceClass.BEST_EFFORT:
             demand = QoSSpecification.point_demand(
@@ -702,28 +685,15 @@ class AQoSBroker:
             granted = self.request_best_effort(
                 request.client, demand.cpu,
                 duration=request.duration)
-            if not granted and not _forwarded:
-                outcome = self._forward(request)
-                if outcome is not None:
-                    return outcome
             return ServiceOutcome(request=request, accepted=granted,
                                   reason="" if granted
                                   else "insufficient best-effort capacity")
         negotiation, reason = self.negotiate(request)
         if negotiation.state.value != "offered":
-            if not _forwarded:
-                outcome = self._forward(request)
-                if outcome is not None:
-                    return outcome
             return ServiceOutcome(request=request, accepted=False,
                                   reason=reason, negotiation=negotiation)
         negotiation.accept()
-        outcome = self.establish(negotiation)
-        if not outcome.accepted and not _forwarded:
-            forwarded = self._forward(request)
-            if forwarded is not None:
-                return forwarded
-        return outcome
+        return self.establish(negotiation)
 
     def request_services(
             self, requests: "Sequence[ServiceRequest]",
@@ -765,23 +735,6 @@ class AQoSBroker:
                 # the group.
                 partition.resume_rebalances()
         return outcomes
-
-    def _forward(self, request: ServiceRequest) -> Optional[ServiceOutcome]:
-        """Try each peer; returns the first accepting outcome.
-
-        Requests with a network demand are only forwardable when the
-        peer can resolve the same endpoints (they share the topology in
-        the Figure 1 deployment), so the peer's own admission decides.
-        """
-        for peer in self._peers:
-            self.record(f"forwarding {request.client!r}'s request to a "
-                        f"neighboring AQoS")
-            outcome = peer.request_service(request, _forwarded=True)
-            if outcome.accepted:
-                self.record(f"request by {request.client!r} accepted by "
-                            f"the neighboring AQoS")
-                return outcome
-        return None
 
     # ==================================================================
     # Best effort

@@ -427,12 +427,6 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
             partition=partition, coordinator=coordinator, trace=trace,
             repository=SLARepository(first_id=1000 + 1000 * index),
             probe=probe)
-    # Figure 1 interconnects the AQoS brokers across domains: requests
-    # a broker cannot serve are forwarded to its neighbors.
-    for domain, broker in brokers.items():
-        for other_domain, other in brokers.items():
-            if other_domain != domain:
-                broker.add_peer(other)
     return MultiDomainTestbed(sim=sim, trace=trace, topology=topology,
                               coordinator=coordinator, brokers=brokers,
                               machines=machines)

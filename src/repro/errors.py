@@ -93,10 +93,6 @@ class NegotiationError(SLAError):
     """The negotiation protocol was driven out of order or failed."""
 
 
-class SLAViolationError(SLAError):
-    """Raised when an operation would violate an established SLA."""
-
-
 class LifecycleError(SLAError):
     """An illegal QoS-session phase transition was attempted."""
 

@@ -23,7 +23,7 @@ from ..qos.parameters import Dimension, exact_parameter, range_parameter
 from ..qos.specification import QoSSpecification
 from ..sla.document import AdaptationOptions
 from ..sla.negotiation import ServiceRequest
-from ..telemetry.timeweighted import TimeWeightedMetrics
+from ..telemetry.metrics import TimeWeightedGauge
 from ..workloads.sessions import SessionSpec, Workload
 
 _EPSILON = 1e-9
@@ -77,6 +77,25 @@ class PolicyRunResult:
         return self.best_effort_accepted / self.best_effort_requests
 
 
+def _window(start: float, end: float, *signals: str
+            ) -> "Dict[str, TimeWeightedGauge]":
+    """One time-weighted gauge per signal over ``[start, end]``, each
+    opened at ``start`` with 0.0, so a signal first observed later is
+    zero-filled up to then. A read integrates the tail up to ``end``."""
+    window = {name: TimeWeightedGauge(lambda: end) for name in signals}
+    for gauge in window.values():
+        gauge.set_at(start, 0.0)
+    return window
+
+
+def _observe(window: "Dict[str, TimeWeightedGauge]", time: float,
+             **signals: float) -> None:
+    """Step every gauge of the window to ``time``; the named signals
+    take their new values, the others hold theirs."""
+    for name, gauge in window.items():
+        gauge.set_at(time, signals.get(name, gauge.value))
+
+
 def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
                         failures: Sequence["Tuple[float, float]"] = ()
                         ) -> PolicyRunResult:
@@ -91,7 +110,9 @@ def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
     result = PolicyRunResult(
         policy_name=policy.name,
         offered_load=workload.offered_cpu_load(policy.total_capacity()))
-    metrics = TimeWeightedMetrics(start=0.0)
+    window = _window(0.0, workload.horizon, "utilization", "violation",
+                     "shortfall_users", "best_effort_served",
+                     "revenue_rate")
 
     # Event list: (time, order, kind, payload). Departures before
     # arrivals at the same instant, failures first of all.
@@ -123,8 +144,8 @@ def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
                 if served < entitled - _EPSILON:
                     shortfall_users += 1
                     shortfall_total += entitled - served
-        metrics.observe(
-            time,
+        _observe(
+            window, time,
             utilization=policy.utilization(),
             violation=1.0 if shortfall_total > _EPSILON else 0.0,
             shortfall_users=float(shortfall_users),
@@ -177,12 +198,11 @@ def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
                 policy.remove_guaranteed(user)
         observe(time)
 
-    metrics.finalize(workload.horizon)
-    result.mean_utilization = metrics.mean("utilization")
-    result.violation_time_fraction = metrics.mean("violation")
-    result.violation_user_time = metrics.integral("shortfall_users")
-    result.best_effort_cpu_time = metrics.integral("best_effort_served")
-    result.revenue = metrics.integral("revenue_rate")
+    result.mean_utilization = window["utilization"].mean()
+    result.violation_time_fraction = window["violation"].mean()
+    result.violation_user_time = window["shortfall_users"].integral()
+    result.best_effort_cpu_time = window["best_effort_served"].integral()
+    result.revenue = window["revenue_rate"].integral()
     return result
 
 
@@ -232,7 +252,8 @@ def run_broker_workload(testbed, workload: Workload, *,
     result = PolicyRunResult(
         policy_name="broker",
         offered_load=workload.offered_cpu_load(testbed.partition.total))
-    metrics = TimeWeightedMetrics(start=sim.now)
+    window = _window(sim.now, workload.horizon, "utilization",
+                     "violation", "best_effort_served")
 
     def issue(session: SessionSpec) -> None:
         if session.service_class is ServiceClass.BEST_EFFORT:
@@ -262,8 +283,8 @@ def run_broker_workload(testbed, workload: Workload, *,
         report = testbed.partition.last_report
         shortfall = (sum(report.shortfalls.values())
                      if report is not None else 0.0)
-        metrics.observe(
-            sim.now,
+        _observe(
+            window, sim.now,
             utilization=testbed.partition.utilization(),
             violation=1.0 if shortfall > _EPSILON else 0.0,
             best_effort_served=testbed.partition.best_effort_served())
@@ -271,9 +292,8 @@ def run_broker_workload(testbed, workload: Workload, *,
 
     sim.schedule(sample_interval, sample, label="workload:sample")
     sim.run(until=workload.horizon)
-    metrics.finalize(workload.horizon)
-    result.mean_utilization = metrics.mean("utilization")
-    result.violation_time_fraction = metrics.mean("violation")
-    result.best_effort_cpu_time = metrics.integral("best_effort_served")
+    result.mean_utilization = window["utilization"].mean()
+    result.violation_time_fraction = window["violation"].mean()
+    result.best_effort_cpu_time = window["best_effort_served"].integral()
     result.revenue = broker.ledger.provider_net(sim.now)
     return result

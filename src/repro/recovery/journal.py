@@ -407,11 +407,6 @@ class Journal:
             self._lsn = group[-1].lsn
         return group
 
-    @property
-    def in_group(self) -> bool:
-        """Whether a group commit is currently buffering appends."""
-        return self._group is not None
-
     def records(self) -> "List[JournalRecord]":
         """Every durable record, oldest first."""
         return [decode_record(data) for data in self.store.records()]

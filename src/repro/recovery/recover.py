@@ -24,6 +24,7 @@ authoritative half:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +39,7 @@ from .journal import (
     CANCEL,
     COMPUTE_BOOKED,
     CONFIRM,
+    FileJournalStore,
     Journal,
     NETWORK_BOOKED,
     RECOVERED,
@@ -210,6 +212,49 @@ def build_replay_view(journal: Journal, *,
     return ReplayView(repository=repository, composites=composites,
                       best_effort=best_effort, replayed=replayed,
                       snapshot_lsn=floor)
+
+
+def summarize_journal(journal_path: str) -> str:
+    """Cold-restart summary of an on-disk journal (``repro recover``).
+
+    Replays the journal without a testbed and reports what a recovery
+    pass would start from: the SLA documents and statuses, composite
+    reservation views (including orphaned half-open reserves), and
+    best-effort demands.
+    """
+    journal = Journal(FileJournalStore(journal_path))
+    view = build_replay_view(journal)
+    by_type = Counter(record.type for record in journal.records())
+
+    lines: List[str] = []
+    lines.append(f"journal {journal_path}: {journal.last_lsn} durable "
+                 f"record(s)")
+    lines.append("-" * 70)
+    for record_type in sorted(by_type):
+        lines.append(f"  {record_type}: {by_type[record_type]}")
+    lines.append("")
+    lines.append(f"replayed state ({view.replayed} record(s) folded)")
+    lines.append("-" * 70)
+    for sla in view.repository.all():
+        lines.append(f"  SLA {sla.sla_id} ({sla.client!r}): "
+                     f"{sla.status.value}")
+    for sla_id in sorted(view.composites):
+        composite = view.composites[sla_id]
+        if composite.cancelled:
+            disposition = "cancelled"
+        elif composite.open:
+            disposition = "ORPHANED (reserve never completed)"
+        elif composite.confirmed:
+            disposition = "confirmed"
+        else:
+            disposition = "unconfirmed"
+        lines.append(f"  composite for SLA {sla_id}: {disposition} "
+                     f"(handle={composite.handle}, "
+                     f"flows={composite.flows})")
+    for user in view.best_effort:
+        lines.append(f"  best-effort {user!r}: "
+                     f"{view.best_effort[user]:g} node(s)")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .export import (events_jsonl, figure6_report, prometheus_snapshot,
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry, TimeWeightedGauge)
 from .spans import Span, Tracer
-from .timeweighted import TimeWeightedMetrics
 
 __all__ = [
     "CapacityGauges",
@@ -42,7 +41,6 @@ __all__ = [
     "Telemetry",
     "TelemetryEvent",
     "TimeWeightedGauge",
-    "TimeWeightedMetrics",
     "Tracer",
     "events_jsonl",
     "figure6_report",

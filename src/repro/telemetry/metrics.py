@@ -119,10 +119,11 @@ class TimeWeightedGauge:
     """A gauge whose mean is an exact time-weighted integral.
 
     The window opens lazily at the first :meth:`set`, so a gauge
-    created late does not dilute its mean with a zero-filled lead-in.
-    The running integral adds ``value * span`` at every set and mean:
-    the products :class:`~repro.telemetry.timeweighted.TimeWeightedMetrics`
-    adds, in its order, so both give bit-equal means.
+    created late does not dilute its mean with a zero-filled lead-in
+    (open it with ``set_at(start, 0.0)`` to zero-fill instead). The
+    running integral adds ``value * span`` at every set and read, in
+    time order, so a gauge stepped at every instant of a multi-signal
+    window holds that window's exact integral bit for bit.
     """
 
     __slots__ = ("_now", "_start", "_last", "_integral", "value")
@@ -152,13 +153,17 @@ class TimeWeightedGauge:
         self._last = time
         self.value = float(value)
 
+    def integral(self) -> float:
+        """Time-weighted integral from the first set to now."""
+        if self._start is not None:
+            self.set_at(self._now(), self.value)
+        return self._integral
+
     def mean(self) -> float:
         """Time-weighted mean from the first set to now."""
-        if self._start is None:
-            return 0.0
-        self.set_at(self._now(), self.value)
-        elapsed = self._last - self._start
-        return 0.0 if elapsed <= 0 else self._integral / elapsed
+        integral = self.integral()
+        elapsed = 0.0 if self._start is None else self._last - self._start
+        return 0.0 if elapsed <= 0 else integral / elapsed
 
 
 class MetricsRegistry:

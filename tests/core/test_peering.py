@@ -1,11 +1,13 @@
-"""Tests for AQoS-to-AQoS request forwarding (Figure 1 peering)."""
+"""Cross-domain overflow (Figure 1's AQoS-to-AQoS links).
+
+A broker hands a request it cannot serve to another domain in one way
+only: the federation plane's delegation (bid, delegate, confirm). A
+standalone broker refuses.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.testbed import build_multidomain, build_testbed
-from repro.errors import SLAError
+from repro.federation.plane import FederatedControlPlane
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
@@ -22,62 +24,38 @@ def compute_request(client, cpu, end=100.0):
 
 class TestForwarding:
     def test_overflow_lands_on_the_peer(self):
-        world = build_multidomain(domains=2)
-        broker1 = world.brokers["domain1"]
-        broker2 = world.brokers["domain2"]
-        # Each domain has Cg = 15 (26 * 0.6 rounded). Three 7-node
-        # sessions: two fit domain1, the third must overflow to domain2.
-        outcomes = [broker1.request_service(compute_request(f"c{i}", 7))
+        plane = FederatedControlPlane(domains=2)
+        # Each domain has Cg = 15. Three 7-node sessions: two fit d1,
+        # the third must be delegated to d2.
+        outcomes = [plane.request_service(compute_request(f"c{i}", 7),
+                                          home="d1")
                     for i in range(3)]
         assert all(outcome.accepted for outcome in outcomes)
-        assert len(broker1.repository.live()) == 2
-        assert len(broker2.repository.live()) == 1
+        assert [outcome.domain for outcome in outcomes] \
+            == ["d1", "d1", "d2"]
+        assert outcomes[2].delegated
+        assert len(plane.domains["d1"].testbed.broker.repository.live()) \
+            == 2
+        assert len(plane.domains["d2"].testbed.broker.repository.live()) \
+            == 1
 
     def test_no_loop_when_everyone_is_full(self):
-        world = build_multidomain(domains=2)
-        broker1 = world.brokers["domain1"]
+        plane = FederatedControlPlane(domains=2)
         for i in range(4):  # 28 > 15+15 committed across both domains
-            broker1.request_service(compute_request(f"fill{i}", 7))
-        outcome = broker1.request_service(compute_request("extra", 7))
+            plane.request_service(compute_request(f"fill{i}", 7),
+                                  home="d1")
+        outcome = plane.request_service(compute_request("extra", 7),
+                                        home="d1")
         assert not outcome.accepted  # refused everywhere, no recursion
-
-    def test_best_effort_forwarding(self):
-        world = build_multidomain(domains=2)
-        broker1 = world.brokers["domain1"]
-        spec = QoSSpecification.of(exact_parameter(Dimension.CPU, 26))
-        request = ServiceRequest(client="be",
-                                 service_name="*",
-                                 service_class=ServiceClass.BEST_EFFORT,
-                                 specification=spec, start=0.0, end=50.0)
-        assert broker1.request_service(request).accepted
-        # Domain1 is now fully borrowed; the identical request is
-        # served by domain2.
-        second = broker1.request_service(ServiceRequest(
-            client="be2", service_name="*",
-            service_class=ServiceClass.BEST_EFFORT,
-            specification=spec, start=0.0, end=50.0))
-        assert second.accepted
-        assert world.brokers["domain2"].stats.best_effort_granted == 1
+        assert outcome.domain is None
 
     def test_forwarding_traced(self):
-        world = build_multidomain(domains=2)
-        broker1 = world.brokers["domain1"]
+        plane = FederatedControlPlane(domains=2)
         for i in range(3):
-            broker1.request_service(compute_request(f"c{i}", 7))
-        rows = world.trace.filter(category="broker",
-                                  contains="forwarding")
-        assert rows
-
-    def test_self_peering_rejected(self, testbed):
-        with pytest.raises(SLAError):
-            testbed.broker.add_peer(testbed.broker)
-
-    def test_peer_registration_idempotent(self):
-        world = build_multidomain(domains=2)
-        broker1 = world.brokers["domain1"]
-        broker2 = world.brokers["domain2"]
-        broker1.add_peer(broker2)  # already registered by the testbed
-        assert broker1._peers.count(broker2) == 1
+            plane.request_service(compute_request(f"c{i}", 7), home="d1")
+        records = plane.domains["d1"].testbed.decisions.for_subject("c2")
+        assert "delegate" in [record.outcome for record in records
+                              if record.action == "federation"]
 
     def test_standalone_broker_still_refuses(self, testbed):
         first = testbed.broker.request_service(

@@ -17,6 +17,7 @@ for the same seed (ROADMAP item 1's float-determinism caveat).
 from __future__ import annotations
 
 import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,21 +56,41 @@ REPORT_SHA256 = {
 }
 
 
-def _report_sha256(command: str) -> str:
-    result = subprocess.run(
+#: The digests hold on this interpreter only.
+PINNED = ((sys.implementation.name, sys.version_info[:2])
+          == ("cpython", (3, 11)))
+
+
+def _run(command: str, *, cwd: Path = REPO, path: Path = SRC
+         ) -> "subprocess.CompletedProcess[bytes]":
+    return subprocess.run(
         [sys.executable, "-m", "repro", *command.split()],
-        cwd=REPO, env={"PYTHONPATH": str(SRC), "PATH": ""},
+        cwd=cwd, env={"PYTHONPATH": str(path), "PATH": ""},
         capture_output=True, timeout=120)
+
+
+def _report_sha256(command: str) -> str:
+    result = _run(command)
     assert result.returncode == 0, result.stderr.decode()
     return hashlib.sha256(result.stdout).hexdigest()
 
 
-@pytest.mark.skipif(
-    (sys.implementation.name, sys.version_info[:2]) != ("cpython", (3, 11)),
-    reason="the digests are CPython 3.11 pins")
+@pytest.mark.skipif(not PINNED, reason="the digests are CPython 3.11 pins")
 def test_cli_reports_match_their_pins():
     digests = {command: _report_sha256(command)
                for command in REPORT_SHA256}
     moved = sorted(command for command in REPORT_SHA256
                    if digests[command] != REPORT_SHA256[command])
     assert not moved, f"reports moved: {moved}"
+
+
+def test_quickstart_runs_outside_the_source_tree(tmp_path):
+    # An installed package has no ``examples/`` beside it: the episode
+    # must come from the package itself.
+    shutil.copytree(SRC / "repro", tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    result = _run("quickstart", cwd=tmp_path, path=tmp_path)
+    assert result.returncode == 0, result.stderr.decode()
+    if PINNED:
+        assert hashlib.sha256(result.stdout).hexdigest() \
+            == REPORT_SHA256["quickstart"]
