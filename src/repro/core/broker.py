@@ -68,7 +68,12 @@ from .optimizer import (
     candidates_for,
     greedy_optimize,
 )
-from .discovery import DirectDiscovery, DiscoveryService
+from .discovery import (
+    DirectDiscovery,
+    DiscoveryResult,
+    DiscoveryService,
+    _exact,
+)
 from .reservation_system import CompositeReservation, ReservationSystem
 from .scenarios import ScenarioEngine
 
@@ -252,6 +257,11 @@ class AQoSBroker:
         self.promotion_policy = promotion_policy or (lambda sla: True)
         self._closing: set = set()
         self._be_counter = 0
+        #: The running batch's discovery answers, ``exact query ->
+        #: records``, all fetched at :attr:`_lookups_at`; ``None``
+        #: outside :meth:`request_services`.
+        self._lookups: "Optional[Dict[tuple, tuple]]" = None
+        self._lookups_at = 0.0
 
         compute_rm.subscribe_capacity(self._on_capacity_change)
         compute_rm.subscribe_job_end(self._on_job_end)
@@ -360,10 +370,37 @@ class AQoSBroker:
         transport; a degraded (stale-cache) answer is accepted but
         counted and traced, so operators can see the broker running on
         old registry data.
+
+        Inside :meth:`request_services` each distinct exact query
+        (:func:`~repro.core.discovery._exact`, so ``True``/``1``/``1.0``
+        constraints stay apart) is asked once per sim instant; a later
+        request with the same query gets the held answer as a fresh
+        list. No admission step registers or removes a service, and
+        scheduled events fire only when the clock moves, so the held
+        answers are dropped at the first request that finds
+        ``sim.now`` moved (a delay fault or a retry backoff advanced
+        it, maybe inside the lookup itself). A degraded answer is not
+        held: the next request asks again, as a sequential one would.
         """
         query = ServiceQuery(name_pattern=request.service_name,
                              qos=request.specification)
-        result = self.discovery.find(query)
+        lookups = self._lookups
+        if lookups is None:
+            result = self.discovery.find(query)
+        else:
+            # The clock never runs back, so ``>`` is exactly "moved".
+            now = self.sim.now
+            if now > self._lookups_at:
+                lookups.clear()
+                self._lookups_at = now
+            key = _exact(query)
+            held = lookups.get(key)
+            if held is not None:
+                result = DiscoveryResult(list(held))
+            else:
+                result = self.discovery.find(query)
+                if not result.degraded:
+                    lookups[key] = tuple(result.records)
         matches = result.records
         if result.degraded:
             self.metrics.counter("repro_discovery_degraded_total").inc()
@@ -715,12 +752,18 @@ class AQoSBroker:
           group-commits them in one bulk append
           (:meth:`~repro.recovery.journal.Journal.begin_group`) — LSNs
           are identical to sequential admission, only the store-level
-          write is batched.
+          write is batched;
+        * discovery asks UDDIe **once** per distinct exact query and
+          sim instant instead of once per request (:meth:`discover`):
+          on a bus transport that is one ``find_services`` exchange
+          per query where there was one per request.
         """
         partition = self.partition
         outcomes: "List[ServiceOutcome]" = []
         with self.probe.group():
             partition.defer_rebalances()
+            self._lookups = {}
+            self._lookups_at = self.sim.now
             try:
                 # The batch-level span parents every per-request tree,
                 # so one batched episode renders as one connected
@@ -730,6 +773,7 @@ class AQoSBroker:
                     for request in requests:
                         outcomes.append(self.request_service(request))
             finally:
+                self._lookups = None
                 # Settle the batch's single water-fill before the
                 # group commits, so its journal record lands inside
                 # the group.

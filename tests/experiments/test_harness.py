@@ -138,3 +138,56 @@ class TestBrokerRunner:
         workload = workload_for(1.0, horizon=200.0, seed=43)
         result = run_broker_workload(testbed, workload)
         assert result.violation_time_fraction == pytest.approx(0.0)
+
+
+class _RecordingAdaptive(AdaptivePolicy):
+    """Algorithm 1 on the fast path, noting whom it admits."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.admitted: list = []
+
+    def admit_guaranteed(self, user: str, committed: float) -> bool:
+        admitted = super().admit_guaranteed(user, committed)
+        if admitted:
+            self.admitted.append(user)
+        return admitted
+
+
+class TestFullStackIsTheFastPath:
+    """On a loss system both paths model alike — guaranteed sessions
+    of one CPU each, Poisson arrivals, none terminable, no failures —
+    the full broker (discovery, negotiation, GARA, the partition) and
+    the bare Algorithm 1 policy admit the same sessions, one by one.
+    With terminable sessions they part: Scenario 1 terminates some to
+    admit others, which the fast path does not model."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_same_sessions_admitted(self, seed, monkeypatch):
+        config = WorkloadConfig(
+            horizon=2000.0, arrival_rate=0.36, mean_duration=50.0,
+            class_mix=(1.0, 0.0, 0.0), guaranteed_cpu=(1, 1),
+            terminable_fraction=0.0)
+        workload = generate_workload(config, RandomSource(seed))
+        policy = _RecordingAdaptive(15, 6, 5, best_effort_min=2)
+        fast = run_policy_workload(policy, workload)
+
+        testbed = build_testbed()
+        broker = testbed.broker
+        admitted = []
+        request_service = broker.request_service
+
+        def recorded(request):
+            outcome = request_service(request)
+            if outcome.accepted:
+                admitted.append(request.client)
+            return outcome
+        monkeypatch.setattr(broker, "request_service", recorded)
+        full = run_broker_workload(testbed, workload)
+
+        assert admitted == policy.admitted
+        assert full.guaranteed_accepted == fast.guaranteed_accepted \
+            == len(admitted)
+        # 18 Erlangs offered to 15 guaranteed nodes: the system blocks,
+        # so both paths had choices to make.
+        assert 0 < len(admitted) < len(workload)

@@ -13,6 +13,7 @@ See ``tests/analysis/`` for the engine's own test suite.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 
 from repro.analysis import Baseline, analyze_paths, load_baseline, \
@@ -33,6 +34,23 @@ def test_every_module_parses():
     result = _run()
     assert not result.parse_errors, result.parse_errors
     assert result.module_count > 90  # the whole library was analysed
+
+
+def test_every_module_parses_under_the_oldest_supported_grammar():
+    """``pyproject.toml`` declares Python >= 3.9, and the suite runs on
+    a newer interpreter: a ``match`` statement or an ``except*`` would
+    pass every other test and then fail to import on 3.9. The check is
+    the parser's own, so it is grammar only (and best effort: newer
+    runtime features such as ``X | Y`` outside annotations pass)."""
+    too_new = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 9))
+        except SyntaxError as error:
+            too_new.append(f"{path.relative_to(ROOT)}:{error.lineno}: "
+                           f"{error.msg}")
+    assert not too_new, too_new
 
 
 def test_analyzer_runs_clean_on_src():
