@@ -11,6 +11,9 @@ echo "== repro.analysis (strict) =="
 python -m repro.analysis src --strict
 
 echo "== pytest =="
+# Includes the byte-determinism checks: tests/test_cli_pins.py runs the
+# telemetry, crash-recovery and flight-recorder reports twice in fresh
+# interpreters and compares the bytes.
 python -m pytest -x -q "$@"
 
 echo "== chaos smoke (fixed seed) =="
@@ -19,18 +22,6 @@ echo "== chaos smoke (fixed seed) =="
 # seed keeps it deterministic run-to-run.
 python -m repro quickstart --chaos 7 > /dev/null
 echo "chaos smoke OK (seed 7)"
-
-echo "== telemetry smoke (byte-determinism) =="
-# Two fixed-seed telemetry runs must print byte-identical reports:
-# span ids, JSONL event stream and metrics snapshot are all functions
-# of the seeds alone.
-tel_a="$(mktemp)"; tel_b="$(mktemp)"
-python -m repro quickstart --telemetry > "$tel_a"
-python -m repro quickstart --telemetry > "$tel_b"
-diff "$tel_a" "$tel_b" > /dev/null || {
-    echo "telemetry report is not deterministic" >&2; exit 1; }
-rm -f "$tel_a" "$tel_b"
-echo "telemetry smoke OK (deterministic)"
 
 echo "== throughput smoke (sequential vs batched admission) =="
 # Reduced-n run of the admission-throughput benchmark: asserts the
@@ -42,18 +33,6 @@ BENCH_THROUGHPUT_SMOKE=1 python -m pytest \
     benchmarks/bench_throughput.py -q > /dev/null
 echo "throughput smoke OK (sequential >= 1/2 batch=64)"
 
-echo "== crash-recovery smoke (byte-determinism) =="
-# Two fixed-seed crash episodes must print byte-identical reports:
-# the crash point, the journal replay and the reconciliation counters
-# are all functions of the seed alone.
-cr_a="$(mktemp)"; cr_b="$(mktemp)"
-python -m repro quickstart --crash 7 > "$cr_a"
-python -m repro quickstart --crash 7 > "$cr_b"
-diff "$cr_a" "$cr_b" > /dev/null || {
-    echo "crash-recovery report is not deterministic" >&2; exit 1; }
-rm -f "$cr_a" "$cr_b"
-echo "crash-recovery smoke OK (deterministic)"
-
 echo "== workload-atlas smoke (reduced sweep) =="
 # Two-scenario, two-reserve-point pass over the atlas benchmark:
 # asserts the BENCH_workload_atlas.json schema and that no guaranteed
@@ -63,18 +42,6 @@ echo "== workload-atlas smoke (reduced sweep) =="
 BENCH_ATLAS_SMOKE=1 python -m pytest \
     benchmarks/bench_workload_atlas.py -q > /dev/null
 echo "workload-atlas smoke OK (invariants hold)"
-
-echo "== obs smoke (flight-recorder byte-determinism) =="
-# Two fixed-seed replays of the same atlas scenario must explain every
-# admission verdict byte-identically: decision ids, span stamps and
-# journal LSNs are all functions of the seed alone.
-obs_a="$(mktemp)"; obs_b="$(mktemp)"
-python -m repro obs why all > "$obs_a"
-python -m repro obs why all > "$obs_b"
-diff "$obs_a" "$obs_b" > /dev/null || {
-    echo "flight-recorder report is not deterministic" >&2; exit 1; }
-rm -f "$obs_a" "$obs_b"
-echo "obs smoke OK (deterministic)"
 
 echo "== obs-overhead smoke (guard discipline) =="
 # Reduced-n run of the provenance-overhead benchmark: asserts the

@@ -19,11 +19,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..baselines.base import AllocatorPolicy
 from ..qos.classes import ServiceClass
-from ..qos.parameters import Dimension, exact_parameter, range_parameter
-from ..qos.specification import QoSSpecification
-from ..sla.document import AdaptationOptions
-from ..sla.negotiation import ServiceRequest
 from ..telemetry.metrics import TimeWeightedGauge
+from ..workloads.replay import request_for_session
 from ..workloads.sessions import SessionSpec, Workload
 
 _EPSILON = 1e-9
@@ -211,34 +208,6 @@ def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
 # ----------------------------------------------------------------------
 
 
-def request_from_spec(session: SessionSpec, *,
-                      service_name: str = "simulation-service"
-                      ) -> ServiceRequest:
-    """Translate a synthetic session into a broker ServiceRequest."""
-    parameters = []
-    if session.service_class is ServiceClass.CONTROLLED_LOAD \
-            and session.cpu_best > session.cpu_floor:
-        parameters.append(range_parameter(Dimension.CPU, session.cpu_floor,
-                                          session.cpu_best))
-    else:
-        parameters.append(exact_parameter(Dimension.CPU, session.cpu_best))
-    if session.memory_mb > 0:
-        parameters.append(exact_parameter(Dimension.MEMORY_MB,
-                                          session.memory_mb))
-    return ServiceRequest(
-        client=session.user,
-        service_name=service_name,
-        service_class=session.service_class,
-        specification=QoSSpecification.from_iterable(parameters),
-        start=session.arrival,
-        end=session.end,
-        adaptation=AdaptationOptions(
-            accept_degradation=session.accept_degradation,
-            accept_termination=session.accept_termination,
-            accept_promotion=session.accept_promotion),
-    )
-
-
 def run_broker_workload(testbed, workload: Workload, *,
                         sample_interval: float = 5.0) -> PolicyRunResult:
     """Replay a workload through a full testbed broker.
@@ -256,16 +225,13 @@ def run_broker_workload(testbed, workload: Workload, *,
                      "violation", "best_effort_served")
 
     def issue(session: SessionSpec) -> None:
+        outcome = broker.request_service(
+            request_for_session(session, session.arrival))
         if session.service_class is ServiceClass.BEST_EFFORT:
             result.best_effort_requests += 1
-            granted = broker.request_best_effort(
-                session.user, session.cpu_best, duration=session.duration)
-            if granted:
+            if outcome.accepted:
                 result.best_effort_accepted += 1
-            return
-        request = request_from_spec(session)
-        outcome = broker.request_service(request)
-        if session.service_class is ServiceClass.GUARANTEED:
+        elif session.service_class is ServiceClass.GUARANTEED:
             result.guaranteed_requests += 1
             if outcome.accepted:
                 result.guaranteed_accepted += 1

@@ -35,7 +35,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..errors import CapacityError, ReservationNotFound
 from ..qos.vector import ResourceVector
@@ -219,22 +219,6 @@ class SlotTable:
             return ResourceVector.zero()
         return ResourceVector(self._cpu[index], self._memory[index],
                               self._disk[index], self._bandwidth[index])
-
-    def usage_profile(self) -> List[Tuple[float, float, ResourceVector]]:
-        """The piecewise-constant profile as ``(start, end, usage)``.
-
-        Segments are returned in time order and cover exactly the span
-        of the boundary index (usage outside it is zero); the final
-        segment's end is :data:`FOREVER`.
-        """
-        times = self._times
-        profile = []
-        for index, start in enumerate(times):
-            end = times[index + 1] if index + 1 < len(times) else FOREVER
-            profile.append((start, end, ResourceVector(
-                self._cpu[index], self._memory[index], self._disk[index],
-                self._bandwidth[index])))
-        return profile
 
     def peak_usage(self, start: float, end: float) -> ResourceVector:
         """Component-wise maximum booked demand over ``[start, end)``.

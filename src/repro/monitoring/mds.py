@@ -77,10 +77,6 @@ class InformationService:
         del history[:-self.history_limit]
         return reading
 
-    def query_all(self, pattern: str = "*") -> "List[SensorReading]":
-        """Fresh readings from every sensor matching the pattern."""
-        return [self.query(name) for name in self.sensor_names(pattern)]
-
     def latest(self, name: str) -> Optional[SensorReading]:
         """The most recent retained reading, or ``None``."""
         history = self._history.get(name)

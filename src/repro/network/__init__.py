@@ -7,7 +7,8 @@ inter-domain communication with NRMs in neighboring domains"
 (Section 2.1). This package provides:
 
 * :mod:`repro.network.topology` — sites, links and domains over a
-  networkx graph, with per-link capacities and congestion state.
+  stdlib adjacency dict, with per-link capacities and congestion state
+  and a lowest-delay path search (a bidirectional Dijkstra).
 * :mod:`repro.network.nrm` — the per-domain bandwidth broker, with
   path reservation, measurement and degradation notification.
 * :mod:`repro.network.interdomain` — end-to-end coordination across

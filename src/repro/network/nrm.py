@@ -174,20 +174,6 @@ class NetworkResourceManager:
         return min(self._table(link).available(start, end).bandwidth_mbps
                    for link in links)
 
-    def available_bandwidth_at(self, source: str, destination: str,
-                               time: float) -> float:
-        """Instantaneous free end-to-end bandwidth (profile fast path).
-
-        The slot-table point query replaces the
-        ``available(now, now + 1e-9)`` pinhole-window idiom for
-        "what could this path carry right now" probes.
-        """
-        links = self.domain_links(source, destination)
-        if not links:
-            return float("inf")
-        return min(self._table(link).available_at(time).bandwidth_mbps
-                   for link in links)
-
     def can_allocate(self, source: str, destination: str,
                      bandwidth_mbps: float, start: float,
                      end: float) -> bool:

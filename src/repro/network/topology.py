@@ -12,9 +12,9 @@ named set of sites managed by one NRM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import NetworkError
 
@@ -88,7 +88,9 @@ class Topology:
     """The network graph shared by all NRMs."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        #: site -> neighbour -> None, in link-insertion order (the
+        #: order the path search scans, so it decides ties).
+        self._adjacency: Dict[str, Dict[str, None]] = {}
         self._sites: Dict[str, Site] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
 
@@ -103,7 +105,7 @@ class Topology:
             raise NetworkError(f"site {name!r} already exists")
         site = Site(name=name, domain=domain, address=address)
         self._sites[name] = site
-        self._graph.add_node(name)
+        self._adjacency[name] = {}
         return site
 
     def add_link(self, a: str, b: str, capacity_mbps: float, *,
@@ -121,7 +123,8 @@ class Topology:
         if link.key in self._links:
             raise NetworkError(f"link {a!r}-{b!r} already exists")
         self._links[link.key] = link
-        self._graph.add_edge(a, b)
+        self._adjacency[a][b] = None
+        self._adjacency[b][a] = None
         return link
 
     # ------------------------------------------------------------------
@@ -181,25 +184,63 @@ class Topology:
                 raise NetworkError(f"unknown site {name!r}")
         if source == destination:
             return []
-
-        def weight(u: str, v: str, _attrs: dict) -> float:
-            return self.link(u, v).delay_ms
-
-        try:
-            nodes = nx.shortest_path(self._graph, source, destination,
-                                     weight=weight)
-        except nx.NetworkXNoPath:
-            raise NetworkError(
-                f"no path between {source!r} and {destination!r}") from None
+        nodes = self._bidirectional_dijkstra(source, destination)
         return [self.link(u, v) for u, v in zip(nodes, nodes[1:])]
 
-    def path_delay_ms(self, source: str, destination: str) -> float:
-        """Total propagation delay along the shortest path."""
-        return sum(link.delay_ms for link in self.path(source, destination))
+    def _bidirectional_dijkstra(self, source: str,
+                                destination: str) -> List[str]:
+        """The lowest-delay node path from ``source`` to ``destination``.
 
-    def path_loss(self, source: str, destination: str) -> float:
-        """End-to-end loss fraction along the shortest path."""
-        survive = 1.0
-        for link in self.path(source, destination):
-            survive *= (1.0 - link.loss)
-        return 1.0 - survive
+        A port of networkx 3.6.1's ``bidirectional_dijkstra`` (what
+        ``nx.shortest_path`` runs when both ends are given), kept step
+        for step so ties break the same way: the searches alternate,
+        heap keys are ``(dist, insertion counter, node)``, a label is
+        replaced only by a strictly shorter one, and the answer is the
+        best meeting node seen when some node is settled from both
+        sides. ``tests/network/test_dijkstra_oracle.py`` holds it to
+        networkx.
+        """
+        settled: List[Set[str]] = [set(), set()]
+        preds: List[Dict[str, Optional[str]]] = [{source: None},
+                                                 {destination: None}]
+        seen: List[Dict[str, float]] = [{source: 0}, {destination: 0}]
+        counter = count()
+        fringe: List[list] = [[(0, next(counter), source)],
+                              [(0, next(counter), destination)]]
+        best: Optional[float] = None
+        meet = ""
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, node = heappop(fringe[direction])
+            if node in settled[direction]:
+                continue
+            settled[direction].add(node)
+            if node in settled[1 - direction]:
+                forward: List[str] = []
+                step: Optional[str] = meet
+                while step is not None:
+                    forward.append(step)
+                    step = preds[0][step]
+                forward.reverse()
+                step = preds[1][meet]
+                while step is not None:
+                    forward.append(step)
+                    step = preds[1][step]
+                return forward
+            for neighbour in self._adjacency[node]:
+                if neighbour in settled[direction]:
+                    continue
+                length = dist + self.link(node, neighbour).delay_ms
+                if (neighbour not in seen[direction]
+                        or length < seen[direction][neighbour]):
+                    seen[direction][neighbour] = length
+                    heappush(fringe[direction],
+                             (length, next(counter), neighbour))
+                    preds[direction][neighbour] = node
+                    if neighbour in seen[1 - direction]:
+                        total = length + seen[1 - direction][neighbour]
+                        if best is None or best > total:
+                            best, meet = total, neighbour
+        raise NetworkError(
+            f"no path between {source!r} and {destination!r}")

@@ -159,14 +159,6 @@ class QoSSpecification:
             bandwidth_mbps=point.get(Dimension.BANDWIDTH_MBPS, 0.0),
         )
 
-    def max_demand(self) -> ResourceVector:
-        """Demand of the best operating point (used for admission)."""
-        return self.point_demand(self.best_point())
-
-    def min_demand(self) -> ResourceVector:
-        """Demand of the floor operating point."""
-        return self.point_demand(self.worst_point())
-
     def describe(self) -> str:
         """Compact human-readable form."""
         return "; ".join(p.describe() for p in self.parameters)

@@ -102,14 +102,6 @@ class ResourceVector:
             max(self.disk_mb, other.disk_mb),
             max(self.bandwidth_mbps, other.bandwidth_mbps))
 
-    def component_min(self, other: "ResourceVector") -> "ResourceVector":
-        """Element-wise minimum."""
-        return ResourceVector(
-            min(self.cpu, other.cpu),
-            min(self.memory_mb, other.memory_mb),
-            min(self.disk_mb, other.disk_mb),
-            min(self.bandwidth_mbps, other.bandwidth_mbps))
-
     def is_zero(self) -> bool:
         """Whether every component is (numerically) zero."""
         return (abs(self.cpu) <= _EPSILON

@@ -14,7 +14,6 @@ from repro.baselines import (
 )
 from repro.core.testbed import build_testbed
 from repro.experiments.harness import (
-    request_from_spec,
     run_broker_workload,
     run_policy_workload,
 )
@@ -25,6 +24,7 @@ from repro.workloads.generators import (
     arrival_rate_for_load,
     generate_workload,
 )
+from repro.workloads.replay import request_for_session
 from repro.workloads.sessions import SessionSpec, Workload
 
 
@@ -101,7 +101,7 @@ class TestRequestTranslation:
                               service_class=ServiceClass.GUARANTEED,
                               arrival=5.0, duration=10.0,
                               cpu_floor=4, cpu_best=4, memory_mb=128)
-        request = request_from_spec(session)
+        request = request_for_session(session, session.arrival)
         point = request.specification.best_point()
         from repro.qos.parameters import Dimension
         assert point[Dimension.CPU] == 4.0
@@ -115,7 +115,7 @@ class TestRequestTranslation:
                               arrival=0.0, duration=10.0,
                               cpu_floor=2, cpu_best=8,
                               accept_degradation=True)
-        request = request_from_spec(session)
+        request = request_for_session(session, session.arrival)
         from repro.qos.parameters import Dimension
         parameter = request.specification.require(Dimension.CPU)
         assert (parameter.low, parameter.high) == (2.0, 8.0)

@@ -89,10 +89,22 @@ def _apply(table, live, op):
     return None
 
 
+def _usage_profile(table):
+    """The indexed table's piecewise-constant profile, read off its
+    boundary columns as ``(start, end, usage)`` in time order; the last
+    segment ends at :data:`FOREVER`."""
+    times = table._times
+    ends = times[1:] + [FOREVER]
+    return [(start, end, ResourceVector(cpu, memory, disk, bandwidth))
+            for start, end, cpu, memory, disk, bandwidth
+            in zip(times, ends, table._cpu, table._memory, table._disk,
+                   table._bandwidth)]
+
+
 def _probe_points(table):
     """Every profile boundary, its neighbourhood, and fixed probes."""
     points = {0.0, 50.0, 1e6, -1.0}
-    for start, _end, _usage in table.usage_profile():
+    for start, _end, _usage in _usage_profile(table):
         points.update((start, start - 0.125, start + 0.125))
     return sorted(points)
 
@@ -141,7 +153,7 @@ class TestDifferential:
         for entry in live:
             indexed.release(entry)
         assert len(indexed) == 0
-        assert indexed.usage_profile() == []
+        assert _usage_profile(indexed) == []
         assert indexed.usage_at(50.0) == ResourceVector.zero()
 
 
@@ -228,7 +240,7 @@ class TestFastPaths:
         table = SlotTable(CAPACITY)
         table.reserve(ResourceVector(cpu=4), 0, 10)
         table.reserve(ResourceVector(cpu=2), 5, 20)
-        profile = table.usage_profile()
+        profile = _usage_profile(table)
         spans = [(start, end, usage.cpu) for start, end, usage in profile]
         assert spans == [(0, 5, 4.0), (5, 10, 6.0), (10, 20, 2.0),
                          (20, FOREVER, 0.0)]

@@ -48,7 +48,7 @@ class TestRegistry:
             mds.register(CountingSensor(name, sim))
         assert mds.sensor_names("cluster/*") == ["cluster/cpu",
                                                  "cluster/memory"]
-        assert len(mds.query_all("net/*")) == 1
+        assert mds.sensor_names("net/*") == ["net/flow1"]
 
     def test_unregister_keeps_history(self, sim, mds):
         mds.register(CountingSensor("s", sim))

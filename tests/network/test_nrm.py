@@ -31,13 +31,6 @@ class TestAllocation:
         assert nrm.available_bandwidth("a", "b", 0, 100) == 70.0
         assert nrm.available_bandwidth("b", "c", 0, 100) == 20.0
 
-    def test_available_bandwidth_at_tracks_window_edges(self, nrm):
-        nrm.allocate("a", "c", 30.0, 10, 100)
-        assert nrm.available_bandwidth_at("a", "c", 5.0) == 50.0
-        assert nrm.available_bandwidth_at("a", "c", 10.0) == 20.0
-        assert nrm.available_bandwidth_at("a", "c", 99.9) == 20.0
-        assert nrm.available_bandwidth_at("a", "c", 100.0) == 50.0
-
     def test_bottleneck_governs_admission(self, nrm):
         # The b-c link caps the a-c path at 50.
         assert nrm.can_allocate("a", "c", 50.0, 0, 100)

@@ -79,13 +79,8 @@ class TestPaths:
             paper_topology.path("siteA", "island")
 
     def test_delay_is_additive(self, paper_topology):
-        assert paper_topology.path_delay_ms("siteC", "siteB") == \
-            pytest.approx(13.0)
-
-    def test_loss_composes_multiplicatively(self, paper_topology):
-        assert paper_topology.path_loss("siteC", "siteA") == \
-            pytest.approx(0.01)
-        assert paper_topology.path_loss("siteA", "siteB") == 0.0
+        links = paper_topology.path("siteC", "siteB")
+        assert sum(link.delay_ms for link in links) == pytest.approx(13.0)
 
     def test_shortest_by_delay_not_hops(self):
         topology = Topology()

@@ -149,6 +149,8 @@ class TestDemandMapping:
         assert demand == ResourceVector(cpu=4.0)
 
     def test_max_and_min_demand(self, spec):
-        assert spec.max_demand().cpu == 8
-        assert spec.min_demand().cpu == 2
-        assert spec.min_demand().fits_within(spec.max_demand())
+        most = QoSSpecification.point_demand(spec.best_point())
+        least = QoSSpecification.point_demand(spec.worst_point())
+        assert most.cpu == 8
+        assert least.cpu == 2
+        assert least.fits_within(most)

@@ -48,11 +48,10 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ResourceVector(cpu=1).scaled(-1)
 
-    def test_component_min_max(self):
+    def test_component_max(self):
         a = ResourceVector(cpu=2, memory_mb=10)
         b = ResourceVector(cpu=5, memory_mb=3)
         assert a.component_max(b) == ResourceVector(cpu=5, memory_mb=10)
-        assert a.component_min(b) == ResourceVector(cpu=2, memory_mb=3)
 
 
 class TestPartialOrder:

@@ -174,61 +174,6 @@ def test_single_document_roundtrip_preserves_every_field(sla):
     assert restored.adaptation == sla.adaptation
 
 
-@given(service_slas(sla_id=1088))
-@settings(max_examples=60, deadline=None)
-def test_table1_renderer_matches_the_tree_encoder(sla):
-    """``render_service_specific`` is pinned byte-identical to the
-    Table 1 tree encoder, like every string-builder fast path."""
-    import xml.etree.ElementTree as ET
-
-    from repro.xmlmsg.codec import (
-        encode_service_specific,
-        render_service_specific,
-    )
-
-    assert render_service_specific(sla) == ET.tostring(
-        encode_service_specific(sla), encoding="unicode")
-
-
-@st.composite
-def measurements(draw, sla: "ServiceSLA") -> "MeasuredQoS":
-    from repro.sla.violations import MeasuredQoS
-
-    values = {}
-    if draw(st.booleans()):
-        values[Dimension.CPU] = float(draw(st.integers(0, 16)))
-    if draw(st.booleans()):
-        values[Dimension.MEMORY_MB] = draw(eighths(1, 512))
-    if sla.network is not None:
-        if draw(st.booleans()):
-            values[Dimension.BANDWIDTH_MBPS] = draw(eighths(1, 622))
-        if draw(st.booleans()):
-            values[Dimension.PACKET_LOSS] = draw(
-                st.integers(0, 100)) / 100.0
-        if draw(st.booleans()):
-            values[Dimension.DELAY_MS] = draw(eighths(1, 500))
-    return MeasuredQoS(sla_id=sla.sla_id, values=values,
-                       time=draw(eighths(0, 100)))
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_table3_renderer_matches_the_tree_encoder(data):
-    """``render_qos_levels`` — the conformance reply, the chattiest
-    periodic message — is pinned byte-identical to the Table 3 tree
-    encoder across measured-value subsets, bound-satisfied and
-    bound-violated packet loss, and SLAs with and without a network
-    block."""
-    import xml.etree.ElementTree as ET
-
-    from repro.xmlmsg.codec import encode_qos_levels, render_qos_levels
-
-    sla = data.draw(service_slas(sla_id=1099))
-    measured = data.draw(measurements(sla))
-    assert render_qos_levels(sla, measured) == ET.tostring(
-        encode_qos_levels(sla, measured), encoding="unicode")
-
-
 @given(repositories())
 @settings(max_examples=40, deadline=None)
 def test_export_xml_matches_the_tree_encoder(repository):

@@ -1,12 +1,13 @@
 """The CLI reports, pinned across commits.
 
-``scripts/check.sh`` proves that two runs of the *same* code print the
-same bytes. This test proves more: that the code prints the bytes it
-printed when these digests were recorded. Each command runs in a fresh
-interpreter (the process-global message, record and span counters start
-where a user's run starts them) and the sha256 of its stdout is
-compared with the golden value. A mismatch means a report moved; it is
-reviewed and re-pinned deliberately, never absorbed.
+:func:`test_report_is_byte_identical_across_runs` proves that two runs
+of the *same* code print the same bytes. The digests prove more: that
+the code prints the bytes it printed when they were recorded. Each
+command runs in a fresh interpreter (the process-global message, record
+and span counters start where a user's run starts them) and the sha256
+of its stdout is compared with the golden value. A mismatch means a
+report moved; it is reviewed and re-pinned deliberately, never
+absorbed.
 
 These are CPython 3.11 pins. Several reports print float sums, and
 CPython 3.12 changed builtin ``sum`` over floats to compensated
@@ -82,6 +83,22 @@ def test_cli_reports_match_their_pins():
     moved = sorted(command for command in REPORT_SHA256
                    if digests[command] != REPORT_SHA256[command])
     assert not moved, f"reports moved: {moved}"
+
+
+#: Reports whose every id, stamp and counter is a function of the seed
+#: alone: two fresh interpreters must print the same bytes, on any
+#: interpreter (the digests above add "the same bytes as recorded" on
+#: CPython 3.11 only).
+DETERMINISTIC = ("quickstart --telemetry", "quickstart --crash 7",
+                 "obs why all")
+
+
+@pytest.mark.parametrize("command", DETERMINISTIC)
+def test_report_is_byte_identical_across_runs(command):
+    first, second = _run(command), _run(command)
+    assert first.returncode == 0, first.stderr.decode()
+    assert second.returncode == 0, second.stderr.decode()
+    assert first.stdout == second.stdout, f"{command!r} is not deterministic"
 
 
 def test_quickstart_runs_outside_the_source_tree(tmp_path):
