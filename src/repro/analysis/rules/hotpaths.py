@@ -8,9 +8,11 @@ the inner loops touch no Python object allocation.  One stray
 re-introduces the allocation cost the rewrite removed — and nothing
 functional breaks, so only a benchmark (or this rule) would notice.
 The capacity partition's per-admission path is held to the same rule:
-every request runs one demand update and one water-fill pass, whose
-tier loops draw on local floats (DESIGN §4) — a per-draw closure or a
-per-pool ledger object there is paid by every admission and departure.
+every request runs one demand update and one water-fill pass, and
+every read of a holding's sourcing runs the holding's read accessor
+and, once per pass, the draw that places it on the pass's demand lines
+on local floats (DESIGN §4) — a per-draw closure or a per-pool ledger
+object there is paid by every admission, departure and holding read.
 So are the machine's ``fail_nodes``/``repair_nodes``: node state is one
 down-set, so a churn cycle builds no per-node object. So is the wire
 writer: every leg of every bus request renders one envelope
@@ -60,10 +62,11 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
         "usage_at", "available_at", "peak_usage", "available",
         "can_reserve", "utilization_at", "_apply_delta"}),
     # One admission's way through the partition: the demand update
-    # and the water-fill pass it triggers; and one departure's.
+    # and the water-fill pass it triggers; one departure's; and one
+    # holding read: the accessor and the draw it runs.
     "repro/core/capacity.py": frozenset({
         "rebalance", "set_guaranteed_demand", "effective_sizes",
-        "remove_guaranteed"}),
+        "remove_guaranteed", "_draw", "_read"}),
     # One churn cycle's node bookkeeping, kept as set arithmetic.
     "repro/resources/machine.py": frozenset({"fail_nodes", "repair_nodes"}),
     # One message's way onto the wire: the per-node recursion and the

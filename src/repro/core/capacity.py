@@ -20,11 +20,13 @@ one partition per managed resource type). All mutation funnels through
 water-fill, so the allocation state is always a pure function of
 (demands, commitments, failures) — which is what makes the Section 5.6
 timeline exactly replayable. Being a pure function does not mean
-recomputing it: a pass re-draws only the holdings whose demand changed
-and the ones a pool boundary crossed since the last pass (see
-:meth:`CapacityPartition.rebalance` and DESIGN §4); the full recompute
-survives as ``tests/core/capacity_reference.NaiveCapacityPartition``,
-the differential-test oracle.
+recomputing it: a pass works out the pool rows and the shortfalls and
+draws no holding; a holding draws its own values off the last pass
+when they are read (see :meth:`CapacityPartition.rebalance` and DESIGN
+§4).
+The full recompute survives as
+``tests/core/capacity_reference.NaiveCapacityPartition``, the
+differential-test oracle.
 
 Priority tiers inside ``rebalance``:
 
@@ -44,7 +46,7 @@ Priority tiers inside ``rebalance``:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
@@ -57,7 +59,6 @@ from ..units import iszero
 _EPSILON = 1e-9
 
 
-@dataclass
 class GuaranteedHolding:
     """One guaranteed user's state in the partition.
 
@@ -68,15 +69,42 @@ class GuaranteedHolding:
         served: Capacity actually allocated right now.
         from_g / from_a / from_b: Sourcing breakdown of ``served``
             (the per-pool "x/y" views of the Section 5.6 tables).
+
+    The last four are drawn when read: a holding stamped before the
+    partition's last pass draws itself off that pass first
+    (:meth:`CapacityPartition._draw`). A read never runs a pass, and a
+    holding that left the partition keeps its last draw for good.
     """
 
-    user: str
-    committed: float
-    demand: float = 0.0
-    served: float = 0.0
-    from_g: float = 0.0
-    from_a: float = 0.0
-    from_b: float = 0.0
+    __slots__ = ("user", "committed", "demand", "_partition", "_stamp",
+                 "_served", "_from_g", "_from_a", "_from_b")
+
+    def __init__(self, user: str, committed: float,
+                 partition: "Optional[CapacityPartition]" = None) -> None:
+        self.user = user
+        self.committed = committed
+        self.demand = 0.0
+        self._partition = partition
+        self._stamp = partition._passes if partition is not None else 0
+        self._served = self._from_g = self._from_a = self._from_b = 0.0
+
+    def _read(self) -> "GuaranteedHolding":
+        """Draw off the partition's last pass if one ran since the
+        last draw; never a pass itself."""
+        partition = self._partition
+        if partition is not None and self._stamp != partition._passes:
+            partition._draw(self)
+        return self
+
+    def _freeze(self) -> None:
+        """Keep the current draw for good (the holding left)."""
+        self._read()
+        self._partition = None
+
+    served = property(lambda self: self._read()._served)
+    from_g = property(lambda self: self._read()._from_g)
+    from_a = property(lambda self: self._read()._from_a)
+    from_b = property(lambda self: self._read()._from_b)
 
     @property
     def entitled(self) -> float:
@@ -207,22 +235,24 @@ class CapacityPartition:
         self._excess = 0.0
         #: Holdings whose demand changed since the last pass.
         self._touched: Dict[str, GuaranteedHolding] = {}
-        #: The sort-order index: user keys with their holdings and
-        #: entitled/excess columns in parallel. Absent until a pass
-        #: finds a boundary inside a tier (or the holdings are listed),
-        #: from then on updated in place by admit/remove.
+        #: The sort-order index: user keys with their entitled/excess
+        #: columns in parallel. Absent until a pass finds a boundary
+        #: inside a tier (or the holdings are listed), from then on
+        #: updated in place by admit/remove.
         self._keys: Optional[List[str]] = None
-        self._rows: List[GuaranteedHolding] = []
         self._ents: List[float] = []
         self._excs: List[float] = []
-        #: Index position of the holding each of the five pool
-        #: boundaries fell in on the last pass (``len`` = past the end).
-        self._cuts: List[int] = []
         #: The two demand lines, kept between passes, and the low-water
         #: mark: the lowest index position changed since they were summed.
         self._line_e: List[float] = [0.0]
         self._line_x: List[float] = [0.0]
         self._low = 0
+        #: What a holding draws itself off (:meth:`_draw`): the pass
+        #: count, the last pass's five boundaries (``None`` without the
+        #: index) and the keys admitted since, which are off its lines.
+        self._passes = 0
+        self._bounds: Optional[Tuple[float, float, float, float, float]] = None
+        self._fresh: List[str] = []
         #: Deferred-rebalance mode (batch admission): demand updates
         #: mark the assignment dirty instead of rebalancing, and every
         #: reader of rebalance-derived state flushes first.
@@ -319,17 +349,16 @@ class CapacityPartition:
                 f"cannot admit {user!r}: committed total "
                 f"{self.committed_total():g} + {committed:g} exceeds "
                 f"Cg={self.cg:g}")
-        holding = GuaranteedHolding(user=user, committed=committed)
+        holding = GuaranteedHolding(user, committed, self)
         self._guaranteed[user] = holding
         self._committed += committed
         keys = self._keys
         if keys is not None:
             at = bisect_left(keys, user)
             keys.insert(at, user)
-            self._rows.insert(at, holding)
             self._ents.insert(at, 0.0)
             self._excs.insert(at, 0.0)
-            self._cuts = [cut + (cut >= at) for cut in self._cuts]
+            insort(self._fresh, user)
             self._low = min(self._low, at)
         return holding
 
@@ -346,6 +375,8 @@ class CapacityPartition:
             raise AdmissionError(f"user {user!r} is not admitted")
         if demand < 0:
             raise AdmissionError(f"demand must be >= 0: {demand}")
+        if self._deferred:  # it reads its last draw until the pass
+            holding._read()
         entitled, excess = holding.entitled, holding.excess
         holding.demand = demand
         self._entitled += holding.entitled - entitled
@@ -361,6 +392,7 @@ class CapacityPartition:
         holding = self._guaranteed.pop(user, None)
         if holding is None:
             raise AdmissionError(f"user {user!r} is not admitted")
+        holding._freeze()
         self._committed -= holding.committed
         self._entitled -= holding.entitled
         self._excess -= holding.excess
@@ -370,8 +402,7 @@ class CapacityPartition:
         keys = self._keys
         if keys is not None:
             at = bisect_left(keys, user)
-            del keys[at], self._rows[at], self._ents[at], self._excs[at]
-            self._cuts = [cut - (cut > at) for cut in self._cuts]
+            del keys[at], self._ents[at], self._excs[at]
             self._low = min(self._low, at)
         return self.rebalance()
 
@@ -386,25 +417,24 @@ class CapacityPartition:
     def _index(self) -> List[str]:
         """Build the sort-order index if it is absent.
 
-        Only ever built from a state in which no boundary was inside a
-        tier on the last pass, so every remembered cut starts past the
-        end; the demand lines start unsummed.
+        The demand lines start unsummed: until the next pass sums them,
+        holdings keep drawing as the last pass (without an index) left
+        them.
         """
         keys = self._keys
         if keys is None:
             keys = self._keys = sorted(self._guaranteed)
-            rows = self._rows = [self._guaranteed[user] for user in keys]
+            rows = [self._guaranteed[user] for user in keys]
             self._ents = [holding.entitled for holding in rows]
             self._excs = [holding.excess for holding in rows]
-            self._cuts = [len(keys)] * 5
             self._low = 0
         return keys
 
     def guaranteed_holdings(self) -> List[GuaranteedHolding]:
         """All guaranteed holdings (stable order)."""
         self._flush()
-        self._index()
-        return list(self._rows)
+        guaranteed = self._guaranteed
+        return [guaranteed[user] for user in self._index()]
 
     # ------------------------------------------------------------------
     # Best-effort demand
@@ -451,8 +481,11 @@ class CapacityPartition:
 
         Failure bookkeeping is untouched — the machine, not the
         partition, is authoritative for lost capacity, and recovery
-        re-derives ``failed`` from it separately.
+        re-derives ``failed`` from it separately. Every dropped holding
+        keeps its last draw.
         """
+        for holding in self._guaranteed.values():
+            holding._freeze()
         self._guaranteed.clear()
         self._best_effort.clear()
         self._arrivals = 0
@@ -505,20 +538,20 @@ class CapacityPartition:
         Tiers 1 and 2 are a closed form of each holding's place on two
         cumulative demand lines in sort order: Σ entitled is cut by
         ``Cg | Ca | Cb − min`` and Σ excess by what tier 1 left of
-        ``Ca | Cg`` (effective sizes). A holding changes only if its
-        own demand did or if one of those five boundaries now falls on
-        the other side of it, so the pass re-draws the touched holdings
-        and the ones between where each boundary fell last time and
-        where it falls now (both straddlers included) — nothing else;
-        the pool rows and ``adapt_transfer`` come from the line ends,
-        the shortfalls from the suffix past the last cut. The kept
-        lines are re-summed only from the lowest changed position.
+        ``Ca | Cg`` (effective sizes). So the pass draws no holding:
+        it re-sums the kept lines from the lowest changed position,
+        takes the pool rows and ``adapt_transfer`` from the line ends
+        and the shortfalls from the suffix past the ``Cb − min`` cut,
+        and stores the five boundaries; each holding draws its own
+        place off them when read (:meth:`_draw`).
 
-        Without the index every cut is past the end, the order is
+        Without the index no boundary is inside a tier, the order is
         immaterial, and the touched holdings stand as the tail of both
-        lines: the same rule over a degenerate index.
+        lines: every holding is served its whole demand.
         """
         self._dirty = False
+        self._passes += 1
+        self._fresh.clear()
         eff_g, eff_a, eff_b = self.effective_sizes()
         protected_b = min(self.best_effort_min, eff_b)
         touched = self._touched
@@ -527,23 +560,19 @@ class CapacityPartition:
                              or self._excess > eff_a):
             keys = self._index()
         if keys is None:
-            rows = list(touched.values())
-            ents = [holding.entitled for holding in rows]
-            excs = [holding.excess for holding in rows]
+            users = list(touched)
+            ents = [holding.entitled for holding in touched.values()]
+            excs = [holding.excess for holding in touched.values()]
             line_e = list(accumulate(ents,
                                      initial=self._entitled - sum(ents)))
             line_x = list(accumulate(excs,
                                      initial=self._excess - sum(excs)))
-            redraw = set(range(len(rows)))
-            was = [len(rows)] * 5
         else:
-            rows, ents, excs = self._rows, self._ents, self._excs
+            users, ents, excs = keys, self._ents, self._excs
             low = self._low
-            redraw = set()
             for user, holding in touched.items():
                 at = bisect_left(keys, user)
                 ents[at], excs[at] = holding.entitled, holding.excess
-                redraw.add(at)
                 low = min(low, at)
             # A prefix sum is a left fold: re-summing from the lowest
             # changed column gives every later entry bit for bit.
@@ -552,10 +581,8 @@ class CapacityPartition:
             del line_e[low:], line_x[low:]
             line_e += accumulate(ents[low:], initial=start_e)
             line_x += accumulate(excs[low:], initial=start_x)
-            self._low = len(rows)
-            was = self._cuts
+            self._low = len(keys)
         touched.clear()
-        live = len(rows)
         # The line ends are both sums, added up exactly as a walk would.
         entitled = self._entitled = line_e[-1]
         excess = self._excess = line_x[-1]
@@ -573,60 +600,19 @@ class CapacityPartition:
         need = excess - a_excess
         g_excess = need if need <= left_g else left_g
 
-        # The five boundaries, and the holding each one falls in.
+        # The five boundaries the holdings draw off.
         end_a = eff_g + eff_a
         end_b = end_a + raid_b
-        end_x = left_a + left_g
-        cuts = [bisect_right(line_e, eff_g, 1) - 1,
-                bisect_right(line_e, end_a, 1) - 1,
-                bisect_right(line_e, end_b, 1) - 1,
-                bisect_right(line_x, left_a, 1) - 1,
-                bisect_right(line_x, end_x, 1) - 1]
-        if not was == cuts == [live] * 5:  # a cut is or was inside
-            for old, new in zip(was, cuts):
-                if old > new:
-                    old, new = new, old
-                redraw.update(range(old, min(new + 1, live)))
-        if keys is not None:
-            self._cuts = cuts
-
-        for at in redraw:
-            holding = rows[at]
-            # --- Tier 1: entitled demand, from Cg, then Ca, then Cb ---
-            need, start = ents[at], line_e[at]
-            room = eff_g - start
-            got_g = need if need <= room else room if room > 0.0 else 0.0
-            need -= got_g
-            room = end_a - (start if start > eff_g else eff_g)
-            got_a = need if need <= room else room if room > 0.0 else 0.0
-            need -= got_a
-            room = end_b - (start if start > end_a else end_a)
-            got_b = need if need <= room else room if room > 0.0 else 0.0
-            holding.from_b = got_b
-            served = got_g + got_a + got_b
-            # --- Tier 2: excess demand, from Ca, then Cg ---------------
-            need = excs[at]
-            if need > 0.0:
-                start = line_x[at]
-                room = left_a - start
-                more_a = need if need <= room else room if room > 0.0 else 0.0
-                need -= more_a
-                room = end_x - (start if start > left_a else left_a)
-                more_g = need if need <= room else room if room > 0.0 else 0.0
-                got_a += more_a
-                got_g += more_g
-                served += more_a + more_g
-            holding.from_g = got_g
-            holding.from_a = got_a
-            holding.served = served
+        self._bounds = None if keys is None else (
+            eff_g, end_a, end_b, left_a, left_a + left_g)
 
         shortfalls: Dict[str, float] = {}
-        for at in range(cuts[2], live):
+        for at in range(bisect_right(line_e, end_b, 1) - 1, len(ents)):
             need = line_e[at + 1] - end_b
             if need > ents[at]:
                 need = ents[at]
             if need > _EPSILON:
-                shortfalls[rows[at].user] = need
+                shortfalls[users[at]] = need
         rem_g = left_g - g_excess
         rem_a = left_a - a_excess
         rem_b = eff_b - b_guaranteed
@@ -683,6 +669,53 @@ class CapacityPartition:
                 headroom={"eff_g": eff_g, "eff_a": eff_a, "eff_b": eff_b,
                           "committed": self.committed_total()})
         return self.last_report
+
+    def _draw(self, holding: GuaranteedHolding) -> None:
+        """Draw ``holding`` off the last pass's columns, lines and
+        boundaries (a key admitted since has no place on the lines yet),
+        and stamp it. A holding no boundary reaches — every one, after a
+        pass without the index — is served its whole demand, which is
+        what the ladder would give it: ``from_g = e, from_a = x``."""
+        holding._stamp = self._passes
+        bounds = self._bounds
+        if bounds is None:
+            need, more, reached = holding.entitled, holding.excess, False
+        else:
+            eff_g, end_a, end_b, left_a, end_x = bounds
+            user = holding.user
+            at = bisect_left(self._keys, user)
+            line = at - bisect_left(self._fresh, user)
+            need, start = self._ents[at], self._line_e[line]
+            more, start_x = self._excs[at], self._line_x[line]
+            reached = need > eff_g - start or (
+                more > 0.0 and more > left_a - start_x)
+        if not reached:
+            holding._from_g, holding._from_a, holding._from_b = (
+                need, more, 0.0)
+            holding._served = need + more
+            return
+        # --- Tier 1: entitled demand, from Cg, then Ca, then Cb -------
+        room = eff_g - start
+        got_g = need if need <= room else room if room > 0.0 else 0.0
+        need -= got_g
+        room = end_a - (start if start > eff_g else eff_g)
+        got_a = need if need <= room else room if room > 0.0 else 0.0
+        need -= got_a
+        room = end_b - (start if start > end_a else end_a)
+        got_b = need if need <= room else room if room > 0.0 else 0.0
+        served = got_g + got_a + got_b
+        # --- Tier 2: excess demand, from Ca, then Cg -------------------
+        if more > 0.0:
+            room = left_a - start_x
+            more_a = more if more <= room else room if room > 0.0 else 0.0
+            more -= more_a
+            room = end_x - (start_x if start_x > left_a else left_a)
+            more_g = more if more <= room else room if room > 0.0 else 0.0
+            got_a += more_a
+            got_g += more_g
+            served += more_a + more_g
+        holding._from_g, holding._from_a, holding._from_b = got_g, got_a, got_b
+        holding._served = served
 
     # ------------------------------------------------------------------
     # Introspection

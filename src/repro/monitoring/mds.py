@@ -10,7 +10,6 @@ queries the experiment harness uses.
 
 from __future__ import annotations
 
-import fnmatch
 from typing import Dict, List, Optional
 
 from ..errors import MonitoringError
@@ -56,11 +55,6 @@ class InformationService:
         an O(total sensors) scan on the admission hot path.
         """
         return name in self._sensors
-
-    def sensor_names(self, pattern: str = "*") -> List[str]:
-        """Registered sensor names matching a glob pattern."""
-        return sorted(name for name in self._sensors
-                      if fnmatch.fnmatchcase(name, pattern))
 
     def query(self, name: str) -> SensorReading:
         """Take (and retain) a fresh reading from one sensor.

@@ -693,12 +693,49 @@ class TestHotPathAllocation:
                    "        holding = self._guaranteed.pop(user, None)\n"
                    "        if holding is None:\n"
                    "            raise AdmissionError(f'{user} not admitted')\n"
+                   "        holding._freeze()\n"
                    "        at = bisect_left(self._keys, user)\n"
-                   "        del self._keys[at]\n"
-                   "        self._cuts = [cut - (cut > at)\n"
-                   "                      for cut in self._cuts]\n"
+                   "        del self._keys[at], self._ents[at]\n"
                    "        self._low = min(self._low, at)\n"
                    "        return self.rebalance()\n")
+        assert run(snippet, relpath=self.PARTITION,
+                   rule_id="QLNT115") == []
+
+    def test_per_read_object_in_the_holding_draw_flags(self, run):
+        # A holding draws itself on read: a sourcing record built per
+        # draw is paid by every read after every pass.
+        snippet = ("class CapacityPartition:\n"
+                   "    def _draw(self, holding):\n"
+                   "        holding._stamp = self._passes\n"
+                   "        holding._sourcing = Sourcing(*self._bounds)\n")
+        findings = run(snippet, relpath=self.PARTITION, rule_id="QLNT115")
+        assert findings and "Sourcing" in findings[0].message
+
+    def test_closure_in_the_read_accessor_flags(self, run):
+        snippet = ("class GuaranteedHolding:\n"
+                   "    def _read(self):\n"
+                   "        stale = lambda: self._stamp != self._passes\n"
+                   "        return self if not stale() else self._draw()\n")
+        findings = run(snippet, relpath=self.PARTITION, rule_id="QLNT115")
+        assert findings and "closure" in findings[0].message
+
+    def test_the_draw_on_read_as_written_is_clean(self, run):
+        snippet = ("class GuaranteedHolding:\n"
+                   "    def _read(self):\n"
+                   "        partition = self._partition\n"
+                   "        if partition is not None and \\\n"
+                   "                self._stamp != partition._passes:\n"
+                   "            partition._draw(self)\n"
+                   "        return self\n"
+                   "class CapacityPartition:\n"
+                   "    def _draw(self, holding):\n"
+                   "        holding._stamp = self._passes\n"
+                   "        eff_g, end_a, end_b, left_a, end_x = self._bounds\n"
+                   "        at = bisect_left(self._keys, holding.user)\n"
+                   "        line = at - bisect_left(self._fresh, holding.user)\n"
+                   "        need, start = self._ents[at], self._line_e[line]\n"
+                   "        room = eff_g - start\n"
+                   "        holding._from_g = need if need <= room else room\n")
         assert run(snippet, relpath=self.PARTITION,
                    rule_id="QLNT115") == []
 

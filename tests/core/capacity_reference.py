@@ -6,32 +6,57 @@ recomputes the whole assignment over every guaranteed holding, in sort
 order, through one ``draw`` helper and a per-pool supply ledger. It is
 obviously a pure function of (demands, commitments, failures), which is
 exactly why it stays: the production partition keeps a sort-order
-index and re-draws only the holdings whose demand changed or that a
-pool boundary crossed since the last pass (DESIGN §4), and is
-differentially tested against this one after every step of a
-generated mutation sequence
+index, draws no holding in a pass and lets each holding draw itself
+off the last pass when it is read (DESIGN §4), and is differentially
+tested against this one after every step of a generated mutation
+sequence
 (``tests/core/test_capacity_statemachine.py``,
 ``tests/core/test_capacity_delta.py``, through
 ``tests/core/partition_oracle.py``). It emits nothing (no probe, no
-journal record) and lives with the tests, outside the library.
+journal record) and lives with the tests, outside the library. Its
+holdings are :class:`NaiveHolding` records whose every field the
+water-fill writes, so nothing about production's drawn-on-read
+holdings leaks into the oracle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.capacity import (
     BestEffortHolding,
-    GuaranteedHolding,
     PoolUsage,
     RebalanceReport,
 )
 from repro.errors import AdmissionError
 from repro.units import iszero
 
-__all__ = ["NaiveCapacityPartition"]
+__all__ = ["NaiveCapacityPartition", "NaiveHolding"]
 
 _EPSILON = 1e-9
+
+
+@dataclass
+class NaiveHolding:
+    """A guaranteed holding as the full water-fill writes it."""
+
+    user: str
+    committed: float
+    demand: float = 0.0
+    served: float = 0.0
+    from_g: float = 0.0
+    from_a: float = 0.0
+    from_b: float = 0.0
+
+    @property
+    def entitled(self) -> float:
+        return min(self.demand, self.committed)
+
+    @property
+    def excess(self) -> float:
+        over = self.demand - self.committed
+        return over if over > _EPSILON else 0.0
 
 
 class NaiveCapacityPartition:
@@ -54,7 +79,7 @@ class NaiveCapacityPartition:
         self.best_effort_min = float(best_effort_min)
         self.failure_order = failure_order
         self._failed = 0.0
-        self._guaranteed: Dict[str, GuaranteedHolding] = {}
+        self._guaranteed: Dict[str, NaiveHolding] = {}
         self._best_effort: Dict[str, BestEffortHolding] = {}
         self._arrivals = 0
         self._deferred = False
@@ -97,12 +122,12 @@ class NaiveCapacityPartition:
     def committed_total(self) -> float:
         return sum(h.committed for h in self._guaranteed.values())
 
-    def admit_guaranteed(self, user: str, committed: float) -> GuaranteedHolding:
+    def admit_guaranteed(self, user: str, committed: float) -> NaiveHolding:
         if user in self._guaranteed:
             raise AdmissionError(f"user {user!r} already admitted")
         if self.committed_total() + committed > self.cg + _EPSILON:
             raise AdmissionError(f"cannot admit {user!r}")
-        holding = GuaranteedHolding(user=user, committed=committed)
+        holding = NaiveHolding(user=user, committed=committed)
         self._guaranteed[user] = holding
         return holding
 
@@ -118,7 +143,7 @@ class NaiveCapacityPartition:
         del self._guaranteed[user]
         return self.rebalance()
 
-    def guaranteed_holdings(self) -> List[GuaranteedHolding]:
+    def guaranteed_holdings(self) -> List[NaiveHolding]:
         self._flush()
         return [self._guaranteed[user] for user in sorted(self._guaranteed)]
 

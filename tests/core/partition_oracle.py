@@ -4,10 +4,11 @@
 :class:`~repro.core.capacity.CapacityPartition` and to the
 full-recompute :class:`~tests.core.capacity_reference.NaiveCapacityPartition`,
 and :meth:`MirroredPartition.check` asserts that the two agree on every
-holding field and on the whole rebalance report — ``==`` while every
-input so far was integer-valued, within 1e-9 once a fractional one has
-been applied (production subtracts prefix sums where the oracle
-subtracts draw by draw).
+holding field (:data:`HOLDING_FIELDS`, by name: production draws four
+of them when read) and on the whole rebalance report — ``==`` while
+every input so far was integer-valued, within 1e-9 once a fractional
+one has been applied (production subtracts prefix sums where the
+oracle subtracts draw by draw).
 """
 
 from __future__ import annotations
@@ -24,10 +25,20 @@ from .capacity_reference import NaiveCapacityPartition
 
 TOLERANCE = 1e-9
 
+#: What a guaranteed holding holds, compared field by field.
+HOLDING_FIELDS = ("committed", "demand", "served", "from_g", "from_a",
+                  "from_b")
+
+
+def holding_values(holding) -> tuple:
+    """``holding``'s :data:`HOLDING_FIELDS`, read by name."""
+    return tuple(getattr(holding, name) for name in HOLDING_FIELDS)
+
 
 def count_entitled_reads(monkeypatch) -> list:
-    """Count ``GuaranteedHolding.entitled`` reads — every pass reads it
-    once per holding it draws, so the count is the work done."""
+    """Count ``GuaranteedHolding.entitled`` reads — a pass reads it once
+    per touched holding, a draw without the index once, so the count is
+    the work done."""
     reads = [0]
     entitled = GuaranteedHolding.entitled.fget
 
@@ -39,17 +50,16 @@ def count_entitled_reads(monkeypatch) -> list:
 
 
 def count_redraws(monkeypatch) -> list:
-    """Count ``GuaranteedHolding.served`` writes — a pass assigns it
-    once per holding it re-draws (and the constructor once)."""
-    writes = [0]
+    """Record the user of every holding drawn — a pass draws none, a
+    read draws the holding read if a pass ran since its last draw."""
+    drawn: list = []
+    draw = CapacityPartition._draw
 
-    def assign(holding, value):
-        writes[0] += 1
-        holding.__dict__["served"] = value
-    monkeypatch.setattr(
-        GuaranteedHolding, "served",
-        property(lambda holding: holding.__dict__["served"], assign))
-    return writes
+    def counting(partition, holding):
+        drawn.append(holding.user)
+        draw(partition, holding)
+    monkeypatch.setattr(CapacityPartition, "_draw", counting)
+    return drawn
 
 
 def count_resummed(monkeypatch) -> list:
@@ -128,8 +138,8 @@ class MirroredPartition:
         theirs = reference.guaranteed_holdings()
         assert [h.user for h in mine] == [h.user for h in theirs]
         for got, want in zip(mine, theirs):
-            assert self._same(astuple(got)[1:], astuple(want)[1:]), (
-                got, want)
+            got, want = holding_values(got), holding_values(want)
+            assert self._same(got, want), (got, want)
         mine = real.best_effort_holdings()
         theirs = reference.best_effort_holdings()
         assert ([(h.user, h.arrival_order) for h in mine]
@@ -169,18 +179,14 @@ class MirroredPartition:
             sum(h.entitled for h in reference.guaranteed_holdings()))
 
     def check_index(self) -> None:
-        """While the sort-order index exists it mirrors the holdings,
-        and the cut positions it remembers (shifted by every admit and
-        remove since) are the ones a from-scratch search finds."""
+        """While the sort-order index exists it mirrors the holdings."""
         real = self.real
         if real._keys is None:
             return
         holdings = self.holdings()
         assert real._keys == [h.user for h in holdings]
-        assert all(row is h for row, h in zip(real._rows, holdings))
         assert real._ents == [h.entitled for h in holdings]
         assert real._excs == [h.excess for h in holdings]
-        assert real._cuts == scratch_cuts(real, holdings)
 
 
 def fresh_oracle(partition: CapacityPartition) -> NaiveCapacityPartition:

@@ -1,12 +1,14 @@
 """The delta water-fill across pool-boundary crossings (DESIGN §4).
 
-``CapacityPartition.rebalance`` re-draws the holdings whose demand
-changed and the ones lying between where each pool boundary fell on
-the previous pass and where it falls now. These tests drive it across
-each crossing beside the full-recompute oracle, edit the sort-order
-index while a boundary is inside a tier, and pin the work done —
-counted in draws and in prefix-sum entries, not time — whatever the
-number of live holdings.
+``CapacityPartition.rebalance`` draws no holding: it re-sums the kept
+demand lines from the lowest changed position and stores the five pool
+boundaries, and a holding draws its own place off them when it is
+read. These tests drive it across each crossing beside the
+full-recompute oracle, edit the sort-order index while a boundary is
+inside a tier, read holding references taken before a pass, inside a
+deferred window and after they left, and pin the work done — counted
+in draws and in prefix-sum entries, not time — whatever the number of
+live holdings.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import random
 import pytest
 
 from repro.core.capacity import CapacityPartition
+from repro.probe import Probe
+from repro.recovery.journal import Journal
 
 from .partition_oracle import (
     MirroredPartition,
@@ -24,6 +28,8 @@ from .partition_oracle import (
     count_redraws,
     count_resummed,
     fresh_oracle,
+    holding_values,
+    scratch_cuts,
 )
 
 
@@ -161,7 +167,8 @@ class TestRegimeCrossingsListed(TestRegimeCrossings):
 
 class TestIndexMaintenance:
     """Admissions and removals while a boundary is inside a tier: the
-    index is edited in place and the remembered cuts shift with it."""
+    index is edited in place, and a holding read before the next pass
+    still finds its place on the last pass's lines."""
 
     @pytest.fixture
     def contended(self, mirror):
@@ -172,7 +179,7 @@ class TestIndexMaintenance:
         mirror.apply("set_guaranteed_demand", "u2", 7)
         mirror.apply("set_guaranteed_demand", "u3", 6)
         mirror.check()
-        assert mirror.real._cuts == [2, 3, 3, 2, 2]
+        assert scratch_cuts(mirror.real, mirror.holdings()) == [2, 3, 3, 2, 2]
         return mirror
 
     @pytest.mark.parametrize("user", ["a0", "u1+", "u2+", "z9"])
@@ -217,17 +224,18 @@ class TestIndexMaintenance:
             mirror.apply("set_guaranteed_demand", f"u{index}", 2)
         mirror.apply("apply_failure", 8)         # Cg = 7: inside u4
         mirror.check()
-        assert mirror.real._cuts[0] == 3
+        assert scratch_cuts(mirror.real, mirror.holdings())[0] == 3
         assert _sourcing(mirror.real, "u4") == (1, 1, 0)
 
         # A newcomer sorting first pushes everyone two units down the
         # line: u3 takes over the boundary at the same position, and
         # u4 — one place further on, touched by nobody — leaves Cg.
+        # Until its demand is set no pass ran: u4 reads as before.
         mirror.apply("admit_guaranteed", "a0", 2)
-        assert mirror.real._cuts[0] == 4
+        assert _sourcing(mirror.real, "u4") == (1, 1, 0)
         mirror.apply("set_guaranteed_demand", "a0", 2)
         mirror.check()
-        assert mirror.real._cuts[0] == 3
+        assert scratch_cuts(mirror.real, mirror.holdings())[0] == 3
         assert _sourcing(mirror.real, "u3") == (1, 1, 0)
         assert _sourcing(mirror.real, "u4") == (0, 2, 0)
 
@@ -281,6 +289,122 @@ class TestHoldingReferences:
         assert partition.guaranteed_holding("u2") is other
         assert other.served == 1
         partition.resume_rebalances()
+
+
+def _contended(**options) -> CapacityPartition:
+    """Cg = 7 of 15 cuts the entitled line inside u4 of six users, and
+    u5/u6 run two units over: the index exists and every holding is
+    stale (no read since the last pass)."""
+    partition = CapacityPartition(15, 6, 5, best_effort_min=1, **options)
+    for index in range(1, 7):
+        partition.admit_guaranteed(f"u{index}", 2)
+        partition.set_guaranteed_demand(f"u{index}", 2 + 2 * (index > 4))
+    partition.apply_failure(8)
+    assert partition._keys is not None
+    return partition
+
+
+def _expected(partition: CapacityPartition) -> dict:
+    """Every holding's values as a full recompute of the current
+    inputs draws them (reads no production holding's draw)."""
+    return {holding.user: holding_values(holding)
+            for holding in fresh_oracle(partition).guaranteed_holdings()}
+
+
+class TestDrawOnRead:
+    """A holding draws itself off the last pass when read: a reference
+    taken before a pass reads that pass, a read never runs one, and a
+    holding that left keeps its last draw."""
+
+    def test_references_taken_before_a_failure_read_the_new_draw(self):
+        partition = _contended()
+        early = {user: partition.guaranteed_holding(user)
+                 for user in ("u1", "u4", "u6")}
+        assert holding_values(early["u4"])[2:] == (2, 1, 1, 0)
+        partition.apply_failure(4)                      # Cg = 3: u2..u6
+        expected = _expected(partition)
+        for user, holding in early.items():
+            assert holding_values(holding) == expected[user]
+        assert holding_values(early["u4"])[2:] == (2, 0, 2, 0)
+        partition.apply_repair()
+        expected = _expected(partition)
+        for user, holding in early.items():
+            assert holding_values(holding) == expected[user]
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_a_read_inside_a_deferred_window_reads_the_last_pass(
+            self, indexed):
+        journal = Journal()
+        if indexed:
+            partition = _contended(probe=Probe(journal=journal))
+        else:
+            partition = CapacityPartition(15, 6, 5,
+                                          probe=Probe(journal=journal))
+            for user in ("u1", "u2", "u3"):
+                partition.admit_guaranteed(user, 2)
+                partition.set_guaranteed_demand(user, 3)
+            assert partition._keys is None
+        references = {user: partition._guaranteed[user]
+                      for user in sorted(partition._guaranteed)}
+        before, lsn = _expected(partition), journal.last_lsn
+        partition.defer_rebalances()
+        # A newcomer sorting first takes an index place ahead of every
+        # reference but none on the last pass's lines.
+        partition.admit_guaranteed("a0", 1)
+        partition.set_guaranteed_demand("a0", 1)
+        partition.set_guaranteed_demand("u1", 0)
+        partition.set_guaranteed_demand("u3", 1)
+        for user, holding in references.items():
+            assert holding_values(holding)[2:] == before[user][2:]
+        assert journal.last_lsn == lsn and partition._dirty
+        partition.resume_rebalances()
+        assert journal.last_lsn > lsn
+        after = _expected(partition)
+        for user, holding in references.items():
+            assert holding_values(holding) == after[user]
+
+    def test_a_removed_holding_reads_its_last_draw_forever(self):
+        partition = _contended()
+        gone = partition._guaranteed["u4"]      # stale: never read
+        last = _expected(partition)["u4"]
+        partition.remove_guaranteed("u4")
+        # Re-admit the key and move every boundary: the old reference
+        # belongs to nobody and draws nothing.
+        partition.admit_guaranteed("u4", 3)
+        partition.set_guaranteed_demand("u4", 5)
+        partition.apply_failure(3)
+        partition.apply_repair()
+        assert holding_values(gone) == last
+        assert partition.guaranteed_holding("u4") is not gone
+
+    def test_clear_holdings_freezes_every_holding(self):
+        partition = _contended()
+        references = dict(partition._guaranteed)
+        last = _expected(partition)
+        partition.clear_holdings()
+        for user in references:
+            partition.admit_guaranteed(user, 1)
+            partition.set_guaranteed_demand(user, 1)
+        partition.apply_failure(2)
+        for user, holding in references.items():
+            assert holding_values(holding) == last[user]
+
+    def test_holdings_listed_between_passes_read_their_whole_demand(self):
+        # The listing builds the index after a pass that had none: its
+        # lines are not summed until the next pass.
+        partition = CapacityPartition(15, 6, 5)
+        for user in ("u1", "u2", "u3"):
+            partition.admit_guaranteed(user, 3)
+            partition.set_guaranteed_demand(user, 4)
+        partition.clear_holdings()
+        for user in ("u1", "u2", "u3"):
+            partition.admit_guaranteed(user, 2)
+            partition.set_guaranteed_demand(user, 3)
+        assert partition._keys is None
+        holdings = partition.guaranteed_holdings()
+        assert partition._keys == ["u1", "u2", "u3"]
+        assert [holding_values(holding)[2:] for holding in holdings] == [
+            (3, 2, 1, 0)] * 3
 
 
 class TestRunningTotals:
@@ -390,9 +514,9 @@ class TestQuietPassWork:
 
 
 class TestContendedPassWork:
-    """With a boundary inside a tier the pass still costs what moved:
-    the touched holdings, the straddlers, and the holdings a boundary
-    crossed — counted as re-draws, at 2 000 live."""
+    """With a boundary inside a tier a pass still draws no holding, and
+    reading k holdings draws at most k — counted as draws, at 2 000
+    live; the lines are re-summed from the lowest changed position."""
 
     LIVE = 2000
 
@@ -410,54 +534,52 @@ class TestContendedPassWork:
 
     def _matches_a_fresh_recompute(self, partition):
         oracle = fresh_oracle(partition)
-        assert partition.guaranteed_holdings() == oracle.guaranteed_holdings()
+        assert ([holding_values(holding)
+                 for holding in partition.guaranteed_holdings()]
+                == [holding_values(holding)
+                    for holding in oracle.guaranteed_holdings()])
         mine, theirs = partition.last_report, oracle.last_report
         assert list(mine.shortfalls.items()) == list(theirs.shortfalls.items())
         assert (mine.pools, mine.adapt_transfer) == (theirs.pools,
                                                      theirs.adapt_transfer)
 
-    def test_demand_admit_and_remove_redraw_a_handful(self, monkeypatch,
-                                                      partition):
-        redraws = count_redraws(monkeypatch)
-        steps = [
-            lambda: partition.set_guaranteed_demand("u00101", 1),
-            lambda: partition.set_guaranteed_demand("u01900", 3),
-            lambda: partition.remove_guaranteed("u00007"),
-            lambda: partition.remove_guaranteed("u01401"),
-            lambda: partition.set_best_effort_demand("be", 50),
-        ]
-        for step in steps:
-            before = redraws[0]
-            step()
-            assert redraws[0] - before <= 8
+    def test_demand_admit_and_remove_draw_no_other_holding(
+            self, monkeypatch, partition):
+        drawn = count_redraws(monkeypatch)
+        partition.set_guaranteed_demand("u00101", 1)
+        partition.set_guaranteed_demand("u01900", 3)
+        partition.set_best_effort_demand("be", 50)
+        assert drawn == []
+        # A departing holding keeps its last draw: drawn once, itself.
+        for user in ("u00007", "u01401"):
+            partition.remove_guaranteed(user)
+            assert drawn == [user]
+            drawn.clear()
         for user in ("a-first", "u01000-between", "z-last"):
             partition.admit_guaranteed(user, 1)
-            before = redraws[0]
             partition.set_guaranteed_demand(user, 2)
-            assert redraws[0] - before <= 8
+            assert drawn == []
         self._matches_a_fresh_recompute(partition)
 
     @pytest.mark.parametrize("lost", [350, 770, 2000])
-    def test_failure_and_repair_redraw_what_the_boundaries_crossed(
+    def test_failure_and_repair_draw_only_what_is_read(
             self, monkeypatch, partition, lost):
-        redraws = count_redraws(monkeypatch)
-        total = 0
+        drawn = count_redraws(monkeypatch)
         for change in (lambda: partition.apply_failure(lost),
                        lambda: partition.set_guaranteed_demand("u00500", 2),
                        partition.apply_repair):
-            cuts, before = partition._cuts, redraws[0]
             change()
-            drawn = redraws[0] - before
-            crossed = sum(abs(new - old)
-                          for old, new in zip(cuts, partition._cuts))
-            assert drawn <= crossed + 8
-            total += drawn
+            assert drawn == []
+            # Reading k holdings, each field of each, draws k.
+            for user in ("u00000", "u00999", "u01999"):
+                holding = partition.guaranteed_holding(user)
+                assert holding.from_g + holding.from_a + holding.from_b \
+                    == pytest.approx(holding.served, abs=1e-9)
+                assert holding.served == holding.served
+            assert drawn == ["u00000", "u00999", "u01999"]
             self._matches_a_fresh_recompute(partition)
-        # 350 lost moves one boundary over the last ~100 holdings; no
-        # failure size makes a pass draw a holding twice.
-        assert total <= 2 * self.LIVE + 24
-        if lost == 350:
-            assert total < 250
+            assert len(drawn) <= 3 + self.LIVE
+            drawn.clear()
 
     @pytest.mark.parametrize("position", [0, 1, 1234, 1999])
     def test_a_touched_holding_resums_from_its_position(

@@ -5,16 +5,15 @@ A hypothesis rule-based state machine performs random interleavings of
 admissions, demand changes, removals, best-effort churn, failures
 (including ones sized to land on each pool boundary), repairs and
 deferred-rebalance windows, checking the Algorithm 1 invariants after
-every step — and, after every step, that the delta water-fill left
-exactly the state the full-recompute oracle computes
-(``tests/core/partition_oracle.py``): ``==`` in the runs whose inputs
-are all integer-valued, within 1e-9 in the fractional ones. The same
-check holds the sort-order index to the holdings and the remembered
-cut positions to a from-scratch search, across admissions that land
-before, between and after the live keys and removals of the holding a
-boundary straddles, in and out of a deferred window — and the two
-demand lines the partition keeps between passes to a fresh prefix sum,
-bit for bit, up to their low-water mark.
+every step — and, after every step, that the holdings, drawn when
+read, and the report are exactly what the full-recompute oracle
+computes (``tests/core/partition_oracle.py``): ``==`` in the runs whose
+inputs are all integer-valued, within 1e-9 in the fractional ones. The
+same check holds the sort-order index to the holdings, across
+admissions that land before, between and after the live keys and
+removals of the holding a boundary straddles, in and out of a deferred
+window — and the two demand lines the partition keeps between passes
+to a fresh prefix sum, bit for bit, up to their low-water mark.
 """
 
 from __future__ import annotations
@@ -30,7 +29,11 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from .partition_oracle import MirroredPartition, assert_lines_kept
+from .partition_oracle import (
+    MirroredPartition,
+    assert_lines_kept,
+    scratch_cuts,
+)
 
 CG, CA, CB, BE_MIN = 15.0, 6.0, 5.0, 2.0
 _EPSILON = 1e-6
@@ -78,10 +81,19 @@ class PartitionMachine(RuleBasedStateMachine):
           index=st.integers(min_value=0, max_value=10**6))
     def admit_at(self, where, committed, factor, index):
         """Admit a key that sorts before every live one, right after a
-        chosen live one, or after all of them — every remembered cut at
-        or past that position has to shift — and give it demand."""
+        chosen live one, or after all of them — every holding at or
+        past that position reads its line place offset by it until the
+        next pass — and give it demand."""
+        user = self._admit_key(where, committed, index)
+        if user is not None:
+            self.mirror.apply("set_guaranteed_demand", user,
+                              self._amount(committed * factor))
+
+    def _admit_key(self, where, committed, index):
+        """Admit a fresh key sorting ``where`` among the live ones, with
+        no demand yet (``None`` when ``committed`` does not fit)."""
         if not self.partition.available_guaranteed_resource(committed):
-            return
+            return None
         self.counter += 1
         users = sorted(self.guaranteed)
         if where == "before":
@@ -92,18 +104,30 @@ class PartitionMachine(RuleBasedStateMachine):
             user = f"{users[index % len(users)]}+{self.counter}"
         self.mirror.apply("admit_guaranteed", user, committed)
         self.guaranteed[user] = committed
-        self.mirror.apply("set_guaranteed_demand", user,
-                          self._amount(committed * factor))
+        return user
+
+    @rule(boundary=st.sampled_from(["Cg", "Ca", "Cb"]),
+          overshoot=st.integers(min_value=-1, max_value=2),
+          where=st.sampled_from(["before", "between"]),
+          index=st.integers(min_value=0, max_value=10**6))
+    def admit_after_a_pass(self, boundary, overshoot, where, index):
+        """A failure that lands a boundary on the entitled line (one
+        pass: every holding is due a draw), then an admission with no
+        demand yet: the check reads each holding off that pass, with
+        the newcomer ahead of it in the index but not on the lines."""
+        self.fail_to_boundary(boundary, overshoot)
+        self._admit_key(where, 1, index)
 
     @precondition(lambda self: self.guaranteed)
     @rule(boundary=st.integers(min_value=0, max_value=4))
     def remove_straddler(self, boundary):
-        """Remove the holding a pool boundary fell in on the last pass
-        (the last holding when that boundary is past the end)."""
+        """Remove the holding a pool boundary falls in on the current
+        demands and the last pass's pool rows (the last holding when
+        that boundary is past the end) — searched without a flush."""
         users = sorted(self.guaranteed)
-        indexed = self.partition._keys is not None
-        cuts = self.partition._cuts if indexed else []
-        at = cuts[boundary] if cuts else len(users)
+        guaranteed = self.partition._guaranteed
+        at = scratch_cuts(self.partition,
+                          [guaranteed[user] for user in users])[boundary]
         user = users[min(at, len(users) - 1)]
         self.mirror.apply("remove_guaranteed", user)
         del self.guaranteed[user]

@@ -46,9 +46,11 @@ class TestRegistry:
     def test_name_patterns(self, sim, mds):
         for name in ("cluster/cpu", "cluster/memory", "net/flow1"):
             mds.register(CountingSensor(name, sim))
-        assert mds.sensor_names("cluster/*") == ["cluster/cpu",
-                                                 "cluster/memory"]
-        assert mds.sensor_names("net/*") == ["net/flow1"]
+        # Hierarchical names are exact keys; a glob names no sensor.
+        assert mds.has_sensor("cluster/cpu")
+        assert mds.has_sensor("net/flow1")
+        assert not mds.has_sensor("cluster/*")
+        assert not mds.has_sensor("cluster")
 
     def test_unregister_keeps_history(self, sim, mds):
         mds.register(CountingSensor("s", sim))

@@ -7,8 +7,6 @@ uses, so the number of passes does not depend on the live count.
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 import pytest
 
 from repro.core.capacity import CapacityPartition
@@ -58,7 +56,8 @@ def _loaded_testbed(live: int):
 
 
 def _holdings(testbed):
-    return [astuple(holding)
+    return [(holding.user, holding.committed, holding.demand,
+             holding.served, holding.from_g, holding.from_a, holding.from_b)
             for holding in testbed.partition.guaranteed_holdings()]
 
 

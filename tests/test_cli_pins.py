@@ -11,13 +11,17 @@ absorbed.
 
 These are CPython 3.11 pins. Several reports print float sums, and
 CPython 3.12 changed builtin ``sum`` over floats to compensated
-summation, so another interpreter may render a different last digit
-for the same seed (ROADMAP item 1's float-determinism caveat).
+summation, so another interpreter could render a different last digit
+for the same seed. :func:`test_pins_hold_under_the_312_sum` keeps that
+from happening unseen: it runs every report with the 3.12 ``sum``
+swapped in (``tests/sum312/sitecustomize.py``) and asks for the same
+digests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
@@ -27,6 +31,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+#: A ``sitecustomize`` that installs CPython 3.12's builtin ``sum``.
+SUM312 = REPO / "tests" / "sum312"
 
 #: ``repro`` arguments -> sha256 of stdout. Golden values, reviewed.
 REPORT_SHA256 = {
@@ -62,16 +68,16 @@ PINNED = ((sys.implementation.name, sys.version_info[:2])
           == ("cpython", (3, 11)))
 
 
-def _run(command: str, *, cwd: Path = REPO, path: Path = SRC
+def _run(command: str, *, cwd: Path = REPO, path: str = str(SRC)
          ) -> "subprocess.CompletedProcess[bytes]":
     return subprocess.run(
         [sys.executable, "-m", "repro", *command.split()],
-        cwd=cwd, env={"PYTHONPATH": str(path), "PATH": ""},
+        cwd=cwd, env={"PYTHONPATH": path, "PATH": ""},
         capture_output=True, timeout=120)
 
 
-def _report_sha256(command: str) -> str:
-    result = _run(command)
+def _report_sha256(command: str, path: str = str(SRC)) -> str:
+    result = _run(command, path=path)
     assert result.returncode == 0, result.stderr.decode()
     return hashlib.sha256(result.stdout).hexdigest()
 
@@ -83,6 +89,20 @@ def test_cli_reports_match_their_pins():
     moved = sorted(command for command in REPORT_SHA256
                    if digests[command] != REPORT_SHA256[command])
     assert not moved, f"reports moved: {moved}"
+
+
+@pytest.mark.skipif(not PINNED, reason="the digests are CPython 3.11 pins")
+def test_pins_hold_under_the_312_sum():
+    path = os.pathsep.join((str(SRC), str(SUM312)))
+    swapped = subprocess.run(
+        [sys.executable, "-c", "print(repr(sum([0.1] * 10)))"],
+        env={"PYTHONPATH": path, "PATH": ""}, capture_output=True,
+        timeout=60)
+    assert swapped.stdout == b"1.0\n", "the 3.12 sum is not installed"
+    moved = sorted(command for command in REPORT_SHA256
+                   if _report_sha256(command, path)
+                   != REPORT_SHA256[command])
+    assert not moved, f"reports moved under the 3.12 sum: {moved}"
 
 
 #: Reports whose every id, stamp and counter is a function of the seed
@@ -106,7 +126,7 @@ def test_quickstart_runs_outside_the_source_tree(tmp_path):
     # must come from the package itself.
     shutil.copytree(SRC / "repro", tmp_path / "repro",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    result = _run("quickstart", cwd=tmp_path, path=tmp_path)
+    result = _run("quickstart", cwd=tmp_path, path=str(tmp_path))
     assert result.returncode == 0, result.stderr.decode()
     if PINNED:
         assert hashlib.sha256(result.stdout).hexdigest() \
