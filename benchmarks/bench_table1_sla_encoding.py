@@ -15,6 +15,7 @@ from repro.qos.specification import QoSSpecification
 from repro.sla.document import NetworkDemand, ServiceSLA
 from repro.units import parse_bound
 from repro.xmlmsg import codec
+from repro.xmlmsg.document import parse_xml
 
 from .conftest import report
 
@@ -33,7 +34,7 @@ def paper_sla() -> ServiceSLA:
 
 
 def test_table1_artifact_matches_paper():
-    text = codec.render(codec.encode_service_specific(paper_sla()))
+    text = codec.encode_service_specific(paper_sla(), codec.DISPLAY)
     report("T1 — Table 1: SLA portion relayed to the RMs", text)
     for fragment in ("<CPU-QoS>4 CPU</CPU-QoS>",
                      "<Memory-QoS>64MB</Memory-QoS>",
@@ -48,8 +49,8 @@ def test_table1_roundtrip_benchmark(benchmark):
     sla = paper_sla()
 
     def round_trip():
-        node = codec.encode_service_specific(sla)
-        return codec.decode_service_specific(node)
+        wire = codec.encode_service_specific(sla)
+        return codec.decode_service_specific(parse_xml(wire))
 
     sla_id, point, network = benchmark(round_trip)
     assert sla_id == 1055

@@ -16,6 +16,7 @@ from repro.qos.specification import QoSSpecification
 from repro.sla.document import AdaptationOptions
 from repro.sla.negotiation import ServiceRequest
 from repro.xmlmsg import codec
+from repro.xmlmsg.document import parse_xml
 
 from .conftest import report
 
@@ -39,7 +40,7 @@ def table4_request(client="user2"):
 def test_table4_artifact(fresh_testbed):
     outcome = fresh_testbed.broker.request_service(table4_request())
     assert outcome.accepted, outcome.reason
-    text = codec.render(codec.encode_service_sla(outcome.sla))
+    text = codec.encode_service_sla(outcome.sla, codec.DISPLAY)
     report("T4 — Table 4: negotiated SLA with adaptation options", text)
     assert "<QoS_Class>Controlled-load</QoS_Class>" in text
     assert "<Alternative_QoS>" in text
@@ -68,7 +69,7 @@ def test_table4_document_encoding_benchmark(benchmark, fresh_testbed):
     sla = outcome.sla
 
     def encode_decode():
-        return codec.decode_service_sla(codec.encode_service_sla(sla))
+        return codec.decode_service_sla(parse_xml(codec.encode_service_sla(sla)))
 
     decoded = benchmark(encode_decode)
     assert decoded.adaptation.accept_promotion

@@ -14,11 +14,12 @@ and, once per pass, the draw that places it on the pass's demand lines
 on local floats (DESIGN §4) — a per-draw closure or a per-pool ledger
 object there is paid by every admission, departure and holding read.
 So are the machine's ``fail_nodes``/``repair_nodes``: node state is one
-down-set, so a churn cycle builds no per-node object. So is the wire
-writer: every leg of every bus request renders one envelope
-through ``Envelope.to_xml`` and the recursive ``write_xml`` (DESIGN
-§9), one call per XML node — a closure or a per-node wrapper object in
-that recursion is paid per element of every message. So are the
+down-set, so a churn cycle builds no per-node object. So are the wire
+writer and reader: every body of every bus request is written by
+``Message.write``/``_write`` and read back by ``Message.read``/``_read``
+(DESIGN §9), one call per element, and framed by ``Envelope.to_xml`` —
+a closure or a per-field wrapper object there is paid per element of
+every message. So are the
 instruments' emit paths (DESIGN §10), run per gauge, span, row,
 decision and SLO sample of an instrumented replay: each builds its
 one row and nothing else. So is the RSL leg every compute booking
@@ -69,9 +70,11 @@ HOT_PATHS: "Dict[str, FrozenSet[str]]" = {
         "remove_guaranteed", "_draw", "_read"}),
     # One churn cycle's node bookkeeping, kept as set arithmetic.
     "repro/resources/machine.py": frozenset({"fail_nodes", "repair_nodes"}),
-    # One message's way onto the wire: the per-node recursion and the
-    # envelope frame written around it.
-    "repro/xmlmsg/document.py": frozenset({"write_xml", "pretty_xml"}),
+    # One message's way onto the wire and back: the table-driven
+    # writer and reader every body goes through, and the envelope
+    # frame written around it.
+    "repro/xmlmsg/schema.py": frozenset({"write", "_write", "read",
+                                         "_read"}),
     "repro/xmlmsg/envelope.py": frozenset({"to_xml"}),
     # The instruments' emit paths.
     "repro/telemetry/metrics.py": frozenset({"_get", "set", "set_at"}),

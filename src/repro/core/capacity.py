@@ -431,10 +431,27 @@ class CapacityPartition:
         return keys
 
     def guaranteed_holdings(self) -> List[GuaranteedHolding]:
-        """All guaranteed holdings (stable order)."""
+        """All guaranteed holdings (stable order), each drawn off the
+        last pass.
+
+        The listing walks the index in order, so a stale holding's
+        place is the loop position, and its line the position less the
+        keys admitted since the pass that sort before it (a pointer
+        running through ``_fresh``): one pass, no search per holding.
+        """
         self._flush()
+        keys = self._index()
         guaranteed = self._guaranteed
-        return [guaranteed[user] for user in self._index()]
+        holdings = [guaranteed[user] for user in keys]
+        passes, fresh = self._passes, self._fresh
+        ahead = 0
+        for at, holding in enumerate(holdings):
+            if holding._stamp != passes:
+                user = holding.user
+                while ahead < len(fresh) and fresh[ahead] < user:
+                    ahead += 1
+                self._draw(holding, at, at - ahead)
+        return holdings
 
     # ------------------------------------------------------------------
     # Best-effort demand
@@ -670,21 +687,25 @@ class CapacityPartition:
                           "committed": self.committed_total()})
         return self.last_report
 
-    def _draw(self, holding: GuaranteedHolding) -> None:
+    def _draw(self, holding: GuaranteedHolding, at: int = -1,
+              line: int = 0) -> None:
         """Draw ``holding`` off the last pass's columns, lines and
         boundaries (a key admitted since has no place on the lines yet),
-        and stamp it. A holding no boundary reaches — every one, after a
-        pass without the index — is served its whole demand, which is
-        what the ladder would give it: ``from_g = e, from_a = x``."""
+        and stamp it. ``at``/``line`` are its index position and line
+        entry when the caller knows them; otherwise they are searched.
+        A holding no boundary reaches — every one, after a pass without
+        the index — is served its whole demand, which is what the
+        ladder would give it: ``from_g = e, from_a = x``."""
         holding._stamp = self._passes
         bounds = self._bounds
         if bounds is None:
             need, more, reached = holding.entitled, holding.excess, False
         else:
             eff_g, end_a, end_b, left_a, end_x = bounds
-            user = holding.user
-            at = bisect_left(self._keys, user)
-            line = at - bisect_left(self._fresh, user)
+            if at < 0:
+                user = holding.user
+                at = bisect_left(self._keys, user)
+                line = at - bisect_left(self._fresh, user)
             need, start = self._ents[at], self._line_e[line]
             more, start_x = self._excs[at], self._line_x[line]
             reached = need > eff_g - start or (

@@ -23,6 +23,7 @@ transports implement it behind one interface:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 try:
@@ -39,10 +40,10 @@ from ..registry.uddie import ServiceRecord, UddieRegistry
 from ..sim.trace import TraceRecorder
 from ..telemetry import MetricsRegistry
 from ..xmlmsg.bus import MessageBus
-from ..xmlmsg.codec import _decode_specification, _encode_specification
-from ..xmlmsg.document import element, subelement
+from ..xmlmsg.codec import SPECIFICATION
 from ..xmlmsg.envelope import Envelope
 from ..xmlmsg.resilient import ResilientCaller
+from ..xmlmsg.schema import INT, TEXT, Field, Message
 
 #: Endpoint name the registry listens on when exposed over the bus.
 REGISTRY_ENDPOINT = "uddie"
@@ -109,17 +110,6 @@ def _decode_value(type_name: str, text: str) -> PropertyValue:
     return text
 
 
-def _text(parent: ET.Element, tag: str, absent: str) -> str:
-    """The exact text of child ``tag``: ``""`` when it is empty,
-    ``absent`` only when there is no such child. Unlike ``child_text``
-    it does not strip, so a padded name pattern stays the query the
-    sender asked."""
-    node = parent.find(tag)
-    if node is None:
-        return absent
-    return node.text or ""
-
-
 def _exact(query: ServiceQuery) -> "Tuple[ServiceQuery, tuple]":
     """``query`` with its constraint values as the wire writes them.
 
@@ -132,75 +122,94 @@ def _exact(query: ServiceQuery) -> "Tuple[ServiceQuery, tuple]":
                         for constraint in query.constraints)
 
 
-def encode_service_query(query: ServiceQuery) -> ET.Element:
-    """Serialize a :class:`ServiceQuery` to a ``<Service_Query>``."""
-    root = element("Service_Query")
-    subelement(root, "Name_Pattern", query.name_pattern)
-    for constraint in query.constraints:
-        node = subelement(root, "Constraint")
-        type_name, text = _encode_value(constraint.value)
-        node.set("name", constraint.name)
-        node.set("operator", constraint.operator)
-        node.set("type", type_name)
-        node.text = text
-    if query.qos is not None:
-        root.append(_encode_specification(query.qos))
-    return root
+#: A typed property value: ``type`` attribute, value as text content.
+#: A constraint is written from the row ``(name, operator, type,
+#: text)``, a record's property from ``(name, type, text)``.
+CONSTRAINT = Message("Constraint", [
+    Field("name", TEXT, "name", get=itemgetter(0), attribute=True,
+          default=""),
+    Field("operator", TEXT, "operator", get=itemgetter(1), attribute=True,
+          default="="),
+    Field("type", TEXT, "type", get=itemgetter(2), attribute=True,
+          default="str"),
+    Field(None, TEXT, "text", get=itemgetter(3), default=""),
+], build=lambda values: PropertyConstraint(
+    values["name"], values["operator"],
+    _decode_value(values["type"], values["text"])))
+
+PROPERTY = Message("Property", [
+    Field("name", TEXT, "name", get=itemgetter(0), attribute=True,
+          default=""),
+    Field("type", TEXT, "type", get=itemgetter(1), attribute=True,
+          default="str"),
+    Field(None, TEXT, "text", get=itemgetter(2), default=""),
+], build=lambda values: (values["name"],
+                         _decode_value(values["type"], values["text"])))
+
+#: Written from ``(query, validator)``; the name pattern is read
+#: unstripped, so a padded pattern stays the query the sender asked.
+SERVICE_QUERY = Message("Service_Query", [
+    Field("validator", TEXT, get=itemgetter(1), attribute=True),
+    Field("Name_Pattern", TEXT, "name_pattern",
+          get=lambda body: body[0].name_pattern, default="*"),
+    Field("Constraint", CONSTRAINT, "constraints", repeated=True,
+          get=lambda body: [
+              (constraint.name, constraint.operator,
+               *_encode_value(constraint.value))
+              for constraint in body[0].constraints]),
+    Field("QoS_Specification", SPECIFICATION, "qos",
+          get=lambda body: body[0].qos, optional=True),
+], build=lambda values: ServiceQuery(**values))
+
+SERVICE_RECORD = Message("Service_Record", [
+    Field("id", INT, "record_id", attribute=True, default=0),
+    Field("Name", TEXT, "name", default=""),
+    Field("Provider", TEXT, "provider", default=""),
+    Field("Endpoint", TEXT, "endpoint", default=""),
+    Field("QoS_Specification", SPECIFICATION, "capability",
+          default=QoSSpecification.of()),
+    Field("Property", PROPERTY, "properties", repeated=True,
+          get=lambda record: [
+              (name, *_encode_value(record.properties[name]))
+              for name in sorted(record.properties)]),
+], build=lambda values: ServiceRecord(
+    values["record_id"], values["name"], values["provider"],
+    values["endpoint"], values["capability"], dict(values["properties"])))
+
+#: Written from ``(records, validator, unchanged)``: an ``unchanged``
+#: reply tells a sender holding this registry state's answer to keep
+#: it, and carries no records.
+SERVICE_RECORDS = Message("Service_Records", [
+    Field("validator", TEXT, get=itemgetter(1), attribute=True),
+    Field("unchanged", TEXT, get=lambda body: "true" if body[2] else None,
+          attribute=True),
+    Field("Service_Record", SERVICE_RECORD, "records", repeated=True,
+          get=itemgetter(0)),
+], build=lambda values: list(values["records"]))
+
+
+def encode_service_query(query: ServiceQuery,
+                         validator: Optional[str] = None) -> str:
+    """A :class:`ServiceQuery` as a compact ``<Service_Query>``,
+    carrying the validator of the answer the sender holds, if any."""
+    return SERVICE_QUERY.write((query, validator))
 
 
 def decode_service_query(node: ET.Element) -> ServiceQuery:
     """Parse a ``<Service_Query>`` back into a :class:`ServiceQuery`."""
-    constraints = []
-    for child in node.findall("Constraint"):
-        constraints.append(PropertyConstraint(
-            name=child.get("name", ""),
-            operator=child.get("operator", "="),
-            value=_decode_value(child.get("type", "str"), child.text or "")))
-    qos_node = node.find("QoS_Specification")
-    qos = _decode_specification(qos_node) if qos_node is not None else None
-    return ServiceQuery(
-        name_pattern=_text(node, "Name_Pattern", "*"),
-        constraints=tuple(constraints), qos=qos)
+    return SERVICE_QUERY.read(node)
 
 
-def encode_service_records(records: "List[ServiceRecord]") -> ET.Element:
-    """Serialize registry matches to a ``<Service_Records>``."""
-    root = element("Service_Records")
-    for record in records:
-        node = subelement(root, "Service_Record")
-        node.set("id", str(record.record_id))
-        subelement(node, "Name", record.name)
-        subelement(node, "Provider", record.provider)
-        subelement(node, "Endpoint", record.endpoint)
-        node.append(_encode_specification(record.capability))
-        for name in sorted(record.properties):
-            prop = subelement(node, "Property")
-            type_name, text = _encode_value(record.properties[name])
-            prop.set("name", name)
-            prop.set("type", type_name)
-            prop.text = text
-    return root
+def encode_service_records(records: "List[ServiceRecord]",
+                           validator: Optional[str] = None) -> str:
+    """Registry matches as a compact ``<Service_Records>``, stamped
+    with the registry's validator."""
+    return SERVICE_RECORDS.write((records, validator, False))
 
 
 def decode_service_records(node: ET.Element) -> "List[ServiceRecord]":
     """Parse a ``<Service_Records>`` document."""
-    records = []
-    for child in node.findall("Service_Record"):
-        qos_node = child.find("QoS_Specification")
-        capability = (_decode_specification(qos_node)
-                      if qos_node is not None else QoSSpecification.of())
-        properties: "Dict[str, PropertyValue]" = {}
-        for prop in child.findall("Property"):
-            properties[prop.get("name", "")] = _decode_value(
-                prop.get("type", "str"), prop.text or "")
-        records.append(ServiceRecord(
-            record_id=int(child.get("id", "0")),
-            name=_text(child, "Name", ""),
-            provider=_text(child, "Provider", ""),
-            endpoint=_text(child, "Endpoint", ""),
-            capability=capability,
-            properties=properties))
-    return records
+    return SERVICE_RECORDS.read(node)
 
 
 class RegistryEndpoint:
@@ -224,12 +233,11 @@ class RegistryEndpoint:
     def _on_find_services(self, envelope: Envelope) -> Envelope:
         validator = self.registry.validator
         if envelope.body.get("validator") == validator:
-            return envelope.reply("service_records", element(
-                "Service_Records", validator=validator, unchanged="true"))
-        reply = encode_service_records(
-            self.registry.find(decode_service_query(envelope.body)))
-        reply.set("validator", validator)
-        return envelope.reply("service_records", reply)
+            return envelope.reply("service_records", SERVICE_RECORDS.write(
+                ((), validator, True)))
+        return envelope.reply("service_records", encode_service_records(
+            self.registry.find(decode_service_query(envelope.body)),
+            validator))
 
 
 class ResilientDiscovery:
@@ -289,12 +297,10 @@ class ResilientDiscovery:
         key = _exact(query)
         held = self._cache.get(key)
         sent = held[1] if held is not None else None
-        body = encode_service_query(query)
-        if sent is not None:
-            body.set("validator", sent)
         envelope = Envelope(sender=self.client_name,
                             recipient=self.registry_name,
-                            action="find_services", body=body)
+                            action="find_services",
+                            body=encode_service_query(query, sent))
         try:
             response = self.caller.call(envelope)
         except (CircuitOpenError, TransientMessageError) as error:

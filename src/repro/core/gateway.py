@@ -20,17 +20,48 @@ and tests can drive the broker purely through XML messages.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Optional
-from xml.etree import ElementTree as ET
 
 from ..errors import MessageError
 from ..sla.negotiation import Negotiation, NegotiationState, Offer, ServiceRequest
 from ..xmlmsg import codec
 from ..xmlmsg.bus import MessageBus
-from ..xmlmsg.document import child_text, element, subelement
 from ..xmlmsg.envelope import Envelope
 from ..xmlmsg.resilient import ResilientCaller
+from ..xmlmsg.schema import INT, NUMBER, TEXT, Field, Message, identity
 from .broker import AQoSBroker
+
+
+def _failure(tag: str) -> Message:
+    """A refusal carrying the broker's reason."""
+    return Message(tag, [Field("Reason", TEXT, "reason", get=identity)])
+
+
+ACCEPT_OFFER = Message("Accept_Offer", [
+    Field("Negotiation-ID", INT, "negotiation_id", get=itemgetter(0)),
+    Field("Offer-Index", INT, "offer_index", get=itemgetter(1), default=0),
+])
+REJECT_OFFER = Message("Reject_Offer", [
+    Field("Negotiation-ID", INT, "negotiation_id", get=identity),
+])
+OFFER_REJECTED = Message("Offer_Rejected", [
+    Field("Negotiation-ID", INT, "negotiation_id", get=identity),
+])
+VERIFY_SLA = Message("Verify_SLA", [
+    Field("SLA-ID", INT, "sla_id", get=identity),
+])
+#: Written from ``(sla_id, specification, budget_rate)``.
+RENEGOTIATE = Message("Renegotiate", [
+    Field("SLA-ID", INT, "sla_id", get=itemgetter(0)),
+    Field("QoS_Specification", codec.SPECIFICATION, "specification",
+          get=itemgetter(1)),
+    Field("Budget_Rate", NUMBER, "budget_rate", get=itemgetter(2),
+          default=None),
+])
+SERVICE_OFFER_FAILURE = _failure("Service_Offer_Failure")
+ESTABLISHMENT_FAILURE = _failure("Establishment_Failure")
+RENEGOTIATION_FAILURE = _failure("Renegotiation_Failure")
 
 
 class BrokerGateway:
@@ -94,9 +125,9 @@ class BrokerGateway:
         request = codec.decode_service_request(envelope.body)
         negotiation, reason = self._broker.negotiate(request)
         if negotiation.state.value != "offered":
-            failure = element("Service_Offer_Failure")
-            subelement(failure, "Reason", reason or "negotiation failed")
-            return envelope.reply("service_offer_failure", failure)
+            return envelope.reply("service_offer_failure",
+                                  SERVICE_OFFER_FAILURE.write(
+                                      reason or "negotiation failed"))
         self._negotiations[negotiation.negotiation_id] = negotiation
         self._offered_at[negotiation.negotiation_id] = self._bus.sim.now
         return envelope.reply(
@@ -104,8 +135,7 @@ class BrokerGateway:
             codec.encode_offers(negotiation.negotiation_id,
                                 negotiation.offers))
 
-    def _lookup(self, envelope: Envelope) -> Negotiation:
-        negotiation_id = int(child_text(envelope.body, "Negotiation-ID"))
+    def _lookup(self, negotiation_id: int) -> Negotiation:
         negotiation = self._negotiations.get(negotiation_id)
         if negotiation is None:
             raise MessageError(
@@ -113,33 +143,36 @@ class BrokerGateway:
         return negotiation
 
     def _on_accept_offer(self, envelope: Envelope) -> Envelope:
-        negotiation = self._lookup(envelope)
-        index = int(child_text(envelope.body, "Offer-Index", default="0"))
+        body = ACCEPT_OFFER.read(envelope.body)
+        negotiation = self._lookup(body["negotiation_id"])
+        index = body["offer_index"]
+        if not 0 <= index < len(negotiation.offers):
+            raise MessageError(
+                f"negotiation {negotiation.negotiation_id} has no offer "
+                f"{index}")
         negotiation.accept(negotiation.offers[index])
         outcome = self._broker.establish(negotiation)
         del self._negotiations[negotiation.negotiation_id]
         self._offered_at.pop(negotiation.negotiation_id, None)
         if not outcome.accepted or outcome.sla is None:
-            failure = element("Establishment_Failure")
-            subelement(failure, "Reason", outcome.reason)
-            return envelope.reply("establishment_failure", failure)
+            return envelope.reply("establishment_failure",
+                                  ESTABLISHMENT_FAILURE.write(outcome.reason))
         return envelope.reply("sla_established",
                               codec.encode_service_sla(outcome.sla))
 
     def _on_reject_offer(self, envelope: Envelope) -> Envelope:
-        negotiation = self._lookup(envelope)
+        negotiation = self._lookup(
+            REJECT_OFFER.read(envelope.body)["negotiation_id"])
         negotiation.reject()
         del self._negotiations[negotiation.negotiation_id]
         self._offered_at.pop(negotiation.negotiation_id, None)
-        acknowledgement = element("Offer_Rejected")
-        subelement(acknowledgement, "Negotiation-ID",
-                   str(negotiation.negotiation_id))
-        return envelope.reply("offer_rejected", acknowledgement)
+        return envelope.reply("offer_rejected",
+                              OFFER_REJECTED.write(negotiation.negotiation_id))
 
     def _on_verify_sla(self, envelope: Envelope) -> Envelope:
-        sla_id = int(child_text(envelope.body, "SLA-ID"))
-        reply = self._broker.verifier.conformance_reply_xml(sla_id)
-        return envelope.reply("qos_levels", reply)
+        sla_id = VERIFY_SLA.read(envelope.body)["sla_id"]
+        return envelope.reply(
+            "qos_levels", self._broker.verifier.conformance_reply_xml(sla_id))
 
     def _on_renegotiate(self, envelope: Envelope) -> Envelope:
         """Mid-session re-negotiation over XML.
@@ -149,21 +182,14 @@ class BrokerGateway:
         the reply is the updated Table 4 document; on refusal, a
         failure message with the broker's reason.
         """
-        from ..xmlmsg.codec import _decode_specification  # noqa: SLF001
-        from ..xmlmsg.document import require_child
-        body = envelope.body
-        sla_id = int(child_text(body, "SLA-ID"))
-        specification = _decode_specification(
-            require_child(body, "QoS_Specification"))
-        budget_text = child_text(body, "Budget_Rate", default="")
-        budget = float(budget_text) if budget_text else None
+        body = RENEGOTIATE.read(envelope.body)
         ok, reason = self._broker.renegotiate_session(
-            sla_id, specification, budget_rate=budget)
+            body["sla_id"], body["specification"],
+            budget_rate=body["budget_rate"])
         if not ok:
-            failure = element("Renegotiation_Failure")
-            subelement(failure, "Reason", reason)
-            return envelope.reply("renegotiation_failure", failure)
-        sla = self._broker.repository.get(sla_id)
+            return envelope.reply("renegotiation_failure",
+                                  RENEGOTIATION_FAILURE.write(reason))
+        sla = self._broker.repository.get(body["sla_id"])
         return envelope.reply("sla_renegotiated",
                               codec.encode_service_sla(sla))
 
@@ -186,7 +212,7 @@ class ClientStub:
         self.caller = caller if caller is not None \
             else ResilientCaller(bus, name=name)
 
-    def _request(self, action: str, body: ET.Element) -> Envelope:
+    def _request(self, action: str, body: str) -> Envelope:
         envelope = Envelope(sender=self.name,
                             recipient=self._gateway_name,
                             action=action, body=body)
@@ -199,7 +225,8 @@ class ClientStub:
         response = self._request("service_request",
                                  codec.encode_service_request(request))
         if response.action == "service_offer_failure":
-            return None, [], child_text(response.body, "Reason")
+            return None, [], SERVICE_OFFER_FAILURE.read(
+                response.body)["reason"]
         negotiation_id, offers = codec.decode_offers(response.body)
         return negotiation_id, offers, ""
 
@@ -207,39 +234,28 @@ class ClientStub:
                      offer_index: int = 0):
         """Accept an offer; returns the decoded SLA document (or
         ``None`` with the failure reason)."""
-        body = element("Accept_Offer")
-        subelement(body, "Negotiation-ID", str(negotiation_id))
-        subelement(body, "Offer-Index", str(offer_index))
-        response = self._request("accept_offer", body)
+        response = self._request("accept_offer", ACCEPT_OFFER.write(
+            (negotiation_id, offer_index)))
         if response.action == "establishment_failure":
-            return None, child_text(response.body, "Reason")
+            return None, ESTABLISHMENT_FAILURE.read(response.body)["reason"]
         return codec.decode_service_sla(response.body), ""
 
     def reject_offer(self, negotiation_id: int) -> None:
         """Reject the outstanding offers."""
-        body = element("Reject_Offer")
-        subelement(body, "Negotiation-ID", str(negotiation_id))
-        self._request("reject_offer", body)
+        self._request("reject_offer", REJECT_OFFER.write(negotiation_id))
 
     def verify_sla(self, sla_id: int):
         """Explicit SLA verification test; returns the measured values
         decoded from the Table 3 reply."""
-        body = element("Verify_SLA")
-        subelement(body, "SLA-ID", str(sla_id))
-        response = self._request("verify_sla", body)
+        response = self._request("verify_sla", VERIFY_SLA.write(sla_id))
         return codec.decode_qos_levels(response.body)
 
     def renegotiate(self, sla_id: int, specification, *,
                     budget_rate: Optional[float] = None):
         """Re-negotiate a live session's QoS; returns the updated SLA
         document (or ``None`` with the broker's refusal reason)."""
-        from ..xmlmsg.codec import _encode_specification  # noqa: SLF001
-        body = element("Renegotiate")
-        subelement(body, "SLA-ID", str(sla_id))
-        body.append(_encode_specification(specification))
-        if budget_rate is not None:
-            subelement(body, "Budget_Rate", f"{budget_rate:.12g}")
-        response = self._request("renegotiate", body)
+        response = self._request("renegotiate", RENEGOTIATE.write(
+            (sla_id, specification, budget_rate)))
         if response.action == "renegotiation_failure":
-            return None, child_text(response.body, "Reason")
+            return None, RENEGOTIATION_FAILURE.read(response.body)["reason"]
         return codec.decode_service_sla(response.body), ""

@@ -121,11 +121,11 @@ def _walkthrough(seed: int) -> str:
     lines = _banner(f"SLA {sla.sla_id} established for {sla.client!r} "
                     f"at rate {sla.price_rate:g}")
     lines += ["\nSLA portion relayed to the RMs (Table 1):\n",
-              codec.render(codec.encode_service_specific(sla))]
+              codec.encode_service_specific(sla, codec.DISPLAY)]
     testbed.sim.run(until=10.0)
     lines += ["\nSLA conformance-test reply (Table 3):\n",
-              codec.render(broker.verifier.conformance_reply_xml(
-                  sla.sla_id))]
+              broker.verifier.conformance_reply_xml(sla.sla_id,
+                                                    codec.DISPLAY)]
     testbed.sim.run(until=120.0)
     revenue = broker.ledger.provider_net(testbed.sim.now)
     lines += [f"\nSession finished: status={sla.status.value}, provider "

@@ -41,13 +41,13 @@ from ..sim.random import RandomSource
 from ..sim.trace import TraceRecorder
 from ..sla.negotiation import ServiceRequest
 from ..xmlmsg.bus import MessageBus
-from ..xmlmsg.document import child_text
 from ..xmlmsg.resilient import ResilientCaller, RetryPolicy
 from .faults import DomainChaos
 from .health import PeerHealth
 from .protocol import (FederationEndpoint, IncomingDelegation, decode_bid,
-                       decode_delegated, encode_bid_request, encode_cancel,
-                       encode_confirm, encode_delegate, encode_heartbeat)
+                       decode_confirmed, decode_delegated, encode_bid_request,
+                       encode_cancel, encode_confirm, encode_delegate,
+                       encode_heartbeat)
 from .recovery import RejoinReport, reconcile_delegations, scan_delegations
 
 __all__ = [
@@ -629,7 +629,7 @@ class FederatedControlPlane:
                                       delegation_id, delegated.sla_id)
             try:
                 ack = acting.caller.call(envelope)
-                if child_text(ack.body, "Status", default="") != "ok":
+                if decode_confirmed(ack.body) != "ok":
                     confirm_failure = "peer lost the booking"
             except BrokerCrash:
                 self._note_crash(bid.domain,

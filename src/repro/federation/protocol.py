@@ -31,18 +31,19 @@ come for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 from xml.etree import ElementTree as ET
 
-from ..errors import MessageError
 from ..qos.classes import ServiceClass
 from ..qos.specification import QoSSpecification
 from ..recovery.journal import (DELEGATION_ACCEPTED, DELEGATION_BEGIN,
                                 DELEGATION_CONFIRMED)
 from ..sla.negotiation import ServiceRequest
-from ..xmlmsg import codec
-from ..xmlmsg.document import _number, child_text, element, subelement
+from ..xmlmsg.codec import SERVICE_REQUEST
 from ..xmlmsg.envelope import Envelope
+from ..xmlmsg.schema import (INT, NUMBER, TEXT, YES_NO, Field, Message,
+                             identity)
 
 __all__ = [
     "FederationBid",
@@ -50,6 +51,7 @@ __all__ = [
     "IncomingDelegation",
     "compute_bid",
     "decode_bid",
+    "decode_confirmed",
     "decode_delegated",
     "encode_bid_request",
     "encode_cancel",
@@ -126,81 +128,6 @@ def compute_bid(testbed, request: ServiceRequest,
 # Wire encoding
 # ----------------------------------------------------------------------
 
-def _request_body(tag: str, delegation_id: str, home: str,
-                  request: ServiceRequest) -> ET.Element:
-    root = element(tag)
-    subelement(root, "Delegation-ID", delegation_id)
-    subelement(root, "Home", home)
-    root.append(codec.encode_service_request(request))
-    return root
-
-
-def _decode_request_body(node: ET.Element
-                         ) -> "tuple[str, str, ServiceRequest]":
-    request_node = node.find("Service_Request")
-    if request_node is None:
-        raise MessageError(f"<{node.tag}> carries no <Service_Request>")
-    return (child_text(node, "Delegation-ID"),
-            child_text(node, "Home"),
-            codec.decode_service_request(request_node))
-
-
-def encode_bid_request(sender: str, recipient: str, delegation_id: str,
-                       home: str, request: ServiceRequest) -> Envelope:
-    """The ``fed_bid`` solicitation envelope."""
-    return Envelope(sender=sender, recipient=recipient, action="fed_bid",
-                    body=_request_body("Federation_Bid_Request",
-                                       delegation_id, home, request))
-
-
-def encode_delegate(sender: str, recipient: str, delegation_id: str,
-                    home: str, request: ServiceRequest) -> Envelope:
-    """The ``fed_delegate`` admission envelope."""
-    return Envelope(sender=sender, recipient=recipient,
-                    action="fed_delegate",
-                    body=_request_body("Federation_Delegate",
-                                       delegation_id, home, request))
-
-
-def encode_confirm(sender: str, recipient: str, delegation_id: str,
-                   sla_id: int) -> Envelope:
-    """The ``fed_confirm`` envelope sealing a delegation."""
-    root = element("Federation_Confirm")
-    subelement(root, "Delegation-ID", delegation_id)
-    subelement(root, "SLA-ID", str(sla_id))
-    return Envelope(sender=sender, recipient=recipient,
-                    action="fed_confirm", body=root)
-
-
-def encode_cancel(sender: str, recipient: str,
-                  delegation_id: str) -> Envelope:
-    """The ``fed_cancel`` envelope abandoning a delegation."""
-    root = element("Federation_Cancel")
-    subelement(root, "Delegation-ID", delegation_id)
-    return Envelope(sender=sender, recipient=recipient,
-                    action="fed_cancel", body=root)
-
-
-def encode_heartbeat(sender: str, recipient: str, observer: str) -> Envelope:
-    """The ``fed_heartbeat`` probe envelope."""
-    root = element("Federation_Heartbeat")
-    subelement(root, "Observer", observer)
-    return Envelope(sender=sender, recipient=recipient,
-                    action="fed_heartbeat", body=root)
-
-
-def decode_bid(node: ET.Element) -> FederationBid:
-    """Parse a ``<Federation_Bid>`` reply."""
-    return FederationBid(
-        domain=child_text(node, "Domain"),
-        accept=child_text(node, "Accept") == "yes",
-        score=float(child_text(node, "Score", default="0")),
-        price_rate=float(child_text(node, "Price_Rate", default="0")),
-        headroom_after=float(child_text(node, "Headroom", default="0")),
-        risk=float(child_text(node, "Risk", default="0")),
-        reason=child_text(node, "Reason", default=""))
-
-
 class DelegationReply(NamedTuple):
     """Parsed ``<Federation_Delegated>`` reply."""
 
@@ -210,14 +137,114 @@ class DelegationReply(NamedTuple):
     reason: str
 
 
+def _request_body(tag: str) -> Message:
+    """A request carried on a home's behalf, written from
+    ``(delegation_id, home, request)`` and read back as that triple."""
+    return Message(tag, [
+        Field("Delegation-ID", TEXT, "delegation_id", get=itemgetter(0)),
+        Field("Home", TEXT, "home", get=itemgetter(1)),
+        Field("Service_Request", SERVICE_REQUEST, "request",
+              get=itemgetter(2)),
+    ], build=lambda values: (values["delegation_id"], values["home"],
+                             values["request"]))
+
+
+def _status(tag: str) -> Message:
+    """A peer's acknowledgement, written from ``(delegation_id,
+    status)``; a missing status reads as ``""``."""
+    return Message(tag, [
+        Field("Delegation-ID", TEXT, "delegation_id", get=itemgetter(0)),
+        Field("Status", TEXT, "status", get=itemgetter(1), default=""),
+    ])
+
+
+BID_REQUEST = _request_body("Federation_Bid_Request")
+DELEGATE = _request_body("Federation_Delegate")
+CONFIRM = Message("Federation_Confirm", [
+    Field("Delegation-ID", TEXT, "delegation_id", get=itemgetter(0)),
+    Field("SLA-ID", INT, "sla_id", get=itemgetter(1)),
+])
+CANCEL = Message("Federation_Cancel", [
+    Field("Delegation-ID", TEXT, "delegation_id", get=identity),
+])
+HEARTBEAT = Message("Federation_Heartbeat", [
+    Field("Observer", TEXT, "observer", get=identity),
+])
+BID = Message("Federation_Bid", [
+    Field("Domain", TEXT, "domain"),
+    Field("Accept", YES_NO, "accept"),
+    Field("Score", NUMBER, "score", default=0.0),
+    Field("Price_Rate", NUMBER, "price_rate", default=0.0),
+    Field("Headroom", NUMBER, "headroom_after", default=0.0),
+    Field("Risk", NUMBER, "risk", default=0.0),
+    Field("Reason", TEXT, "reason", get=lambda bid: bid.reason or None,
+          default=""),
+], build=lambda values: FederationBid(**values))
+DELEGATED = Message("Federation_Delegated", [
+    Field("Domain", TEXT, "domain"),
+    Field("Accepted", YES_NO, "accepted"),
+    Field("SLA-ID", INT, "sla_id", default=None),
+    Field("Reason", TEXT, "reason", get=lambda reply: reply.reason or None,
+          default=""),
+], build=lambda values: DelegationReply(**values))
+CONFIRMED = _status("Federation_Confirmed")
+CANCELLED = _status("Federation_Cancelled")
+ALIVE = Message("Federation_Alive", [
+    Field("Domain", TEXT, "domain", get=itemgetter(0)),
+    Field("Time", NUMBER, "time", get=itemgetter(1)),
+])
+
+
+def encode_bid_request(sender: str, recipient: str, delegation_id: str,
+                       home: str, request: ServiceRequest) -> Envelope:
+    """The ``fed_bid`` solicitation envelope."""
+    return Envelope(sender=sender, recipient=recipient, action="fed_bid",
+                    body=BID_REQUEST.write((delegation_id, home, request)))
+
+
+def encode_delegate(sender: str, recipient: str, delegation_id: str,
+                    home: str, request: ServiceRequest) -> Envelope:
+    """The ``fed_delegate`` admission envelope."""
+    return Envelope(sender=sender, recipient=recipient,
+                    action="fed_delegate",
+                    body=DELEGATE.write((delegation_id, home, request)))
+
+
+def encode_confirm(sender: str, recipient: str, delegation_id: str,
+                   sla_id: int) -> Envelope:
+    """The ``fed_confirm`` envelope sealing a delegation."""
+    return Envelope(sender=sender, recipient=recipient,
+                    action="fed_confirm",
+                    body=CONFIRM.write((delegation_id, sla_id)))
+
+
+def encode_cancel(sender: str, recipient: str,
+                  delegation_id: str) -> Envelope:
+    """The ``fed_cancel`` envelope abandoning a delegation."""
+    return Envelope(sender=sender, recipient=recipient,
+                    action="fed_cancel", body=CANCEL.write(delegation_id))
+
+
+def encode_heartbeat(sender: str, recipient: str, observer: str) -> Envelope:
+    """The ``fed_heartbeat`` probe envelope."""
+    return Envelope(sender=sender, recipient=recipient,
+                    action="fed_heartbeat", body=HEARTBEAT.write(observer))
+
+
+def decode_bid(node: ET.Element) -> FederationBid:
+    """Parse a ``<Federation_Bid>`` reply."""
+    return BID.read(node)
+
+
 def decode_delegated(node: ET.Element) -> DelegationReply:
     """Parse a ``<Federation_Delegated>`` reply."""
-    sla_text = child_text(node, "SLA-ID", default="")
-    return DelegationReply(
-        domain=child_text(node, "Domain"),
-        accepted=child_text(node, "Accepted") == "yes",
-        sla_id=int(sla_text) if sla_text else None,
-        reason=child_text(node, "Reason", default=""))
+    return DELEGATED.read(node)
+
+
+def decode_confirmed(node: ET.Element) -> str:
+    """The status a ``<Federation_Confirmed>`` reply carries (``ok``
+    when the peer sealed the booking)."""
+    return CONFIRMED.read(node)["status"]
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +274,7 @@ class FederationEndpoint:
     # -- handlers ------------------------------------------------------
 
     def _on_bid(self, envelope: Envelope) -> Envelope:
-        delegation_id, home, request = _decode_request_body(envelope.body)
+        delegation_id, home, request = BID_REQUEST.read(envelope.body)
         bid = compute_bid(self.domain.testbed, request, self.domain.name)
         if self.probe.explaining:
             self.probe.decide(
@@ -257,19 +284,10 @@ class FederationEndpoint:
                 reason=bid.reason,
                 chosen={"score": bid.score, "risk": bid.risk,
                         "headroom_after": bid.headroom_after})
-        root = element("Federation_Bid")
-        subelement(root, "Domain", self.domain.name)
-        subelement(root, "Accept", "yes" if bid.accept else "no")
-        subelement(root, "Score", _number(bid.score))
-        subelement(root, "Price_Rate", _number(bid.price_rate))
-        subelement(root, "Headroom", _number(bid.headroom_after))
-        subelement(root, "Risk", _number(bid.risk))
-        if bid.reason:
-            subelement(root, "Reason", bid.reason)
-        return envelope.reply("fed_bid_offer", root)
+        return envelope.reply("fed_bid_offer", BID.write(bid))
 
     def _on_delegate(self, envelope: Envelope) -> Envelope:
-        delegation_id, home, request = _decode_request_body(envelope.body)
+        delegation_id, home, request = DELEGATE.read(envelope.body)
         testbed = self.domain.testbed
         # Durable intent first: whatever admission writes follow, a
         # rejoining broker can tell this booking was on a home's
@@ -292,43 +310,31 @@ class FederationEndpoint:
                 subject=request.client, sla_id=sla_id,
                 constraint=f"delegation {delegation_id} from {home}",
                 reason=outcome.reason)
-        root = element("Federation_Delegated")
-        subelement(root, "Domain", self.domain.name)
-        subelement(root, "Accepted", "yes" if outcome.accepted else "no")
-        if sla_id is not None:
-            subelement(root, "SLA-ID", str(sla_id))
-        if outcome.reason:
-            subelement(root, "Reason", outcome.reason)
-        return envelope.reply("fed_delegated", root)
+        return envelope.reply("fed_delegated", DELEGATED.write(
+            DelegationReply(self.domain.name, outcome.accepted, sla_id,
+                            outcome.reason)))
 
     def _on_confirm(self, envelope: Envelope) -> Envelope:
-        delegation_id = child_text(envelope.body, "Delegation-ID")
+        delegation_id = CONFIRM.read(envelope.body)["delegation_id"]
         entry = self.domain.incoming.get(delegation_id)
-        root = element("Federation_Confirmed")
-        subelement(root, "Delegation-ID", delegation_id)
         if entry is None:
             # Crashed and reconciled (or never admitted): the booking
             # is gone, tell the home so it reroutes.
-            subelement(root, "Status", "unknown")
-            return envelope.reply("fed_confirmed", root)
+            return envelope.reply("fed_confirmed",
+                                  CONFIRMED.write((delegation_id, "unknown")))
         self.probe.append(DELEGATION_CONFIRMED, role="peer",
                           delegation_id=delegation_id, sla_id=entry.sla_id)
         self.domain.confirmed.add(delegation_id)
-        subelement(root, "Status", "ok")
-        return envelope.reply("fed_confirmed", root)
+        return envelope.reply("fed_confirmed",
+                              CONFIRMED.write((delegation_id, "ok")))
 
     def _on_cancel(self, envelope: Envelope) -> Envelope:
-        delegation_id = child_text(envelope.body, "Delegation-ID")
+        delegation_id = CANCEL.read(envelope.body)["delegation_id"]
         cancelled = self.plane.cancel_incoming(
             self.domain, delegation_id, reason="home cancelled")
-        root = element("Federation_Cancelled")
-        subelement(root, "Delegation-ID", delegation_id)
-        subelement(root, "Status", "ok" if cancelled else "gone")
-        return envelope.reply("fed_cancelled", root)
+        return envelope.reply("fed_cancelled", CANCELLED.write(
+            (delegation_id, "ok" if cancelled else "gone")))
 
     def _on_heartbeat(self, envelope: Envelope) -> Envelope:
-        root = element("Federation_Alive")
-        subelement(root, "Domain", self.domain.name)
-        subelement(root, "Time",
-                   _number(self.domain.testbed.sim.now))
-        return envelope.reply("fed_alive", root)
+        return envelope.reply("fed_alive", ALIVE.write(
+            (self.domain.name, self.domain.testbed.sim.now)))

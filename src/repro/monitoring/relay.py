@@ -19,83 +19,86 @@ deadlocked.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 from xml.etree import ElementTree as ET
 
-from ..qos.parameters import Dimension
 from ..sla.violations import ConformanceReport, MeasuredQoS, Violation
 from ..xmlmsg.bus import MessageBus
-from ..xmlmsg.document import child_text, element, subelement
+from ..xmlmsg.codec import DIMENSION
 from ..xmlmsg.envelope import Envelope
+from ..xmlmsg.schema import INT, NUMBER, TEXT, Field, Message
 from .notifications import DegradationNotice, NotificationHub
 
 #: Endpoint name the relay listens on.
 HUB_ENDPOINT = "notification-hub"
 
 
-def encode_degradation_notice(notice: DegradationNotice) -> ET.Element:
-    """Serialize a notice (and its report) to ``<Degradation_Notice>``."""
-    root = element("Degradation_Notice")
-    subelement(root, "SLA-ID", str(notice.sla_id))
-    subelement(root, "Time", f"{notice.time:.12g}")
-    subelement(root, "Source", notice.source)
-    if notice.detail:
-        subelement(root, "Detail", notice.detail)
-    report = notice.report
+VIOLATION = Message("Violation", [
+    Field("dimension", DIMENSION, "dimension", attribute=True),
+    Field("expected", NUMBER, "expected", attribute=True),
+    Field("measured", NUMBER, "measured", attribute=True),
+    Field("severity", NUMBER, "severity", attribute=True),
+])
+
+#: Written from a ``(dimension, value)`` row.
+VALUE = Message("Value", [
+    Field("dimension", DIMENSION, "dimension", get=itemgetter(0),
+          attribute=True),
+    Field(None, NUMBER, "value", get=itemgetter(1)),
+], build=lambda values: (values["dimension"], values["value"]))
+
+MEASURED = Message("Measured", [
+    Field("time", NUMBER, "time", attribute=True),
+    Field("Value", VALUE, "values", repeated=True, get=lambda measured: [
+        (dimension, measured.values[dimension])
+        for dimension in sorted(measured.values,
+                                key=lambda dimension: dimension.value)]),
+])
+
+REPORT = Message("Conformance_Report", [
+    Field("sla-id", INT, "sla_id", attribute=True),
+    Field("time", NUMBER, "time", attribute=True),
+    Field("Violation", VIOLATION, "violations", repeated=True),
+    Field("Measured", MEASURED, "measured", optional=True),
+])
+
+
+def _notice(values) -> DegradationNotice:
+    """The notice; its report's violations carry the report's SLA id
+    and its measurement the notice's, as they were sent."""
+    report = values.get("report")
     if report is not None:
-        report_node = subelement(root, "Conformance_Report")
-        report_node.set("sla-id", str(report.sla_id))
-        report_node.set("time", f"{report.time:.12g}")
-        for violation in report.violations:
-            violation_node = subelement(report_node, "Violation")
-            violation_node.set("dimension", violation.dimension.value)
-            violation_node.set("expected", f"{violation.expected:.12g}")
-            violation_node.set("measured", f"{violation.measured:.12g}")
-            violation_node.set("severity", f"{violation.severity:.12g}")
-        measured_node = subelement(report_node, "Measured")
-        measured_node.set("time", f"{report.measured.time:.12g}")
-        for dimension in sorted(report.measured.values,
-                                key=lambda d: d.value):
-            value_node = subelement(measured_node, "Value")
-            value_node.set("dimension", dimension.value)
-            value_node.text = f"{report.measured.values[dimension]:.12g}"
-    return root
+        measured = report.get("measured", {"time": 0.0, "values": ()})
+        values["report"] = ConformanceReport(
+            sla_id=report["sla_id"], time=report["time"],
+            violations=tuple(
+                Violation(sla_id=report["sla_id"], **violation)
+                for violation in report["violations"]),
+            measured=MeasuredQoS(sla_id=values["sla_id"],
+                                 values=dict(measured["values"]),
+                                 time=measured["time"]))
+    return DegradationNotice(**values)
+
+
+DEGRADATION_NOTICE = Message("Degradation_Notice", [
+    Field("SLA-ID", INT, "sla_id"),
+    Field("Time", NUMBER, "time"),
+    Field("Source", TEXT, "source", default=""),
+    Field("Detail", TEXT, "detail", get=lambda notice: notice.detail or None,
+          default=""),
+    Field("Conformance_Report", REPORT, "report", optional=True),
+], build=_notice)
+
+
+def encode_degradation_notice(notice: DegradationNotice) -> str:
+    """Serialize a notice (and its report) to ``<Degradation_Notice>``."""
+    return DEGRADATION_NOTICE.write(notice)
 
 
 def decode_degradation_notice(node: ET.Element) -> DegradationNotice:
     """Parse a ``<Degradation_Notice>`` document."""
-    sla_id = int(child_text(node, "SLA-ID"))
-    time = float(child_text(node, "Time"))
-    report: Optional[ConformanceReport] = None
-    report_node = node.find("Conformance_Report")
-    if report_node is not None:
-        violations = tuple(
-            Violation(
-                sla_id=int(report_node.get("sla-id", "0")),
-                dimension=Dimension(violation_node.get("dimension", "")),
-                expected=float(violation_node.get("expected", "0")),
-                measured=float(violation_node.get("measured", "0")),
-                severity=float(violation_node.get("severity", "0")))
-            for violation_node in report_node.findall("Violation"))
-        measured_node = report_node.find("Measured")
-        values = {}
-        measured_time = 0.0
-        if measured_node is not None:
-            measured_time = float(measured_node.get("time", "0"))
-            for value_node in measured_node.findall("Value"):
-                values[Dimension(value_node.get("dimension", ""))] = \
-                    float(value_node.text or "0")
-        report = ConformanceReport(
-            sla_id=int(report_node.get("sla-id", "0")),
-            time=float(report_node.get("time", "0")),
-            violations=violations,
-            measured=MeasuredQoS(sla_id=sla_id, values=values,
-                                 time=measured_time))
-    return DegradationNotice(
-        sla_id=sla_id, time=time,
-        source=child_text(node, "Source", default=""),
-        report=report,
-        detail=child_text(node, "Detail", default=""))
+    return DEGRADATION_NOTICE.read(node)
 
 
 class BusNotificationRelay:

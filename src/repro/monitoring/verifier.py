@@ -21,7 +21,6 @@ The verifier:
 from __future__ import annotations
 
 from typing import Dict, List, Optional
-from xml.etree import ElementTree as ET
 
 from ..errors import MonitoringError
 from ..network.nrm import FlowAllocation, NetworkMeasurement
@@ -199,13 +198,15 @@ class SlaVerifier:
             float(len(self._violating)))
         return report
 
-    def conformance_reply_xml(self, sla_id: int) -> ET.Element:
-        """Run a test and encode the Table 3 ``<QoS_Levels>`` reply."""
+    def conformance_reply_xml(self, sla_id: int, pad: str = "") -> str:
+        """Run a test and encode the Table 3 ``<QoS_Levels>`` reply
+        (compact for the wire; ``pad="\\n"`` for the indented
+        paper-table form)."""
         from ..xmlmsg.codec import encode_qos_levels
         sla = self._repository.get(sla_id)
         measured = self.measure(sla_id)
         self.metrics.counter("repro_sla_conformance_tests_total").inc()
-        return encode_qos_levels(sla, measured)
+        return encode_qos_levels(sla, measured, pad)
 
     # ------------------------------------------------------------------
     # Periodic polling

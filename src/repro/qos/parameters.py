@@ -155,15 +155,6 @@ class QoSParameter:
                 points = rounded
         return points
 
-    def clamp(self, value: float) -> float:
-        """The admissible value closest to ``value``."""
-        if self.form is Form.EXACT:
-            return self.values[0]
-        if self.form is Form.RANGE:
-            assert self.low is not None and self.high is not None
-            return min(max(value, self.low), self.high)
-        return min(self.values, key=lambda v: (abs(v - value), v))
-
     def is_better(self, a: float, b: float) -> bool:
         """Whether value ``a`` is strictly better quality than ``b``."""
         if self.direction is Direction.HIGHER_IS_BETTER:

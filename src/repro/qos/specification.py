@@ -92,11 +92,6 @@ class QoSSpecification:
                 return False
         return True
 
-    def clamp_point(self, point: Mapping[Dimension, float]) -> OperatingPoint:
-        """Snap an arbitrary point onto the nearest admissible one."""
-        return {p.dimension: p.clamp(point.get(p.dimension, p.worst()))
-                for p in self.parameters}
-
     def quality_levels(self, count: int = 5) -> List[OperatingPoint]:
         """Coupled quality levels, worst-to-best.
 

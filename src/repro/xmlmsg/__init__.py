@@ -6,13 +6,16 @@ report round-trips through real XML (Tables 1, 3, 4) — and replaces the
 socket with an in-process :class:`~repro.xmlmsg.bus.MessageBus` whose
 delivery can be delayed on the simulation clock.
 
-* :mod:`repro.xmlmsg.document` — small helpers over ``xml.etree`` and
-  the single-pass writer of the indented wire form.
+* :mod:`repro.xmlmsg.schema` — messages declared as field tables, with
+  the one writer (object to compact or indented text) and the one
+  reader (parsed element back to the object) every message uses.
+* :mod:`repro.xmlmsg.document` — small helpers over ``xml.etree``:
+  parsing, ad-hoc trees and their single-pass writer.
 * :mod:`repro.xmlmsg.envelope` — SOAP-style envelopes.
 * :mod:`repro.xmlmsg.bus` — the in-process transport (with dead
   letters and per-endpoint idempotency).
-* :mod:`repro.xmlmsg.codec` — encoders/decoders for the paper's
-  message schemas.
+* :mod:`repro.xmlmsg.codec` — the paper's message schemas (Tables 1,
+  3 and 4, requests and offers).
 * :mod:`repro.xmlmsg.faults` — seeded fault injection (chaos layer).
 * :mod:`repro.xmlmsg.idempotency` — bounded dedup caches.
 * :mod:`repro.xmlmsg.resilient` — retry/timeout/backoff + breaker.

@@ -1,4 +1,4 @@
-"""Encoders/decoders for the paper's XML message schemas.
+"""The paper's message schemas, declared once as field tables.
 
 Three schemas come straight from the paper:
 
@@ -8,152 +8,233 @@ Three schemas come straight from the paper:
 * Table 4 — ``<Service_SLA>``: a negotiated SLA with its
   ``<Adaptation_Options>`` (alternative QoS + promotion offer).
 
-Round-tripping is exact for the information content; formatting follows
-the paper's indented style via
-:func:`~repro.xmlmsg.document.pretty_xml`.
+The Figure 7 client messages, ``<Service_Request>`` and
+``<Service_Offer>``, share their pieces (QoS specification, operating
+points, network block, adaptation options).
+
+Every ``encode_*`` is the one writer of :mod:`~repro.xmlmsg.schema`
+over its table, writing the compact wire form; the three paper tables
+also take ``pad=DISPLAY`` for the indented form they are printed in.
+Every ``decode_*`` is the one reader over the same table.
+Round-tripping is exact for the information content.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter, methodcaller
+from typing import Dict, Optional, Tuple
 from xml.etree import ElementTree as ET
 
 from .. import units
-from ..errors import MessageError
 from ..qos.classes import ServiceClass
-from ..qos.parameters import (
-    Dimension,
-    Form,
-    QoSParameter,
-    discrete_parameter,
-    exact_parameter,
-    range_parameter,
-)
+from ..qos.parameters import (Dimension, Form, discrete_parameter,
+                              exact_parameter, range_parameter)
 from ..qos.specification import OperatingPoint, QoSSpecification
 from ..sla.document import AdaptationOptions, NetworkDemand, ServiceSLA
+from ..sla.negotiation import Offer, ServiceRequest
 from ..sla.violations import MeasuredQoS
-from .document import (_escape_text, _number, child_text, element,
-                       pretty_xml, require_child, subelement)
+from .schema import (ACCEPT, DISPLAY, INT, NUMBER, TEXT, WIRE, Field, Kind,
+                     Message, enum_kind, identity)
 
+
+def _kwargs(cls):
+    """A ``build`` calling ``cls`` with the values as keywords."""
+    return lambda values: cls(**values)
+
+
+def _render_loss(loss) -> str:
+    """A measured loss: against its bound when it holds, else plain."""
+    if isinstance(loss, units.Bound):
+        return units.render_bound(loss)
+    return units.render_percentage(loss)
+
+
+def _parse_loss(text: str) -> float:
+    """Either form of a loss reading; a worded bound reads as its value
+    (the tightest claim the message makes)."""
+    text = text.strip()
+    if " " in text:
+        return units.parse_bound(text).value
+    return units.parse_percentage(text)
+
+
+CPU = Kind("CPU count", lambda count: units.render_cpu(int(count)),
+           lambda text: float(units.parse_cpu(text)))
+MEMORY = Kind("memory size", units.render_memory_mb, units.parse_memory_mb)
+BANDWIDTH = Kind("bandwidth", units.render_bandwidth_mbps,
+                 units.parse_bandwidth_mbps)
+PERCENTAGE = Kind("percentage", units.render_percentage,
+                  units.parse_percentage)
+DELAY = Kind("delay", units.render_delay_ms, units.parse_delay_ms)
+BOUND = Kind("bound", units.render_bound, units.parse_bound)
+LOSS = Kind("packet loss", _render_loss, _parse_loss)
+DIMENSION = enum_kind(Dimension)
+SERVICE_CLASS = enum_kind(ServiceClass, ServiceClass.from_label)
+
+# ----------------------------------------------------------------------
+# Shared pieces
+# ----------------------------------------------------------------------
+
+#: An operating point, one optional child per dimension (canonical
+#: order); reads back as the point's dict.
+POINT = Message("QoS", [
+    Field(tag, kind, dimension, get=methodcaller("get", dimension),
+          optional=True)
+    for dimension, tag, kind in (
+        (Dimension.CPU, "CPU", CPU),
+        (Dimension.MEMORY_MB, "Memory", MEMORY),
+        (Dimension.DISK_MB, "Disk", MEMORY),
+        (Dimension.BANDWIDTH_MBPS, "Bandwidth", BANDWIDTH),
+        (Dimension.PACKET_LOSS, "Packet_Loss", PERCENTAGE),
+        (Dimension.DELAY_MS, "Delay", DELAY))])
+
+NETWORK = Message("Network_QoS", [
+    Field("Source_IP", TEXT, "source_ip"),
+    Field("Dest_IP", TEXT, "dest_ip"),
+    Field("Bandwidth", BANDWIDTH, "bandwidth_mbps"),
+    Field("Packet_Loss", BOUND, "packet_loss_bound", optional=True),
+    Field("Delay", DELAY, "delay_bound_ms", optional=True),
+], build=_kwargs(NetworkDemand))
+
+
+def _parameter(values):
+    dimension, form = values["dimension"], values["form"]
+    if form is Form.RANGE:
+        return range_parameter(dimension, values["low"], values["high"])
+    if form is Form.EXACT:
+        return exact_parameter(dimension, values["values"][0])
+    return discrete_parameter(dimension, values["values"])
+
+
+#: A Section 5.3 parameter: ``<Low>``/``<High>`` for a range, one
+#: ``<Value>`` per listed (or the one exact) value.
+PARAMETER = Message("Parameter", [
+    Field("dimension", DIMENSION, "dimension", attribute=True),
+    Field("form", enum_kind(Form), "form", attribute=True),
+    Field("Low", NUMBER, "low", optional=True),
+    Field("High", NUMBER, "high", optional=True),
+    Field("Value", NUMBER, "values", repeated=True),
+], build=_parameter)
+
+SPECIFICATION = Message("QoS_Specification", [
+    Field("Parameter", PARAMETER, "parameters", repeated=True),
+], build=lambda values: QoSSpecification(values["parameters"]))
+
+VALIDITY = Message("Validity", [
+    Field("Start", NUMBER, "start"),
+    Field("End", NUMBER, "end"),
+])
+
+ADAPTATION = Message("Adaptation_Options", [
+    Field("Alternative_QoS", POINT, "alternative_points", repeated=True),
+    Field("Promotion_Offer", ACCEPT, "accept_promotion", optional=True),
+    Field("Degradation", ACCEPT, "accept_degradation", optional=True),
+    Field("Termination", ACCEPT, "accept_termination", optional=True),
+], build=_kwargs(AdaptationOptions))
 
 # ----------------------------------------------------------------------
 # Table 1: <Service-Specific>
 # ----------------------------------------------------------------------
 
 
-def encode_service_specific(sla: ServiceSLA) -> ET.Element:
-    """Encode the SLA portion relayed to the resource managers."""
-    root = element("Service-Specific")
-    subelement(root, "SLA-ID", str(sla.sla_id))
-    point = sla.agreed_point
-    if Dimension.CPU in point:
-        subelement(root, "CPU-QoS", units.render_cpu(int(point[Dimension.CPU])))
-    if Dimension.MEMORY_MB in point:
-        subelement(root, "Memory-QoS",
-                   units.render_memory_mb(point[Dimension.MEMORY_MB]))
-    if Dimension.DISK_MB in point:
-        subelement(root, "Disk-QoS",
-                   units.render_memory_mb(point[Dimension.DISK_MB]))
-    if sla.network is not None:
-        root.append(_encode_network_demand(sla.network))
-    return root
+def _agreed(dimension: Dimension):
+    return lambda sla: sla.agreed_point.get(dimension)
 
 
-def _encode_network_demand(network: NetworkDemand) -> ET.Element:
-    node = element("Network_QoS")
-    subelement(node, "Source_IP", network.source_ip)
-    subelement(node, "Dest_IP", network.dest_ip)
-    subelement(node, "Bandwidth",
-               units.render_bandwidth_mbps(network.bandwidth_mbps))
-    if network.packet_loss_bound is not None:
-        subelement(node, "Packet_Loss",
-                   units.render_bound(network.packet_loss_bound))
-    if network.delay_bound_ms is not None:
-        subelement(node, "Delay",
-                   units.render_delay_ms(network.delay_bound_ms))
-    return node
+def _service_specific(values):
+    network = values.get("network")
+    point: OperatingPoint = {
+        dimension: values[dimension]
+        for dimension in (Dimension.CPU, Dimension.MEMORY_MB,
+                          Dimension.DISK_MB) if dimension in values}
+    if network is not None:
+        point[Dimension.BANDWIDTH_MBPS] = network.bandwidth_mbps
+    return values["sla_id"], point, network
+
+
+SERVICE_SPECIFIC = Message("Service-Specific", [
+    Field("SLA-ID", INT, "sla_id", default=0),
+    Field("CPU-QoS", CPU, Dimension.CPU, get=_agreed(Dimension.CPU),
+          optional=True),
+    Field("Memory-QoS", MEMORY, Dimension.MEMORY_MB,
+          get=_agreed(Dimension.MEMORY_MB), optional=True),
+    Field("Disk-QoS", MEMORY, Dimension.DISK_MB,
+          get=_agreed(Dimension.DISK_MB), optional=True),
+    Field("Network_QoS", NETWORK, "network", optional=True),
+], build=_service_specific)
+
+
+def encode_service_specific(sla: ServiceSLA, pad: str = WIRE) -> str:
+    """The SLA portion relayed to the resource managers."""
+    return SERVICE_SPECIFIC.write(sla, pad)
 
 
 def decode_service_specific(node: ET.Element
                             ) -> "Tuple[int, OperatingPoint, Optional[NetworkDemand]]":
     """Decode Table 1 XML into ``(sla_id, operating point, network)``."""
-    if node.tag != "Service-Specific":
-        raise MessageError(f"expected <Service-Specific>, got <{node.tag}>")
-    sla_id = int(child_text(node, "SLA-ID", default="0"))
-    point: OperatingPoint = {}
-    cpu_text = node.find("CPU-QoS")
-    if cpu_text is not None and cpu_text.text:
-        point[Dimension.CPU] = float(units.parse_cpu(cpu_text.text))
-    memory_text = node.find("Memory-QoS")
-    if memory_text is not None and memory_text.text:
-        point[Dimension.MEMORY_MB] = units.parse_memory_mb(memory_text.text)
-    disk_text = node.find("Disk-QoS")
-    if disk_text is not None and disk_text.text:
-        point[Dimension.DISK_MB] = units.parse_memory_mb(disk_text.text)
-    network_node = node.find("Network_QoS")
-    network = (_decode_network_demand(network_node)
-               if network_node is not None else None)
-    if network is not None:
-        point[Dimension.BANDWIDTH_MBPS] = network.bandwidth_mbps
-    return sla_id, point, network
-
-
-def _decode_network_demand(node: ET.Element) -> NetworkDemand:
-    loss_text = node.find("Packet_Loss")
-    delay_text = node.find("Delay")
-    return NetworkDemand(
-        source_ip=child_text(node, "Source_IP"),
-        dest_ip=child_text(node, "Dest_IP"),
-        bandwidth_mbps=units.parse_bandwidth_mbps(
-            child_text(node, "Bandwidth")),
-        packet_loss_bound=(units.parse_bound(loss_text.text)
-                           if loss_text is not None and loss_text.text
-                           else None),
-        delay_bound_ms=(units.parse_delay_ms(delay_text.text)
-                        if delay_text is not None and delay_text.text
-                        else None),
-    )
+    return SERVICE_SPECIFIC.read(node)
 
 
 # ----------------------------------------------------------------------
-# Table 3: <QoS_Levels>
+# Table 3: <QoS_Levels>, written from ``(sla, measured)``
 # ----------------------------------------------------------------------
 
 
-def encode_qos_levels(sla: ServiceSLA, measured: MeasuredQoS) -> ET.Element:
+def _measured(dimension: Dimension):
+    return lambda levels: levels[1].get(dimension)
+
+
+def _reported_loss(levels):
+    """The paper reports the measured loss against its bound
+    ("LessThan 10%") when the bound holds, else the plain reading."""
+    sla, measured = levels
+    loss = measured.get(Dimension.PACKET_LOSS)
+    bound = sla.network.packet_loss_bound
+    if loss is None or bound is None:
+        return None
+    return bound if bound.satisfied_by(loss) else loss
+
+
+MEASURED_NETWORK = Message("Measured_Network_QoS", [
+    Field("Source_IP", TEXT, get=lambda levels: levels[0].network.source_ip),
+    Field("Dest_IP", TEXT, get=lambda levels: levels[0].network.dest_ip),
+    Field("Bandwidth", BANDWIDTH, Dimension.BANDWIDTH_MBPS,
+          get=_measured(Dimension.BANDWIDTH_MBPS), optional=True),
+    Field("Packet_Loss", LOSS, Dimension.PACKET_LOSS, get=_reported_loss,
+          optional=True),
+    Field("Delay", DELAY, Dimension.DELAY_MS,
+          get=_measured(Dimension.DELAY_MS), optional=True),
+])
+
+MEASURED_COMPUTATION = Message("Measured_Computation_QoS", [
+    Field("CPU", CPU, Dimension.CPU, get=_measured(Dimension.CPU),
+          optional=True),
+    Field("Memory", MEMORY, Dimension.MEMORY_MB,
+          get=_measured(Dimension.MEMORY_MB), optional=True),
+])
+
+
+def _qos_levels(values):
+    measured: "Dict[Dimension, float]" = {}
+    measured.update(values.get("network", ()))
+    measured.update(values.get("computation", ()))
+    return values["sla_id"], measured
+
+
+QOS_LEVELS = Message("QoS_Levels", [
+    Field("SLA-ID", INT, "sla_id", get=lambda levels: levels[0].sla_id),
+    Field("Measured_Network_QoS", MEASURED_NETWORK, "network",
+          get=lambda levels: None if levels[0].network is None else levels,
+          optional=True),
+    Field("Measured_Computation_QoS", MEASURED_COMPUTATION, "computation",
+          get=identity, optional=True),
+], build=_qos_levels)
+
+
+def encode_qos_levels(sla: ServiceSLA, measured: MeasuredQoS,
+                      pad: str = WIRE) -> str:
     """Encode the SLA-conformance-test reply of Table 3."""
-    root = element("QoS_Levels")
-    subelement(root, "SLA-ID", str(sla.sla_id))
-    network = sla.network
-    if network is not None:
-        node = subelement(root, "Measured_Network_QoS")
-        subelement(node, "Source_IP", network.source_ip)
-        subelement(node, "Dest_IP", network.dest_ip)
-        bandwidth = measured.get(Dimension.BANDWIDTH_MBPS)
-        if bandwidth is not None:
-            subelement(node, "Bandwidth",
-                       units.render_bandwidth_mbps(bandwidth))
-        loss = measured.get(Dimension.PACKET_LOSS)
-        if loss is not None and network.packet_loss_bound is not None:
-            # The paper reports the measured loss against its bound
-            # ("LessThan 10%") when the bound holds.
-            bound = network.packet_loss_bound
-            if bound.satisfied_by(loss):
-                subelement(node, "Packet_Loss", units.render_bound(bound))
-            else:
-                subelement(node, "Packet_Loss",
-                           units.render_percentage(loss))
-        delay = measured.get(Dimension.DELAY_MS)
-        if delay is not None:
-            subelement(node, "Delay", units.render_delay_ms(delay))
-    compute = subelement(root, "Measured_Computation_QoS")
-    cpu = measured.get(Dimension.CPU)
-    if cpu is not None:
-        subelement(compute, "CPU", units.render_cpu(int(cpu)))
-    memory = measured.get(Dimension.MEMORY_MB)
-    if memory is not None:
-        subelement(compute, "Memory", units.render_memory_mb(memory))
-    return root
+    return QOS_LEVELS.write((sla, measured), pad)
 
 
 def decode_qos_levels(node: ET.Element) -> "Tuple[int, Dict[Dimension, float]]":
@@ -162,35 +243,7 @@ def decode_qos_levels(node: ET.Element) -> "Tuple[int, Dict[Dimension, float]]":
     A ``Packet_Loss`` reported in the worded-bound form decodes to the
     bound's value (the tightest claim the message makes).
     """
-    if node.tag != "QoS_Levels":
-        raise MessageError(f"expected <QoS_Levels>, got <{node.tag}>")
-    sla_id = int(child_text(node, "SLA-ID"))
-    values: Dict[Dimension, float] = {}
-    network = node.find("Measured_Network_QoS")
-    if network is not None:
-        bandwidth = network.find("Bandwidth")
-        if bandwidth is not None and bandwidth.text:
-            values[Dimension.BANDWIDTH_MBPS] = units.parse_bandwidth_mbps(
-                bandwidth.text)
-        loss = network.find("Packet_Loss")
-        if loss is not None and loss.text:
-            text = loss.text.strip()
-            if " " in text:
-                values[Dimension.PACKET_LOSS] = units.parse_bound(text).value
-            else:
-                values[Dimension.PACKET_LOSS] = units.parse_percentage(text)
-        delay = network.find("Delay")
-        if delay is not None and delay.text:
-            values[Dimension.DELAY_MS] = units.parse_delay_ms(delay.text)
-    compute = node.find("Measured_Computation_QoS")
-    if compute is not None:
-        cpu = compute.find("CPU")
-        if cpu is not None and cpu.text:
-            values[Dimension.CPU] = float(units.parse_cpu(cpu.text))
-        memory = compute.find("Memory")
-        if memory is not None and memory.text:
-            values[Dimension.MEMORY_MB] = units.parse_memory_mb(memory.text)
-    return sla_id, values
+    return QOS_LEVELS.read(node)
 
 
 # ----------------------------------------------------------------------
@@ -198,230 +251,54 @@ def decode_qos_levels(node: ET.Element) -> "Tuple[int, Dict[Dimension, float]]":
 # ----------------------------------------------------------------------
 
 
-def encode_service_sla(sla: ServiceSLA) -> ET.Element:
+def _adapted(sla: ServiceSLA) -> Optional[OperatingPoint]:
+    """Not in the paper's Table 4 (which shows a freshly negotiated
+    SLA); carried so adapted sessions persist faithfully."""
+    if sla.delivered_point == sla.agreed_point:
+        return None
+    return sla.delivered_point
+
+
+def _service_sla(values):
+    values.update(values.pop("validity"))
+    delivered = values.pop("delivered_point", None)
+    sla = ServiceSLA(**values)
+    if delivered is not None:
+        sla.delivered_point = delivered
+    return sla
+
+
+SERVICE_SLA = Message("Service_SLA", [
+    Field("SLA-ID", INT, "sla_id"),
+    Field("Client", TEXT, "client"),
+    Field("Service", TEXT, "service_name"),
+    Field("QoS_Specification", SPECIFICATION, "specification"),
+    Field("QoS_Class", SERVICE_CLASS, "service_class"),
+    Field("Agreed_QoS", POINT, "agreed_point"),
+    Field("Delivered_QoS", POINT, "delivered_point", get=_adapted,
+          optional=True),
+    Field("Validity", VALIDITY, "validity", get=identity),
+    Field("Price_Rate", NUMBER, "price_rate", optional=True),
+    Field("Network_QoS", NETWORK, "network", optional=True),
+    Field("Adaptation_Options", ADAPTATION, "adaptation"),
+], build=_service_sla)
+
+
+def encode_service_sla(sla: ServiceSLA, pad: str = WIRE) -> str:
     """Encode a negotiated SLA in the Table 4 shape."""
-    root = element("Service_SLA")
-    subelement(root, "SLA-ID", str(sla.sla_id))
-    subelement(root, "Client", sla.client)
-    subelement(root, "Service", sla.service_name)
-    root.append(_encode_specification(sla.specification))
-    subelement(root, "QoS_Class", sla.service_class.value)
-    root.append(_encode_point("Agreed_QoS", sla.agreed_point))
-    if sla.delivered_point != sla.agreed_point:
-        # Not in the paper's Table 4 (which shows a freshly negotiated
-        # SLA); needed so adapted sessions persist faithfully.
-        root.append(_encode_point("Delivered_QoS", sla.delivered_point))
-    window = subelement(root, "Validity")
-    subelement(window, "Start", _number(sla.start))
-    subelement(window, "End", _number(sla.end))
-    subelement(root, "Price_Rate", _number(sla.price_rate))
-    if sla.network is not None:
-        root.append(_encode_network_demand(sla.network))
-    options = subelement(root, "Adaptation_Options")
-    for point in sla.adaptation.alternative_points:
-        options.append(_encode_point("Alternative_QoS", point))
-    subelement(options, "Promotion_Offer",
-               "Accept" if sla.adaptation.accept_promotion else "Decline")
-    subelement(options, "Degradation",
-               "Accept" if sla.adaptation.accept_degradation else "Decline")
-    subelement(options, "Termination",
-               "Accept" if sla.adaptation.accept_termination else "Decline")
-    return root
+    return SERVICE_SLA.write(sla, pad)
 
 
 def render_service_sla(sla: ServiceSLA) -> str:
-    """Render Table 4 XML as a compact string, byte-for-byte equal to
-    ``ET.tostring(encode_service_sla(sla), encoding="unicode")``.
-
-    This is the journal's hot path: every admission durably writes the
-    full document, and building an ElementTree only to flatten it
-    again costs ~10x the string assembly.  A property test pins the
-    equality against the tree encoder, so the two cannot drift.
-    """
-    out: List[str] = ["<Service_SLA>"]
-    add = out.append
-    add(f"<SLA-ID>{sla.sla_id}</SLA-ID>")
-    add(f"<Client>{_escape_text(sla.client)}</Client>")
-    add(f"<Service>{_escape_text(sla.service_name)}</Service>")
-    _render_specification(sla.specification, add)
-    add(f"<QoS_Class>{sla.service_class.value}</QoS_Class>")
-    _render_point("Agreed_QoS", sla.agreed_point, add)
-    if sla.delivered_point != sla.agreed_point:
-        _render_point("Delivered_QoS", sla.delivered_point, add)
-    add(f"<Validity><Start>{_number(sla.start)}</Start>"
-        f"<End>{_number(sla.end)}</End></Validity>")
-    add(f"<Price_Rate>{_number(sla.price_rate)}</Price_Rate>")
-    if sla.network is not None:
-        _render_network_demand(sla.network, add)
-    add("<Adaptation_Options>")
-    for point in sla.adaptation.alternative_points:
-        _render_point("Alternative_QoS", point, add)
-    adaptation = sla.adaptation
-    add(f"<Promotion_Offer>"
-        f"{'Accept' if adaptation.accept_promotion else 'Decline'}"
-        f"</Promotion_Offer>")
-    add(f"<Degradation>"
-        f"{'Accept' if adaptation.accept_degradation else 'Decline'}"
-        f"</Degradation>")
-    add(f"<Termination>"
-        f"{'Accept' if adaptation.accept_termination else 'Decline'}"
-        f"</Termination>")
-    add("</Adaptation_Options></Service_SLA>")
-    return "".join(out)
-
-
-def _render_specification(spec: QoSSpecification, add) -> None:
-    parameters = list(spec)
-    if not parameters:
-        add("<QoS_Specification />")
-        return
-    add("<QoS_Specification>")
-    for parameter in parameters:
-        add(f'<Parameter dimension="{parameter.dimension.value}" '
-            f'form="{parameter.form.value}">')
-        if parameter.form is Form.RANGE:
-            add(f"<Low>{_number(parameter.low)}</Low>"
-                f"<High>{_number(parameter.high)}</High>")
-        else:
-            for value in parameter.values:
-                add(f"<Value>{_number(value)}</Value>")
-        add("</Parameter>")
-    add("</QoS_Specification>")
-
-
-def _render_point(tag: str, point: OperatingPoint, add) -> None:
-    if not point:
-        add(f"<{tag} />")
-        return
-    add(f"<{tag}>")
-    for dimension, (child_tag, renderer, _parser) in _POINT_TAGS.items():
-        if dimension in point:
-            add(f"<{child_tag}>{renderer(point[dimension])}</{child_tag}>")
-    add(f"</{tag}>")
-
-
-def _render_network_demand(network: NetworkDemand, add) -> None:
-    add("<Network_QoS>")
-    add(f"<Source_IP>{_escape_text(network.source_ip)}</Source_IP>")
-    add(f"<Dest_IP>{_escape_text(network.dest_ip)}</Dest_IP>")
-    add(f"<Bandwidth>"
-        f"{units.render_bandwidth_mbps(network.bandwidth_mbps)}"
-        f"</Bandwidth>")
-    if network.packet_loss_bound is not None:
-        add(f"<Packet_Loss>"
-            f"{units.render_bound(network.packet_loss_bound)}"
-            f"</Packet_Loss>")
-    if network.delay_bound_ms is not None:
-        add(f"<Delay>{units.render_delay_ms(network.delay_bound_ms)}"
-            f"</Delay>")
-    add("</Network_QoS>")
-
-
-_POINT_TAGS = {
-    Dimension.CPU: ("CPU", lambda v: units.render_cpu(int(v)),
-                    lambda t: float(units.parse_cpu(t))),
-    Dimension.MEMORY_MB: ("Memory", units.render_memory_mb,
-                          units.parse_memory_mb),
-    Dimension.DISK_MB: ("Disk", units.render_memory_mb,
-                        units.parse_memory_mb),
-    Dimension.BANDWIDTH_MBPS: ("Bandwidth", units.render_bandwidth_mbps,
-                               units.parse_bandwidth_mbps),
-    Dimension.PACKET_LOSS: ("Packet_Loss", units.render_percentage,
-                            units.parse_percentage),
-    Dimension.DELAY_MS: ("Delay", units.render_delay_ms,
-                         units.parse_delay_ms),
-}
-
-
-def _encode_point(tag: str, point: OperatingPoint) -> ET.Element:
-    node = element(tag)
-    for dimension, (child_tag, renderer, _parser) in _POINT_TAGS.items():
-        if dimension in point:
-            subelement(node, child_tag, renderer(point[dimension]))
-    return node
-
-
-def _decode_point(node: ET.Element) -> OperatingPoint:
-    point: OperatingPoint = {}
-    for dimension, (child_tag, _renderer, parser) in _POINT_TAGS.items():
-        child = node.find(child_tag)
-        if child is not None and child.text:
-            point[dimension] = parser(child.text)
-    return point
-
-
-def _encode_specification(spec: QoSSpecification) -> ET.Element:
-    node = element("QoS_Specification")
-    for parameter in spec:
-        child = subelement(node, "Parameter",
-                           dimension=parameter.dimension.value,
-                           form=parameter.form.value)
-        if parameter.form is Form.RANGE:
-            subelement(child, "Low", _number(parameter.low))
-            subelement(child, "High", _number(parameter.high))
-        else:
-            for value in parameter.values:
-                subelement(child, "Value", _number(value))
-    return node
-
-
-def _decode_specification(node: ET.Element) -> QoSSpecification:
-    parameters: List[QoSParameter] = []
-    for child in node.findall("Parameter"):
-        dimension = Dimension(child.get("dimension", ""))
-        form = Form(child.get("form", ""))
-        if form is Form.RANGE:
-            parameters.append(range_parameter(
-                dimension,
-                float(child_text(child, "Low")),
-                float(child_text(child, "High"))))
-        else:
-            values = [float(v.text) for v in child.findall("Value")
-                      if v.text]
-            if form is Form.EXACT:
-                parameters.append(exact_parameter(dimension, values[0]))
-            else:
-                parameters.append(discrete_parameter(dimension, values))
-    return QoSSpecification.from_iterable(parameters)
+    """Table 4 in the journal's form: compact, byte-for-byte what
+    ``ET.tostring`` of the equivalent tree gives. Every admission
+    durably writes it."""
+    return SERVICE_SLA.write(sla)
 
 
 def decode_service_sla(node: ET.Element) -> ServiceSLA:
     """Decode a Table 4 ``<Service_SLA>`` back into a document."""
-    if node.tag != "Service_SLA":
-        raise MessageError(f"expected <Service_SLA>, got <{node.tag}>")
-    options_node = require_child(node, "Adaptation_Options")
-    alternatives = tuple(_decode_point(child)
-                         for child in options_node.findall("Alternative_QoS"))
-    adaptation = AdaptationOptions(
-        alternative_points=alternatives,
-        accept_promotion=child_text(
-            options_node, "Promotion_Offer", default="Decline") == "Accept",
-        accept_degradation=child_text(
-            options_node, "Degradation", default="Decline") == "Accept",
-        accept_termination=child_text(
-            options_node, "Termination", default="Decline") == "Accept",
-    )
-    network_node = node.find("Network_QoS")
-    window = require_child(node, "Validity")
-    sla = ServiceSLA(
-        sla_id=int(child_text(node, "SLA-ID")),
-        client=child_text(node, "Client"),
-        service_name=child_text(node, "Service"),
-        service_class=ServiceClass.from_label(child_text(node, "QoS_Class")),
-        specification=_decode_specification(
-            require_child(node, "QoS_Specification")),
-        agreed_point=_decode_point(require_child(node, "Agreed_QoS")),
-        start=float(child_text(window, "Start")),
-        end=float(child_text(window, "End")),
-        price_rate=float(child_text(node, "Price_Rate", default="0")),
-        network=(_decode_network_demand(network_node)
-                 if network_node is not None else None),
-        adaptation=adaptation,
-    )
-    delivered_node = node.find("Delivered_QoS")
-    if delivered_node is not None:
-        sla.delivered_point = _decode_point(delivered_node)
-    return sla
+    return SERVICE_SLA.read(node)
 
 
 # ----------------------------------------------------------------------
@@ -429,103 +306,55 @@ def decode_service_sla(node: ET.Element) -> ServiceSLA:
 # ----------------------------------------------------------------------
 
 
-def encode_service_request(request) -> ET.Element:
+def _service_request(values):
+    values.update(values.pop("validity"))
+    return ServiceRequest(**values)
+
+
+SERVICE_REQUEST = Message("Service_Request", [
+    Field("Client", TEXT, "client"),
+    Field("Service", TEXT, "service_name"),
+    Field("QoS_Class", SERVICE_CLASS, "service_class"),
+    Field("QoS_Specification", SPECIFICATION, "specification"),
+    Field("Validity", VALIDITY, "validity", get=identity),
+    Field("Budget_Rate", NUMBER, "budget_rate", optional=True),
+    Field("Network_QoS", NETWORK, "network", optional=True),
+    Field("Adaptation_Options", ADAPTATION, "adaptation", optional=True),
+], build=_service_request)
+
+
+def encode_service_request(request: ServiceRequest) -> str:
     """Encode a client ``service_request`` message (Figure 7)."""
-    from ..sla.negotiation import ServiceRequest
-    assert isinstance(request, ServiceRequest)
-    root = element("Service_Request")
-    subelement(root, "Client", request.client)
-    subelement(root, "Service", request.service_name)
-    subelement(root, "QoS_Class", request.service_class.value)
-    root.append(_encode_specification(request.specification))
-    window = subelement(root, "Validity")
-    subelement(window, "Start", _number(request.start))
-    subelement(window, "End", _number(request.end))
-    if request.budget_rate is not None:
-        subelement(root, "Budget_Rate", _number(request.budget_rate))
-    if request.network is not None:
-        root.append(_encode_network_demand(request.network))
-    options = subelement(root, "Adaptation_Options")
-    for point in request.adaptation.alternative_points:
-        options.append(_encode_point("Alternative_QoS", point))
-    subelement(options, "Promotion_Offer",
-               "Accept" if request.adaptation.accept_promotion
-               else "Decline")
-    subelement(options, "Degradation",
-               "Accept" if request.adaptation.accept_degradation
-               else "Decline")
-    subelement(options, "Termination",
-               "Accept" if request.adaptation.accept_termination
-               else "Decline")
-    return root
+    return SERVICE_REQUEST.write(request)
 
 
-def decode_service_request(node: ET.Element):
+def decode_service_request(node: ET.Element) -> ServiceRequest:
     """Decode a ``service_request`` message into a ServiceRequest."""
-    from ..sla.negotiation import ServiceRequest
-    if node.tag != "Service_Request":
-        raise MessageError(f"expected <Service_Request>, got <{node.tag}>")
-    options_node = node.find("Adaptation_Options")
-    adaptation = AdaptationOptions()
-    if options_node is not None:
-        adaptation = AdaptationOptions(
-            alternative_points=tuple(
-                _decode_point(child)
-                for child in options_node.findall("Alternative_QoS")),
-            accept_promotion=child_text(
-                options_node, "Promotion_Offer", default="Decline")
-            == "Accept",
-            accept_degradation=child_text(
-                options_node, "Degradation", default="Decline") == "Accept",
-            accept_termination=child_text(
-                options_node, "Termination", default="Decline") == "Accept",
-        )
-    network_node = node.find("Network_QoS")
-    window = require_child(node, "Validity")
-    budget_text = child_text(node, "Budget_Rate", default="")
-    return ServiceRequest(
-        client=child_text(node, "Client"),
-        service_name=child_text(node, "Service"),
-        service_class=ServiceClass.from_label(child_text(node, "QoS_Class")),
-        specification=_decode_specification(
-            require_child(node, "QoS_Specification")),
-        start=float(child_text(window, "Start")),
-        end=float(child_text(window, "End")),
-        budget_rate=float(budget_text) if budget_text else None,
-        network=(_decode_network_demand(network_node)
-                 if network_node is not None else None),
-        adaptation=adaptation,
-    )
+    return SERVICE_REQUEST.read(node)
 
 
-def encode_offers(negotiation_id: int, offers) -> ET.Element:
+#: One offer, written from its row ``(index, point, rate, note)``.
+OFFER = Message("Offer", [
+    Field("index", INT, get=itemgetter(0), attribute=True),
+    Field("QoS", POINT, "point", get=itemgetter(1)),
+    Field("Price_Rate", NUMBER, "price_rate", get=itemgetter(2)),
+    Field("Note", TEXT, "note", get=lambda row: row[3] or None,
+          optional=True),
+], build=_kwargs(Offer))
+
+SERVICE_OFFER = Message("Service_Offer", [
+    Field("Negotiation-ID", INT, "negotiation_id", get=itemgetter(0)),
+    Field("Offer", OFFER, "offers", repeated=True, get=lambda reply: [
+        (index, offer.point, offer.price_rate, offer.note)
+        for index, offer in enumerate(reply[1])]),
+], build=lambda values: (values["negotiation_id"], list(values["offers"])))
+
+
+def encode_offers(negotiation_id: int, offers) -> str:
     """Encode the broker's ``service_offer`` reply (Figure 7)."""
-    root = element("Service_Offer")
-    subelement(root, "Negotiation-ID", str(negotiation_id))
-    for index, offer in enumerate(offers):
-        node = subelement(root, "Offer", index=str(index))
-        node.append(_encode_point("QoS", offer.point))
-        subelement(node, "Price_Rate", _number(offer.price_rate))
-        if offer.note:
-            subelement(node, "Note", offer.note)
-    return root
+    return SERVICE_OFFER.write((negotiation_id, offers))
 
 
 def decode_offers(node: ET.Element):
     """Decode a ``service_offer`` reply into ``(negotiation_id, offers)``."""
-    from ..sla.negotiation import Offer
-    if node.tag != "Service_Offer":
-        raise MessageError(f"expected <Service_Offer>, got <{node.tag}>")
-    negotiation_id = int(child_text(node, "Negotiation-ID"))
-    offers = []
-    for child in node.findall("Offer"):
-        offers.append(Offer(
-            point=_decode_point(require_child(child, "QoS")),
-            price_rate=float(child_text(child, "Price_Rate")),
-            note=child_text(child, "Note", default="")))
-    return negotiation_id, offers
-
-
-def render(node: ET.Element) -> str:
-    """Pretty-print any codec output (paper-table style)."""
-    return pretty_xml(node)
+    return SERVICE_OFFER.read(node)

@@ -1,15 +1,13 @@
 """Thin helpers over ``xml.etree.ElementTree``.
 
-These keep the codec modules readable: building nested elements,
-requiring children by tag, and pretty-printing in the indented style of
-the paper's tables.
-
-Parsing is ``ElementTree``'s (expat); rendering is :func:`write_xml`,
-one recursive pass that reads the tree and writes the indented form
-straight into the caller's buffer. It is the only renderer: the
-envelope, the codec's :func:`~repro.xmlmsg.codec.render` and
-:func:`pretty_xml` all go through it, and the escapes and the number
-format every codec shares live beside it.
+Parsing is ``ElementTree``'s (expat, :func:`parse_xml`). The messages
+the control plane sends are written straight from their objects by
+:mod:`~repro.xmlmsg.schema`; the helpers here are for trees — building
+an ad-hoc body (:func:`element`, :func:`subelement`), reading one
+(:func:`require_child`, :func:`child_text`) and writing one back
+(:func:`write_xml`, compact or in the indented style of the paper's
+tables). The escapes and the number format every writer shares live
+here too.
 """
 
 from __future__ import annotations
@@ -110,19 +108,20 @@ def _escape_attribute(value: str) -> str:
 
 def write_xml(write: "Callable[[str], object]", node: ET.Element,
               pad: str) -> None:
-    """Emit ``node`` in the indented paper-table form, in one pass.
+    """Emit ``node`` in one pass: compact when ``pad`` is ``""``, else
+    in the indented paper-table form.
 
     ``write`` receives the pieces in document order (a list's
     ``append``; the caller joins). ``pad`` is the line break plus the
     indentation ``node`` itself sits at — ``"\\n"`` for a root — and
     every child goes one indentation step deeper. The tree is only read:
-    a node with children gets the layout whitespace where its own text
-    and its children's tails would be, a leaf keeps its text verbatim
-    (whitespace-only included) and an empty leaf closes as ``<Tag />``.
-    ``node``'s own tail is the caller's business. Tags are written as
-    they are: the wire has no namespaces, comments or processing
-    instructions (a foreign ``{uri}tag`` that was parsed and is sent
-    on fails typed at the receiver's parse).
+    a node with children gets the layout whitespace (none when compact)
+    where its own text and its children's tails would be, a leaf keeps
+    its text verbatim (whitespace-only included) and an empty leaf
+    closes as ``<Tag />``. ``node``'s own tail is the caller's business.
+    Tags are written as they are: the wire has no namespaces, comments
+    or processing instructions (a foreign ``{uri}tag`` that was parsed
+    and is sent on fails typed at the receiver's parse).
     """
     tag = node.tag
     head = "<" + tag
@@ -130,7 +129,7 @@ def write_xml(write: "Callable[[str], object]", node: ET.Element,
         head += f' {name}="{_escape_attribute(value)}"'
     if len(node):
         write(head + ">")
-        inner = pad + _INDENT
+        inner = pad + _INDENT if pad else pad
         for child in node:
             write(inner)
             write_xml(write, child, inner)

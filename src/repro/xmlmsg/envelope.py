@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional, Union
 from xml.etree import ElementTree as ET
 
 from ..errors import MessageError
-from .document import (_escape_text, _number, child_text, parse_xml,
-                       require_child, write_xml)
+from .document import _escape_text, _number, parse_xml, write_xml
 
 _message_counter = itertools.count(1)
 
@@ -29,13 +28,11 @@ _message_counter = itertools.count(1)
 _REQUIRED_HEADERS = ("MessageID", "Sender", "Recipient", "Action")
 
 
-def _write_field(write: "Callable[[str], object]", tag: str,
-                 text: str) -> None:
-    """One ``<Header>`` child, as the writer renders a leaf there."""
+def _field(tag: str, text: str) -> str:
+    """One ``<Header>`` child, as the writer renders a leaf."""
     if text:
-        write(f"\n    <{tag}>{_escape_text(text)}</{tag}>")
-    else:
-        write(f"\n    <{tag} />")
+        return f"<{tag}>{_escape_text(text)}</{tag}>"
+    return f"<{tag} />"
 
 
 @dataclass
@@ -47,7 +44,9 @@ class Envelope:
         recipient: Logical endpoint name of the destination.
         action: Operation name, e.g. ``"service_request"`` — the
             SOAPAction equivalent.
-        body: The payload element.
+        body: The payload: its compact text as a codec wrote it (what
+            a sender builds), or the element parsed from the wire
+            (what a receiver gets).
         message_id: Unique id, auto-assigned when omitted.
         in_reply_to: The request's message id, for responses.
         retry_of: For a client retry, the original attempt's message
@@ -65,7 +64,7 @@ class Envelope:
     sender: str
     recipient: str
     action: str
-    body: ET.Element
+    body: "Union[str, ET.Element]"
     message_id: str = field(default_factory=lambda: f"msg-{next(_message_counter)}")
     in_reply_to: Optional[str] = None
     retry_of: Optional[str] = None
@@ -83,7 +82,8 @@ class Envelope:
         """
         return self.retry_of or self.message_id
 
-    def reply(self, action: str, body: ET.Element) -> "Envelope":
+    def reply(self, action: str,
+              body: "Union[str, ET.Element]") -> "Envelope":
         """Construct a response envelope routed back to the sender."""
         return Envelope(sender=self.recipient, recipient=self.sender,
                         action=action, body=body,
@@ -103,31 +103,36 @@ class Envelope:
                         trace_id=self.trace_id)
 
     def to_xml(self) -> str:
-        """Serialize to an ``<Envelope>`` document."""
-        parts: "List[str]" = ["<Envelope>\n  <Header>"]
-        write = parts.append
-        _write_field(write, "MessageID", self.message_id)
-        _write_field(write, "Sender", self.sender)
-        _write_field(write, "Recipient", self.recipient)
-        _write_field(write, "Action", self.action)
+        """Serialize to a compact ``<Envelope>`` document: the header
+        fields as elements, the body spliced in as written (an element
+        body goes through :func:`~repro.xmlmsg.document.write_xml`)."""
+        parts: "List[str]" = [
+            "<Envelope><Header>", _field("MessageID", self.message_id),
+            _field("Sender", self.sender),
+            _field("Recipient", self.recipient),
+            _field("Action", self.action)]
         if self.in_reply_to is not None:
-            _write_field(write, "InReplyTo", self.in_reply_to)
+            parts.append(_field("InReplyTo", self.in_reply_to))
         if self.retry_of is not None:
-            _write_field(write, "RetryOf", self.retry_of)
+            parts.append(_field("RetryOf", self.retry_of))
         if self.sent_at is not None:
-            _write_field(write, "SentAt", _number(self.sent_at))
+            parts.append(f"<SentAt>{_number(self.sent_at)}</SentAt>")
         if self.trace_id is not None:
-            _write_field(write, "TraceID", self.trace_id)
+            parts.append(_field("TraceID", self.trace_id))
         if self.span_id is not None:
-            _write_field(write, "SpanID", self.span_id)
-        write("\n  </Header>\n  <Body>\n    ")
-        write_xml(write, self.body, "\n    ")
-        write("\n  </Body>\n</Envelope>")
+            parts.append(_field("SpanID", self.span_id))
+        parts.append("</Header><Body>")
+        body = self.body
+        if isinstance(body, str):
+            parts.append(body)
+        else:
+            write_xml(parts.append, body, "")
+        parts.append("</Body></Envelope>")
         return "".join(parts)
 
     @classmethod
     def from_xml(cls, text: str) -> "Envelope":
-        """Parse an ``<Envelope>`` document.
+        """Parse an ``<Envelope>`` document (either layout).
 
         Raises:
             MessageError: On malformed XML, a missing/empty required
@@ -137,20 +142,25 @@ class Envelope:
         root = parse_xml(text)
         if root.tag != "Envelope":
             raise MessageError(f"expected <Envelope>, got <{root.tag}>")
-        header = require_child(root, "Header")
-        body = require_child(root, "Body")
-        payloads = list(body)
-        if len(payloads) != 1:
+        header = root.find("Header")
+        body = root.find("Body")
+        if header is None or body is None:
             raise MessageError(
-                f"<Body> must hold exactly one payload, got {len(payloads)}")
-        fields = {}
+                f"<Envelope> is missing required child "
+                f"<{'Header' if header is None else 'Body'}>")
+        if len(body) != 1:
+            raise MessageError(
+                f"<Body> must hold exactly one payload, got {len(body)}")
+        # The first of a repeated header field counts, as a find would.
+        fields = {child.tag: (child.text or "").strip()
+                  for child in header[::-1]}
         for tag in _REQUIRED_HEADERS:
-            value = child_text(header, tag)
-            if not value:
+            if not fields.get(tag):
                 raise MessageError(
-                    f"<Header> field <{tag}> must not be empty")
-            fields[tag] = value
-        sent_at_text = child_text(header, "SentAt", default="")
+                    f"<Header> field <{tag}> must not be empty"
+                    if tag in fields
+                    else f"<Header> is missing text child <{tag}>")
+        sent_at_text = fields.get("SentAt")
         try:
             sent_at = float(sent_at_text) if sent_at_text else None
         except ValueError as error:
@@ -160,11 +170,11 @@ class Envelope:
             sender=fields["Sender"],
             recipient=fields["Recipient"],
             action=fields["Action"],
-            body=payloads[0],
+            body=body[0],
             message_id=fields["MessageID"],
-            in_reply_to=child_text(header, "InReplyTo", default="") or None,
-            retry_of=child_text(header, "RetryOf", default="") or None,
+            in_reply_to=fields.get("InReplyTo") or None,
+            retry_of=fields.get("RetryOf") or None,
             sent_at=sent_at,
-            trace_id=child_text(header, "TraceID", default="") or None,
-            span_id=child_text(header, "SpanID", default="") or None,
+            trace_id=fields.get("TraceID") or None,
+            span_id=fields.get("SpanID") or None,
         )

@@ -541,6 +541,7 @@ class TestHotPathAllocation:
     TABLE = "src/repro/gara/slot_table.py"
     PARTITION = "src/repro/core/capacity.py"
     DOCUMENT = "src/repro/xmlmsg/document.py"
+    SCHEMA = "src/repro/xmlmsg/schema.py"
     ENVELOPE = "src/repro/xmlmsg/envelope.py"
 
     def test_lambda_in_hot_loop_flags(self, run):
@@ -610,28 +611,30 @@ class TestHotPathAllocation:
                    rule_id="QLNT115") == []
 
     def test_closure_in_the_writer_recursion_flags(self, run):
-        snippet = ("def write_xml(write, node, pad):\n"
-                   "    def emit(child):\n"
-                   "        write_xml(write, child, pad + '  ')\n"
-                   "    for child in node:\n"
-                   "        emit(child)\n")
-        findings = run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115")
+        snippet = ("class Message:\n"
+                   "    def _write(self, out, obj, tag, lead, pad):\n"
+                   "        def emit(item):\n"
+                   "            self._write(out, item, tag, pad, pad)\n"
+                   "        for item in obj:\n"
+                   "            emit(item)\n")
+        findings = run(snippet, relpath=self.SCHEMA, rule_id="QLNT115")
         assert findings and "emit()" in findings[0].message
 
     def test_per_node_object_in_the_writer_flags(self, run):
-        snippet = ("def write_xml(write, node, pad):\n"
-                   "    frame = Frame(node, pad)\n"
-                   "    write(frame.open())\n")
-        findings = run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115")
+        snippet = ("class Message:\n"
+                   "    def _write(self, out, obj, tag, lead, pad):\n"
+                   "        frame = Frame(tag, pad)\n"
+                   "        out.append(frame.open())\n")
+        findings = run(snippet, relpath=self.SCHEMA, rule_id="QLNT115")
         assert findings and "Frame" in findings[0].message
 
-    def test_lambda_in_pretty_xml_flags(self, run):
-        snippet = ("def pretty_xml(node):\n"
-                   "    parts = []\n"
-                   "    write_xml(lambda piece: parts.append(piece),\n"
-                   "              node, '\\n')\n"
-                   "    return ''.join(parts)\n")
-        findings = run(snippet, relpath=self.DOCUMENT, rule_id="QLNT115")
+    def test_lambda_in_the_reader_flags(self, run):
+        snippet = ("class Message:\n"
+                   "    def _read(self, node):\n"
+                   "        children = sorted(node,\n"
+                   "                          key=lambda child: child.tag)\n"
+                   "        return self.build(children)\n")
+        findings = run(snippet, relpath=self.SCHEMA, rule_id="QLNT115")
         assert findings and "closure" in findings[0].message
 
     def test_element_tree_built_in_to_xml_flags(self, run):
@@ -645,26 +648,39 @@ class TestHotPathAllocation:
         assert findings and "Element" in findings[0].message
 
     def test_the_wire_writer_as_written_is_clean(self, run):
-        writer = ("def write_xml(write, node, pad):\n"
-                  "    head = '<' + node.tag\n"
-                  "    for name, value in node.items():\n"
-                  "        head += f' {name}=\"{_escape_attribute(value)}\"'\n"
-                  "    if len(node):\n"
-                  "        write(head + '>')\n"
+        schema = ("class Message:\n"
+                  "    def write(self, obj, pad=''):\n"
+                  "        out = []\n"
+                  "        self._write(out, obj, self.tag, '', pad)\n"
+                  "        return ''.join(out)\n"
+                  "    def _write(self, out, obj, tag, lead, pad):\n"
+                  "        out.append(lead + '<' + tag + '>')\n"
+                  "        inner = pad + '  ' if pad else pad\n"
+                  "        for get, message, repeated, child, render, \\\n"
+                  "                open_, close, empty in self._writes:\n"
+                  "            value = get(obj)\n"
+                  "            if message is not None:\n"
+                  "                message._write(out, value, child, inner,\n"
+                  "                               inner)\n"
+                  "            else:\n"
+                  "                out.append(f'{inner}{open_}{render(value)}'\n"
+                  "                           f'{close}')\n"
+                  "        out.append(pad + '</' + tag + '>')\n"
+                  "    def _read(self, node):\n"
+                  "        values = self._start.copy()\n"
                   "        for child in node:\n"
-                  "            write_xml(write, child, pad + '  ')\n"
-                  "    else:\n"
-                  "        write(head + ' />')\n"
-                  "def pretty_xml(node):\n"
-                  "    parts = []\n"
-                  "    write_xml(parts.append, node, '\\n')\n"
-                  "    return ''.join(parts)\n")
-        assert run(writer, relpath=self.DOCUMENT, rule_id="QLNT115") == []
+                  "            name, parse = self._reads[child.tag]\n"
+                  "            try:\n"
+                  "                values[name] = parse(child.text)\n"
+                  "            except ValueError as error:\n"
+                  "                raise MessageError(str(error)) from error\n"
+                  "        return self.build(values)\n")
+        assert run(schema, relpath=self.SCHEMA, rule_id="QLNT115") == []
         frame = ("class Envelope:\n"
                  "    def to_xml(self):\n"
-                 "        parts = ['<Envelope>']\n"
-                 "        _write_field(parts.append, 'Sender', self.sender)\n"
-                 "        write_xml(parts.append, self.body, '\\n    ')\n"
+                 "        parts = ['<Envelope><Header>',\n"
+                 "                 _field('Sender', self.sender)]\n"
+                 "        parts.append(self.body)\n"
                  "        return ''.join(parts)\n"
                  "    @classmethod\n"
                  "    def from_xml(cls, text):\n"

@@ -51,13 +51,14 @@ def count_entitled_reads(monkeypatch) -> list:
 
 def count_redraws(monkeypatch) -> list:
     """Record the user of every holding drawn — a pass draws none, a
-    read draws the holding read if a pass ran since its last draw."""
+    read draws the holding read if a pass ran since its last draw, and
+    a listing draws every holding a pass ran since."""
     drawn: list = []
     draw = CapacityPartition._draw
 
-    def counting(partition, holding):
+    def counting(partition, holding, *place):
         drawn.append(holding.user)
-        draw(partition, holding)
+        draw(partition, holding, *place)
     monkeypatch.setattr(CapacityPartition, "_draw", counting)
     return drawn
 

@@ -14,9 +14,11 @@ live holdings.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
 
+from repro.core import capacity as capacity_module
 from repro.core.capacity import CapacityPartition
 from repro.probe import Probe
 from repro.recovery.journal import Journal
@@ -580,6 +582,31 @@ class TestContendedPassWork:
             self._matches_a_fresh_recompute(partition)
             assert len(drawn) <= 3 + self.LIVE
             drawn.clear()
+
+    @pytest.mark.parametrize("lost", [770, 2000])
+    def test_a_listing_draws_each_stale_holding_by_position(
+            self, monkeypatch, partition, lost):
+        partition.apply_failure(lost)
+        # Keys admitted since the pass sit in the index but off the
+        # lines: the listing steps over them, and over nothing else.
+        for user in ("a-first", "u01000-between", "z-last"):
+            partition.admit_guaranteed(user, 1)
+        searched = []
+
+        def counting(keys, user):
+            searched.append(user)
+            return bisect_left(keys, user)
+        monkeypatch.setattr(capacity_module, "bisect_left", counting)
+        drawn = count_redraws(monkeypatch)
+        holdings = partition.guaranteed_holdings()
+        assert searched == []
+        assert drawn == [f"u{index:05d}" for index in range(self.LIVE)]
+        drawn.clear()
+        values = [holding_values(holding) for holding in holdings]
+        assert drawn == []
+        monkeypatch.undo()
+        assert values == [holding_values(holding) for holding in
+                          fresh_oracle(partition).guaranteed_holdings()]
 
     @pytest.mark.parametrize("position", [0, 1, 1234, 1999])
     def test_a_touched_holding_resums_from_its_position(

@@ -15,6 +15,7 @@ from repro.qos.specification import QoSSpecification
 from repro.sla.document import NetworkDemand, ServiceSLA
 from repro.sla.repository import SLARepository
 from repro.units import parse_bound
+from repro.xmlmsg.document import parse_xml
 
 
 class StubSensor(Sensor):
@@ -88,7 +89,7 @@ class TestConformanceTests:
         verifier.attach_sensor(sla.sla_id, StubSensor(
             "s1", sim, {Dimension.BANDWIDTH_MBPS: 9.5,
                         Dimension.PACKET_LOSS: 0.02}))
-        node = verifier.conformance_reply_xml(sla.sla_id)
+        node = parse_xml(verifier.conformance_reply_xml(sla.sla_id))
         assert node.tag == "QoS_Levels"
         assert node.find("SLA-ID").text == str(sla.sla_id)
 

@@ -84,12 +84,6 @@ class TestRangeParameter:
         with pytest.raises(QoSSpecificationError):
             range_parameter(Dimension.CPU, 5, 2)
 
-    def test_clamp(self):
-        parameter = range_parameter(Dimension.BANDWIDTH_MBPS, 10, 45)
-        assert parameter.clamp(5) == 10
-        assert parameter.clamp(100) == 45
-        assert parameter.clamp(30) == 30
-
 
 class TestDiscreteParameter:
     def test_admissible_only_listed(self):
@@ -108,11 +102,6 @@ class TestDiscreteParameter:
     def test_empty_list_rejected(self):
         with pytest.raises(QoSSpecificationError):
             discrete_parameter(Dimension.CPU, [])
-
-    def test_clamp_picks_nearest(self):
-        parameter = discrete_parameter(Dimension.CPU, [2, 4, 8])
-        assert parameter.clamp(5) == 4
-        assert parameter.clamp(7) == 8
 
 
 class TestComparison:

@@ -71,14 +71,6 @@ class TestOperatingPoints:
         del point[Dimension.MEMORY_MB]
         assert not spec.admits(point)
 
-    def test_clamp_point(self, spec):
-        clamped = spec.clamp_point({Dimension.CPU: 100,
-                                    Dimension.BANDWIDTH_MBPS: 1})
-        assert clamped[Dimension.CPU] == 8
-        assert clamped[Dimension.BANDWIDTH_MBPS] == 10
-        assert clamped[Dimension.MEMORY_MB] == 64
-        assert spec.admits(clamped)
-
 
 class TestQualityLevels:
     def test_levels_worst_to_best(self, spec):

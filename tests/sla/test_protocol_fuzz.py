@@ -26,7 +26,8 @@ from repro.errors import (
 from repro.xmlmsg.document import element, subelement
 from repro.xmlmsg.envelope import Envelope
 from repro.qos.classes import ServiceClass
-from repro.qos.parameters import Dimension, range_parameter
+from repro.qos.parameters import (Dimension, discrete_parameter,
+                                  exact_parameter, range_parameter)
 from repro.qos.specification import QoSSpecification
 from repro.sla.lifecycle import (
     PHASE_FUNCTIONS,
@@ -286,3 +287,196 @@ def _request_for_broker():
                           service_name="simulation-service",
                           service_class=ServiceClass.CONTROLLED_LOAD,
                           specification=spec, start=0.0, end=10.0)
+
+
+# ======================================================================
+# Body wire fuzz: every action's payload, one field mutated
+# ======================================================================
+
+def _body_samples():
+    """One compact body per message the control plane sends, with the
+    reader its receiver runs on it."""
+    from repro.core import discovery, gateway
+    from repro.federation import protocol
+    from repro.monitoring import relay
+    from repro.monitoring.notifications import DegradationNotice
+    from repro.registry.query import PropertyConstraint, ServiceQuery
+    from repro.registry.uddie import ServiceRecord
+    from repro.sla.document import AdaptationOptions, NetworkDemand, ServiceSLA
+    from repro.sla.violations import ConformanceReport, MeasuredQoS, Violation
+    from repro.units import parse_bound
+    from repro.xmlmsg import codec
+
+    spec = QoSSpecification.of(
+        range_parameter(Dimension.CPU, 2, 8),
+        exact_parameter(Dimension.MEMORY_MB, 64),
+        discrete_parameter(Dimension.BANDWIDTH_MBPS, [10, 45]))
+    network = NetworkDemand("10.0.0.1", "10.0.0.2", 10.0,
+                            parse_bound("LessThan 10%"), delay_bound_ms=20.0)
+    adaptation = AdaptationOptions(
+        alternative_points=({Dimension.CPU: 2.0},), accept_promotion=True)
+    request = ServiceRequest(
+        client="fuzz", service_name="svc",
+        service_class=ServiceClass.CONTROLLED_LOAD, specification=spec,
+        start=0.0, end=10.0, budget_rate=5.0, network=network,
+        adaptation=adaptation)
+    sla = ServiceSLA(
+        sla_id=1001, client="fuzz", service_name="svc",
+        service_class=ServiceClass.CONTROLLED_LOAD, specification=spec,
+        agreed_point=spec.best_point(), start=0.0, end=10.0,
+        price_rate=8.0, network=network, adaptation=adaptation)
+    measured = MeasuredQoS(1001, {Dimension.CPU: 8.0,
+                                  Dimension.BANDWIDTH_MBPS: 9.5,
+                                  Dimension.PACKET_LOSS: 0.02}, time=3.0)
+    notice = DegradationNotice(
+        sla_id=1001, time=3.0, source="nrm", detail="dip",
+        report=ConformanceReport(
+            1001, 3.0, (Violation(1001, Dimension.BANDWIDTH_MBPS, 10.0,
+                                  9.5, 0.05),), measured))
+    record = ServiceRecord(7, "svc", "acme", "rm", spec,
+                           {"cores": 8, "gpu": True, "load": 0.5})
+    query = ServiceQuery("svc*", (PropertyConstraint("cores", ">=", 4),),
+                         spec)
+    bid = protocol.FederationBid("d2", True, 3.5, 8.0, 12.0, 0.25, "")
+    return [
+        (codec.encode_service_request(request), codec.SERVICE_REQUEST),
+        (codec.encode_offers(7, [Offer({Dimension.CPU: 8.0}, 8.0,
+                                       note="best")]), codec.SERVICE_OFFER),
+        (codec.encode_service_sla(sla), codec.SERVICE_SLA),
+        (codec.encode_service_specific(sla), codec.SERVICE_SPECIFIC),
+        (codec.encode_qos_levels(sla, measured), codec.QOS_LEVELS),
+        (gateway.ACCEPT_OFFER.write((7, 0)), gateway.ACCEPT_OFFER),
+        (gateway.REJECT_OFFER.write(7), gateway.REJECT_OFFER),
+        (gateway.VERIFY_SLA.write(1001), gateway.VERIFY_SLA),
+        (gateway.RENEGOTIATE.write((1001, spec, 4.0)), gateway.RENEGOTIATE),
+        (gateway.OFFER_REJECTED.write(7), gateway.OFFER_REJECTED),
+        (gateway.SERVICE_OFFER_FAILURE.write("none"),
+         gateway.SERVICE_OFFER_FAILURE),
+        (gateway.ESTABLISHMENT_FAILURE.write("full"),
+         gateway.ESTABLISHMENT_FAILURE),
+        (gateway.RENEGOTIATION_FAILURE.write("pinned"),
+         gateway.RENEGOTIATION_FAILURE),
+        (discovery.encode_service_query(query, "v1"),
+         discovery.SERVICE_QUERY),
+        (discovery.encode_service_records([record], "v1"),
+         discovery.SERVICE_RECORDS),
+        (protocol.encode_bid_request("a", "b", "dlg-1", "d1", request).body,
+         protocol.BID_REQUEST),
+        (protocol.encode_delegate("a", "b", "dlg-1", "d1", request).body,
+         protocol.DELEGATE),
+        (protocol.encode_confirm("a", "b", "dlg-1", 1001).body,
+         protocol.CONFIRM),
+        (protocol.encode_cancel("a", "b", "dlg-1").body, protocol.CANCEL),
+        (protocol.encode_heartbeat("a", "b", "d1").body, protocol.HEARTBEAT),
+        (protocol.BID.write(bid), protocol.BID),
+        (protocol.DELEGATED.write(protocol.DelegationReply(
+            "d2", True, 1001, "")), protocol.DELEGATED),
+        (protocol.CONFIRMED.write(("dlg-1", "ok")), protocol.CONFIRMED),
+        (protocol.CANCELLED.write(("dlg-1", "gone")), protocol.CANCELLED),
+        (protocol.ALIVE.write(("d2", 3.0)), protocol.ALIVE),
+        (relay.encode_degradation_notice(notice), relay.DEGRADATION_NOTICE),
+    ]
+
+
+_JUNK = st.sampled_from(["", "abc", "soon", "bogus", "-1", "1e999", "nan",
+                         "4 CPU", "LessThan", "2.5", "true"])
+
+
+def _mutate_body(wire: str, pick: int, junk: str, how: str) -> str:
+    """Replace one leaf's text or one attribute's value with ``junk``,
+    or delete one element below the root."""
+    from xml.etree import ElementTree as ET
+    root = ET.fromstring(wire)
+    nodes = [node for node in root.iter() if node is not root]
+    if how == "drop" and nodes:
+        victim = nodes[pick % len(nodes)]
+        for parent in root.iter():
+            if victim in list(parent):
+                parent.remove(victim)
+                break
+        return ET.tostring(root, encoding="unicode")
+    slots = [(node, name) for node in root.iter() for name in node.attrib]
+    slots += [(node, None) for node in nodes if not len(node)]
+    if not slots:
+        return wire
+    node, name = slots[pick % len(slots)]
+    if name is None:
+        node.text = junk
+    else:
+        node.set(name, junk)
+    return ET.tostring(root, encoding="unicode")
+
+
+class TestBodyWireFuzz:
+    """A malformed body — a field that does not convert, a missing
+    child — fails typed, as :class:`~repro.errors.GQoSMError` (a field
+    the reader cannot convert as a :class:`MessageError` naming it),
+    never as a raw ``ValueError``/``IndexError``/``KeyError``."""
+
+    SAMPLES = _body_samples()
+
+    def test_every_sample_reads_back(self):
+        from repro.xmlmsg.document import parse_xml
+        tags = set()
+        for wire, message in self.SAMPLES:
+            message.read(parse_xml(wire))
+            tags.add(message.tag)
+        assert len(tags) == len(self.SAMPLES)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, len(_body_samples()) - 1), st.integers(0, 200),
+           _JUNK, st.sampled_from(["text", "drop"]))
+    def test_mutated_body_reads_or_fails_typed(self, sample, pick, junk,
+                                               how):
+        from repro.errors import GQoSMError
+        from repro.xmlmsg.document import parse_xml
+        wire, message = self.SAMPLES[sample]
+        mutated = _mutate_body(wire, pick, junk, how)
+        try:
+            message.read(parse_xml(mutated))
+        except MessageError as error:
+            assert str(error).startswith("<") or "expected <" in str(error)
+        except GQoSMError:
+            pass  # a semantic check of the object built (typed)
+
+    @pytest.mark.parametrize("body, tag", [
+        ("<Verify_SLA><SLA-ID>abc</SLA-ID></Verify_SLA>", "<SLA-ID>"),
+        ('<Renegotiate><SLA-ID>1</SLA-ID><QoS_Specification>'
+         '<Parameter dimension="cpu" form="exact" /></QoS_Specification>'
+         '</Renegotiate>', "<Parameter>"),
+        ('<Renegotiate><SLA-ID>1</SLA-ID><QoS_Specification>'
+         '<Parameter dimension="bogus" form="exact"><Value>2</Value>'
+         '</Parameter></QoS_Specification></Renegotiate>',
+         '<Parameter dimension='),
+    ])
+    def test_gateway_fails_typed_naming_the_field(self, body, tag):
+        testbed = attach_control_plane(build_testbed())
+        action = "verify_sla" if "Verify" in body else "renegotiate"
+        envelope = Envelope(sender="fuzz", recipient="aqos",
+                            action=action, body=body)
+        with pytest.raises(MessageError) as raised:
+            testbed.bus.request(envelope)
+        assert tag in str(raised.value)
+
+    def test_a_request_starting_soon_fails_typed(self):
+        from repro.xmlmsg import codec
+        testbed = attach_control_plane(build_testbed())
+        wire = codec.encode_service_request(_request_for_broker()).replace(
+            "<Start>0</Start>", "<Start>soon</Start>")
+        envelope = Envelope(sender="fuzz", recipient="aqos",
+                            action="service_request", body=wire)
+        with pytest.raises(MessageError, match="<Start>"):
+            testbed.bus.request(envelope)
+
+    def test_a_malformed_notice_is_dead_lettered(self):
+        from repro.monitoring.relay import HUB_ENDPOINT
+        testbed = attach_control_plane(build_testbed())
+        body = ("<Degradation_Notice><SLA-ID>1</SLA-ID><Time>soon</Time>"
+                "<Source>nrm</Source></Degradation_Notice>")
+        testbed.bus.send_async(Envelope(
+            sender="sla-verif", recipient=HUB_ENDPOINT,
+            action="degradation_notice", body=body))
+        testbed.sim.run(until=testbed.sim.now + 1.0)
+        (letter,) = testbed.bus.dead_letters
+        assert letter.reason == "handler-error"
+        assert "<Time>" in letter.detail

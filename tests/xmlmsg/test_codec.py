@@ -21,6 +21,7 @@ from repro.sla.document import AdaptationOptions, NetworkDemand, ServiceSLA
 from repro.sla.violations import MeasuredQoS
 from repro.units import parse_bound
 from repro.xmlmsg import codec
+from repro.xmlmsg.document import parse_xml
 
 
 @pytest.fixture
@@ -62,7 +63,7 @@ def table4_sla():
 
 class TestTable1:
     def test_paper_elements_present(self, table1_sla):
-        text = codec.render(codec.encode_service_specific(table1_sla))
+        text = codec.encode_service_specific(table1_sla, codec.DISPLAY)
         assert "<CPU-QoS>4 CPU</CPU-QoS>" in text
         assert "<Memory-QoS>64MB</Memory-QoS>" in text
         assert "<Source_IP>192.200.168.33</Source_IP>" in text
@@ -71,7 +72,7 @@ class TestTable1:
         assert "<Packet_Loss>LessThan 10%</Packet_Loss>" in text
 
     def test_round_trip(self, table1_sla):
-        node = codec.encode_service_specific(table1_sla)
+        node = parse_xml(codec.encode_service_specific(table1_sla))
         sla_id, point, network = codec.decode_service_specific(node)
         assert sla_id == 1055
         assert point[Dimension.CPU] == 4.0
@@ -81,7 +82,7 @@ class TestTable1:
         assert network.packet_loss_bound.value == pytest.approx(0.1)
 
     def test_no_network_block_when_absent(self, table4_sla):
-        text = codec.render(codec.encode_service_specific(table4_sla))
+        text = codec.encode_service_specific(table4_sla, codec.DISPLAY)
         assert "Network_QoS" not in text
 
     def test_wrong_root_rejected(self, table1_sla):
@@ -98,7 +99,7 @@ class TestTable3:
             Dimension.PACKET_LOSS: 0.02,
             Dimension.DELAY_MS: 10.0,
         }, time=5.0)
-        text = codec.render(codec.encode_qos_levels(table1_sla, measured))
+        text = codec.encode_qos_levels(table1_sla, measured, codec.DISPLAY)
         assert "<SLA-ID>1055</SLA-ID>" in text
         assert "<Bandwidth>9.5 Mbps</Bandwidth>" in text
         # The loss bound holds, so it is reported in the worded form.
@@ -109,7 +110,7 @@ class TestTable3:
         measured = MeasuredQoS(sla_id=1055, values={
             Dimension.PACKET_LOSS: 0.25,
         })
-        text = codec.render(codec.encode_qos_levels(table1_sla, measured))
+        text = codec.encode_qos_levels(table1_sla, measured, codec.DISPLAY)
         assert "<Packet_Loss>25%</Packet_Loss>" in text
 
     def test_round_trip(self, table1_sla):
@@ -118,7 +119,7 @@ class TestTable3:
             Dimension.CPU: 4.0,
             Dimension.MEMORY_MB: 64.0,
         })
-        node = codec.encode_qos_levels(table1_sla, measured)
+        node = parse_xml(codec.encode_qos_levels(table1_sla, measured))
         sla_id, values = codec.decode_qos_levels(node)
         assert sla_id == 1055
         assert values[Dimension.BANDWIDTH_MBPS] == pytest.approx(9.5)
@@ -128,7 +129,7 @@ class TestTable3:
 
 class TestTable4:
     def test_paper_elements(self, table4_sla):
-        text = codec.render(codec.encode_service_sla(table4_sla))
+        text = codec.encode_service_sla(table4_sla, codec.DISPLAY)
         assert "<QoS_Class>Controlled-load</QoS_Class>" in text
         assert "<Alternative_QoS>" in text
         assert "<Promotion_Offer>Accept</Promotion_Offer>" in text
@@ -136,7 +137,7 @@ class TestTable4:
         assert "<Memory>48MB</Memory>" in text
 
     def test_full_round_trip(self, table4_sla):
-        node = codec.encode_service_sla(table4_sla)
+        node = parse_xml(codec.encode_service_sla(table4_sla))
         decoded = codec.decode_service_sla(node)
         assert decoded.sla_id == table4_sla.sla_id
         assert decoded.client == table4_sla.client
@@ -150,7 +151,7 @@ class TestTable4:
             table4_sla.adaptation.alternative_points
 
     def test_specification_round_trip(self, table4_sla):
-        node = codec.encode_service_sla(table4_sla)
+        node = parse_xml(codec.encode_service_sla(table4_sla))
         decoded = codec.decode_service_sla(node)
         for original in table4_sla.specification:
             restored = decoded.specification.require(original.dimension)
@@ -166,13 +167,14 @@ class TestTable4:
                          specification=spec,
                          agreed_point=spec.best_point(),
                          start=0.0, end=10.0)
-        decoded = codec.decode_service_sla(codec.encode_service_sla(sla))
+        decoded = codec.decode_service_sla(
+            parse_xml(codec.encode_service_sla(sla)))
         assert decoded.specification.require(Dimension.CPU).values == \
             (2.0, 4.0, 8.0)
 
     def test_network_round_trip(self, table1_sla):
         decoded = codec.decode_service_sla(
-            codec.encode_service_sla(table1_sla))
+            parse_xml(codec.encode_service_sla(table1_sla)))
         assert decoded.network is not None
         assert decoded.network.source_ip == "192.200.168.33"
         assert decoded.network.packet_loss_bound.relation == "<"

@@ -13,7 +13,7 @@ from repro.sla.document import AdaptationOptions, NetworkDemand
 from repro.sla.negotiation import Offer, ServiceRequest
 from repro.units import parse_bound
 from repro.xmlmsg import codec
-from repro.xmlmsg.document import element
+from repro.xmlmsg.document import element, parse_xml
 
 
 def full_request():
@@ -37,7 +37,7 @@ class TestServiceRequestRoundTrip:
     def test_full_round_trip(self):
         original = full_request()
         decoded = codec.decode_service_request(
-            codec.encode_service_request(original))
+            parse_xml(codec.encode_service_request(original)))
         assert decoded.client == original.client
         assert decoded.service_name == original.service_name
         assert decoded.service_class is original.service_class
@@ -56,7 +56,7 @@ class TestServiceRequestRoundTrip:
                                   service_class=ServiceClass.GUARANTEED,
                                   specification=spec, start=0.0, end=1.0)
         decoded = codec.decode_service_request(
-            codec.encode_service_request(original))
+            parse_xml(codec.encode_service_request(original)))
         assert decoded.budget_rate is None
         assert decoded.network is None
         assert not decoded.adaptation.is_degradable
@@ -76,7 +76,7 @@ class TestOffersRoundTrip:
                   note="minimum acceptable quality"),
         ]
         negotiation_id, decoded = codec.decode_offers(
-            codec.encode_offers(42, offers))
+            parse_xml(codec.encode_offers(42, offers)))
         assert negotiation_id == 42
         assert len(decoded) == 2
         assert decoded[0].point == offers[0].point
@@ -85,7 +85,7 @@ class TestOffersRoundTrip:
 
     def test_empty_offer_list(self):
         negotiation_id, decoded = codec.decode_offers(
-            codec.encode_offers(7, []))
+            parse_xml(codec.encode_offers(7, [])))
         assert negotiation_id == 7
         assert decoded == []
 
@@ -122,7 +122,7 @@ def test_request_round_trip_property(cpu_low, cpu_extra, memory, start,
                                      accept_degradation=degradation,
                                      accept_termination=termination))
     decoded = codec.decode_service_request(
-        codec.encode_service_request(original))
+        parse_xml(codec.encode_service_request(original)))
     assert decoded.adaptation == original.adaptation
     assert decoded.start == pytest.approx(original.start, abs=1e-4)
     assert decoded.end == pytest.approx(original.end, abs=1e-4)
