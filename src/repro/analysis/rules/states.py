@@ -5,9 +5,10 @@ rests on every lifecycle object moving only along its declared edges:
 a reservation that jumps straight to ``BOUND``, or a negotiation
 flipped to ``ACCEPTED`` from a helper nobody audits, silently corrupts
 the trace.  This table *is* the machine-checkable transition
-declaration: an assignment to a ``state``/``phase`` field anywhere in
-the library must name a registered enum member from inside one of its
-declared transition methods.  New lifecycle classes register here.
+declaration: an assignment to a ``state``/``phase``/``status`` field
+anywhere in the library must name a registered enum member from inside
+one of its declared transition methods.  New lifecycle classes register
+here.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ STATE_MACHINES: "Dict[str, MachineSpec]" = {
         "state",
         _complete=("COMPLETED",),
         kill=("KILLED",),
+    ),
+    # SLA document lifecycle (Section 3.1). COMPLETED, TERMINATED and
+    # EXPIRED are absorbing: no method leaves them, which is what lets
+    # the SLA repository drop a closed document from its open index.
+    "SlaStatus": _spec(
+        "status",
+        establish=("ESTABLISHED",),
+        activate=("ACTIVE",),
+        complete=("COMPLETED",),
+        terminate=("TERMINATED",),
+        expire=("EXPIRED",),
     ),
 }
 

@@ -66,7 +66,6 @@ class FederationDomain:
     name: str
     testbed: Testbed
     caller: ResilientCaller
-    sla_floor: int
     endpoint: Optional[FederationEndpoint] = None
     incoming: "Dict[str, IncomingDelegation]" = field(default_factory=dict)
     confirmed: "Set[str]" = field(default_factory=set)
@@ -177,8 +176,7 @@ class FederatedControlPlane:
                 self.bus, rng=testbed.rng.stream("federation"),
                 policy=policy, trace=self.trace, name=f"fed:{name}")
             domain = FederationDomain(name=name, testbed=testbed,
-                                      caller=caller,
-                                      sla_floor=1000 * (index + 1))
+                                      caller=caller)
             domain.endpoint = FederationEndpoint(self, domain)
             self.domains[name] = domain
         self.stats: "Dict[str, int]" = {
@@ -287,12 +285,6 @@ class FederatedControlPlane:
         domain = self.domains[name]
         self.chaos.restore(name)
         recovery = recover(domain.testbed)
-        # Recovery resumes SLA ids from the journal's highest; an
-        # empty journal would land the counter below this domain's
-        # id range, colliding with a peer's numbering.
-        ids = [sla.sla_id for sla in domain.testbed.repository.all()]
-        domain.testbed.repository.resume_ids(
-            max(ids + [domain.sla_floor - 1]))
         federation = reconcile_delegations(self, domain)
         self.stats["reconciled_cancellations"] += (
             federation.cancelled_incoming + federation.cancelled_outgoing)

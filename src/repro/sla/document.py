@@ -238,15 +238,18 @@ class ServiceSLA:
 
     def establish(self) -> None:
         """Proposed → established (client accepted the offer)."""
-        self._move(SlaStatus.PROPOSED, SlaStatus.ESTABLISHED)
+        self._expect(SlaStatus.PROPOSED)
+        self.status = SlaStatus.ESTABLISHED
 
     def activate(self) -> None:
         """Established → active (resources allocated, service invoked)."""
-        self._move(SlaStatus.ESTABLISHED, SlaStatus.ACTIVE)
+        self._expect(SlaStatus.ESTABLISHED)
+        self.status = SlaStatus.ACTIVE
 
     def complete(self) -> None:
         """Active → completed (Grid service finished normally)."""
-        self._move(SlaStatus.ACTIVE, SlaStatus.COMPLETED)
+        self._expect(SlaStatus.ACTIVE)
+        self.status = SlaStatus.COMPLETED
 
     def terminate(self) -> None:
         """Live → terminated (major degradation or client request)."""
@@ -262,9 +265,8 @@ class ServiceSLA:
                 f"SLA {self.sla_id} is {self.status.value}; cannot expire")
         self.status = SlaStatus.EXPIRED
 
-    def _move(self, expected: SlaStatus, target: SlaStatus) -> None:
+    def _expect(self, expected: SlaStatus) -> None:
         if self.status is not expected:
             raise SLAError(
                 f"SLA {self.sla_id} is {self.status.value}; expected "
                 f"{expected.value}")
-        self.status = target

@@ -136,7 +136,9 @@ class Tracer:
         if span.end is not None:
             return
         if status is not None:
-            span.status = status
+            # A span's status is an ``ok``/``error:<Type>`` string,
+            # not a lifecycle enum.
+            span.status = status  # qlint: disable=QLNT107 -- not a machine
         end = span.end = self._now()
         if self._stream is not None:
             self._stream.append(TelemetryEvent(

@@ -242,6 +242,13 @@ class TestStateTransitions:
                    "        self.state = ReservationState.COMMITTED\n")
         assert run(snippet, rule_id="QLNT107") == []
 
+    def test_sla_status_outside_its_transitions_flags(self, run):
+        snippet = ("class ServiceSLA:\n"
+                   "    def reopen(self):\n"
+                   "        self.status = SlaStatus.ACTIVE\n")
+        findings = run(snippet, rule_id="QLNT107")
+        assert findings and "undeclared transition" in findings[0].message
+
     def test_non_state_assignment_is_clean(self, run):
         snippet = ("class Reservation:\n"
                    "    def label(self):\n"
@@ -252,11 +259,12 @@ class TestStateTransitions:
         """Every member the table references must exist on the enum."""
         from repro.gara.reservation import ReservationState
         from repro.resources.compute import JobState
+        from repro.sla.document import SlaStatus
         from repro.sla.lifecycle import Phase
         from repro.sla.negotiation import NegotiationState
         enums = {"ReservationState": ReservationState, "Phase": Phase,
                  "NegotiationState": NegotiationState,
-                 "JobState": JobState}
+                 "JobState": JobState, "SlaStatus": SlaStatus}
         assert set(STATE_MACHINES) == set(enums)
         for name, spec in STATE_MACHINES.items():
             members = {member.name for member in enums[name]}

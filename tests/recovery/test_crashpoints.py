@@ -138,3 +138,26 @@ def test_random_crash_points_recover_clean(crash_seed, snapshot_interval):
                          snapshot_interval=snapshot_interval)
     assert result.crashed
     assert verify_recovered(result.testbed) == []
+
+
+class TestIdFloorAfterRecovery:
+    """Recovery resumes SLA ids above the journal's highest, but never
+    below the testbed's own id range."""
+
+    def _crashed(self, first_id):
+        from repro.core.testbed import build_testbed
+        from repro.recovery.crashpoints import crash
+        from repro.recovery.recover import install_journal
+        testbed = build_testbed(sla_first_id=first_id)
+        install_journal(testbed)
+        crash(testbed)
+        return testbed
+
+    def test_empty_journal_keeps_the_first_id(self):
+        testbed = self._crashed(5000)
+        recover(testbed)
+        assert testbed.broker.repository.next_id() == 5000
+
+    def test_crash_alone_keeps_the_first_id(self):
+        testbed = self._crashed(5000)
+        assert testbed.broker.repository.next_id() == 5000

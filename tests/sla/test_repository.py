@@ -94,6 +94,24 @@ class TestPersistence:
         assert len(restored) == 0
         assert restored.next_id() == 1000
 
+    def test_resume_ids_never_drops_below_first_id(self):
+        repo = SLARepository(first_id=5000)
+        repo.resume_ids(1200)
+        assert repo.next_id() == 5000
+        repo.resume_ids(6000)
+        assert repo.next_id() == 6001
+
+    def test_restore_keeps_the_receivers_first_id(self):
+        repo = SLARepository(first_id=5000)
+        other = SLARepository()
+        make_sla(other)
+        repo.restore(other)
+        assert repo.next_id() == 5000
+        ahead = SLARepository(first_id=7000)
+        make_sla(ahead)
+        repo.restore(ahead)
+        assert repo.next_id() == 7001
+
     def test_wrong_root_rejected(self):
         from repro.errors import MessageError
         with pytest.raises(MessageError):
@@ -116,23 +134,6 @@ class TestFilters:
         assert {s.sla_id for s in repo.live()} == \
             {established.sla_id, active.sla_id}
         assert [s.sla_id for s in repo.active()] == [active.sla_id]
-
-    def test_by_client(self):
-        repo = SLARepository()
-        make_sla(repo, client="alice")
-        make_sla(repo, client="bob")
-        make_sla(repo, client="alice")
-        assert len(repo.by_client("alice")) == 2
-
-    def test_by_class(self):
-        repo = SLARepository()
-        guaranteed = make_sla(repo, ServiceClass.GUARANTEED)
-        guaranteed.establish()
-        controlled = make_sla(repo, ServiceClass.CONTROLLED_LOAD)
-        controlled.establish()
-        assert [s.sla_id for s in
-                repo.by_class(ServiceClass.GUARANTEED)] == \
-            [guaranteed.sla_id]
 
     def test_degradable_filter_is_scenario1(self):
         repo = SLARepository()
