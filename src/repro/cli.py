@@ -15,6 +15,15 @@ Commands:
 * ``reserve`` — run the X3 reserve-sizing ablation table.
 * ``recover`` — summarize an on-disk write-ahead journal (written by
   ``quickstart --crash SEED --journal PATH``).
+* ``diagram`` — print the Figure 2 sequence diagram of one session.
+* ``obs`` — replay an atlas scenario with decision provenance and
+  query the flight recorder (``why``, ``timeline``, ``slo``).
+* ``federate`` — replay an atlas scenario across N broker domains
+  with one broker crashed and rejoined
+  (:func:`repro.federation.replay.federate`), and check that
+  no surviving domain violated a guaranteed SLA, that every reroute is
+  explained by decision provenance, and that the federation
+  invariants hold; exits 1 when any check fails.
 
 All commands are deterministic; ``--seed`` perturbs the stochastic
 ones.
@@ -236,16 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay seed (default: 2003)")
 
     federate = subparsers.add_parser(
-        "federate", help="federated control plane: N broker domains, "
-                         "one crashed at t=30 and rejoined at t=60, "
-                         "with cross-domain rerouting explained")
+        "federate", help="replay an atlas scenario across N broker "
+                         "domains, one crashed at 30%% of the horizon "
+                         "and rejoined at 60%%, with cross-domain "
+                         "rerouting explained")
     federate.add_argument("--domains", type=int, default=3,
                           help="number of broker domains (default: 3)")
     federate.add_argument("--crash", type=int, default=7, metavar="SEED",
                           help="seed picking the crashed domain and "
-                               "the tenant workload (default: 7)")
-    federate.add_argument("--horizon", type=float, default=120.0,
-                          help="episode horizon (default: 120)")
+                               "compiling the workload (default: 7)")
+    federate.add_argument("--scenario", type=str, default="diurnal_day",
+                          help="atlas scenario to replay "
+                               "(default: diurnal_day)")
     return parser
 
 
@@ -293,12 +304,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
-    from .federation.demo import run_federate_demo
-    result = run_federate_demo(domains=args.domains,
-                               crash_seed=args.crash,
-                               horizon=args.horizon)
-    print(result.text, end="")
-    return 1 if (result.problems or result.unexplained_reroutes) else 0
+    from .federation.replay import federate
+    _, verdict = federate(args.scenario, domains=args.domains,
+                          seed=args.crash)
+    print(verdict.text, end="")
+    return 0 if verdict.ok else 1
 
 
 _COMMANDS = {

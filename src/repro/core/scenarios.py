@@ -83,8 +83,11 @@ class ScenarioEngine:
             return True
 
         # Step 1: squeeze degradable controlled-load sessions to their
-        # floors (frees instantaneous capacity, not commitments).
-        for sla in broker.repository.degradable():
+        # floors (frees instantaneous capacity, not commitments). A
+        # squeeze moves points only, so the list stays current for
+        # step 2.
+        degradable = broker.repository.degradable()
+        for sla in degradable:
             if not sla.service_class.adjustable:
                 continue
             floor = sla.floor_point()
@@ -106,8 +109,9 @@ class ScenarioEngine:
 
         # Step 2: terminate sessions that accept termination, cheapest
         # (lowest price rate) first — compensation costs the provider
-        # the least that way.
-        victims = [sla for sla in broker.repository.active()
+        # the least that way. Accepting termination makes a session
+        # degradable, so the victims are all in step 1's list.
+        victims = [sla for sla in degradable
                    if sla.adaptation.accept_termination]
         victims.sort(key=lambda sla: sla.price_rate)
         for sla in victims:

@@ -17,6 +17,13 @@ regression pins: three domains, one crashed broker, byte-identical
 reports per ``(scenario, seed, domains, crash)``, and guaranteed-class
 availability in the *surviving* domains read from each domain's PR-8
 SLO engine.
+
+:func:`federate` is ``repro federate``: the replay with a seed-drawn
+broker crashed, and :func:`federated_verdict`, which renders it and
+runs the command's three checks: no guaranteed-class violation in a
+surviving domain, every rerouted admission explained by the per-domain
+decision provenance (the ``repro obs why`` join), and the federation
+invariants intact.
 """
 
 from __future__ import annotations
@@ -25,18 +32,23 @@ import functools
 import json
 from dataclasses import dataclass
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..errors import GQoSMError
+from ..errors import FederationError, GQoSMError, SLAError
+from ..obs.flight import FlightRecorder
 from ..qos.classes import ServiceClass
 from ..sim.random import RandomSource
 from ..workloads.replay import (batch_schedule, request_for_session,
                                 schedule_failure_track)
 from ..workloads.scenarios import CompiledScenario, ScenarioSpec
 from .plane import FederatedControlPlane, FederatedOutcome
+from .recovery import federation_invariants
 
 __all__ = [
     "FederatedReplayResult",
+    "FederatedVerdict",
+    "federate",
+    "federated_verdict",
     "replay_federated",
 ]
 
@@ -259,3 +271,150 @@ def _build_report(plane: FederatedControlPlane,
         report[f"{key}_requests"] = requested[service_class]
         report[f"{key}_accepted"] = accepted[service_class]
     return report
+
+
+@dataclass(frozen=True)
+class FederatedVerdict:
+    """The ``repro federate`` report and the three checks it renders."""
+
+    text: str
+    problems: "Tuple[str, ...]"
+    surviving_guaranteed_violations: int
+    unexplained_reroutes: "Tuple[str, ...]"
+
+    @property
+    def ok(self) -> bool:
+        """Whether all three checks passed."""
+        return not (self.problems or self.surviving_guaranteed_violations
+                    or self.unexplained_reroutes)
+
+
+def federate(scenario: str, *, domains: int, seed: int
+             ) -> "Tuple[FederatedReplayResult, FederatedVerdict]":
+    """Replay ``scenario`` across ``domains`` domains at ``seed``, with
+    the broker that ``seed`` draws crashed at the replay's default
+    times, and judge the run."""
+    if domains < 1:
+        raise FederationError(f"need at least one domain: {domains}")
+    names = [f"d{index + 1}" for index in range(domains)]
+    crash_domain = RandomSource(seed).stream("crash").choice(names)
+    result = replay_federated(scenario, domains=domains, seed=seed,
+                              crash_domain=crash_domain)
+    return result, federated_verdict(result)
+
+
+def federated_verdict(result: FederatedReplayResult) -> FederatedVerdict:
+    """Render one federated replay and check it.
+
+    Guaranteed-class violations are the distinct guaranteed SLAs with a
+    ``violation`` record in a domain's decision log; a reroute is
+    explained when some domain's log carries its ``federation reroute``
+    verdict.
+    """
+    plane, report = result.plane, result.report
+    crash = report["crash"]
+    crash_domain = crash["domain"] if crash is not None else None
+    violating = {name: _guaranteed_violations(plane, name)
+                 for name in plane.names}
+    surviving = sum(count for name, count in violating.items()
+                    if name != crash_domain)
+    problems = tuple(federation_invariants(plane))
+    rerouted = [outcome for outcome in result.outcomes if outcome.rerouted]
+    explained: "Dict[str, str]" = {}
+    unexplained: "List[str]" = []
+    for outcome in rerouted:
+        client = outcome.request.client
+        if client in explained or client in unexplained:
+            continue
+        text = _explain_reroute(plane, client)
+        if text is None:
+            unexplained.append(client)
+        else:
+            explained[client] = text
+
+    stats = report["federation"]
+    lines = [f"# repro federate — {report['scenario']} seed "
+             f"{report['seed']}, {report['domains']} domains, horizon "
+             f"{report['horizon']:g}"]
+    if crash is None:
+        lines.append("crash: none")
+    else:
+        rejoin = (f"rejoined at t={crash['recover_at']:g}"
+                  if crash["recover_at"] is not None else "never rejoined")
+        lines.append(f"crash: {crash_domain} down at t={crash['at']:g}, "
+                     f"{rejoin}")
+    lines += ["", "## outcomes",
+              f"sessions={report['sessions']} batches={report['batches']} "
+              f"abandoned={report['abandoned']}",
+              f"requests={stats['requests']} local={stats['local']} "
+              f"delegated={stats['delegated']} "
+              f"rerouted={stats['rerouted']} rejected={stats['rejected']}",
+              "accepted: " + " ".join(
+                  f"{key}={report[key + '_accepted']}/"
+                  f"{report[key + '_requests']}"
+                  for _, key in _CLASS_KEYS),
+              f"heartbeat rounds: {stats['heartbeat_rounds']}; "
+              f"reconciled cancellations: "
+              f"{stats['reconciled_cancellations']}",
+              "", "## per-domain"]
+    for name, entry in report["per_domain"].items():
+        tag = " (crashed during the run)" if name == crash_domain else ""
+        lines.append(
+            f"{name}{tag}: live={entry['live_slas']} "
+            f"total={entry['total_slas']} "
+            f"guaranteed_violations={violating[name]} "
+            f"guaranteed_availability="
+            f"{entry['slo_guaranteed_availability']:g}")
+    lines += ["", f"## rerouted admissions ({len(rerouted)})"]
+    for outcome in rerouted:
+        landing = outcome.domain if outcome.accepted else "nowhere"
+        lines.append(f"- {outcome.request.client}: home {outcome.home} "
+                     f"-> {landing}"
+                     f"{' (delegated)' if outcome.delegated else ''}")
+    for client in sorted(explained):
+        lines += ["", explained[client].rstrip()]
+    if unexplained:
+        lines.append(f"UNEXPLAINED reroutes: {sorted(unexplained)}")
+    lines += ["", "## verdict",
+              f"federation invariants: "
+              f"{'OK' if not problems else 'VIOLATED'} "
+              f"({len(problems)} problem(s))"]
+    lines += [f"   - {problem}" for problem in problems]
+    lines.append(f"guaranteed violations in surviving domains: "
+                 f"{surviving}")
+    return FederatedVerdict(
+        text="\n".join(lines) + "\n", problems=problems,
+        surviving_guaranteed_violations=surviving,
+        unexplained_reroutes=tuple(unexplained))
+
+
+def _guaranteed_violations(plane: FederatedControlPlane, name: str) -> int:
+    """Distinct guaranteed SLAs the domain's decision log saw violate."""
+    testbed = plane.domains[name].testbed
+    violating = set()
+    for record in testbed.decisions.by_action("violation"):
+        try:
+            sla = testbed.repository.get(record.sla_id)
+        except SLAError:
+            continue
+        if sla.service_class is ServiceClass.GUARANTEED:
+            violating.add(record.sla_id)
+    return len(violating)
+
+
+def _explain_reroute(plane: FederatedControlPlane,
+                     client: str) -> "str | None":
+    """The ``repro obs why`` story for one rerouted client, from the
+    domain whose decision log carries the federation verdicts."""
+    for name in plane.names:
+        testbed = plane.domains[name].testbed
+        decisions = testbed.decisions
+        if not any(record.action == "federation"
+                   and record.outcome == "reroute"
+                   for record in decisions.for_subject(client)):
+            continue
+        recorder = FlightRecorder(decisions=decisions,
+                                  journal=testbed.journal,
+                                  slo=testbed.slo)
+        return f"[decision log of {name}]\n" + recorder.why(client)
+    return None

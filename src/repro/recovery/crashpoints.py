@@ -5,9 +5,10 @@ the *broker process*: a :class:`CrashingJournalStore` kills the broker
 at a chosen journal write point (before or after the record becomes
 durable), :func:`crash` wipes everything the process held only in
 memory, and :func:`repro.recovery.recover.recover` rebuilds it.
-:func:`sweep_crash_points` drives one scripted episode and replays it
-with a crash at *every* write point in turn, checking after each
-recovery that the system-wide invariants hold:
+:func:`run_episode` drives one scripted episode, optionally with a
+crash at a given write point, and :func:`verify_recovered` checks that
+the recovered system's invariants hold (the test suite sweeps every
+write point of the episode this way):
 
 * capacity conservation — ``Cg + Ca + Cb == C - failed``;
 * commitments within the guaranteed partition;
@@ -25,7 +26,7 @@ run is as replayable as a chaos run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..errors import BrokerCrash, RecoveryError
 from ..gara.reservation import ReservationState
@@ -356,32 +357,3 @@ def verify_recovered(testbed) -> "List[str]":
                     f"after {previous}")
             previous = record.lsn
     return problems
-
-
-def sweep_crash_points(*, seed: int = 0, modes: "Tuple[str, ...]" = CRASH_MODES,
-                       snapshot_interval: float = 0.0
-                       ) -> "List[EpisodeResult]":
-    """Crash the episode at every write point in turn and verify.
-
-    Raises:
-        RecoveryError: When any recovered run violates an invariant
-            (the message names the crash point and the violations).
-    """
-    total = count_write_points(seed=seed,
-                               snapshot_interval=snapshot_interval)
-    results: "List[EpisodeResult]" = []
-    for lsn in range(1, total + 1):
-        for mode in modes:
-            result = run_episode(crash_lsn=lsn, mode=mode, seed=seed,
-                                 snapshot_interval=snapshot_interval)
-            if not result.crashed:
-                raise RecoveryError(
-                    f"crash at LSN {lsn} ({mode}) never fired — the "
-                    f"episode only has {total} write points")
-            problems = verify_recovered(result.testbed)
-            if problems:
-                raise RecoveryError(
-                    f"crash at LSN {lsn} ({mode}) broke invariants: "
-                    + "; ".join(problems))
-            results.append(result)
-    return results

@@ -10,7 +10,7 @@ delivery can be delayed on the simulation clock.
   the one writer (object to compact or indented text) and the one
   reader (parsed element back to the object) every message uses.
 * :mod:`repro.xmlmsg.document` — small helpers over ``xml.etree``:
-  parsing, ad-hoc trees and their single-pass writer.
+  parsing and the single-pass tree writer.
 * :mod:`repro.xmlmsg.envelope` — SOAP-style envelopes.
 * :mod:`repro.xmlmsg.bus` — the in-process transport (with dead
   letters and per-endpoint idempotency).
@@ -22,15 +22,7 @@ delivery can be delayed on the simulation clock.
 """
 
 from .bus import DeadLetter, Endpoint, MessageBus
-from .document import (
-    child_text,
-    element,
-    parse_xml,
-    pretty_xml,
-    require_child,
-    subelement,
-    write_xml,
-)
+from .document import parse_xml, write_xml
 from .envelope import Envelope
 from .faults import FaultDecision, FaultPlan, FaultRule, FaultStats
 from .idempotency import DEFAULT_CAPACITY, DedupCache
@@ -50,11 +42,6 @@ __all__ = [
     "MessageBus",
     "ResilientCaller",
     "RetryPolicy",
-    "child_text",
-    "element",
     "parse_xml",
-    "pretty_xml",
-    "require_child",
-    "subelement",
     "write_xml",
 ]

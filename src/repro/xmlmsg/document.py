@@ -2,17 +2,15 @@
 
 Parsing is ``ElementTree``'s (expat, :func:`parse_xml`). The messages
 the control plane sends are written straight from their objects by
-:mod:`~repro.xmlmsg.schema`; the helpers here are for trees — building
-an ad-hoc body (:func:`element`, :func:`subelement`), reading one
-(:func:`require_child`, :func:`child_text`) and writing one back
-(:func:`write_xml`, compact or in the indented style of the paper's
-tables). The escapes and the number format every writer shares live
-here too.
+:mod:`~repro.xmlmsg.schema`; :func:`write_xml` writes a parsed tree
+back (an envelope body received and sent on), compact or in the
+indented style of the paper's tables. The escapes and the number
+format every writer shares live here too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable
 from xml.etree import ElementTree as ET
 
 from ..errors import MessageError
@@ -21,56 +19,12 @@ from ..errors import MessageError
 _INDENT = "  "
 
 
-def element(tag: str, text: Optional[str] = None,
-            **attributes: str) -> ET.Element:
-    """Create a root element with optional text and attributes."""
-    node = ET.Element(tag, dict(attributes))
-    if text is not None:
-        node.text = text
-    return node
-
-
-def subelement(parent: ET.Element, tag: str, text: Optional[str] = None,
-               **attributes: str) -> ET.Element:
-    """Create and attach a child element."""
-    node = ET.SubElement(parent, tag, dict(attributes))
-    if text is not None:
-        node.text = text
-    return node
-
-
 def parse_xml(text: str) -> ET.Element:
     """Parse an XML document, wrapping parse failures in MessageError."""
     try:
         return ET.fromstring(text)
     except ET.ParseError as error:
         raise MessageError(f"malformed XML: {error}") from error
-
-
-def require_child(parent: ET.Element, tag: str) -> ET.Element:
-    """The unique child with ``tag``; raises MessageError when missing."""
-    node = parent.find(tag)
-    if node is None:
-        raise MessageError(
-            f"<{parent.tag}> is missing required child <{tag}>")
-    return node
-
-
-def child_text(parent: ET.Element, tag: str,
-               default: Optional[str] = None) -> str:
-    """Stripped text of the child with ``tag``.
-
-    Raises:
-        MessageError: When the child is absent (or has no text) and no
-            default was supplied.
-    """
-    node = parent.find(tag)
-    if node is None or node.text is None:
-        if default is not None:
-            return default
-        raise MessageError(
-            f"<{parent.tag}> is missing text child <{tag}>")
-    return node.text.strip()
 
 
 def _number(value: float) -> str:
@@ -138,12 +92,3 @@ def write_xml(write: "Callable[[str], object]", node: ET.Element,
         write(head + ">" + _escape_text(node.text) + "</" + tag + ">")
     else:
         write(head + " />")
-
-
-def pretty_xml(node: ET.Element) -> str:
-    """Render an element tree with indentation (paper-table style)."""
-    parts: "List[str]" = []
-    write_xml(parts.append, node, "\n")
-    if node.tail:
-        parts.append(_escape_text(node.tail))
-    return "".join(parts)

@@ -24,10 +24,10 @@ from repro.registry.query import ServiceQuery
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomSource
 from repro.xmlmsg.bus import MessageBus
-from repro.xmlmsg.document import element
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.faults import FaultPlan, FaultRule
 
+from ..xmlmsg.trees import element
 from .conftest import guaranteed_request
 
 

@@ -42,9 +42,11 @@ from repro.registry.uddie import UddieRegistry
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomSource
 from repro.xmlmsg.bus import MessageBus
-from repro.xmlmsg.document import element, parse_xml
+from repro.xmlmsg.document import parse_xml
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.faults import FaultPlan, FaultRule
+
+from ..xmlmsg.trees import element
 
 # ----------------------------------------------------------------------
 # Generated registrations and queries

@@ -15,8 +15,9 @@ from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
 from repro.sla.negotiation import ServiceRequest
 from repro.xmlmsg.bus import MessageBus
-from repro.xmlmsg.document import element, subelement
 from repro.xmlmsg.envelope import Envelope
+
+from ..xmlmsg.trees import element, subelement
 
 
 @pytest.fixture

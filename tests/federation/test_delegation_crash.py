@@ -14,8 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.federation.recovery import scan_delegations
-from repro.federation.sweep import run_delegation_episode
 from repro.recovery.journal import DELEGATION_ACCEPTED, DELEGATION_CANCELLED
+
+from .conftest import run_delegation_episode
 
 
 def accepted_lsn_in_clean_episode(domain: str = "d2") -> int:

@@ -9,9 +9,8 @@ from repro.errors import FederationError
 from repro.federation.plane import FederatedControlPlane
 from repro.federation.recovery import (federation_invariants,
                                        scan_delegations)
-from repro.federation.sweep import SMALL_DOMAIN
 
-from .conftest import guaranteed_request
+from .conftest import SMALL_DOMAIN, guaranteed_request
 
 
 class TestLocalAdmission:

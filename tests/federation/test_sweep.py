@@ -1,19 +1,18 @@
 """The delegation crash-point sweep: every write point, both sides.
 
 PR-5 proved single-broker recovery by crashing at every journal write;
-here the same harness is swept across the *delegation protocol*: the
-under-provisioned home's journal (intents, cancellations, confirms)
-and the landing peer's (begin, admission commit, accepted link). Every
-cell must end with the federation invariants intact after the crashed
-broker rejoins and reconciles.
+here the same sweep (``tests/recovery/crash_sweep.py``) runs across the
+*delegation protocol*: the under-provisioned home's journal (intents,
+cancellations, confirms) and the landing peer's (begin, admission
+commit, accepted link). Every cell must end with the federation
+invariants intact after the crashed broker rejoins and reconciles.
 """
 
 from __future__ import annotations
 
-from repro.federation.sweep import (EPISODE_WORKLOAD,
-                                    count_delegation_write_points,
-                                    run_delegation_episode,
-                                    sweep_delegation_crash_points)
+from ..recovery.crash_sweep import grid, sweep
+from .conftest import (DELEGATION, EPISODE_WORKLOAD, delegation_write_points,
+                       run_delegation_episode)
 
 
 class TestCleanEpisode:
@@ -26,19 +25,17 @@ class TestCleanEpisode:
         assert len(episode.outcomes) == len(EPISODE_WORKLOAD)
 
     def test_both_swept_journals_have_write_points(self):
-        assert count_delegation_write_points("d1", seed=0) >= 5
-        assert count_delegation_write_points("d2", seed=0) >= 5
+        assert delegation_write_points("d1") == 16
+        assert delegation_write_points("d2") == 13
 
 
 class TestFullSweep:
     def test_every_write_point_survives(self):
-        result = sweep_delegation_crash_points(
-            domains=("d1", "d2"), modes=("before", "after"), seed=0)
-        assert result.cells, "empty sweep"
-        # Every armed store must actually fire (the lsn grid comes
-        # from a clean run of the same seed)...
-        unfired = [cell for cell in result.cells if not cell.fired]
-        assert unfired == []
-        # ...and every cell must end with the invariants intact.
-        assert result.failures == ()
-        assert result.ok
+        cells = sweep(DELEGATION)
+        # 16 write points on d1 and 13 on d2, each crashed both sides
+        # of the append: 58 cells.
+        assert [(cell.target, cell.lsn, cell.mode) for cell in cells] \
+            == grid({"d1": 16, "d2": 13})
+        # Every armed store fired, and every cell ended with the
+        # invariants intact.
+        assert [cell for cell in cells if not cell.ok] == []

@@ -15,10 +15,11 @@ from repro.recovery.crashpoints import (
     CrashingJournalStore,
     count_write_points,
     run_episode,
-    sweep_crash_points,
     verify_recovered,
 )
 from repro.recovery.recover import recover
+
+from .crash_sweep import grid, single_broker, sweep
 
 
 class TestCrashingStore:
@@ -77,13 +78,19 @@ class TestEpisode:
 class TestCrashSweep:
     def test_every_write_point_recovers(self):
         # The tentpole property: kill the broker at EVERY journal
-        # write point, in both crash modes, and require the recovered
-        # system to satisfy the no-crash oracle's invariants.
-        sweep_crash_points(seed=0)
+        # write point (42), in both crash modes, and require the
+        # recovered system to satisfy the no-crash oracle's invariants.
+        cells = sweep(single_broker())
+        assert [(cell.target, cell.lsn, cell.mode) for cell in cells] \
+            == grid({"broker": 42})
+        assert [cell for cell in cells if not cell.ok] == []
 
     def test_every_write_point_recovers_with_snapshots(self):
         # Same property through the snapshot + tail-replay path.
-        sweep_crash_points(seed=0, snapshot_interval=20.0)
+        cells = sweep(single_broker(snapshot_interval=20.0))
+        assert [(cell.target, cell.lsn, cell.mode) for cell in cells] \
+            == grid({"broker": 42})
+        assert [cell for cell in cells if not cell.ok] == []
 
     def test_corrupted_state_is_caught_by_the_verifier(self):
         # The oracle is only credible if it can fail; corrupt a

@@ -23,7 +23,6 @@ from repro.errors import (
     NegotiationError,
     ValidationError,
 )
-from repro.xmlmsg.document import element, subelement
 from repro.xmlmsg.envelope import Envelope
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import (Dimension, discrete_parameter,
@@ -36,6 +35,8 @@ from repro.sla.lifecycle import (
     QoSSession,
 )
 from repro.sla.negotiation import Negotiation, NegotiationState, Offer, ServiceRequest
+
+from ..xmlmsg.trees import element, subelement
 
 
 def _request():

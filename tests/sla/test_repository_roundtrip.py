@@ -183,9 +183,8 @@ def test_export_xml_matches_the_tree_encoder(repository):
     to ``ET.tostring`` of the equivalent compact element tree."""
     import xml.etree.ElementTree as ET
 
-    from repro.xmlmsg.document import element, subelement
-
     from ..xmlmsg.codec_reference import encode_service_sla
+    from ..xmlmsg.trees import element, subelement
 
     root = element("SLA_Repository")
     for sla in repository.all():

@@ -35,8 +35,9 @@ from repro.federation.protocol import DelegationReply, FederationBid
 from repro.sla.document import AdaptationOptions, NetworkDemand, ServiceSLA
 from repro.sla.negotiation import Offer, ServiceRequest
 from repro.sla.violations import ConformanceReport, MeasuredQoS, Violation
-from repro.xmlmsg.document import (_escape_text, _number, child_text,
-                                   element, require_child, subelement)
+from repro.xmlmsg.document import _escape_text, _number
+
+from .trees import child_text, element, require_child, subelement
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ from repro.sim.random import RandomSource
 from repro.sim.trace import TraceRecorder
 from repro.xmlmsg import codec, document
 from repro.xmlmsg.bus import MessageBus
-from repro.xmlmsg.document import element, pretty_xml, subelement
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.faults import FaultPlan, FaultRule
+
+from .trees import element, pretty_xml, subelement
 
 
 @pytest.fixture

@@ -87,7 +87,7 @@ class TestTable1:
 
     def test_wrong_root_rejected(self, table1_sla):
         from repro.errors import MessageError
-        from repro.xmlmsg.document import element
+        from .trees import element
         with pytest.raises(MessageError):
             codec.decode_service_specific(element("Wrong"))
 

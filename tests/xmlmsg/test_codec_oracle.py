@@ -27,12 +27,13 @@ from repro.sla.negotiation import Offer, ServiceRequest
 from repro.sla.violations import ConformanceReport, MeasuredQoS, Violation
 from repro.xmlmsg import codec
 from repro.xmlmsg.codec import DISPLAY
-from repro.xmlmsg.document import parse_xml, pretty_xml
+from repro.xmlmsg.document import parse_xml
 
 from ..sla.test_repository_roundtrip import (eighths, network_demands,
                                              service_slas)
 from . import codec_reference as old
 from .test_writer_oracle import shape
+from .trees import pretty_xml
 
 _TEXT = st.text(alphabet="abz09 -_&<>\"'", min_size=1, max_size=10).filter(
     lambda text: text == text.strip())

@@ -13,7 +13,9 @@ from repro.sla.document import AdaptationOptions, NetworkDemand
 from repro.sla.negotiation import Offer, ServiceRequest
 from repro.units import parse_bound
 from repro.xmlmsg import codec
-from repro.xmlmsg.document import element, parse_xml
+from repro.xmlmsg.document import parse_xml
+
+from .trees import element
 
 
 def full_request():

@@ -1,18 +1,14 @@
-"""Tests for XML helpers (repro.xmlmsg.document)."""
+"""Tests for the XML helpers: ``parse_xml`` (repro.xmlmsg.document)
+and the tests' own tree helpers (``tests/xmlmsg/trees.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MessageError
-from repro.xmlmsg.document import (
-    child_text,
-    element,
-    parse_xml,
-    pretty_xml,
-    require_child,
-    subelement,
-)
+from repro.xmlmsg.document import parse_xml
+
+from .trees import child_text, element, pretty_xml, require_child, subelement
 
 
 class TestBuilding:

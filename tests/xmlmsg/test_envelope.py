@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MessageError
-from repro.xmlmsg.document import element, subelement
 from repro.xmlmsg.envelope import Envelope
+
+from .trees import element, subelement
 
 
 def make_envelope(**overrides) -> Envelope:

@@ -6,9 +6,10 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.sim.random import RandomSource
-from repro.xmlmsg.document import element
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.faults import FaultPlan, FaultRule
+
+from .trees import element
 
 
 def envelope(sender="client1", recipient="aqos", action="service_request"):

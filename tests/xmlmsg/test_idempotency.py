@@ -8,9 +8,10 @@ import pytest
 from repro.errors import MonitoringError, ValidationError
 from repro.sim.engine import Simulator
 from repro.xmlmsg.bus import MessageBus
-from repro.xmlmsg.document import element
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.idempotency import DEFAULT_CAPACITY, DedupCache
+
+from .trees import element
 
 
 class TestDedupCache:

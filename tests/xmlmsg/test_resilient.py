@@ -9,10 +9,11 @@ from repro.errors import CircuitOpenError, MessageError, ValidationError
 from repro.sim.random import RandomSource
 from repro.sim.trace import TraceRecorder
 from repro.xmlmsg.bus import MessageBus
-from repro.xmlmsg.document import element
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.faults import FaultPlan, FaultRule
 from repro.xmlmsg.resilient import ResilientCaller, RetryPolicy
+
+from .trees import element
 
 
 def call_envelope(action="query"):

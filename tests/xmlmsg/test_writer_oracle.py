@@ -36,11 +36,12 @@ from repro.sla.negotiation import Offer, ServiceRequest
 from repro.sla.violations import ConformanceReport, MeasuredQoS, Violation
 from repro.units import parse_bound
 from repro.xmlmsg import codec
-from repro.xmlmsg.document import element, parse_xml, pretty_xml, write_xml
+from repro.xmlmsg.document import parse_xml, write_xml
 from repro.xmlmsg.envelope import Envelope
 
 from . import codec_reference as old
 from .reference import reference_envelope_xml, reference_pretty_xml
+from .trees import element, pretty_xml
 
 
 def shape(node: ET.Element):
