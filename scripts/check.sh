@@ -16,6 +16,27 @@ echo "== pytest =="
 # interpreters and compares the bytes.
 python -m pytest -x -q "$@"
 
+echo "== paper-artifact smoke (figures, tables, scenarios) =="
+# The benches that reproduce the paper's Figures 1-5, Tables 1-4, the
+# Section 5.6 timeline and Scenarios 1-3, with their own assertions
+# about each artifact; timing is off, so this takes well under a
+# second. Pinning the rendered reports is still open (ROADMAP item 17).
+python -m pytest -q --benchmark-disable \
+    benchmarks/bench_fig1_architecture.py \
+    benchmarks/bench_fig2_sequence.py \
+    benchmarks/bench_fig3_lifecycle.py \
+    benchmarks/bench_fig4_adaptation_loop.py \
+    benchmarks/bench_fig5_testbed.py \
+    benchmarks/bench_table1_sla_encoding.py \
+    benchmarks/bench_table2_gara_api.py \
+    benchmarks/bench_table3_conformance.py \
+    benchmarks/bench_table4_negotiation.py \
+    benchmarks/bench_example56_timeline.py \
+    benchmarks/bench_scenario1_new_request.py \
+    benchmarks/bench_scenario2_termination.py \
+    benchmarks/bench_scenario3_degradation.py > /dev/null
+echo "paper-artifact smoke OK"
+
 echo "== chaos smoke (fixed seed) =="
 # One seeded chaos run of the quickstart flow: exercises fault
 # injection, retries, dedup and dead-lettering end to end; the fixed

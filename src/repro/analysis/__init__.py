@@ -18,7 +18,7 @@ from __future__ import annotations
 from .baseline import Baseline, fingerprint_findings, load_baseline, \
     save_baseline
 from .core import Finding, ModuleContext, Rule, Severity, all_rules, \
-    register, rules_by_id
+    register
 from .engine import AnalysisResult, analyze_paths, analyze_source, \
     iter_python_files
 from .reporters import JSON_SCHEMA_VERSION, render_json, render_text
@@ -40,6 +40,5 @@ __all__ = [
     "register",
     "render_json",
     "render_text",
-    "rules_by_id",
     "save_baseline",
 ]

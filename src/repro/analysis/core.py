@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..errors import AnalysisError
 
@@ -122,9 +122,6 @@ class ModuleContext:
     def set_parent(self, node: ast.AST, parent: ast.AST) -> None:
         self._parents[id(node)] = parent
 
-    def current_class(self) -> "str | None":
-        return self.class_stack[-1] if self.class_stack else None
-
     def current_function(self) -> "str | None":
         return self.function_stack[-1] if self.function_stack else None
 
@@ -173,16 +170,6 @@ def register(cls: "Type[Rule]") -> "Type[Rule]":
 
 def all_rules() -> "List[Rule]":
     """Fresh instances of every registered rule, ordered by id."""
-    from . import rules as _rules  # noqa: F401  (registers on import)
+    # Importing the rules registers them.
+    from . import rules as _rules  # qlint: disable=QLNT110
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
-
-
-def rules_by_id(rule_ids: "Iterable[str]") -> "List[Rule]":
-    """Instances of the named rules (:class:`AnalysisError` if unknown)."""
-    from . import rules as _rules  # noqa: F401
-    instances = []
-    for rule_id in rule_ids:
-        if rule_id not in _REGISTRY:
-            raise AnalysisError(f"unknown rule id {rule_id!r}")
-        instances.append(_REGISTRY[rule_id]())
-    return instances

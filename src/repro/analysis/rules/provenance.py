@@ -105,6 +105,6 @@ class DecisionProvenanceRule(Rule):
                        f"probe.decide(...) (or invoke on_decision "
                        f"for solver results) so 'repro obs why' can "
                        f"explain this outcome")
-        # Instances may be reused across modules (rules_by_id): reset.
+        # One instance serves every module of a run: reset.
         self._markers.clear()
         self._satisfied.clear()

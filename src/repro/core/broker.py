@@ -24,7 +24,7 @@ One broker instance orchestrates, per Figure 2:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import (
     AdmissionError,
@@ -76,6 +76,9 @@ from .discovery import (
 )
 from .reservation_system import CompositeReservation, ReservationSystem
 from .scenarios import ScenarioEngine
+
+#: Quality levels the optimizer enumerates per controlled-load SLA.
+_OPTIMIZER_LEVELS = 4
 
 
 @dataclass
@@ -182,20 +185,10 @@ class AQoSBroker:
             ``nrm`` for booking when given).
         pricing: Pricing policy.
         trace: Optional activity recorder.
-        mds / hub / verifier / repository / ledger: Subsystems; built
-            fresh when omitted.
-        optimizer_levels: Quality levels enumerated per controlled-load
-            SLA for the optimizer.
+        repository: The SLA store; built fresh when omitted.
         optimizer_interval: When > 0, the optimizer runs periodically
             ("the optimization heuristic is executed periodically by
             the AQoS broker", Section 5.5).
-        promotion_policy: Callable ``(sla) -> bool`` deciding whether a
-            client accepts a promotion offer (default: always).
-        discovery: Pluggable discovery transport; defaults to a
-            :class:`~repro.core.discovery.DirectDiscovery` over
-            ``registry``. Chaos wiring swaps in a
-            :class:`~repro.core.discovery.ResilientDiscovery` that
-            rides the message bus and degrades to a stale cache.
         probe: The testbed's instrumentation seam, shared with every
             subsystem the broker builds.
     """
@@ -207,32 +200,28 @@ class AQoSBroker:
                  coordinator: Optional[InterDomainCoordinator] = None,
                  pricing: Optional[PricingPolicy] = None,
                  trace: Optional[TraceRecorder] = None,
-                 mds: Optional[InformationService] = None,
-                 hub: Optional[NotificationHub] = None,
                  repository: Optional[SLARepository] = None,
-                 ledger: Optional[AccountingLedger] = None,
-                 optimizer_levels: int = 4,
                  optimizer_interval: float = 0.0,
-                 promotion_policy: Optional[Callable[[ServiceSLA], bool]] = None,
-                 discovery: Optional["DiscoveryService"] = None,
                  probe: Optional[Probe] = None) -> None:
         self.sim = sim
         self.registry = registry
-        self.discovery = (discovery if discovery is not None
-                          else DirectDiscovery(registry))
+        #: Direct registry lookups; chaos wiring swaps in a
+        #: :class:`~repro.core.discovery.ResilientDiscovery` that rides
+        #: the message bus and degrades to a stale cache.
+        self.discovery: "DiscoveryService" = DirectDiscovery(registry)
         self.compute_rm = compute_rm
         self.partition = partition
         self.nrm = nrm
         self.coordinator = coordinator
         self.pricing = pricing if pricing is not None else PricingPolicy()
         self.trace = trace
-        self.mds = mds if mds is not None else InformationService(sim)
-        self.hub = hub if hub is not None else NotificationHub()
-        # NB: identity checks, not truthiness — an empty repository or
-        # ledger is falsy (it defines __len__) and must not be replaced.
+        self.mds = InformationService()
+        self.hub = NotificationHub()
+        # NB: an identity check, not truthiness — an empty repository is
+        # falsy (it defines __len__) and must not be replaced.
         self.repository = (repository if repository is not None
                            else SLARepository())
-        self.ledger = ledger if ledger is not None else AccountingLedger()
+        self.ledger = AccountingLedger()
         self.allocation = AllocationManager()
         #: The broker-wide metrics registry — the single counting
         #: mechanism for cross-cutting operational stats (QLNT113).
@@ -253,8 +242,6 @@ class AQoSBroker:
             probe=self.probe)
         self.scenarios = ScenarioEngine(self)
         self.stats = BrokerStats()
-        self.optimizer_levels = optimizer_levels
-        self.promotion_policy = promotion_policy or (lambda sla: True)
         self._closing: set = set()
         self._be_counter = 0
         #: The running batch's discovery answers, ``exact query ->
@@ -785,13 +772,11 @@ class AQoSBroker:
     # ==================================================================
 
     def request_best_effort(self, user: str, cpu: float, *,
-                            duration: Optional[float] = None,
-                            allow_partial: bool = False) -> bool:
+                            duration: Optional[float] = None) -> bool:
         """Serve a best-effort request from ``Cb`` plus idle capacity.
 
-        Strict by default (the paper's algorithm refuses rather than
-        partially serves); with ``allow_partial`` whatever fits is
-        granted.
+        Strict: as the paper's algorithm does, a request that does not
+        fit whole is refused rather than partially served.
         """
         self.stats.requests += 1
         self.stats.best_effort_requests += 1
@@ -800,7 +785,7 @@ class AQoSBroker:
                          constraint="demand",
                          reason="non-positive demand")
             return False
-        if not allow_partial and not self.engine.can_allocate_best_effort(cpu):
+        if not self.engine.can_allocate_best_effort(cpu):
             self.record(f"best-effort request by {user!r} for {cpu:g} "
                         f"node(s) refused (idle="
                         f"{self.partition.idle_capacity():g})")
@@ -964,7 +949,7 @@ class AQoSBroker:
             key = self._user_key(sla.sla_id)
             candidates = candidates_for(key, sla.specification,
                                         sla.service_class, self.pricing,
-                                        levels=self.optimizer_levels)
+                                        levels=_OPTIMIZER_LEVELS)
             # The optimizer moves sessions within [floor, agreed]; going
             # above the agreed point requires an accepted promotion
             # offer (Scenario 2c), never a silent upgrade-and-bill.
@@ -1148,29 +1133,29 @@ class AQoSBroker:
 
     def offer_promotion(self, sla: ServiceSLA,
                         point: OperatingPoint) -> bool:
-        """Offer a QoS upgrade; on acceptance the SLA's agreed terms
-        are re-negotiated upward and the new point applied."""
-        accepted = bool(self.promotion_policy(sla))
+        """Offer a QoS upgrade. The client accepts every offer; the
+        SLA's agreed terms are re-negotiated upward and the new point
+        applied when it fits the idle capacity, else the offer is
+        declined."""
         applied = False
-        if accepted:
-            demand = QoSSpecification.point_demand(point)
-            holding = self.partition_holding(sla.sla_id)
-            current = holding.served if holding is not None else 0.0
-            if demand.cpu - current <= self.partition.idle_capacity() + 1e-9:
-                new_rate = self.pricing.point_rate(point, sla.service_class)
-                previous_agreed = dict(sla.agreed_point)
-                sla.renegotiate_point(dict(point), new_rate)
-                try:
-                    self.apply_point(sla, dict(point))
-                except (CapacityError, SLAError):
-                    sla.renegotiate_point(previous_agreed,
-                                          self.pricing.point_rate(
-                                              previous_agreed,
-                                              sla.service_class))
-                else:
-                    applied = True
-                    self.ledger.rate_changed(sla.sla_id, self.sim.now,
-                                             new_rate)
+        demand = QoSSpecification.point_demand(point)
+        holding = self.partition_holding(sla.sla_id)
+        current = holding.served if holding is not None else 0.0
+        if demand.cpu - current <= self.partition.idle_capacity() + 1e-9:
+            new_rate = self.pricing.point_rate(point, sla.service_class)
+            previous_agreed = dict(sla.agreed_point)
+            sla.renegotiate_point(dict(point), new_rate)
+            try:
+                self.apply_point(sla, dict(point))
+            except (CapacityError, SLAError):
+                sla.renegotiate_point(previous_agreed,
+                                      self.pricing.point_rate(
+                                          previous_agreed,
+                                          sla.service_class))
+            else:
+                applied = True
+                self.ledger.rate_changed(sla.sla_id, self.sim.now,
+                                         new_rate)
         self.ledger.promotion_offered(sla.sla_id, accepted=applied)
         self.record(f"promotion offer to SLA {sla.sla_id}: "
                     f"{'accepted' if applied else 'declined/refused'}")

@@ -275,12 +275,6 @@ class ResilientDiscovery:
         self._cache: Dict[tuple, Tuple[float, Optional[str],
                                        List[ServiceRecord]]] = {}
 
-    @property
-    def stale_hits(self) -> int:
-        """Lookups served from the stale cache (registry-backed)."""
-        return int(self.metrics.counter_value(
-            "repro_discovery_stale_hits_total"))
-
     def find(self, query: ServiceQuery) -> DiscoveryResult:
         """Look up matches over the bus.
 

@@ -81,11 +81,6 @@ class BrokerGateway:
         endpoint.on("verify_sla", self._on_verify_sla)
         endpoint.on("renegotiate", self._on_renegotiate)
 
-    @property
-    def pending_negotiations(self) -> "tuple[int, ...]":
-        """Ids of negotiations still awaiting a client decision."""
-        return tuple(self._negotiations)
-
     def abandon(self, negotiation_id: int) -> bool:
         """Clear a pending negotiation the client never resolved.
 

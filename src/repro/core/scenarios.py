@@ -12,11 +12,11 @@
   their best QoS, and (c) presents promotion offers to sessions that
   accept them.
 * **Scenario 3 — QoS Degradation**: delivered QoS fell below the SLA.
-  The handler first lets the resource-level adaptation run (DSRT
-  contract adjustment), then restores at the broker level by squeezing
-  others, then degrades the victim itself to an SLA-admissible lower
-  point, and finally terminates the session on major unrecoverable
-  degradation.
+  The handler restores at the broker level by squeezing others, then
+  degrades the victim itself to an SLA-admissible lower point, and
+  finally terminates the session on major unrecoverable degradation.
+  Section 3.2's resource-level step before these (DSRT shrinking CPU
+  contracts toward observed usage) is not modelled (DESIGN §2).
 
 The handlers mutate sessions only through the broker's ``apply_point``
 / ``terminate_session`` entry points, so every move is reflected in the
@@ -217,10 +217,6 @@ class ScenarioEngine:
             return
         if not sla.status.is_live or not sla.service_class.monitored:
             return
-
-        # Resource-management-level adaptation first (Section 3.2): let
-        # DSRT reclaim over-reserved CPU before the broker intervenes.
-        broker.compute_rm.dsrt.adjust_contracts()
 
         # Broker-level restore: squeeze others so this session's
         # entitled demand is served again.

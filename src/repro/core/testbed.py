@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..monitoring.mds import InformationService
-from ..monitoring.notifications import NotificationHub
 from ..obs import DecisionLog, SloEngine
 from ..network.interdomain import InterDomainCoordinator
 from ..network.nrm import NetworkResourceManager
@@ -116,7 +114,6 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
                   seed: int = 0,
                   optimizer_interval: float = 0.0,
                   pricing: Optional[PricingPolicy] = None,
-                  register_default_services: bool = True,
                   sim: Optional[Simulator] = None,
                   trace: Optional[TraceRecorder] = None,
                   rng: Optional[RandomSource] = None,
@@ -156,14 +153,12 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
     topology.add_site("siteC", "domain1", address="10.10.10.3")
     topology.add_link("siteA", "siteB", link_mbps, delay_ms=5.0)
     topology.add_link("siteA", "siteC", 155.0, delay_ms=8.0)
-    nrm = NetworkResourceManager(sim, topology, "domain1",
-                                 rng=rng.stream("nrm"), trace=trace,
+    nrm = NetworkResourceManager(sim, topology, "domain1", trace=trace,
                                  probe=probe)
 
     registry = UddieRegistry()
-    if register_default_services:
-        _register_default_services(registry, total_cpu, memory_mb, disk_mb,
-                                   link_mbps)
+    _register_default_services(registry, total_cpu, memory_mb, disk_mb,
+                               link_mbps)
 
     partition = CapacityPartition(guaranteed_cpu, adaptive_cpu,
                                   best_effort_cpu,
@@ -172,8 +167,6 @@ def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
     broker = AQoSBroker(sim, registry=registry, compute_rm=compute_rm,
                         partition=partition, nrm=nrm,
                         pricing=pricing or PricingPolicy(), trace=trace,
-                        mds=InformationService(sim),
-                        hub=NotificationHub(),
                         repository=SLARepository(first_id=sla_first_id),
                         optimizer_interval=optimizer_interval, probe=probe)
     return Testbed(sim=sim, trace=trace, rng=rng, machine=machine,
@@ -379,16 +372,19 @@ class MultiDomainTestbed:
     machines: "Dict[str, Machine]"
 
 
-def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
-                      seed: int = 0,
-                      inter_domain_mbps: float = 622.0) -> MultiDomainTestbed:
+#: Each domain's grid nodes, and the speed of the links joining the
+#: domains, in :func:`build_multidomain`.
+_NODES_PER_DOMAIN = 26
+_INTER_DOMAIN_MBPS = 622.0
+
+
+def build_multidomain(*, domains: int = 2) -> MultiDomainTestbed:
     """Stand up the Figure 1 architecture: ``domains`` AQoS brokers,
     each with its own RM, NRM and probe, joined by inter-domain links."""
     if domains < 1:
         raise ValidationError(f"need at least one domain: {domains}")
     sim = Simulator()
     trace = TraceRecorder()
-    rng = RandomSource(seed)
     topology = Topology()
     nrms: List[NetworkResourceManager] = []
     machines: Dict[str, Machine] = {}
@@ -398,28 +394,27 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
         domain = f"domain{index + 1}"
         topology.add_site(f"site{index + 1}", domain,
                           address=f"10.{index + 1}.0.1")
-        nrms.append(NetworkResourceManager(
-            sim, topology, domain, rng=rng.stream(domain), trace=trace,
-            probe=probe))
-        machine = Machine(f"cluster-{domain}", nodes_per_domain * 2,
-                          grid_nodes=nodes_per_domain,
+        nrms.append(NetworkResourceManager(sim, topology, domain,
+                                           trace=trace, probe=probe))
+        machine = Machine(f"cluster-{domain}", _NODES_PER_DOMAIN * 2,
+                          grid_nodes=_NODES_PER_DOMAIN,
                           memory_mb=8192.0, disk_mb=40_960.0)
         machines[domain] = machine
         compute_rms[domain] = ComputeResourceManager(
             sim, machine, trace=trace, probe=probe)
     for index in range(domains - 1):
         topology.add_link(f"site{index + 1}", f"site{index + 2}",
-                          inter_domain_mbps, delay_ms=10.0)
+                          _INTER_DOMAIN_MBPS, delay_ms=10.0)
     coordinator = InterDomainCoordinator(topology, nrms)
     brokers: Dict[str, AQoSBroker] = {}
     for index, probe in enumerate(probes):
         domain = f"domain{index + 1}"
         registry = UddieRegistry()
-        _register_default_services(registry, nodes_per_domain, 8192.0,
-                                   40_960.0, inter_domain_mbps)
-        guaranteed = int(nodes_per_domain * 0.6)
-        adaptive = int(nodes_per_domain * 0.2)
-        best_effort = nodes_per_domain - guaranteed - adaptive
+        _register_default_services(registry, _NODES_PER_DOMAIN, 8192.0,
+                                   40_960.0, _INTER_DOMAIN_MBPS)
+        guaranteed = int(_NODES_PER_DOMAIN * 0.6)
+        adaptive = int(_NODES_PER_DOMAIN * 0.2)
+        best_effort = _NODES_PER_DOMAIN - guaranteed - adaptive
         partition = CapacityPartition(guaranteed, adaptive, best_effort,
                                       best_effort_min=1, probe=probe)
         brokers[domain] = AQoSBroker(

@@ -25,6 +25,9 @@ from ..workloads.sessions import SessionSpec, Workload
 
 _EPSILON = 1e-9
 
+#: Sampling period of :func:`run_broker_workload` (simulation time).
+_SAMPLE_INTERVAL = 5.0
+
 #: Revenue-rate multipliers per class (mirrors the default pricing
 #: policy's class multipliers; absolute scale is arbitrary).
 CLASS_RATES: "Dict[ServiceClass, float]" = {
@@ -65,13 +68,6 @@ class PolicyRunResult:
         if self.controlled_requests == 0:
             return 1.0
         return self.controlled_accepted / self.controlled_requests
-
-    @property
-    def best_effort_acceptance(self) -> float:
-        """Acceptance rate of best-effort requests."""
-        if self.best_effort_requests == 0:
-            return 1.0
-        return self.best_effort_accepted / self.best_effort_requests
 
 
 def _window(start: float, end: float, *signals: str
@@ -208,13 +204,13 @@ def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
 # ----------------------------------------------------------------------
 
 
-def run_broker_workload(testbed, workload: Workload, *,
-                        sample_interval: float = 5.0) -> PolicyRunResult:
+def run_broker_workload(testbed, workload: Workload) -> PolicyRunResult:
     """Replay a workload through a full testbed broker.
 
     Requests are scheduled at their arrival times on the testbed's
-    simulator; a periodic sampler integrates utilization and violation
-    signals; revenue comes from the broker's real accounting ledger.
+    simulator; a sampler integrates utilization and violation signals
+    every :data:`_SAMPLE_INTERVAL`; revenue comes from the broker's real
+    accounting ledger.
     """
     broker = testbed.broker
     sim = testbed.sim
@@ -254,9 +250,9 @@ def run_broker_workload(testbed, workload: Workload, *,
             utilization=testbed.partition.utilization(),
             violation=1.0 if shortfall > _EPSILON else 0.0,
             best_effort_served=testbed.partition.best_effort_served())
-        sim.schedule(sample_interval, sample, label="workload:sample")
+        sim.schedule(_SAMPLE_INTERVAL, sample, label="workload:sample")
 
-    sim.schedule(sample_interval, sample, label="workload:sample")
+    sim.schedule(_SAMPLE_INTERVAL, sample, label="workload:sample")
     sim.run(until=workload.horizon)
     result.mean_utilization = window["utilization"].mean()
     result.violation_time_fraction = window["violation"].mean()

@@ -68,9 +68,10 @@ def extract_interactions(trace: TraceRecorder, *,
     return interactions
 
 
-def render_sequence_diagram(interactions: Sequence[Interaction], *,
-                            column_width: int = 16) -> str:
-    """Draw the interactions as an ASCII lifeline diagram."""
+def render_sequence_diagram(interactions: Sequence[Interaction]) -> str:
+    """Draw the interactions as an ASCII lifeline diagram, one
+    16-column lane per actor."""
+    column_width = 16
     positions = {actor: index * column_width + column_width // 2
                  for index, actor in enumerate(ACTORS)}
     total_width = column_width * len(ACTORS)

@@ -6,9 +6,7 @@ needs faults one level up — a whole administrative domain going dark
 domains from the rest for a window of simulated time.
 :class:`DomainChaos` implements the same ``decide(envelope, leg)``
 interface the bus consults, so it installs exactly like a
-:class:`~repro.xmlmsg.faults.FaultPlan` (``bus.install_faults``) and
-can wrap one as its ``inner`` plan: message-level chaos keeps biting
-on every delivery the domain-level layer lets through.
+:class:`~repro.xmlmsg.faults.FaultPlan` (``bus.install_faults``).
 
 Crash and partition schedules are plain data keyed on the simulation
 clock — no randomness lives here, so a seeded episode that crashes
@@ -52,16 +50,12 @@ class DomainChaos:
         now: The simulation clock (callable returning sim time).
         domain_of: Maps an endpoint name to its owning domain (or
             ``None`` for endpoints outside any domain, e.g. clients).
-        inner: Optional message-level plan consulted for deliveries
-            the domain layer does not drop.
     """
 
     def __init__(self, now: Callable[[], float], *,
-                 domain_of: Callable[[str], Optional[str]],
-                 inner=None) -> None:
+                 domain_of: Callable[[str], Optional[str]]) -> None:
         self._now = now
         self._domain_of = domain_of
-        self.inner = inner
         self.stats = FaultStats()
         self._crashed: "Set[str]" = set()
         self._partitions: "List[PartitionWindow]" = []
@@ -121,9 +115,6 @@ class DomainChaos:
         dead = (sender in self._crashed or recipient in self._crashed
                 or self.severed(sender, recipient))
         if dead:
-            decision = FaultDecision(drop=True)
             self.stats.dropped += 1
-            return decision
-        if self.inner is not None:
-            return self.inner.decide(envelope, leg)
+            return FaultDecision(drop=True)
         return FaultDecision()

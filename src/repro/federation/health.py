@@ -80,8 +80,3 @@ class PeerHealth:
         if success is None:
             return False
         return success > failure
-
-    def verdicts(self, observer: str, peers) -> "Dict[str, bool]":
-        """The observer's current view of each peer, in name order."""
-        return {peer: self.alive(observer, peer)
-                for peer in sorted(peers) if peer != observer}

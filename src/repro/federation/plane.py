@@ -110,10 +110,6 @@ class FederatedControlPlane:
         journal_stores: Per-domain journal stores (the crash-point
             sweep arms a :class:`~repro.recovery.crashpoints.CrashingJournalStore`
             this way); missing domains get in-memory stores.
-        inner_faults: Optional message-level
-            :class:`~repro.xmlmsg.faults.FaultPlan` running beneath
-            the domain-level chaos.
-        retry_policy: Policy for the cross-domain callers.
     """
 
     def __init__(self, *, domains=3, seed: int = 0, latency: float = 0.0,
@@ -121,9 +117,8 @@ class FederatedControlPlane:
                  confirm_timeout: Optional[float] = None,
                  testbed_defaults: Optional[Dict[str, object]] = None,
                  capacity: Optional[Dict[str, Dict[str, object]]] = None,
-                 journal_stores: Optional[Dict[str, object]] = None,
-                 inner_faults=None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 journal_stores: Optional[Dict[str, object]] = None
+                 ) -> None:
         if isinstance(domains, int):
             if domains < 1:
                 raise FederationError(
@@ -140,8 +135,7 @@ class FederatedControlPlane:
         self._names = names
         self.domains: "Dict[str, FederationDomain]" = {}
         self.chaos = DomainChaos(lambda: self.sim.now,
-                                 domain_of=self._domain_of,
-                                 inner=inner_faults)
+                                 domain_of=self._domain_of)
         self.bus.install_faults(self.chaos)
         self.health = PeerHealth(lambda: self.sim.now,
                                  interval=heartbeat_interval)
@@ -149,8 +143,8 @@ class FederatedControlPlane:
         self.confirm_timeout = (confirm_timeout
                                 if confirm_timeout is not None
                                 else 2.0 * heartbeat_interval)
-        policy = retry_policy or RetryPolicy(
-            max_attempts=2, timeout=5.0, circuit_cooldown=20.0)
+        policy = RetryPolicy(max_attempts=2, timeout=5.0,
+                             circuit_cooldown=20.0)
         root_rng = RandomSource(seed)
         stores = journal_stores or {}
         for index, name in enumerate(names):

@@ -31,15 +31,14 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-import math
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import FederationError, GQoSMError, SLAError
 from ..obs.flight import FlightRecorder
 from ..qos.classes import ServiceClass
 from ..sim.random import RandomSource
-from ..workloads.replay import (batch_schedule, request_for_session,
-                                schedule_failure_track)
+from ..workloads.replay import (SAMPLE_INTERVAL, batch_schedule,
+                                request_for_session, schedule_failure_track)
 from ..workloads.scenarios import CompiledScenario, ScenarioSpec
 from .plane import FederatedControlPlane, FederatedOutcome
 from .recovery import federation_invariants
@@ -72,22 +71,11 @@ class FederatedReplayResult:
         return json.dumps(self.report, sort_keys=True,
                           separators=(",", ":"))
 
-    def surviving_guaranteed_availability(self) -> float:
-        """Worst guaranteed-class availability across domains that
-        were up at the end of the run."""
-        values = [entry["slo_guaranteed_availability"]
-                  for name, entry in self.report["per_domain"].items()
-                  if name not in self.report["crashed_at_end"]]
-        return min(values) if values else 1.0
-
 
 def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
                      seed: int = 0, batch_window: float = 5.0,
-                     sample_interval: float = 5.0,
                      heartbeat_interval: float = 5.0,
-                     crash_domain: Optional[str] = None,
-                     crash_at: Optional[float] = None,
-                     recover_at: Optional[float] = None
+                     crash_domain: Optional[str] = None
                      ) -> FederatedReplayResult:
     """Replay one scenario across ``domains`` failure domains.
 
@@ -96,9 +84,12 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
         seed: Drives workload compilation and every domain's streams —
             the compiled workload is identical to the single-domain
             replay's at the same seed.
-        crash_domain: When set, that broker is crashed at ``crash_at``
-            (default 30% of the horizon) and rejoined at ``recover_at``
-            (default 60%; pass ``float('inf')`` to never rejoin).
+        crash_domain: When set, that broker is crashed at 30% of the
+            horizon and rejoined at 60%.
+
+    Verifier polling and SLO evaluation run every
+    :data:`~repro.workloads.replay.SAMPLE_INTERVAL`, as in the
+    single-domain replay.
     """
     if isinstance(spec, str):
         from ..workloads.atlas import get_scenario
@@ -120,19 +111,16 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
     horizon = spec.horizon
 
     if crash_domain is not None:
-        crash_time = (crash_at if crash_at is not None
-                      else round(0.3 * horizon, 6))
-        rejoin_time = (recover_at if recover_at is not None
-                       else round(0.6 * horizon, 6))
+        crash_time = round(0.3 * horizon, 6)
+        rejoin_time = round(0.6 * horizon, 6)
         plane.crash_broker(crash_domain, at=crash_time)
-        if not math.isinf(rejoin_time):
-            plane.recover_broker(crash_domain, at=rejoin_time)
+        plane.recover_broker(crash_domain, at=rejoin_time)
     else:
         crash_time = rejoin_time = None
 
     for name in names:
         plane.domains[name].testbed.broker.verifier.start_polling(
-            sample_interval)
+            SAMPLE_INTERVAL)
     plane.start_heartbeats(until=horizon)
 
     # Failure tracks land on one domain each: track k hits the machine
@@ -186,10 +174,10 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
             testbed = plane.domains[name].testbed
             if testbed.slo is not None:
                 testbed.slo.evaluate(sim.now)
-        if sim.now + sample_interval <= horizon + 1e-9:
-            sim.schedule(sample_interval, sample, label="fed:sample")
+        if sim.now + SAMPLE_INTERVAL <= horizon + 1e-9:
+            sim.schedule(SAMPLE_INTERVAL, sample, label="fed:sample")
 
-    sim.schedule(sample_interval, sample, label="fed:sample")
+    sim.schedule(SAMPLE_INTERVAL, sample, label="fed:sample")
     sim.run(until=horizon)
 
     for name in names:
@@ -256,8 +244,7 @@ def _build_report(plane: FederatedControlPlane,
         "crash": (None if crash_domain is None else {
             "domain": crash_domain,
             "at": crash_time,
-            "recover_at": (None if math.isinf(rejoin_time)
-                           else rejoin_time),
+            "recover_at": rejoin_time,
         }),
         "crashed_at_end": plane.chaos.crashed,
         "crash_events": len(plane.crashes),
@@ -339,10 +326,8 @@ def federated_verdict(result: FederatedReplayResult) -> FederatedVerdict:
     if crash is None:
         lines.append("crash: none")
     else:
-        rejoin = (f"rejoined at t={crash['recover_at']:g}"
-                  if crash["recover_at"] is not None else "never rejoined")
         lines.append(f"crash: {crash_domain} down at t={crash['at']:g}, "
-                     f"{rejoin}")
+                     f"rejoined at t={crash['recover_at']:g}")
     lines += ["", "## outcomes",
               f"sessions={report['sessions']} batches={report['batches']} "
               f"abandoned={report['abandoned']}",

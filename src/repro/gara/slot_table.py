@@ -58,10 +58,6 @@ class SlotEntry:
         """Whether the window covers ``time`` (half-open semantics)."""
         return self.start <= time < self.end
 
-    def overlaps(self, start: float, end: float) -> bool:
-        """Whether the window intersects ``[start, end)``."""
-        return self.start < end and start < self.end
-
 
 class SlotTable:
     """Time-indexed capacity accounting for one resource pool.
@@ -208,10 +204,6 @@ class SlotTable:
         """All booked entries (a copy), ordered by start time."""
         return sorted(self._entries.values(), key=lambda e: (e.start, e.entry_id))
 
-    def entries_at(self, time: float) -> List[SlotEntry]:
-        """Entries whose window covers ``time``."""
-        return [entry for entry in self.entries() if entry.active_at(time)]
-
     def usage_at(self, time: float) -> ResourceVector:
         """Total demand booked at an instant (one binary search)."""
         index = bisect_right(self._times, time) - 1
@@ -346,19 +338,3 @@ class SlotTable:
             self._entries[entry.entry_id] = entry
             self._index_entry(entry)
             raise
-
-    def truncate(self, entry: SlotEntry, end: float) -> SlotEntry:
-        """Shorten an entry's window (early release at ``end``)."""
-        stored = self._entries.pop(entry.entry_id, None)
-        if stored is None:
-            raise ReservationNotFound(
-                f"slot entry {entry.entry_id} is not booked")
-        self._unindex_entry(stored)
-        if end <= entry.start:
-            return entry
-        shortened = SlotEntry(entry_id=entry.entry_id, demand=entry.demand,
-                              start=entry.start, end=min(entry.end, end),
-                              label=entry.label)
-        self._entries[shortened.entry_id] = shortened
-        self._index_entry(shortened)
-        return shortened

@@ -4,7 +4,8 @@
 information on resources, such as resource availability and
 utilization, to be used for adaptation purposes" (Section 3.2).
 
-* :mod:`repro.monitoring.sensors` — CPU and network sensors.
+* :mod:`repro.monitoring.sensors` — the sensor interface the
+  broker's per-session sensors implement.
 * :mod:`repro.monitoring.mds` — the Globus MDS-like information
   service the SLA-Verif polls "using the Java CoG Kit MDS APIs".
 * :mod:`repro.monitoring.verifier` — the SLA-Verif component:
@@ -19,15 +20,13 @@ utilization, to be used for adaptation purposes" (Section 3.2).
 from .mds import InformationService
 from .notifications import DegradationNotice, NotificationHub
 from .relay import BusNotificationRelay
-from .sensors import ComputeSensor, NetworkSensor, Sensor, SensorReading
+from .sensors import Sensor, SensorReading
 from .verifier import SlaVerifier
 
 __all__ = [
     "BusNotificationRelay",
-    "ComputeSensor",
     "DegradationNotice",
     "InformationService",
-    "NetworkSensor",
     "NotificationHub",
     "Sensor",
     "SensorReading",

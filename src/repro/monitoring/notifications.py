@@ -63,7 +63,6 @@ class NotificationHub:
 
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
-        self._log: List[DegradationNotice] = []
         self._transport: Optional[Subscriber] = None
 
     def subscribe(self, subscriber: Subscriber) -> None:
@@ -76,8 +75,7 @@ class NotificationHub:
         self._transport = transport
 
     def publish(self, notice: DegradationNotice) -> None:
-        """Emit a notice (retained in the log either way)."""
-        self._log.append(notice)
+        """Emit a notice, through the transport when one is installed."""
         if self._transport is not None:
             self._transport(notice)
             return
@@ -89,11 +87,3 @@ class NotificationHub:
         transport is installed)."""
         for subscriber in list(self._subscribers):
             subscriber(notice)
-
-    def log(self) -> List[DegradationNotice]:
-        """All notices ever published (a copy)."""
-        return list(self._log)
-
-    def for_sla(self, sla_id: int) -> List[DegradationNotice]:
-        """Notices concerning one SLA."""
-        return [notice for notice in self._log if notice.sla_id == sla_id]

@@ -1,25 +1,21 @@
-"""Sensors over the simulated resource managers.
+"""The sensor interface.
 
 Foster et al.'s adaptive architecture (which the paper builds on) uses
 "sensors that permit monitoring of resource allocation". A sensor here
 is a named probe that, when sampled, returns a
-:class:`SensorReading` — a bag of per-dimension values plus metadata.
-Compute sensors read the compute RM (capacity, utilization, free
-nodes); network sensors measure a specific flow through its NRM.
-Optional multiplicative noise models imperfect measurement.
+:class:`SensorReading` — a bag of per-dimension values.
+The sensors the SLA-Verif samples measure the running session, as
+Al-Hawari & Manolakos's runtime QoS service does: the broker attaches
+one per session for its CPU share and one for its network booking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from ..errors import MonitoringError
-from ..network.nrm import FlowAllocation, NetworkResourceManager
 from ..qos.parameters import Dimension
-from ..resources.compute import ComputeResourceManager
 from ..sim.engine import Simulator
-from ..sim.random import RandomSource
 
 
 @dataclass(frozen=True)
@@ -30,98 +26,20 @@ class SensorReading:
         sensor: Name of the producing sensor.
         time: Sample time.
         values: Per-dimension measurements.
-        extra: Non-dimension metadata (e.g. ``"utilization"``).
     """
 
     sensor: str
     time: float
     values: "Dict[Dimension, float]"
-    extra: "Dict[str, float]" = field(default_factory=dict)
 
 
 class Sensor:
     """Base sensor: named, sampled on demand."""
 
-    def __init__(self, name: str, sim: Simulator, *,
-                 rng: Optional[RandomSource] = None,
-                 noise: float = 0.0) -> None:
+    def __init__(self, name: str, sim: Simulator) -> None:
         self.name = name
         self._sim = sim
-        self._rng = rng
-        self.noise = noise
-
-    def _jitter(self, value: float) -> float:
-        """Apply multiplicative Gaussian noise when configured."""
-        if self._rng is None or self.noise <= 0:
-            return value
-        return max(0.0, value * self._rng.normal(1.0, self.noise))
 
     def sample(self) -> SensorReading:
         """Take one sample. Subclasses must override."""
         raise NotImplementedError
-
-
-class ComputeSensor(Sensor):
-    """Reads a compute resource manager's current state."""
-
-    def __init__(self, name: str, sim: Simulator,
-                 rm: ComputeResourceManager, *,
-                 rng: Optional[RandomSource] = None,
-                 noise: float = 0.0) -> None:
-        super().__init__(name, sim, rng=rng, noise=noise)
-        self._rm = rm
-
-    def sample(self) -> SensorReading:
-        """Capacity, free nodes and utilization right now."""
-        now = self._sim.now
-        capacity = self._rm.capacity()
-        free = self._rm.available_at(now)
-        return SensorReading(
-            sensor=self.name, time=now,
-            values={
-                Dimension.CPU: self._jitter(capacity.cpu),
-                Dimension.MEMORY_MB: self._jitter(capacity.memory_mb),
-            },
-            extra={
-                "free_cpu": free.cpu,
-                "free_memory_mb": free.memory_mb,
-                "utilization": self._rm.utilization(),
-                "running_jobs": float(len(self._rm.running_jobs())),
-            })
-
-
-class NetworkSensor(Sensor):
-    """Measures one flow through its NRM."""
-
-    def __init__(self, name: str, sim: Simulator,
-                 nrm: NetworkResourceManager, flow: FlowAllocation, *,
-                 rng: Optional[RandomSource] = None,
-                 noise: float = 0.0) -> None:
-        super().__init__(name, sim, rng=rng, noise=noise)
-        self._nrm = nrm
-        self._flow = flow
-
-    @property
-    def flow(self) -> FlowAllocation:
-        """The measured flow."""
-        return self._flow
-
-    def sample(self) -> SensorReading:
-        """Delivered bandwidth, delay and loss for the flow.
-
-        Raises:
-            MonitoringError: When the flow is no longer active.
-        """
-        if not self._flow.active:
-            raise MonitoringError(
-                f"flow {self._flow.flow_id} is no longer active")
-        measurement = self._nrm.measure(self._flow)
-        return SensorReading(
-            sensor=self.name, time=self._sim.now,
-            values={
-                Dimension.BANDWIDTH_MBPS: self._jitter(
-                    measurement.bandwidth_mbps),
-                Dimension.DELAY_MS: measurement.delay_ms,
-                Dimension.PACKET_LOSS: measurement.loss,
-            },
-            extra={"agreed_mbps": self._flow.bandwidth_mbps})

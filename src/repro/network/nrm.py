@@ -20,7 +20,6 @@ from ..gara.slot_table import SlotEntry, SlotTable
 from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..sim.engine import Simulator
-from ..sim.random import RandomSource
 from ..sim.trace import TraceRecorder
 from .topology import Link, Topology
 
@@ -89,23 +88,16 @@ class NetworkResourceManager:
         topology: The shared network graph.
         domain: The domain this NRM manages; flows whose path leaves
             the domain must go through the inter-domain coordinator.
-        rng: Optional random source for measurement noise.
-        measurement_noise: Std-dev of multiplicative Gaussian noise on
-            measured bandwidth (0 = exact).
         trace: Optional activity recorder.
         probe: The testbed's instrumentation seam.
     """
 
     def __init__(self, sim: Simulator, topology: Topology, domain: str, *,
-                 rng: Optional[RandomSource] = None,
-                 measurement_noise: float = 0.0,
                  trace: Optional[TraceRecorder] = None,
                  probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._topology = topology
         self.domain = domain
-        self._rng = rng
-        self.measurement_noise = measurement_noise
         self._trace = trace
         self._tables: Dict[Tuple[str, str], SlotTable] = {}
         self._flows: Dict[int, FlowAllocation] = {}
@@ -325,9 +317,6 @@ class NetworkResourceManager:
                 continue
             scale = min(1.0, link.usable_mbps / booked)
             delivered = min(delivered, flow.bandwidth_mbps * scale)
-        if self._rng is not None and self.measurement_noise > 0:
-            noise = self._rng.normal(1.0, self.measurement_noise)
-            delivered = max(0.0, delivered * noise)
         delivered = min(delivered, flow.bandwidth_mbps)
         delay = sum(link.delay_ms for link in flow.links)
         survive = 1.0

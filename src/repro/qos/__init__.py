@@ -18,7 +18,7 @@ package implements that model:
 """
 
 from .classes import ServiceClass
-from .cost import PricingPolicy, service_cost
+from .cost import PricingPolicy
 from .mapping import ApplicationProfile, MetricRule
 from .parameters import (
     DIMENSIONS,
@@ -44,5 +44,4 @@ __all__ = [
     "discrete_parameter",
     "exact_parameter",
     "range_parameter",
-    "service_cost",
 ]

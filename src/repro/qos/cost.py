@@ -89,11 +89,3 @@ class PricingPolicy:
                      for dim, value in point.items())
         return linear * self.multiplier(service_class)
 
-
-def service_cost(point: Mapping[Dimension, float],
-                 service_class: ServiceClass,
-                 policy: "PricingPolicy | None" = None) -> float:
-    """Convenience wrapper for :meth:`PricingPolicy.point_rate`."""
-    if policy is None:
-        policy = PricingPolicy()
-    return policy.point_rate(point, service_class)

@@ -109,14 +109,6 @@ class ResourceVector:
                 and abs(self.disk_mb) <= _EPSILON
                 and abs(self.bandwidth_mbps) <= _EPSILON)
 
-    def dominates(self, other: "ResourceVector") -> bool:
-        """Whether this vector is >= ``other`` in every component."""
-        return other.fits_within(self)
-
-    def as_dict(self) -> "dict[str, float]":
-        """Plain-dict form for reports and serialization."""
-        return {f: getattr(self, f) for f in self._FIELDS}
-
     def __str__(self) -> str:
         parts = [f"{name}={getattr(self, name):g}" for name in self._FIELDS
                  if getattr(self, name) > _EPSILON]

@@ -30,8 +30,6 @@ from .journal import (
 from .snapshot import (
     Snapshot,
     SnapshotKeeper,
-    decode_snapshot,
-    encode_snapshot,
     start_snapshots,
     take_snapshot,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "MemoryJournalStore",
     "Snapshot",
     "SnapshotKeeper",
-    "decode_snapshot",
-    "encode_snapshot",
     "start_snapshots",
     "take_snapshot",
 ]

@@ -57,14 +57,13 @@ class CrashingJournalStore(JournalStore):
     so post-recovery appends go through.
     """
 
-    def __init__(self, *, crash_lsn: int = 0, mode: str = "before",
-                 inner: Optional[JournalStore] = None) -> None:
+    def __init__(self, *, crash_lsn: int = 0, mode: str = "before") -> None:
         if mode not in CRASH_MODES:
             raise RecoveryError(
                 f"crash mode must be one of {CRASH_MODES}: {mode!r}")
         if crash_lsn < 0:
             raise RecoveryError(f"crash_lsn must be >= 0: {crash_lsn}")
-        self.inner = inner if inner is not None else MemoryJournalStore()
+        self.inner = MemoryJournalStore()
         self.crash_lsn = crash_lsn
         self.mode = mode
         self.appends = 0

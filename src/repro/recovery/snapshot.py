@@ -11,7 +11,6 @@ records with an LSN above the checkpoint's are re-applied.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -97,36 +96,6 @@ def _booking_flow_ids(booking) -> "List[int]":
     if segments is not None:
         return [flow.flow_id for _nrm, flow in segments]
     return [booking.flow_id]
-
-
-def encode_snapshot(snapshot: Snapshot) -> str:
-    """Serialize a snapshot deterministically (sorted-key JSON)."""
-    return json.dumps({
-        "time": snapshot.time,
-        "lsn": snapshot.lsn,
-        "repository_xml": snapshot.repository_xml,
-        "partition": dict(snapshot.partition),
-        "composites": [dict(entry) for entry in snapshot.composites],
-    }, sort_keys=True, separators=(",", ":"))
-
-
-def decode_snapshot(text: str) -> Snapshot:
-    """Rebuild a snapshot from :func:`encode_snapshot` output.
-
-    Raises:
-        RecoveryError: On malformed input.
-    """
-    try:
-        body = json.loads(text)
-        return Snapshot(
-            time=float(body["time"]),
-            lsn=int(body["lsn"]),
-            repository_xml=str(body["repository_xml"]),
-            partition=body.get("partition", {}),
-            composites=tuple(body.get("composites", ())),
-        )
-    except (ValueError, KeyError, TypeError) as error:
-        raise RecoveryError(f"unreadable snapshot: {error}")
 
 
 class SnapshotKeeper:

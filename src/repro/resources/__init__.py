@@ -6,7 +6,7 @@ real-time CPU scheduler, with GARA as the reservation interface. Here:
 * :mod:`repro.resources.machine` — a multiprocessor machine whose nodes
   can fail and recover (the SGI machine of Section 5.6).
 * :mod:`repro.resources.dsrt` — the Dynamic Soft Real-Time scheduler:
-  per-process CPU reservations with usage-driven contract adjustment.
+  per-process CPU contracts.
 * :mod:`repro.resources.compute` — the GRAM-like resource manager tying
   machine, slot table, GARA and DSRT together.
 * :mod:`repro.resources.failures` — stochastic failure/repair injection.

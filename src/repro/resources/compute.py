@@ -24,7 +24,7 @@ from ..probe import Probe
 from ..qos.vector import ResourceVector
 from ..sim.engine import Simulator
 from ..sim.trace import TraceRecorder
-from .dsrt import CpuServiceClass, DsrtScheduler
+from .dsrt import DsrtScheduler
 from .machine import Machine
 
 _job_counter = itertools.count(1)
@@ -153,8 +153,8 @@ class ComputeResourceManager:
 
         The new process's PID is bound to the reservation. When
         ``duration`` is given the job self-completes after it; when
-        ``dsrt_fraction`` is given a DSRT contract is opened so the
-        CPU-level adaptation has something to adjust.
+        ``dsrt_fraction`` is given the process gets a DSRT contract for
+        that fraction of each of its nodes.
         """
         pid = next(self._pid_counter)
         self.gara.reservation_bind(handle, pid)
@@ -166,8 +166,7 @@ class ComputeResourceManager:
         self._running_by_handle[handle.value] = job.job_id
         if dsrt_fraction is not None:
             nodes = max(1, int(reservation.demand.cpu))
-            self.dsrt.reserve(dsrt_fraction, nodes=nodes,
-                              service_class=CpuServiceClass.ADAPTIVE, pid=pid)
+            self.dsrt.reserve(dsrt_fraction, nodes=nodes, pid=pid)
         if duration is not None:
             self._sim.schedule(duration, lambda: self._complete(job.job_id),
                                label=f"job:{job.job_id}:complete")
@@ -234,58 +233,6 @@ class ComputeResourceManager:
         if found is None:
             raise ResourceError(f"unknown job {job_id}")
         return found
-
-    # ------------------------------------------------------------------
-    # DSRT usage sampling (the resource-management-level adaptation of
-    # Section 3.2: contracts shrink toward observed usage)
-    # ------------------------------------------------------------------
-
-    def start_usage_sampling(self, interval: float, rng, *,
-                             mean_usage: float = 0.5,
-                             burstiness: float = 0.25) -> None:
-        """Periodically sample synthetic CPU usage for running jobs.
-
-        Each job gets a stable per-job mean (drawn once around
-        ``mean_usage``); every ``interval`` the scheduler records a
-        noisy sample per running job and runs one DSRT adjustment
-        round, so over-reserved contracts shrink toward actual usage
-        exactly as Chu & Nahrstedt's system-initiated adaptation does.
-
-        Args:
-            interval: Sampling period (simulation time).
-            rng: A :class:`~repro.sim.random.RandomSource` stream.
-            mean_usage: Fleet-wide mean usage fraction.
-            burstiness: Std-dev of both the per-job mean draw and the
-                per-sample noise.
-        """
-        if interval <= 0:
-            raise ResourceError(f"interval must be positive: {interval}")
-        job_means: Dict[int, float] = {}
-
-        def sample() -> None:
-            for job in self.running_jobs():
-                try:
-                    self.dsrt.contract(job.pid)
-                except ResourceError:
-                    continue  # job runs without a DSRT contract
-                if job.pid not in job_means:
-                    job_means[job.pid] = min(1.0, max(0.05, rng.normal(
-                        mean_usage, burstiness)))
-                usage = min(1.0, max(0.0, rng.normal(
-                    job_means[job.pid], burstiness / 2)))
-                self.dsrt.record_usage(job.pid, usage)
-            changes = self.dsrt.adjust_contracts()
-            if changes and self._trace is not None:
-                self._trace.record(
-                    self._sim.now, "dsrt",
-                    f"{self.machine.name}: adjusted "
-                    f"{len(changes)} contract(s); reserved total "
-                    f"{self.dsrt.reserved_total():.2f} node-eq")
-            self._sim.schedule(interval, sample,
-                               label=f"dsrt:{self.machine.name}:sample")
-
-        self._sim.schedule(interval, sample,
-                           label=f"dsrt:{self.machine.name}:sample")
 
     def running_jobs(self) -> List[Job]:
         """All jobs currently running."""

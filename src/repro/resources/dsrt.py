@@ -1,39 +1,28 @@
 """DSRT — the Dynamic Soft Real-Time CPU scheduler (simulated).
 
 The paper integrates its broker "with the Dynamic Soft Real-Time (DSRT)
-scheduler [Chu & Nahrstedt] as the computation (CPU) scheduler". DSRT's
-distinguishing feature is *system-initiated adaptation*: processes hold
-CPU-time contracts, the scheduler observes their actual usage, and it
-adjusts contract parameters "to reserve just enough CPU time".
+scheduler [Chu & Nahrstedt] as the computation (CPU) scheduler".
 
-The simulation keeps that contract model: processes register with a
-service class and a reserved CPU fraction; the scheduler records usage
-samples and, on each adjustment round, shrinks or grows contracts
-toward observed usage within the class's bounds. The compute RM calls
-the adjustment round periodically and treats the reclaimed fraction as
-locally-freed capacity (the paper's "resource management level"
-adaptation that runs *before* broker-level adaptation, Section 3.2).
+The simulation keeps DSRT's contract model: each launched process holds
+a CPU contract reserving a fraction of each of its nodes, and the
+scheduler refuses a contract that does not fit. The broker resizes a
+contract when it moves a session's delivered point. DSRT's own
+*system-initiated adaptation* — shrinking contracts toward observed
+usage, the "resource management level" step that Section 3.2 runs
+before broker-level adaptation — is not modelled: nothing in the
+simulation measures a process's CPU usage, and the slot table, not the
+DSRT contracts, decides what the broker can sell (DESIGN §2).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..errors import CapacityError, ResourceError
 
 _pid_counter = itertools.count(5000)
-
-
-class CpuServiceClass(Enum):
-    """DSRT CPU service classes (after Chu & Nahrstedt)."""
-
-    PERIODIC = "periodic"          # strict periodic real-time
-    ADAPTIVE = "adaptive"          # usage-adjusted reservation
-    EVENT = "event"                # aperiodic with burst budget
-    BEST_EFFORT = "best-effort"    # no reservation
 
 
 @dataclass
@@ -42,29 +31,19 @@ class DsrtContract:
 
     Attributes:
         pid: Process ID.
-        service_class: DSRT CPU service class.
         reserved_fraction: CPU fraction currently reserved (0..1 of one
             node, scaled by ``nodes``).
         nodes: How many nodes the process spans.
-        usage_samples: Recent observed usage fractions.
     """
 
     pid: int
-    service_class: CpuServiceClass
     reserved_fraction: float
     nodes: int = 1
-    usage_samples: List[float] = field(default_factory=list)
 
     @property
     def reserved_capacity(self) -> float:
         """Reserved node-equivalents (fraction × nodes)."""
         return self.reserved_fraction * self.nodes
-
-    def observed_usage(self) -> Optional[float]:
-        """Mean of the recent usage samples, or ``None`` when unsampled."""
-        if not self.usage_samples:
-            return None
-        return sum(self.usage_samples) / len(self.usage_samples)
 
 
 class DsrtScheduler:
@@ -72,21 +51,12 @@ class DsrtScheduler:
 
     Args:
         node_count: Nodes available to the scheduler.
-        headroom: Safety margin kept above observed usage when the
-            adjustment round shrinks a contract (Chu et al. reserve
-            "just enough" — plus a small guard band).
-        min_fraction: Floor below which no contract is shrunk.
-        window: How many usage samples are retained per contract.
     """
 
-    def __init__(self, node_count: int, *, headroom: float = 0.1,
-                 min_fraction: float = 0.05, window: int = 8) -> None:
+    def __init__(self, node_count: int) -> None:
         if node_count <= 0:
             raise ResourceError(f"node_count must be positive: {node_count}")
         self.node_count = node_count
-        self.headroom = headroom
-        self.min_fraction = min_fraction
-        self.window = window
         self._contracts: Dict[int, DsrtContract] = {}
         # Running sum of reserved node-equivalents: admission-rate
         # callers probe free_capacity() per reserve, so a fresh
@@ -106,7 +76,6 @@ class DsrtScheduler:
         return self.node_count - self.reserved_total()
 
     def reserve(self, fraction: float, *, nodes: int = 1,
-                service_class: CpuServiceClass = CpuServiceClass.ADAPTIVE,
                 pid: Optional[int] = None) -> DsrtContract:
         """Create a contract reserving ``fraction`` of each of ``nodes``.
 
@@ -127,8 +96,8 @@ class DsrtScheduler:
             pid = next(_pid_counter)
         if pid in self._contracts:
             raise ResourceError(f"pid {pid} already holds a DSRT contract")
-        contract = DsrtContract(pid=pid, service_class=service_class,
-                                reserved_fraction=fraction, nodes=nodes)
+        contract = DsrtContract(pid=pid, reserved_fraction=fraction,
+                                nodes=nodes)
         self._contracts[pid] = contract
         self._reserved += contract.reserved_capacity
         return contract
@@ -186,54 +155,3 @@ class DsrtScheduler:
         if found is None:
             raise ResourceError(f"pid {pid} holds no DSRT contract")
         return found
-
-    def contracts(self) -> List[DsrtContract]:
-        """All live contracts (a copy)."""
-        return list(self._contracts.values())
-
-    # ------------------------------------------------------------------
-    # Usage-driven adjustment (DSRT's system-initiated adaptation)
-    # ------------------------------------------------------------------
-
-    def record_usage(self, pid: int, fraction: float) -> None:
-        """Record one observed usage sample for a process."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ResourceError(f"usage fraction out of [0, 1]: {fraction}")
-        contract = self.contract(pid)
-        contract.usage_samples.append(fraction)
-        del contract.usage_samples[:-self.window]
-
-    def adjust_contracts(self) -> Dict[int, float]:
-        """One adjustment round: move reservations toward observed usage.
-
-        Only ``ADAPTIVE`` contracts move. Shrinking is bounded below by
-        ``min_fraction``; growing is bounded by free capacity (greedy,
-        in pid order, so rounds are deterministic).
-
-        Returns:
-            ``pid -> new reserved_fraction`` for every contract changed.
-        """
-        changes: Dict[int, float] = {}
-        for pid in sorted(self._contracts):
-            contract = self._contracts[pid]
-            if contract.service_class is not CpuServiceClass.ADAPTIVE:
-                continue
-            usage = contract.observed_usage()
-            if usage is None:
-                continue
-            target = min(1.0, max(self.min_fraction,
-                                  usage * (1.0 + self.headroom)))
-            if abs(target - contract.reserved_fraction) < 1e-6:
-                continue
-            if target > contract.reserved_fraction:
-                grow = (target - contract.reserved_fraction) * contract.nodes
-                slack = self.free_capacity()
-                if slack <= 1e-9:
-                    continue
-                allowed = min(grow, slack) / contract.nodes
-                target = contract.reserved_fraction + allowed
-            self._reserved += (target
-                               - contract.reserved_fraction) * contract.nodes
-            contract.reserved_fraction = target
-            changes[pid] = target
-        return changes

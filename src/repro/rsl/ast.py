@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from ..errors import RSLError
 
@@ -38,33 +38,6 @@ class RSLRelation:
             raise RSLError(f"unknown RSL operator {self.operator!r}")
         if not self.attribute:
             raise RSLError("RSL relation has an empty attribute name")
-
-    def matches(self, offered: Value) -> bool:
-        """Whether an offered attribute value satisfies this relation.
-
-        Numeric comparison is used when both sides parse as numbers;
-        otherwise only ``=`` / ``!=`` string (in)equality is defined.
-        """
-        wanted = self.value
-        offered_num = _as_number(offered)
-        wanted_num = _as_number(wanted)
-        if offered_num is not None and wanted_num is not None:
-            comparisons = {
-                "=": offered_num == wanted_num,
-                "!=": offered_num != wanted_num,
-                "<": offered_num < wanted_num,
-                "<=": offered_num <= wanted_num,
-                ">": offered_num > wanted_num,
-                ">=": offered_num >= wanted_num,
-            }
-            return comparisons[self.operator]
-        if self.operator == "=":
-            return _canonical(offered) == _canonical(wanted)
-        if self.operator == "!=":
-            return _canonical(offered) != _canonical(wanted)
-        raise RSLError(
-            f"operator {self.operator!r} needs numeric operands: "
-            f"{offered!r} vs {wanted!r}")
 
     def render(self) -> str:
         """Serialize back to ``(attribute op value)`` form."""
@@ -97,27 +70,6 @@ class RSLExpression:
                 result[relation.attribute] = relation.value
         return result
 
-    def satisfied_by(self, offered: Dict[str, Value]) -> bool:
-        """Whether an offered attribute map satisfies the expression.
-
-        Relations over attributes absent from ``offered`` fail (the
-        resource cannot demonstrate the property).
-        """
-        def relation_holds(relation: RSLRelation) -> bool:
-            if relation.attribute not in offered:
-                return False
-            return relation.matches(offered[relation.attribute])
-
-        parts = ([relation_holds(r) for r in self.relations] +
-                 [c.satisfied_by(offered) for c in self.children])
-        if not parts:
-            return True
-        if self.operator == "|":
-            return any(parts)
-        # "&" and "+" both require all parts (a multi-request is
-        # satisfiable only if each component request is).
-        return all(parts)
-
     def render(self) -> str:
         """Serialize back to RSL text.
 
@@ -128,26 +80,6 @@ class RSLExpression:
         inner = "".join(r.render() for r in self.relations)
         inner += "".join(f"({c.render()})" for c in self.children)
         return f"{self.operator}{inner}"
-
-
-def _as_number(value: Value) -> Optional[float]:
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return None
-    return None
-
-
-def _canonical(value: Value) -> Value:
-    number = _as_number(value)
-    if number is not None:
-        return number
-    if isinstance(value, str):
-        return value
-    return tuple(_canonical(item) for item in value)
 
 
 #: The characters other than whitespace that end a bare token; each

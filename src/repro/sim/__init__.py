@@ -11,17 +11,14 @@ distributions (:mod:`repro.sim.random`), and a structured trace recorder
 
 from .engine import Simulator
 from .events import Event, EventQueue
-from .process import Process, Timeout
 from .random import RandomSource
 from .trace import TraceEntry, TraceRecorder
 
 __all__ = [
     "Event",
     "EventQueue",
-    "Process",
     "RandomSource",
     "Simulator",
-    "Timeout",
     "TraceEntry",
     "TraceRecorder",
 ]

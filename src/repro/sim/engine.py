@@ -4,14 +4,11 @@ A :class:`Simulator` owns the clock and the event queue. Components
 (broker, resource managers, workload generators) schedule callbacks via
 :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`, and the test
 or experiment harness drives the run with :meth:`Simulator.run`.
-
-Generator-based processes (:mod:`repro.sim.process`) ride on top of the
-same queue, so callback-style and process-style components mix freely.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from .events import Event, EventQueue, PRIORITY_NORMAL
@@ -140,10 +137,3 @@ class Simulator:
             self.trace.record(self._now, "event", event.label)
         event.action()
         return True
-
-    def spawn(self, generator: Iterable, *, label: str = "") -> "Process":
-        """Start a generator-based process (see :mod:`repro.sim.process`)."""
-        from .process import Process
-        process = Process(self, generator, label=label)
-        process.start()
-        return process

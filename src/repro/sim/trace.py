@@ -67,20 +67,14 @@ class TraceRecorder:
             result = [entry for entry in result if contains in entry.message]
         return list(result)
 
-    def categories(self) -> List[str]:
-        """Distinct categories, in first-seen order."""
-        seen: "dict[str, None]" = {}
-        for entry in self._stream:
-            seen.setdefault(entry.category, None)
-        return list(seen)
-
-    def render(self, *, width: int = 78) -> str:
-        """Render the log as text (the Figure 6 'broker activities' view)."""
+    def render(self) -> str:
+        """Render the log as text (the Figure 6 'broker activities' view);
+        a row longer than four 78-column lines is cut."""
         lines = []
         for entry in self._stream:
             prefix = f"[{entry.time:10.3f}] {entry.category:<14} "
             body = entry.message
-            lines.append((prefix + body)[:width * 4])
+            lines.append((prefix + body)[:78 * 4])
         return "\n".join(lines)
 
     def clear(self) -> None:

@@ -152,10 +152,3 @@ class QoSSession:
                 f"session {self.session_id}: cannot close from "
                 f"{self.phase.value}")
         self.phase = Phase.CLOSED
-
-    def functions_performed(self) -> List[QoSFunction]:
-        """The distinct functions performed so far, in first-run order."""
-        seen: "Dict[QoSFunction, None]" = {}
-        for _time, function in self.history:
-            seen.setdefault(function, None)
-        return list(seen)

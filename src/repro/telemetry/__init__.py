@@ -6,7 +6,7 @@ handle, installed behind the testbed's :class:`repro.probe.Probe`:
 * :attr:`Telemetry.tracer` — sim-clock spans with parent/child
   causality that propagates across bus legs (see
   :mod:`repro.telemetry.spans`);
-* :attr:`Telemetry.metrics` — the counters/gauges/histograms registry
+* :attr:`Telemetry.metrics` — the counters/gauges registry
   (see :mod:`repro.telemetry.metrics`);
 * :attr:`Telemetry.stream` — the shared append-only event log behind
   both the legacy trace and the span export (see
@@ -25,17 +25,14 @@ from .capacity import CapacityGauges
 from .events import EventStream, TelemetryEvent
 from .export import (events_jsonl, figure6_report, prometheus_snapshot,
                      span_tree)
-from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
-                      MetricsRegistry, TimeWeightedGauge)
+from .metrics import Counter, Gauge, MetricsRegistry, TimeWeightedGauge
 from .spans import Span, Tracer
 
 __all__ = [
     "CapacityGauges",
     "Counter",
-    "DEFAULT_BUCKETS",
     "EventStream",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Span",
     "Telemetry",

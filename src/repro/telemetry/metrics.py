@@ -1,5 +1,5 @@
-"""The metrics registry: counters, gauges, histograms, time-weighted
-gauges, keyed by ``(name, labels)``.
+"""The metrics registry: counters, gauges and time-weighted gauges,
+keyed by ``(name, labels)``.
 
 Naming follows the Prometheus conventions: ``repro_<subsystem>_<what>``
 with ``_total`` suffixing monotone counters; labels hold the low-
@@ -17,7 +17,6 @@ per process into its series key, in a table every registry shares.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -25,9 +24,6 @@ from ..errors import ValidationError
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default duration buckets (sim time units), roughly logarithmic.
-DEFAULT_BUCKETS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 
 _LabelTuple = Tuple[Tuple[str, str], ...]
 _Key = Tuple[str, _LabelTuple]
@@ -77,42 +73,6 @@ class Gauge:
     def add(self, delta: float) -> None:
         """Adjust the current value by ``delta``."""
         self.value += delta
-
-
-class Histogram:
-    """A fixed-bucket histogram (cumulative at render time)."""
-
-    def __init__(self, buckets: "Tuple[float, ...]" = DEFAULT_BUCKETS
-                 ) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValidationError(
-                f"histogram buckets must be a sorted non-empty "
-                f"sequence: {buckets}")
-        self.buckets = tuple(float(bound) for bound in buckets)
-        #: One count per finite bucket, plus the +Inf overflow bucket.
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.sum += value
-        self.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
-
-    def cumulative(self) -> "List[Tuple[float, int]]":
-        """``(upper_bound, cumulative_count)`` pairs, ending at +Inf."""
-        result = []
-        running = 0
-        for bound, count in zip(self.buckets, self.counts):
-            running += count
-            result.append((bound, running))
-        result.append((float("inf"), running + self.counts[-1]))
-        return result
 
 
 class TimeWeightedGauge:
@@ -167,7 +127,7 @@ class TimeWeightedGauge:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms keyed by ``(name, labels)``.
+    """Counters, gauges and time-weighted gauges keyed by ``(name, labels)``.
 
     Args:
         now: Clock callable feeding the time-weighted gauges; a
@@ -181,7 +141,6 @@ class MetricsRegistry:
         self._kinds: Dict[str, str] = {}
         self._counters: "Dict[_Key, Counter]" = {}
         self._gauges: "Dict[_Key, Gauge]" = {}
-        self._histograms: "Dict[_Key, Histogram]" = {}
         self._time_gauges: "Dict[_Key, TimeWeightedGauge]" = {}
 
     # ------------------------------------------------------------------
@@ -226,13 +185,6 @@ class MetricsRegistry:
         """Get or create a gauge."""
         return self._get(self._gauges, "gauge", name, labels, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: "Tuple[float, ...]" = DEFAULT_BUCKETS,
-                  **labels: Any) -> Histogram:
-        """Get or create a fixed-bucket histogram."""
-        return self._get(self._histograms, "histogram", name, labels,
-                         Histogram, buckets)
-
     def time_gauge(self, name: str, **labels: Any) -> TimeWeightedGauge:
         """Get or create a time-weighted gauge."""
         return self._get(self._time_gauges, "timegauge", name, labels,
@@ -248,12 +200,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         return instrument.value if instrument is not None else 0.0
 
-    def gauge_value(self, name: str, **labels: Any) -> float:
-        """A gauge's value (0 when never set)."""
-        key = self._series(name, "gauge", labels)
-        instrument = self._gauges.get(key)
-        return instrument.value if instrument is not None else 0.0
-
     def as_dict(self) -> "Dict[str, float]":
         """Flat snapshot ``"name{a=b}" -> value`` for assertions."""
         data: Dict[str, float] = {}
@@ -264,9 +210,6 @@ class MetricsRegistry:
         for (name, labels), tw in self._time_gauges.items():
             data[_flat(name, labels)] = tw.value
             data[_flat(name + "_timeweighted_mean", labels)] = tw.mean()
-        for (name, labels), histogram in self._histograms.items():
-            data[_flat(name + "_count", labels)] = float(histogram.count)
-            data[_flat(name + "_sum", labels)] = histogram.sum
         return data
 
     def render_prometheus(self) -> str:
@@ -279,13 +222,11 @@ class MetricsRegistry:
         families: "Dict[str, Tuple[str, List[str]]]" = {}
 
         def row(family: str, kind: str, name: str, labels: _LabelTuple,
-                value: float,
-                extra: "Tuple[Tuple[str, str], ...]" = ()) -> None:
-            pairs = tuple(sorted(labels + extra))
+                value: float) -> None:
             rendered = name
-            if pairs:
+            if labels:
                 body = ",".join(f'{label}="{_escape(text)}"'
-                                for label, text in pairs)
+                                for label, text in labels)
                 rendered = f"{name}{{{body}}}"
             families.setdefault(family, (kind, []))[1].append(
                 f"{rendered} {value:g}")
@@ -298,14 +239,6 @@ class MetricsRegistry:
             row(name, "gauge", name, labels, tw.value)
             row(name + "_timeweighted_mean", "gauge",
                 name + "_timeweighted_mean", labels, tw.mean())
-        for (name, labels), histogram in sorted(self._histograms.items()):
-            for bound, cumulative in histogram.cumulative():
-                le = "+Inf" if math.isinf(bound) else f"{bound:g}"
-                row(name, "histogram", name + "_bucket", labels,
-                    float(cumulative), (("le", le),))
-            row(name, "histogram", name + "_sum", labels, histogram.sum)
-            row(name, "histogram", name + "_count", labels,
-                float(histogram.count))
 
         lines: List[str] = []
         for family in sorted(families):

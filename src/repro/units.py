@@ -31,25 +31,25 @@ Number = Union[int, float]
 TOLERANCE = 1e-9
 
 
-def isclose(a: Number, b: Number, *, tol: Number = TOLERANCE) -> bool:
+def isclose(a: Number, b: Number) -> bool:
     """Tolerance-based equality for capacity/time quantities.
 
     Float ``==`` on derived quantities (accumulated capacity, summed
     durations) is brittle; every layer that needs "the same amount"
     should call this instead.  The comparison is absolute-plus-relative:
-    values within ``tol`` of each other, or within ``tol`` relative to
-    the larger magnitude, compare equal.  Infinities compare equal only
+    values within :data:`TOLERANCE` of each other, or within it relative
+    to the larger magnitude, compare equal.  Infinities compare equal only
     to themselves.
     """
     if a == b:  # qlint: disable=QLNT102 -- fast path, incl. infinities
         return True
     diff = abs(a - b)
-    return diff <= tol or diff <= tol * max(abs(a), abs(b))
+    return diff <= TOLERANCE or diff <= TOLERANCE * max(abs(a), abs(b))
 
 
-def iszero(value: Number, *, tol: Number = TOLERANCE) -> bool:
+def iszero(value: Number) -> bool:
     """Whether a capacity/time quantity is numerically zero."""
-    return abs(value) <= tol
+    return abs(value) <= TOLERANCE
 
 # Multipliers into the canonical unit of each dimension.
 _MEMORY_UNITS = {
@@ -183,11 +183,10 @@ _BOUND_WORDS = {
 }
 
 
-def parse_bound(text: str, value_parser=parse_percentage) -> Bound:
+def parse_bound(text: str) -> Bound:
     """Parse a worded bound such as ``"LessThan 10%"`` (Table 1).
 
-    ``value_parser`` converts the numeric part; it defaults to
-    :func:`parse_percentage` because the paper only uses worded bounds
+    The numeric part is a percentage: the paper only uses worded bounds
     for packet loss.
     """
     parts = text.strip().split(None, 1)
@@ -197,20 +196,16 @@ def parse_bound(text: str, value_parser=parse_percentage) -> Bound:
     relation = _BOUND_WORDS.get(word.lower())
     if relation is None:
         raise UnitError(f"unknown bound word {word!r} in {text!r}")
-    return Bound(relation, value_parser(number))
+    return Bound(relation, parse_percentage(number))
 
 
-def render_bound(bound: Bound, renderer=None) -> str:
+def render_bound(bound: Bound) -> str:
     """Render a :class:`Bound` back into the paper's worded form."""
     words = {relation: word for word, relation in _BOUND_WORDS.items()}
     word = {"lessthan": "LessThan", "atmost": "AtMost",
             "greaterthan": "GreaterThan", "atleast": "AtLeast",
             "equals": "Equals"}[words[bound.relation]]
-    if renderer is None:
-        value = render_percentage(bound.value)
-    else:
-        value = renderer(bound.value)
-    return f"{word} {value}"
+    return f"{word} {render_percentage(bound.value)}"
 
 
 def _trim(value: float) -> str:

@@ -23,9 +23,8 @@ evaluation with synthetic session workloads, grown here into a
 
 from .arrivals import ConstantRate, DiurnalRate, FlashCrowdRate, \
     sample_arrivals
-from .atlas import (DEFAULT_SEED, families_covered, get_scenario,
-                    register_scenario, scenario_names, scenarios,
-                    scenarios_by_family)
+from .atlas import (DEFAULT_SEED, get_scenario, register_scenario,
+                    scenario_names, scenarios)
 from .durations import (ExponentialDuration, LognormalDuration,
                         ParetoDuration)
 from .generators import WorkloadConfig, arrival_rate_for_load, \
@@ -54,7 +53,6 @@ __all__ = [
     "WorkloadConfig",
     "arrival_rate_for_load",
     "check_invariants",
-    "families_covered",
     "generate_workload",
     "get_scenario",
     "register_scenario",
@@ -62,5 +60,4 @@ __all__ = [
     "sample_arrivals",
     "scenario_names",
     "scenarios",
-    "scenarios_by_family",
 ]

@@ -31,16 +31,14 @@ from ..errors import ValidationError
 from .arrivals import ConstantRate, DiurnalRate, FlashCrowdRate
 from .durations import (ExponentialDuration, LognormalDuration,
                         ParetoDuration)
-from .scenarios import FAMILIES, FailureTrack, ScenarioSpec, TenantProfile
+from .scenarios import FailureTrack, ScenarioSpec, TenantProfile
 
 __all__ = [
     "DEFAULT_SEED",
-    "families_covered",
     "get_scenario",
     "register_scenario",
     "scenario_names",
     "scenarios",
-    "scenarios_by_family",
 ]
 
 #: The seed headline atlas numbers are reported at (the paper's year).
@@ -88,21 +86,6 @@ def scenario_names() -> "Tuple[str, ...]":
 def scenarios() -> "Tuple[ScenarioSpec, ...]":
     """Registered specs in registration order."""
     return tuple(_REGISTRY[name] for name in _ORDER)
-
-
-def scenarios_by_family(family: str) -> "Tuple[ScenarioSpec, ...]":
-    """All scenarios of one family (validates the family name)."""
-    if family not in FAMILIES:
-        raise ValidationError(
-            f"unknown family {family!r}; expected one of "
-            f"{', '.join(FAMILIES)}")
-    return tuple(spec for spec in scenarios() if spec.family == family)
-
-
-def families_covered() -> "Tuple[str, ...]":
-    """The families with at least one registered scenario."""
-    return tuple(family for family in FAMILIES
-                 if any(spec.family == family for spec in scenarios()))
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,10 @@ __all__ = [
 
 _EPSILON = 1e-9
 
+#: Cadence of verifier polling, invariant checkpoints and SLO
+#: evaluation in a replay (simulation time).
+SAMPLE_INTERVAL = 5.0
+
 #: Occupancy gauge pools in partition order (Cg, Ca, Cb).
 _POOLS = ("g", "a", "b")
 
@@ -165,7 +169,6 @@ def batch_schedule(compiled: CompiledScenario, batch_window: float
 
 def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
                     batch_window: float = 5.0,
-                    sample_interval: float = 5.0,
                     chaos_seed: Optional[int] = None,
                     drop: float = 0.1, delay: float = 0.1,
                     duplicate: float = 0.0, error: float = 0.0,
@@ -177,7 +180,6 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
         spec: A :class:`ScenarioSpec` or a registered scenario name.
         seed: Drives both the workload compilation and the testbed.
         batch_window: Admission epoch length for the batched pipeline.
-        sample_interval: Verifier polling and checkpoint cadence.
         chaos_seed: When set, arms PR-3 fault injection on the bus
             (with the remaining keyword rates) and switches admission
             to the sequential fault-tolerant path.
@@ -207,7 +209,7 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
         install_journal(testbed)
     broker = testbed.broker
     sim = testbed.sim
-    broker.verifier.start_polling(sample_interval)
+    broker.verifier.start_polling(SAMPLE_INTERVAL)
 
     # Per-class violation attribution: the verifier's counter is an
     # aggregate, but the atlas invariants distinguish a guaranteed
@@ -264,10 +266,10 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
     def sample() -> None:
         checkpoints.audit(testbed)
         slo.evaluate(sim.now)
-        if sim.now + sample_interval <= spec.horizon + _EPSILON:
-            sim.schedule(sample_interval, sample, label="atlas:sample")
+        if sim.now + SAMPLE_INTERVAL <= spec.horizon + _EPSILON:
+            sim.schedule(SAMPLE_INTERVAL, sample, label="atlas:sample")
 
-    sim.schedule(sample_interval, sample, label="atlas:sample")
+    sim.schedule(SAMPLE_INTERVAL, sample, label="atlas:sample")
     sim.run(until=spec.horizon)
     broker.verifier.stop_polling()
     if testbed.gateway is not None:

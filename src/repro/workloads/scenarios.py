@@ -180,16 +180,6 @@ class FailureTrack:
         return cls(domain=domain,
                    events=((start, -nodes), (start + duration, nodes)))
 
-    def peak_nodes_down(self) -> int:
-        """Largest simultaneous node loss on this track."""
-        down = 0
-        worst = 0
-        for _time, delta in self.events:
-            down -= delta
-            if down > worst:
-                worst = down
-        return worst
-
     def scaled(self, *, time_factor: float = 1.0) -> "FailureTrack":
         """A copy with event times compressed by ``time_factor``."""
         if time_factor <= 0:
@@ -265,16 +255,6 @@ class ScenarioSpec:
     def has_failures(self) -> bool:
         """Whether any failure track injects capacity loss."""
         return bool(self.failures)
-
-    def peak_nodes_down(self) -> int:
-        """Largest simultaneous loss across all tracks combined."""
-        down = 0
-        worst = 0
-        for time, delta in self.failure_events():
-            down -= delta
-            if down > worst:
-                worst = down
-        return worst
 
     def failure_events(self) -> "Tuple[Tuple[float, int], ...]":
         """All tracks merged, sorted; failures before repairs at the

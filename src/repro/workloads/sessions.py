@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from ..qos.classes import ServiceClass
 from ..errors import ValidationError
@@ -74,24 +74,8 @@ class Workload:
     sessions: "Tuple[SessionSpec, ...]"
     horizon: float
 
-    def __post_init__(self) -> None:
-        # Per-class index, precomputed once so by_class() is a lookup
-        # rather than a rescan of the whole session list per call.
-        # object.__setattr__ because the dataclass is frozen; the index
-        # is not a field, so equality/repr still compare sessions only.
-        index: "Dict[ServiceClass, List[SessionSpec]]" = {}
-        for session in self.sessions:
-            index.setdefault(session.service_class, []).append(session)
-        object.__setattr__(self, "_by_class",
-                           {cls: tuple(group)
-                            for cls, group in index.items()})
-
     def __len__(self) -> int:
         return len(self.sessions)
-
-    def by_class(self, service_class: ServiceClass) -> List[SessionSpec]:
-        """Sessions of one class (precomputed index; O(matches))."""
-        return list(self._by_class.get(service_class, ()))
 
     def fingerprint(self) -> str:
         """A canonical sha256 of the whole workload.

@@ -128,8 +128,6 @@ class MessageBus:
             ``"chaos"``, undeliverable notifications under
             ``"dead-letter"``).
         latency: Default delivery delay for :meth:`send_async`.
-        faults: Optional fault plan; :meth:`install_faults` can attach
-            one later. Without a plan the bus is a perfect transport.
         probe: The seam of the testbed that owns the wire: spans per
             request leg and delivery (parented across hops by the
             envelope's TraceID/SpanID headers), transport and dedup
@@ -139,13 +137,14 @@ class MessageBus:
     def __init__(self, sim: Simulator,
                  trace: Optional[TraceRecorder] = None,
                  latency: float = 0.0,
-                 faults: Optional[FaultPlan] = None,
                  probe: Optional[Probe] = None) -> None:
         self._sim = sim
         self._trace = trace
         self._endpoints: Dict[str, Endpoint] = {}
         self.latency = latency
-        self.faults = faults
+        #: The fault plan :meth:`install_faults` attached; without one
+        #: the bus is a perfect transport.
+        self.faults: Optional[FaultPlan] = None
         self.dead_letters: List[DeadLetter] = []
         self.probe = probe if probe is not None else Probe()
 

@@ -16,7 +16,7 @@ not the session's lifetime.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Generic, Optional, TypeVar
 
 from ..errors import ValidationError
 from ..telemetry.metrics import MetricsRegistry
@@ -67,16 +67,6 @@ class DedupCache(Generic[V]):
         if evictions is not None and evictions.value:
             self._evictions.inc(evictions.value)
 
-    @property
-    def hits(self) -> int:
-        """Re-deliveries answered from the cache so far."""
-        return int(self._hits.value)
-
-    @property
-    def evictions(self) -> int:
-        """Entries evicted to stay within capacity so far."""
-        return int(self._evictions.value)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -102,11 +92,3 @@ class DedupCache(Generic[V]):
             self._evictions.inc()
         self._entries[key] = value
         return value
-
-    def items(self) -> "Iterator[Tuple[str, V]]":
-        """Remembered (key, outcome) pairs, oldest first."""
-        return iter(list(self._entries.items()))
-
-    def clear(self) -> None:
-        """Forget everything (counters are kept)."""
-        self._entries.clear()

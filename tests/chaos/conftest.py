@@ -113,7 +113,7 @@ def assert_protocol_settled(testbed: Testbed) -> None:
     """No wedged negotiation; every established SLA is settled."""
     assert testbed.gateway is not None
     testbed.gateway.sweep_stale(0.0)
-    assert testbed.gateway.pending_negotiations == ()
+    assert not testbed.gateway._negotiations
     for sla in testbed.repository.all():
         assert sla.status in SETTLED, \
             f"SLA {sla.sla_id} wedged in {sla.status}"

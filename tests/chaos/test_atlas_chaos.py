@@ -19,8 +19,7 @@ varies.
 import pytest
 
 from repro.qos.classes import ServiceClass
-from repro.workloads import (check_invariants, replay_scenario,
-                             scenarios_by_family)
+from repro.workloads import check_invariants, replay_scenario, scenarios
 from repro.workloads.scenarios import FAMILIES
 
 from .conftest import (SETTLED, assert_capacity_conserved,
@@ -32,7 +31,7 @@ FAULT_SWEEP = ((0.05, 0.0), (0.15, 0.25))
 
 def family_scenario(family: str):
     """The family's first registered scenario, time-compressed 2x."""
-    spec = scenarios_by_family(family)[0]
+    spec = next(spec for spec in scenarios() if spec.family == family)
     return spec.scaled(time_factor=0.5, load_factor=1.0)
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.testbed import build_testbed
+from repro.core.testbed import build_testbed, install_observability
+from repro.errors import CapacityError
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter, range_parameter
 from repro.qos.specification import QoSSpecification
@@ -184,15 +185,74 @@ class TestScenario2Termination:
         assert cl.sla.delivered_point[Dimension.CPU] == 8.0
 
 
+class TestPromotionDeclines:
+    """``offer_promotion`` declines when the upgrade cannot be applied;
+    the client itself accepts every offer."""
+
+    @pytest.fixture
+    def at_floor(self, testbed):
+        """A controlled-load session agreed at its 2-CPU floor (best 8),
+        with decision provenance on."""
+        decisions, _ = install_observability(testbed)
+        negotiation, reason = testbed.broker.negotiate(
+            controlled_request(end=200.0, accept_promotion=True))
+        assert not reason
+        negotiation.accept([offer for offer in negotiation.offers
+                            if "minimum" in offer.note][0])
+        outcome = testbed.broker.establish(negotiation)
+        assert outcome.accepted
+        return outcome.sla, decisions
+
+    def assert_declined(self, broker, sla, decisions, agreed, rate):
+        best = sla.specification.best_point()
+        assert broker.offer_promotion(sla, best) is False
+        account = broker.ledger.account(sla.sla_id)
+        assert account.promotions_offered == 1
+        assert account.promotions_accepted == 0
+        assert sla.agreed_point == agreed
+        assert sla.price_rate == rate
+        record = decisions.records[-1]
+        assert record.action == "promotion"
+        assert record.outcome == "decline"
+        assert record.constraint == "client/capacity"
+
+    def test_declined_when_the_point_does_not_fit_idle_capacity(
+            self, testbed, at_floor):
+        sla, decisions = at_floor
+        broker = testbed.broker
+        # 20 best-effort nodes leave 4 idle; the upgrade needs 6 more.
+        assert broker.request_best_effort("student", 20)
+        assert broker.partition.idle_capacity() == pytest.approx(4.0)
+        self.assert_declined(broker, sla, decisions,
+                             dict(sla.agreed_point), sla.price_rate)
+
+    def test_rolled_back_when_applying_the_point_fails(
+            self, testbed, at_floor, monkeypatch):
+        sla, decisions = at_floor
+        broker = testbed.broker
+        agreed, rate = dict(sla.agreed_point), sla.price_rate
+
+        def refuse(sla, point):
+            # The agreed terms were already raised when this runs.
+            assert sla.agreed_point[Dimension.CPU] == 8.0
+            raise CapacityError("reservation resize refused")
+
+        monkeypatch.setattr(broker, "apply_point", refuse)
+        self.assert_declined(broker, sla, decisions, agreed, rate)
+        assert agreed == {Dimension.CPU: 2.0}
+
+
 class TestScenario3Degradation:
     def test_compute_failure_covered_by_adaptive_reserve(self, testbed):
         broker = testbed.broker
         outcome = broker.request_service(guaranteed_request(cpu=14))
         assert outcome.accepted
+        notices = []
+        broker.hub.subscribe(notices.append)
         testbed.machine.fail_nodes(3)
         holding = broker.partition_holding(outcome.sla.sla_id)
         assert holding.served == 14  # Adapt() covered the loss
-        assert broker.hub.for_sla(outcome.sla.sla_id) == []
+        assert notices == []
 
     def test_congestion_degrades_controlled_load_in_place(self, testbed):
         broker = testbed.broker
@@ -218,13 +278,16 @@ class TestScenario3Degradation:
         outcome = broker.request_service(
             guaranteed_request(cpu=10, network=True))
         assert outcome.accepted
+        notices = []
+        broker.hub.subscribe(notices.append)
         # Collapse the link to 10% — delivered 62.2 of 100 agreed is a
         # > 0.5 severity... actually 0.378; drive it harder:
         testbed.nrm.set_congestion("siteA", "siteB", 0.1)
         assert outcome.sla.status in (SlaStatus.TERMINATED,
                                       SlaStatus.ACTIVE)
-        notices = broker.hub.for_sla(outcome.sla.sla_id)
-        assert notices  # the NRM raised the degradation
+        # The NRM raised the degradation.
+        assert [notice for notice in notices
+                if notice.sla_id == outcome.sla.sla_id]
 
 
 class TestBestEffort:

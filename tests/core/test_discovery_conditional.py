@@ -426,7 +426,8 @@ class TestDegradedAfterRevalidation:
         # age counts from the revalidation at t=5, not the fetch at 0.
         assert wire.sim.now > 8.0
         assert stale.age == pytest.approx(wire.sim.now - 5.0)
-        assert wire.finder.stale_hits == 1
+        assert wire.finder.metrics.counter_value(
+            "repro_discovery_stale_hits_total") == 1
 
 
 class TestVerbatimQuery:

@@ -108,8 +108,8 @@ class TestSemantics:
         broker = testbed.broker
         outcome = establish(testbed)
         broker.renegotiate_session(outcome.sla.sla_id, spec_of(8))
-        assert QoSFunction.RENEGOTIATION in \
-            outcome.session.functions_performed()
+        assert QoSFunction.RENEGOTIATION in [
+            function for _time, function in outcome.session.history]
 
     def test_accounting_rate_steps_at_renegotiation(self, testbed):
         broker = testbed.broker

@@ -75,7 +75,6 @@ class TestPolicyRunner:
             result = run_policy_workload(policy, workload_for(1.5))
             for value in (result.guaranteed_acceptance,
                           result.controlled_acceptance,
-                          result.best_effort_acceptance,
                           result.mean_utilization,
                           result.violation_time_fraction):
                 assert 0.0 <= value <= 1.0

@@ -9,15 +9,14 @@ import pytest
 from repro.errors import FederationError, ValidationError
 from repro.federation.faults import DomainChaos, PartitionWindow
 from repro.xmlmsg.envelope import Envelope
-from repro.xmlmsg.faults import FaultDecision
 
 
-def make_chaos(now=lambda: 0.0, inner=None) -> DomainChaos:
+def make_chaos(now=lambda: 0.0) -> DomainChaos:
     def domain_of(endpoint: str):
         if ":" in endpoint:
             return endpoint.rsplit(":", 1)[1]
         return None
-    return DomainChaos(now, domain_of=domain_of, inner=inner)
+    return DomainChaos(now, domain_of=domain_of)
 
 
 def envelope(sender: str, recipient: str) -> Envelope:
@@ -104,25 +103,6 @@ class TestBusContract:
         chaos.decide(envelope("fed:d1", "fed:d3"), "request")
         assert chaos.stats.decisions == 2
         assert chaos.stats.dropped == 1
-
-    def test_inner_plan_consulted_for_clean_deliveries(self):
-        class Inner:
-            def __init__(self):
-                self.seen = 0
-
-            def decide(self, envelope, leg):
-                self.seen += 1
-                return FaultDecision(drop=True)
-
-        inner = Inner()
-        chaos = make_chaos(inner=inner)
-        chaos.crash("d2")
-        # Dropped at the domain layer: inner never sees it.
-        chaos.decide(envelope("fed:d1", "fed:d2"), "request")
-        assert inner.seen == 0
-        # Clean at the domain layer: inner keeps biting.
-        assert chaos.decide(envelope("fed:d1", "fed:d3"), "request").drop
-        assert inner.seen == 1
 
     def test_unknown_leg_raises(self):
         with pytest.raises(ValidationError):

@@ -77,7 +77,7 @@ class NaiveSlotTable:
     def _event_points(self, start: float, end: float) -> List[float]:
         points = {start}
         for entry in self._entries.values():
-            if entry.overlaps(start, end) and entry.start > start:
+            if start < entry.start < end:
                 points.add(entry.start)
         return sorted(points)
 
@@ -165,17 +165,3 @@ class NaiveSlotTable:
         except CapacityError:
             self._entries[entry.entry_id] = entry
             raise
-
-    def truncate(self, entry: SlotEntry, end: float) -> SlotEntry:
-        """Shorten an entry's window (early release at ``end``)."""
-        if entry.entry_id not in self._entries:
-            raise ReservationNotFound(
-                f"slot entry {entry.entry_id} is not booked")
-        del self._entries[entry.entry_id]
-        if end <= entry.start:
-            return entry
-        shortened = SlotEntry(entry_id=entry.entry_id, demand=entry.demand,
-                              start=entry.start, end=min(entry.end, end),
-                              label=entry.label)
-        self._entries[shortened.entry_id] = shortened
-        return shortened

@@ -109,13 +109,6 @@ class TestResize:
             slots.resize(entry, ResourceVector(cpu=8))
         assert slots.usage_at(5).cpu == 8  # unchanged
 
-    def test_truncate_frees_tail(self):
-        slots = table(cpu=10)
-        entry = slots.reserve(ResourceVector(cpu=10), 0, 100)
-        slots.truncate(entry, 50)
-        assert slots.available(50, 100).cpu == 10
-        assert slots.available(0, 50).cpu == 0
-
 
 class TestOpenEndedReservations:
     def test_forever_window_blocks_all_future_time(self):

@@ -32,23 +32,27 @@ class TestDeterministicFailures:
         outcome = broker.request_service(g_request("sla3", 10))
         other = broker.request_service(g_request("other", 4))
         assert outcome.accepted and other.accepted
+        notices = []
+        broker.hub.subscribe(notices.append)
         FailureSchedule.of((100.0, -3), (200.0, 3)).apply(
             testbed.sim, testbed.machine)
         testbed.sim.run(until=300.0)
         # No degradation notice was ever raised for either session: the
         # adaptive reserve absorbed the 3-node failure.
-        assert broker.hub.for_sla(outcome.sla.sla_id) == []
-        assert broker.hub.for_sla(other.sla.sla_id) == []
+        assert notices == []
 
     def test_failure_beyond_reserve_raises_notices(self):
         testbed = build_testbed()
         broker = testbed.broker
         outcome = broker.request_service(g_request("big", 15))
         assert outcome.accepted
+        published = []
+        broker.hub.subscribe(published.append)
         # 15 entitled; fail 15 nodes: eff Cg=0, Ca=6, Cb raidable 3
         # (min=2) -> shortfall 6.
         testbed.machine.fail_nodes(15)
-        notices = broker.hub.for_sla(outcome.sla.sla_id)
+        notices = [notice for notice in published
+                   if notice.sla_id == outcome.sla.sla_id]
         assert notices
         assert "shortfall" in notices[0].detail
 
@@ -100,12 +104,14 @@ class TestStochasticFailures:
         broker = testbed.broker
         outcome = broker.request_service(g_request("big", 15, end=500.0))
         assert outcome.accepted
+        notices = []
+        broker.hub.subscribe(notices.append)
         # 15 entitled vs 14 raidable after a 10-node failure: a genuine
         # shortfall that adaptation cannot hide.
         testbed.machine.fail_nodes(10)
         testbed.sim.run(until=20.0)
-        notices = broker.hub.for_sla(outcome.sla.sla_id)
-        assert notices
+        assert [notice for notice in notices
+                if notice.sla_id == outcome.sla.sla_id]
         account = broker.ledger.account(outcome.sla.sla_id)
         terminated = outcome.sla.status is SlaStatus.TERMINATED
         assert terminated or account.total_penalties() > 0.0

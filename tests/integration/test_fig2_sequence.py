@@ -19,6 +19,12 @@ from repro.sla.negotiation import ServiceRequest
 from repro.units import parse_bound
 
 
+def _functions_performed(session):
+    """The distinct QoS functions a session ran, in first-run order."""
+    return list(dict.fromkeys(
+        function for _time, function in session.history))
+
+
 @pytest.fixture
 def session_outcome(testbed):
     spec = QoSSpecification.of(
@@ -54,7 +60,7 @@ class TestSequence:
         assert discovery < established
 
     def test_lifecycle_functions_recorded(self, session_outcome):
-        functions = session_outcome.session.functions_performed()
+        functions = _functions_performed(session_outcome.session)
         assert functions[:4] == [QoSFunction.SPECIFICATION,
                                  QoSFunction.MAPPING,
                                  QoSFunction.NEGOTIATION,
@@ -71,6 +77,6 @@ class TestSequence:
         testbed.sim.run(until=120.0)
         sla = session_outcome.sla
         assert sla.status in (SlaStatus.COMPLETED, SlaStatus.EXPIRED)
-        functions = session_outcome.session.functions_performed()
+        functions = _functions_performed(session_outcome.session)
         assert QoSFunction.TERMINATION in functions
         assert QoSFunction.ACCOUNTING in functions

@@ -73,8 +73,10 @@ class TestCrossDomainSessions:
         broker = world.brokers["domain1"]
         outcome = broker.request_service(cross_domain_request())
         assert outcome.accepted
+        notices = []
+        broker.hub.subscribe(notices.append)
         # Congest the inter-domain link via domain1's NRM (it owns it).
         world.coordinator.nrm_for("domain1").set_congestion(
             "site1", "site2", 0.1)
-        notices = broker.hub.for_sla(outcome.sla.sla_id)
-        assert notices
+        assert [notice for notice in notices
+                if notice.sla_id == outcome.sla.sla_id]

@@ -24,8 +24,8 @@ class CountingSensor(Sensor):
 
 
 @pytest.fixture
-def mds(sim):
-    return InformationService(sim, history_limit=3)
+def mds():
+    return InformationService()
 
 
 class TestRegistry:
@@ -52,31 +52,10 @@ class TestRegistry:
         assert not mds.has_sensor("cluster/*")
         assert not mds.has_sensor("cluster")
 
-    def test_unregister_keeps_history(self, sim, mds):
+    def test_unregister_removes_the_sensor(self, sim, mds):
         mds.register(CountingSensor("s", sim))
         mds.query("s")
         mds.unregister("s")
-        assert mds.latest("s") is not None
+        assert not mds.has_sensor("s")
         with pytest.raises(MonitoringError):
             mds.query("s")
-
-
-class TestHistory:
-    def test_latest_and_history(self, sim, mds):
-        mds.register(CountingSensor("s", sim))
-        for _ in range(2):
-            mds.query("s")
-        assert mds.latest("s").values[Dimension.CPU] == 2.0
-        assert [r.values[Dimension.CPU] for r in mds.history("s")] == \
-            [1.0, 2.0]
-
-    def test_history_limit(self, sim, mds):
-        mds.register(CountingSensor("s", sim))
-        for _ in range(10):
-            mds.query("s")
-        assert len(mds.history("s")) == 3
-        assert mds.history("s")[-1].values[Dimension.CPU] == 10.0
-
-    def test_latest_none_before_first_query(self, sim, mds):
-        mds.register(CountingSensor("s", sim))
-        assert mds.latest("s") is None

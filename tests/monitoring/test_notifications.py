@@ -20,20 +20,6 @@ class TestHub:
         hub.publish(notice())
         assert len(seen_a) == len(seen_b) == 1
 
-    def test_log_retains_everything(self):
-        hub = NotificationHub()
-        hub.publish(notice(sla_id=1))
-        hub.publish(notice(sla_id=2))
-        assert len(hub.log()) == 2
-
-    def test_for_sla_filters(self):
-        hub = NotificationHub()
-        hub.publish(notice(sla_id=1))
-        hub.publish(notice(sla_id=2))
-        hub.publish(notice(sla_id=1))
-        assert len(hub.for_sla(1)) == 2
-        assert len(hub.for_sla(3)) == 0
-
     def test_severity_zero_without_report(self):
         assert notice().severity == 0.0
 

@@ -18,6 +18,15 @@ from repro.units import parse_bound
 from repro.xmlmsg.document import parse_xml
 
 
+class RecordingHub(NotificationHub):
+    """A hub that keeps every notice published through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.published = []
+        self.subscribe(self.published.append)
+
+
 class StubSensor(Sensor):
     """Test double with settable values."""
 
@@ -44,8 +53,8 @@ def world(sim):
     repository.save(sla)
     sla.establish()
     sla.activate()
-    hub = NotificationHub()
-    verifier = SlaVerifier(sim, InformationService(sim), repository, hub)
+    hub = RecordingHub()
+    verifier = SlaVerifier(sim, InformationService(), repository, hub)
     return sim, repository, hub, verifier, sla
 
 
@@ -56,7 +65,7 @@ class TestConformanceTests:
             "s1", sim, {Dimension.CPU: 8.0}))
         report = verifier.conformance_test(sla.sla_id)
         assert report.conformant
-        assert hub.log() == []
+        assert hub.published == []
 
     def test_violation_publishes_degradation_notice(self, world):
         sim, _repo, hub, verifier, sla = world
@@ -64,7 +73,7 @@ class TestConformanceTests:
             "s1", sim, {Dimension.CPU: 2.0}))
         report = verifier.conformance_test(sla.sla_id)
         assert not report.conformant
-        notices = hub.for_sla(sla.sla_id)
+        notices = hub.published
         assert len(notices) == 1
         assert notices[0].source == "sla-verif"
         assert notices[0].severity > 0
@@ -141,7 +150,7 @@ class TestNrmCallback:
         listener = verifier.on_network_degradation(
             lambda flow: sla.sla_id)
         listener(FakeFlow(), FakeMeasurement())
-        notices = hub.for_sla(sla.sla_id)
+        notices = hub.published
         assert len(notices) == 1
         assert notices[0].source == "nrm"
 
@@ -157,4 +166,4 @@ class TestNrmCallback:
 
         listener = verifier.on_network_degradation(lambda flow: None)
         listener(FakeFlow(), FakeMeasurement())
-        assert hub.log() == []
+        assert hub.published == []

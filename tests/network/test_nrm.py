@@ -133,3 +133,20 @@ class TestMeasurement:
         nrm.set_congestion("a", "b", 0.5)
         nrm.set_congestion("a", "b", 1.0)
         assert nrm.measure(flow).bandwidth_mbps == pytest.approx(80.0)
+
+
+class TestAdmissibility:
+    def test_can_allocate_tracks_the_bottleneck(self, nrm):
+        assert nrm.can_allocate("a", "c", 50.0, 0, 10)
+        assert not nrm.can_allocate("a", "c", 51.0, 0, 10)
+        nrm.allocate("a", "c", 30.0, 0, 10)
+        assert not nrm.can_allocate("a", "c", 30.0, 5, 15)
+        assert nrm.can_allocate("a", "c", 30.0, 10, 20)
+
+    def test_can_allocate_is_false_without_a_path(self, sim, topology):
+        topology.add_site("island", "d1")
+        nrm = NetworkResourceManager(sim, topology, "d1")
+        assert not nrm.can_allocate("a", "island", 1.0, 0, 10)
+
+    def test_no_links_means_no_bandwidth_limit(self, nrm):
+        assert nrm.available_on_links([], 0, 10) == float("inf")

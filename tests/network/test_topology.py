@@ -104,3 +104,13 @@ class TestCongestion:
             link.set_congestion(0.0)
         with pytest.raises(NetworkError):
             link.set_congestion(1.5)
+
+
+class TestSiteLookup:
+    def test_site_by_name(self, paper_topology):
+        site = paper_topology.site("siteB")
+        assert (site.domain, site.address) == ("domain1", "135.200.50.101")
+
+    def test_unknown_site(self, paper_topology):
+        with pytest.raises(NetworkError):
+            paper_topology.site("ghost")

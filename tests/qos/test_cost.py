@@ -8,7 +8,6 @@ from repro.qos.classes import ServiceClass
 from repro.qos.cost import (
     DEFAULT_CLASS_MULTIPLIERS,
     PricingPolicy,
-    service_cost,
 )
 from repro.qos.parameters import Dimension
 
@@ -60,16 +59,3 @@ class TestMonotonicity:
         high = {Dimension.CPU: 8.0, Dimension.BANDWIDTH_MBPS: 45.0}
         assert policy.point_rate(high, ServiceClass.CONTROLLED_LOAD) > \
             policy.point_rate(low, ServiceClass.CONTROLLED_LOAD)
-
-
-class TestConvenienceWrapper:
-    def test_service_cost_default_policy(self):
-        assert service_cost({Dimension.CPU: 4.0},
-                            ServiceClass.CONTROLLED_LOAD) == \
-            pytest.approx(4.0)
-
-    def test_service_cost_custom_policy(self):
-        policy = PricingPolicy(weights={Dimension.CPU: 10.0})
-        assert service_cost({Dimension.CPU: 4.0},
-                            ServiceClass.CONTROLLED_LOAD,
-                            policy) == pytest.approx(40.0)

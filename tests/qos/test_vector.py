@@ -61,12 +61,6 @@ class TestPartialOrder:
         assert demand.fits_within(capacity)
         assert not capacity.fits_within(demand)
 
-    def test_dominates_is_inverse_of_fits(self):
-        a = ResourceVector(cpu=4)
-        b = ResourceVector(cpu=2)
-        assert a.dominates(b)
-        assert not b.dominates(a)
-
     def test_incomparable_vectors(self):
         a = ResourceVector(cpu=4, memory_mb=1)
         b = ResourceVector(cpu=1, memory_mb=4)
@@ -106,11 +100,6 @@ class TestProperties:
 
 
 class TestSerialization:
-    def test_as_dict(self):
-        vector = ResourceVector(cpu=4, memory_mb=64)
-        assert vector.as_dict() == {"cpu": 4, "memory_mb": 64,
-                                    "disk_mb": 0.0, "bandwidth_mbps": 0.0}
-
     def test_str_omits_zero_components(self):
         assert "memory" not in str(ResourceVector(cpu=4))
 

@@ -11,9 +11,6 @@ from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
 from repro.recovery.recover import install_journal
 from repro.recovery.snapshot import (
-    Snapshot,
-    decode_snapshot,
-    encode_snapshot,
     start_snapshots,
     take_snapshot,
 )
@@ -63,24 +60,6 @@ class TestTakeSnapshot:
         assert composite["confirmed"] is True
         assert composite["handle"] is not None
         assert len(composite["flows"]) == 1
-
-    def test_roundtrips_through_the_codec(self, journaled_testbed):
-        testbed = journaled_testbed
-        testbed.broker.request_service(_request())
-        testbed.sim.run(until=5.0)
-        snapshot = take_snapshot(testbed.broker)
-        assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
-
-    def test_encoding_is_deterministic(self):
-        snapshot = Snapshot(time=1.0, lsn=3, repository_xml="<x/>",
-                            partition={"b": 2, "a": 1})
-        assert encode_snapshot(snapshot) == encode_snapshot(snapshot)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(RecoveryError):
-            decode_snapshot("not json")
-        with pytest.raises(RecoveryError):
-            decode_snapshot('{"time": 1.0}')
 
 
 class TestPeriodicSnapshots:

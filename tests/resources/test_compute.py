@@ -86,51 +86,6 @@ class TestLaunch:
         assert first.finished_at == 10.0
 
 
-class TestUsageSampling:
-    def test_contracts_shrink_toward_usage(self, rm, sim):
-        from repro.sim.random import RandomSource
-        handle = reserve(rm, cpu=4)
-        job = rm.launch("svc", handle, duration=500.0, dsrt_fraction=0.9)
-        rm.start_usage_sampling(5.0, RandomSource(1), mean_usage=0.3,
-                                burstiness=0.05)
-        sim.run(until=100.0)
-        contract = rm.dsrt.contract(job.pid)
-        # 0.9 reserved vs ~0.3 used: the adjustment rounds shrank it.
-        assert contract.reserved_fraction < 0.6
-
-    def test_sampling_survives_job_completion(self, rm, sim):
-        from repro.sim.random import RandomSource
-        handle = reserve(rm, cpu=4)
-        rm.launch("svc", handle, duration=20.0, dsrt_fraction=0.5)
-        rm.start_usage_sampling(5.0, RandomSource(2))
-        sim.run(until=100.0)  # keeps sampling after the job ended
-        assert rm.running_jobs() == []
-
-    def test_sampling_is_deterministic(self):
-        from repro.sim.engine import Simulator
-        from repro.sim.random import RandomSource
-
-        def run(seed):
-            sim = Simulator()
-            machine = Machine("m", 32, grid_nodes=26)
-            rm = ComputeResourceManager(sim, machine)
-            handle = rm.gara.reservation_create(
-                reservation_rsl(ResourceVector(cpu=4), 0.0, 500.0))
-            rm.gara.reservation_commit(handle)
-            job = rm.launch("svc", handle, duration=400.0,
-                            dsrt_fraction=0.9)
-            rm.start_usage_sampling(5.0, RandomSource(seed))
-            sim.run(until=200.0)
-            return rm.dsrt.contract(job.pid).reserved_fraction
-
-        assert run(7) == run(7)
-
-    def test_invalid_interval(self, rm):
-        from repro.sim.random import RandomSource
-        with pytest.raises(ResourceError):
-            rm.start_usage_sampling(0.0, RandomSource(0))
-
-
 class TestCapacityTracking:
     def test_node_failure_shrinks_slot_table(self, rm):
         rm.machine.fail_nodes(3)

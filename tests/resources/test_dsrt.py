@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CapacityError, ResourceError
-from repro.resources.dsrt import CpuServiceClass, DsrtScheduler
+from repro.resources.dsrt import DsrtScheduler
 
 
 @pytest.fixture
 def dsrt():
-    return DsrtScheduler(node_count=8, headroom=0.1, min_fraction=0.05)
+    return DsrtScheduler(node_count=8)
 
 
 class TestReservations:
@@ -40,73 +40,6 @@ class TestReservations:
     def test_release_unknown_pid(self, dsrt):
         with pytest.raises(ResourceError):
             dsrt.release(9999)
-
-
-class TestUsageAdjustment:
-    def test_over_reserved_contract_shrinks_toward_usage(self, dsrt):
-        contract = dsrt.reserve(0.9, pid=1)
-        for _ in range(4):
-            dsrt.record_usage(1, 0.3)
-        changes = dsrt.adjust_contracts()
-        assert 1 in changes
-        # Target = usage * (1 + headroom) = 0.33.
-        assert contract.reserved_fraction == pytest.approx(0.33, abs=0.01)
-
-    def test_under_reserved_contract_grows(self, dsrt):
-        contract = dsrt.reserve(0.2, pid=1)
-        for _ in range(4):
-            dsrt.record_usage(1, 0.8)
-        dsrt.adjust_contracts()
-        assert contract.reserved_fraction == pytest.approx(0.88, abs=0.01)
-
-    def test_growth_bounded_by_free_capacity(self, dsrt):
-        dsrt.reserve(1.0, nodes=7, pid=1)  # 7 of 8 nodes taken
-        grower = dsrt.reserve(0.5, nodes=2, pid=2)  # 1.0 reserved, 0 free
-        for _ in range(4):
-            dsrt.record_usage(2, 1.0)
-        dsrt.adjust_contracts()
-        # Wanted 1.0 per node; only the zero free capacity limits it.
-        assert grower.reserved_fraction == pytest.approx(0.5)
-
-    def test_shrink_respects_min_fraction(self, dsrt):
-        contract = dsrt.reserve(0.5, pid=1)
-        for _ in range(4):
-            dsrt.record_usage(1, 0.0)
-        dsrt.adjust_contracts()
-        assert contract.reserved_fraction == pytest.approx(0.05)
-
-    def test_only_adaptive_contracts_move(self, dsrt):
-        contract = dsrt.reserve(0.9, pid=1,
-                                service_class=CpuServiceClass.PERIODIC)
-        for _ in range(4):
-            dsrt.record_usage(1, 0.1)
-        assert dsrt.adjust_contracts() == {}
-        assert contract.reserved_fraction == 0.9
-
-    def test_unsampled_contracts_untouched(self, dsrt):
-        contract = dsrt.reserve(0.9, pid=1)
-        assert dsrt.adjust_contracts() == {}
-        assert contract.reserved_fraction == 0.9
-
-    def test_usage_window_caps_samples(self, dsrt):
-        dsrt.reserve(0.5, pid=1)
-        for index in range(20):
-            dsrt.record_usage(1, index / 20.0)
-        assert len(dsrt.contract(1).usage_samples) == dsrt.window
-
-    def test_invalid_usage_rejected(self, dsrt):
-        dsrt.reserve(0.5, pid=1)
-        with pytest.raises(ResourceError):
-            dsrt.record_usage(1, 1.5)
-
-    def test_total_never_exceeds_nodes_after_adjustment(self, dsrt):
-        for pid in range(1, 5):
-            dsrt.reserve(0.4, nodes=2, pid=pid)
-        for pid in range(1, 5):
-            for _ in range(4):
-                dsrt.record_usage(pid, 1.0)
-        dsrt.adjust_contracts()
-        assert dsrt.reserved_total() <= dsrt.node_count + 1e-9
 
 
 class TestResize:

@@ -56,38 +56,22 @@ class TestNesting:
     def test_disjunction(self):
         expression = parse_rsl("|(count=10)(count=20)")
         assert expression.operator == "|"
-        assert expression.satisfied_by({"count": 20})
-        assert not expression.satisfied_by({"count": 15})
+        assert [relation.value for relation in expression.relations] \
+            == [10.0, 20.0]
 
     def test_nested_expression(self):
         expression = parse_rsl("&(count=10)(|(os=linux)(os=irix))")
-        assert expression.satisfied_by({"count": 10, "os": "irix"})
-        assert not expression.satisfied_by({"count": 10, "os": "windows"})
+        (child,) = expression.children
+        assert [relation.value for relation in expression.relations] \
+            == [10.0]
+        assert child.operator == "|"
+        assert [relation.value for relation in child.relations] \
+            == ["linux", "irix"]
 
     def test_multirequest(self):
         expression = parse_rsl("+(&(count=10))(&(bandwidth=45))")
         assert expression.operator == "+"
         assert len(expression.children) == 2
-
-
-class TestSatisfaction:
-    def test_numeric_comparison(self):
-        expression = parse_rsl("&(memory>=64)")
-        assert expression.satisfied_by({"memory": 128})
-        assert not expression.satisfied_by({"memory": 32})
-
-    def test_missing_attribute_fails(self):
-        expression = parse_rsl("&(memory>=64)")
-        assert not expression.satisfied_by({})
-
-    def test_string_equality(self):
-        expression = parse_rsl("&(os=linux)")
-        assert expression.satisfied_by({"os": "linux"})
-        assert not expression.satisfied_by({"os": "irix"})
-
-    def test_numeric_strings_compare_numerically(self):
-        expression = parse_rsl("&(count=10)")
-        assert expression.satisfied_by({"count": "10.0"})
 
 
 class TestErrors:

@@ -75,3 +75,24 @@ class TestEmptyQueue:
 
     def test_peek_empty_returns_none(self):
         assert EventQueue().peek_time() is None
+
+
+class TestEventValue:
+    def test_events_order_by_time_priority_then_sequence(self):
+        early = Event(1.0, 0, 5, _noop)
+        urgent = Event(2.0, PRIORITY_HIGH, 9, _noop)
+        later = Event(2.0, 0, 1, _noop)
+        assert sorted([later, urgent, early]) == [early, urgent, later]
+        assert early.sort_key == (1.0, 0, 5)
+
+    def test_equality_needs_the_same_action_and_label(self):
+        assert Event(1.0, 0, 1, _noop, "a") == Event(1.0, 0, 1, _noop, "a")
+        assert Event(1.0, 0, 1, _noop, "a") != Event(1.0, 0, 1, _noop, "b")
+        assert Event(1.0, 0, 1, _noop) != Event(1.0, 0, 1, print)
+        assert Event(1.0, 0, 1, _noop) != (1.0, 0, 1)
+
+    def test_repr_names_every_field(self):
+        text = repr(Event(1.5, 0, 3, _noop, "tick", cancelled=True))
+        for fragment in ("time=1.5", "priority=0", "seq=3",
+                         "label='tick'", "cancelled=True"):
+            assert fragment in text

@@ -35,13 +35,6 @@ class TestTraceRecorder:
         hits = trace.filter(category="broker", contains="reservation")
         assert len(hits) == 1
 
-    def test_categories_in_first_seen_order(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "b", "x")
-        trace.record(2.0, "a", "y")
-        trace.record(3.0, "b", "z")
-        assert trace.categories() == ["b", "a"]
-
     def test_render_contains_rows(self):
         trace = TraceRecorder()
         trace.record(1.5, "broker", "offer sent")

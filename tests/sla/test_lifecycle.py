@@ -107,14 +107,6 @@ class TestFunctionPhaseMapping:
 
 
 class TestHistory:
-    def test_functions_performed_deduplicates_in_order(self):
-        session = QoSSession(session_id=1)
-        session.perform(QoSFunction.SPECIFICATION, 1.0)
-        session.perform(QoSFunction.NEGOTIATION, 2.0)
-        session.perform(QoSFunction.SPECIFICATION, 3.0)
-        assert session.functions_performed() == [
-            QoSFunction.SPECIFICATION, QoSFunction.NEGOTIATION]
-
     def test_history_records_times(self):
         session = QoSSession(session_id=1)
         session.perform(QoSFunction.SPECIFICATION, 1.5)

@@ -274,12 +274,12 @@ class TestEnvelopeWireFuzz:
             assert partition.committed_total() == committed_before
             assert len(table) == entries_before
             assert len(testbed.repository.all()) == slas_before
-            assert negotiation_id in testbed.gateway.pending_negotiations
+            assert negotiation_id in testbed.gateway._negotiations
         else:
             assert response.action == "sla_established"
             assert len(testbed.repository.all()) == slas_before + 1
             assert negotiation_id not in \
-                testbed.gateway.pending_negotiations
+                testbed.gateway._negotiations
 
 
 def _request_for_broker():

@@ -167,3 +167,43 @@ class TestPenalties:
         report = check_conformance(sla, measure(cpu=4.0))
         assert violation_penalty(sla, report, duration=10.0,
                                  penalty_rate=0.5) == pytest.approx(25.0)
+
+
+class TestSpecCeilingConformance:
+    """Dimensions that do not consume capacity (delay here) are held
+    to the agreed point as a ceiling, not to the delivered point."""
+
+    @pytest.fixture
+    def delay_sla(self):
+        spec = QoSSpecification.of(
+            range_parameter(Dimension.CPU, 2, 8),
+            range_parameter(Dimension.DELAY_MS, 20, 80))
+        return ServiceSLA(
+            sla_id=1055, client="c", service_name="s",
+            service_class=ServiceClass.CONTROLLED_LOAD,
+            specification=spec, agreed_point=spec.best_point(),
+            start=0.0, end=100.0, price_rate=10.0)
+
+    def test_delay_above_the_agreed_ceiling_is_a_violation(self, delay_sla):
+        report = check_conformance(delay_sla, measure(delay=30.0))
+        violation = report.worst()
+        assert violation.dimension is Dimension.DELAY_MS
+        assert violation.expected == 20.0
+        assert violation.severity == pytest.approx(0.5)
+
+    def test_excess_severity_saturates_at_one(self, delay_sla):
+        report = check_conformance(delay_sla, measure(delay=500.0))
+        assert report.worst().severity == 1.0
+
+    def test_delay_at_the_ceiling_conforms(self, delay_sla):
+        assert check_conformance(delay_sla, measure(delay=20.0)).conformant
+
+    def test_a_dimension_owed_nothing_is_never_short(self):
+        spec = QoSSpecification.of(range_parameter(Dimension.CPU, 0, 8))
+        sla = ServiceSLA(
+            sla_id=1055, client="c", service_name="s",
+            service_class=ServiceClass.CONTROLLED_LOAD,
+            specification=spec, agreed_point=spec.best_point(),
+            start=0.0, end=100.0, price_rate=10.0)
+        sla.set_delivered_point({Dimension.CPU: 0.0})
+        assert check_conformance(sla, measure(cpu=0.0)).conformant

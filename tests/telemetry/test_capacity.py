@@ -97,7 +97,7 @@ class TestGaugeFeed:
         partition.admit_guaranteed("user-1", 10.0)
         partition.set_guaranteed_demand("user-1", 10.0)
         partition.apply_failure(6.0)
-        assert registry.gauge_value("repro_capacity_shortfall") \
+        assert registry.as_dict()["repro_capacity_shortfall"] \
             == pytest.approx(6.0)
         assert registry.counter_value(
             "repro_capacity_shortfall_events_total") >= 1

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.telemetry.metrics import (DEFAULT_BUCKETS, Histogram,
-                                     MetricsRegistry)
+from repro.telemetry.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -42,7 +41,8 @@ class TestInstruments:
         gauge = registry.gauge("repro_active", pool="g")
         gauge.set(4.0)
         gauge.add(-1.0)
-        assert registry.gauge_value("repro_active", pool="g") == 3.0
+        assert gauge.value == 3.0
+        assert registry.gauge("repro_active", pool="g") is gauge
 
     def test_kind_reuse_is_rejected(self):
         registry = MetricsRegistry()
@@ -56,26 +56,6 @@ class TestInstruments:
             registry.counter("bad name")
         with pytest.raises(ValidationError):
             registry.counter("repro_ok_total", **{"bad-label": "x"})
-
-
-class TestHistogram:
-    def test_buckets_must_be_sorted_and_non_empty(self):
-        with pytest.raises(ValidationError):
-            Histogram(())
-        with pytest.raises(ValidationError):
-            Histogram((2.0, 1.0))
-
-    def test_cumulative_ends_at_inf(self):
-        histogram = Histogram((1.0, 5.0))
-        for value in (0.5, 0.7, 3.0, 100.0):
-            histogram.observe(value)
-        assert histogram.cumulative() == [(1.0, 2), (5.0, 3),
-                                          (float("inf"), 4)]
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(104.2)
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
 
 class TestTimeWeightedGauge:
@@ -113,7 +93,6 @@ class TestRendering:
         registry.counter("repro_ops_total", op="b").inc(2)
         registry.counter("repro_ops_total", op="a").inc()
         registry.gauge("repro_active").set(3)
-        registry.histogram("repro_latency", buckets=(1.0,)).observe(0.5)
         registry.time_gauge("repro_cap", pool="g").set(15.0)
         clock.now = 10.0
         text = registry.render_prometheus()
@@ -123,10 +102,6 @@ class TestRendering:
         # Sorted label values within the family.
         assert lines.index('repro_ops_total{op="a"} 1') \
             < lines.index('repro_ops_total{op="b"} 2')
-        assert "# TYPE repro_latency histogram" in lines
-        assert 'repro_latency_bucket{le="+Inf"} 1' in lines
-        assert "repro_latency_sum 0.5" in lines
-        assert "repro_latency_count 1" in lines
         assert 'repro_cap{pool="g"} 15' in lines
         assert 'repro_cap_timeweighted_mean{pool="g"} 15' in lines
 

@@ -61,14 +61,17 @@ class TestGeneration:
         workload = generate_workload(
             WorkloadConfig(horizon=2000.0, arrival_rate=0.3),
             RandomSource(3))
-        for session in workload.by_class(ServiceClass.GUARANTEED):
+        for session in workload.sessions:
+            if session.service_class is not ServiceClass.GUARANTEED:
+                continue
             assert session.cpu_floor == session.cpu_best
 
     def test_controlled_sessions_stretch(self):
         config = WorkloadConfig(horizon=2000.0, arrival_rate=0.3,
                                 controlled_stretch=2.0)
         workload = generate_workload(config, RandomSource(4))
-        controlled = workload.by_class(ServiceClass.CONTROLLED_LOAD)
+        controlled = [s for s in workload.sessions
+                      if s.service_class is ServiceClass.CONTROLLED_LOAD]
         assert controlled
         assert all(s.cpu_best >= s.cpu_floor for s in controlled)
         assert any(s.cpu_best > s.cpu_floor for s in controlled)

@@ -139,7 +139,8 @@ def test_class_mix_within_tolerance(seed):
                            (ServiceClass.GUARANTEED,
                             ServiceClass.CONTROLLED_LOAD,
                             ServiceClass.BEST_EFFORT)):
-        share = len(compiled.workload.by_class(cls)) / total
+        share = sum(s.service_class is cls
+                    for s in compiled.workload.sessions) / total
         assert abs(share - weight) <= 6.0 * math.sqrt(
             weight * (1.0 - weight) / total)
 

@@ -55,23 +55,6 @@ class TestWorkload:
     def test_len(self):
         assert len(self.build()) == 4
 
-    def test_by_class_returns_matching_sessions_in_order(self):
-        workload = self.build()
-        guaranteed = workload.by_class(ServiceClass.GUARANTEED)
-        assert [s.session_id for s in guaranteed] == [1, 3]
-        assert [s.session_id
-                for s in workload.by_class(ServiceClass.BEST_EFFORT)] == [4]
-
-    def test_by_class_missing_class_is_empty(self):
-        empty = Workload(sessions=(), horizon=10.0)
-        assert empty.by_class(ServiceClass.GUARANTEED) == []
-
-    def test_by_class_index_matches_linear_scan(self):
-        workload = self.build()
-        for cls in ServiceClass:
-            scan = [s for s in workload.sessions if s.service_class is cls]
-            assert workload.by_class(cls) == scan
-
     def test_offered_cpu_load(self):
         # One 10-unit session of 2 CPUs over a 100-unit horizon on
         # capacity 4: 2 * 10 / (4 * 100).

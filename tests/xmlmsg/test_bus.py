@@ -188,7 +188,7 @@ class TestRenderWork:
             FaultRule(action="query", duplicate=1.0)]))
         calls = count_envelope_codec(monkeypatch)
         response = bus.request(request_envelope())
-        assert len(server.runs) == 1 and server.dedup.hits == 1
+        assert len(server.runs) == 1 and server.dedup._hits.value == 1
         # The request crosses twice; the reply is rendered once and
         # parsed once per delivery.
         assert calls == {"to_xml": 3, "from_xml": 4}
@@ -204,7 +204,7 @@ class TestRenderWork:
         assert len(server.runs) == 1
         bus.install_faults(None)
         response = bus.request(original.retry())
-        assert len(server.runs) == 1 and server.dedup.hits == 1
+        assert len(server.runs) == 1 and server.dedup._hits.value == 1
         assert response.in_reply_to == original.message_id
         assert response.body.text == "ok"
 

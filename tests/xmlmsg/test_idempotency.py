@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import MonitoringError, ValidationError
 from repro.sim.engine import Simulator
+from repro.telemetry.metrics import MetricsRegistry
 from repro.xmlmsg.bus import MessageBus
 from repro.xmlmsg.envelope import Envelope
 from repro.xmlmsg.idempotency import DEFAULT_CAPACITY, DedupCache
@@ -20,28 +21,31 @@ class TestDedupCache:
             DedupCache(capacity=0)
 
     def test_seen_counts_hits(self):
-        cache = DedupCache()
+        registry = MetricsRegistry()
+        cache = DedupCache(metrics=registry)
         assert not cache.seen("a")
         cache.put("a", "reply")
         assert cache.seen("a")
         assert cache.seen("a")
-        assert cache.hits == 2
+        assert registry.counter_value("repro_dedup_hits_total") == 2
         assert cache.get("a") == "reply"
 
     def test_fifo_eviction_is_deterministic(self):
-        cache = DedupCache(capacity=3)
+        registry = MetricsRegistry()
+        cache = DedupCache(capacity=3, metrics=registry)
         for key in ("a", "b", "c", "d"):
             cache.put(key, key.upper())
-        assert cache.evictions == 1
+        assert registry.counter_value("repro_dedup_evictions_total") == 1
         assert "a" not in cache
-        assert [key for key, _value in cache.items()] == ["b", "c", "d"]
+        assert [cache.get(key) for key in ("b", "c", "d")] == ["B", "C", "D"]
 
     def test_overwriting_a_key_does_not_evict(self):
-        cache = DedupCache(capacity=2)
+        registry = MetricsRegistry()
+        cache = DedupCache(capacity=2, metrics=registry)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 3)
-        assert cache.evictions == 0
+        assert registry.counter_value("repro_dedup_evictions_total") == 0
         assert cache.get("a") == 3
 
     def test_none_is_a_cacheable_outcome(self):
@@ -51,14 +55,6 @@ class TestDedupCache:
         cache.put("notify-1", None)
         assert cache.seen("notify-1")
         assert cache.get("notify-1") is None
-
-    def test_clear_keeps_counters(self):
-        cache = DedupCache()
-        cache.put("a", 1)
-        cache.seen("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
 
 
 class TestEndpointIdempotency:
@@ -100,7 +96,7 @@ class TestEndpointIdempotency:
         assert retry.message_id != original.message_id
         bus.request(retry)
         assert executions == [original.message_id]
-        assert server.dedup.hits == 1
+        assert server.dedup._hits.value == 1
 
     def test_failed_handler_is_not_cached(self):
         """A handler that raises must re-execute on retry — only
@@ -139,7 +135,7 @@ class TestEndpointIdempotency:
             bus.request(envelope)
         bus.request(envelopes[0])  # evicted by now -> runs again
         assert len(executions) == 4
-        assert server.dedup.evictions >= 1
+        assert server.dedup._evictions.value >= 1
 
     def test_default_capacity_is_shared_constant(self):
         bus, server = self.make_bus()
