@@ -11,15 +11,15 @@ session.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SLAError
-from ..network.interdomain import EndToEndAllocation
 from ..network.nrm import FlowAllocation
 from ..resources.compute import Job
 from ..sla.lifecycle import QoSSession
-from .reservation_system import CompositeReservation
+from .reservation_system import CompositeReservation, booking_flow_ids
 
 
 @dataclass
@@ -85,14 +85,21 @@ class AllocationManager:
     def sla_for_flow(self, flow: FlowAllocation) -> Optional[int]:
         """Map a network flow back to its owning SLA (verifier hook)."""
         for resources in self._sessions.values():
-            booking = (resources.reservation.network_booking
-                       if resources.reservation is not None else None)
-            if booking is None:
-                continue
-            if isinstance(booking, EndToEndAllocation):
-                if any(f.flow_id == flow.flow_id
-                       for _nrm, f in booking.segments):
-                    return resources.sla_id
-            elif booking.flow_id == flow.flow_id:
+            if resources.reservation is not None and flow.flow_id in \
+                    booking_flow_ids(resources.reservation.network_booking):
                 return resources.sla_id
         return None
+
+    def owners(self) -> "Counter[Tuple[str, int]]":
+        """How many open sessions own each GARA reservation
+        (``("reservation", handle)``) and NRM flow (``("flow", id)``)."""
+        owned: "Counter[Tuple[str, int]]" = Counter()
+        for resources in self._sessions.values():
+            composite = resources.reservation
+            if composite is None:
+                continue
+            if composite.compute_handle is not None:
+                owned["reservation", composite.compute_handle.value] += 1
+            owned.update(("flow", flow_id) for flow_id
+                         in booking_flow_ids(composite.network_booking))
+        return owned

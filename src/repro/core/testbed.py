@@ -104,8 +104,14 @@ class Testbed:
                           caller=caller)
 
 
-def build_testbed(*, total_cpu: int = 26, guaranteed_cpu: int = 15,
-                  adaptive_cpu: int = 6, best_effort_cpu: int = 5,
+#: The Section 5.6 split ``(Cg, Ca, Cb)`` both builders partition by.
+_PAPER_SPLIT = (15, 6, 5)
+
+
+def build_testbed(*, total_cpu: int = sum(_PAPER_SPLIT),
+                  guaranteed_cpu: int = _PAPER_SPLIT[0],
+                  adaptive_cpu: int = _PAPER_SPLIT[1],
+                  best_effort_cpu: int = _PAPER_SPLIT[2],
                   best_effort_min: int = 2,
                   machine_nodes: int = 64,
                   memory_mb: float = 10_240.0,
@@ -374,7 +380,7 @@ class MultiDomainTestbed:
 
 #: Each domain's grid nodes, and the speed of the links joining the
 #: domains, in :func:`build_multidomain`.
-_NODES_PER_DOMAIN = 26
+_NODES_PER_DOMAIN = sum(_PAPER_SPLIT)
 _INTER_DOMAIN_MBPS = 622.0
 
 
@@ -412,11 +418,8 @@ def build_multidomain(*, domains: int = 2) -> MultiDomainTestbed:
         registry = UddieRegistry()
         _register_default_services(registry, _NODES_PER_DOMAIN, 8192.0,
                                    40_960.0, _INTER_DOMAIN_MBPS)
-        guaranteed = int(_NODES_PER_DOMAIN * 0.6)
-        adaptive = int(_NODES_PER_DOMAIN * 0.2)
-        best_effort = _NODES_PER_DOMAIN - guaranteed - adaptive
-        partition = CapacityPartition(guaranteed, adaptive, best_effort,
-                                      best_effort_min=1, probe=probe)
+        partition = CapacityPartition(*_PAPER_SPLIT, best_effort_min=1,
+                                      probe=probe)
         brokers[domain] = AQoSBroker(
             sim, registry=registry, compute_rm=compute_rms[domain],
             partition=partition, coordinator=coordinator, trace=trace,

@@ -28,11 +28,12 @@ from ..core.gateway import ClientStub
 from ..core.testbed import (Testbed, attach_control_plane, build_testbed,
                             install_chaos, install_telemetry)
 from ..errors import CircuitOpenError
+from ..invariants import check, conservation
 from ..qos.classes import ServiceClass
 from ..qos.parameters import Dimension, exact_parameter, range_parameter
 from ..qos.specification import QoSSpecification
 from ..recovery.crashpoints import (CRASH_MODES, count_write_points,
-                                   run_episode, verify_recovered)
+                                   run_episode)
 from ..recovery.journal import FileJournalStore, encode_record
 from ..sla.document import AdaptationOptions, NetworkDemand, ServiceSLA
 from ..sla.negotiation import ServiceRequest
@@ -189,9 +190,6 @@ def _chaos(chaos_seed: int, seed: int) -> str:
     for sla in slas:
         final = testbed.broker.repository.get(sla.sla_id)
         lines.append(f"final SLA status: {final.status.value}")
-    partition = testbed.partition
-    conserved = abs(sum(partition.effective_sizes())
-                    - (partition.total - partition.failed)) < 1e-9
     lines += _section("chaos accounting")
     lines += [f"  faults.{key}: {value}"
               for key, value in sorted(plan.stats.as_dict().items())]
@@ -199,7 +197,8 @@ def _chaos(chaos_seed: int, seed: int) -> str:
               in sorted(client.caller.stats.as_dict().items())]
     lines += [f"  dead_letters: {len(testbed.bus.dead_letters)}",
               f"  stale_negotiations_swept: {swept}",
-              f"  capacity_conserved (Cg+Ca+Cb == C): {conserved}"]
+              f"  capacity_conserved (Cg+Ca+Cb == C): "
+              f"{not conservation(testbed)}"]
     lines += _section("activity log") + [testbed.trace.render()]
     return "\n".join(lines)
 
@@ -252,8 +251,7 @@ def _crash(crash_seed: int, seed: int, journal_path: Optional[str]) -> str:
                     f"{mode} the record became durable)")
     lines += ["", result.report.render(), "",
               "post-recovery invariant audit", "-" * 70]
-    problems = verify_recovered(testbed)
-    lines += [f"  VIOLATED: {problem}" for problem in problems] or [
+    lines += [f"  VIOLATED: {problem}" for problem in check(testbed)] or [
         "  capacity conserved (Cg+Ca+Cb == C - failed): OK",
         "  commitments within Cg: OK",
         "  slot table == live reservations: OK",

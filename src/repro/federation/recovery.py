@@ -22,10 +22,10 @@ booking a crash interrupted:
   and a best-effort ``fed_cancel`` tells the peer (whose own
   confirm-timeout janitor covers the case where the cancel is lost).
 
-:func:`federation_invariants` is the sweep's oracle: per-domain
-``verify_recovered`` plus the two federation-level guarantees — no
-delegation live in two domains (double admission) and no live booking
-the home side has disowned (orphaned booking).
+:func:`federation_invariants` is the sweep's oracle: every live
+domain's :func:`repro.invariants.check` plus the two federation-level
+guarantees — no delegation live in two domains (double admission) and
+no live booking the home side has disowned (orphaned booking).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import BrokerCrash, CircuitOpenError, TransientMessageError
-from ..recovery.crashpoints import verify_recovered
+from ..invariants import check
 from ..recovery.journal import (DELEGATION_ACCEPTED, DELEGATION_BEGIN,
                                 DELEGATION_CANCELLED, DELEGATION_CONFIRMED)
 from .protocol import IncomingDelegation, encode_cancel
@@ -239,28 +239,15 @@ def _cancel_outgoing(plane, domain, state: DelegationState,
 def federation_invariants(plane) -> "List[str]":
     """The sweep's oracle: every violated guarantee, or nothing.
 
-    Covers each live domain's local PR-5 invariants plus the two
+    Covers each live domain's testbed invariants plus the two
     federation-level ones — no delegation live in more than one
     domain, and no live booking whose home journal has disowned it.
     """
-    problems: "List[str]" = []
     live = [name for name in plane.names
             if not plane.chaos.is_crashed(name)]
-    for name in live:
-        for problem in verify_recovered(plane.domains[name].testbed):
-            problems.append(f"{name}: {problem}")
+    problems = [f"{name}: {problem}" for name in live
+                for problem in check(plane.domains[name].testbed)]
     owners: "Dict[str, List[str]]" = {}
-    for name in live:
-        domain = plane.domains[name]
-        live_ids = {sla.sla_id for sla in domain.testbed.repository.live()}
-        for delegation_id in sorted(domain.incoming):
-            if domain.incoming[delegation_id].sla_id in live_ids:
-                owners.setdefault(delegation_id, []).append(name)
-    for delegation_id in sorted(owners):
-        holders = owners[delegation_id]
-        if len(holders) > 1:
-            problems.append(f"double admission: delegation "
-                            f"{delegation_id} live in {holders}")
     home_scans: "Dict[str, Dict[str, DelegationState]]" = {}
     for name in live:
         domain = plane.domains[name]
@@ -269,6 +256,7 @@ def federation_invariants(plane) -> "List[str]":
             entry = domain.incoming[delegation_id]
             if entry.sla_id not in live_ids:
                 continue
+            owners.setdefault(delegation_id, []).append(name)
             home = plane.domains.get(entry.home)
             if home is None or home.testbed.journal is None:
                 continue
@@ -277,12 +265,14 @@ def federation_invariants(plane) -> "List[str]":
                     home.testbed.journal)
             state = home_scans[entry.home].get(delegation_id)
             if state is None:
-                problems.append(
-                    f"{name}: orphaned booking {delegation_id} — home "
-                    f"{entry.home} never journaled it")
+                why = "never journaled it"
             elif state.cancelled and delegation_id in domain.confirmed:
-                problems.append(
-                    f"{name}: orphaned booking {delegation_id} — home "
-                    f"{entry.home} cancelled it but it is live and "
-                    f"confirmed here")
-    return problems
+                why = "cancelled it but it is live and confirmed here"
+            else:
+                continue
+            problems.append(f"{name}: orphaned booking {delegation_id} — "
+                            f"home {entry.home} {why}")
+    return problems + [f"double admission: delegation {delegation_id} "
+                       f"live in {owners[delegation_id]}"
+                       for delegation_id in sorted(owners)
+                       if len(owners[delegation_id]) > 1]

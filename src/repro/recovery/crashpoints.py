@@ -6,18 +6,9 @@ at a chosen journal write point (before or after the record becomes
 durable), :func:`crash` wipes everything the process held only in
 memory, and :func:`repro.recovery.recover.recover` rebuilds it.
 :func:`run_episode` drives one scripted episode, optionally with a
-crash at a given write point, and :func:`verify_recovered` checks that
-the recovered system's invariants hold (the test suite sweeps every
-write point of the episode this way):
-
-* capacity conservation — ``Cg + Ca + Cb == C - failed``;
-* commitments within the guaranteed partition;
-* the GARA slot table holds exactly the live reservations' entries
-  (no double-booked and no leaked slots), and its indexed usage
-  matches a naive recount over those entries;
-* every active NRM flow is owned by exactly one recovered session;
-* SLA atomicity — every live SLA is fully live (session, confirmed
-  composite, live GARA state) and every dead SLA holds nothing.
+crash at a given write point, and :func:`repro.invariants.check`
+holds the recovered system to every testbed invariant (the test suite
+sweeps every write point of the episode this way).
 
 Everything is a function of the seeds and the crash point, so a crash
 run is as replayable as a chaos run.
@@ -26,18 +17,18 @@ run is as replayable as a chaos run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..errors import BrokerCrash, RecoveryError
-from ..gara.reservation import ReservationState
 from ..qos.classes import ServiceClass
 from ..qos.parameters import Dimension, exact_parameter, range_parameter
 from ..qos.specification import QoSSpecification
-from ..sla.document import NetworkDemand, SlaStatus
+from ..sla.document import NetworkDemand
 from ..sla.repository import SLARepository
 from ..units import parse_bound
 from .journal import JournalStore, MemoryJournalStore
-from .recover import RecoveryReport, _set_journal, install_journal, recover
+from .recover import (RecoveryReport, _set_journal, _wipe_volatile_state,
+                      install_journal, recover)
 from .snapshot import start_snapshots
 
 #: Crash placement relative to the journal append.
@@ -93,15 +84,11 @@ def crash(testbed) -> None:
     ledger, the simulator's event queue and the journal's durable
     store — belongs to other processes and survives untouched.
     """
-    broker = testbed.broker
     journal = testbed.journal
     _set_journal(testbed, None)
     try:
-        broker.repository.restore(SLARepository())
-        broker.allocation.reset()
-        broker.verifier.reset_sessions()
-        broker._closing.clear()  # noqa: SLF001 — same package family
-        broker.partition.clear_holdings()
+        testbed.broker.repository.restore(SLARepository())
+        _wipe_volatile_state(testbed)
     finally:
         _set_journal(testbed, journal)
 
@@ -233,126 +220,3 @@ def count_write_points(*, seed: int = 0,
     """Journal write points in one no-crash episode (its final LSN)."""
     baseline = run_episode(seed=seed, snapshot_interval=snapshot_interval)
     return baseline.journal.last_lsn
-
-
-# ----------------------------------------------------------------------
-# Invariant verification
-# ----------------------------------------------------------------------
-
-def verify_recovered(testbed) -> "List[str]":
-    """Check the recovered system's invariants; returns violations.
-
-    An empty list means the state is indistinguishable — by these
-    invariants — from one that never crashed.
-    """
-    problems: "List[str]" = []
-    broker = testbed.broker
-    partition = broker.partition
-    now = testbed.sim.now
-
-    # Capacity conservation: the partition sums to what the machine
-    # actually has.
-    eff_g, eff_a, eff_b = partition.effective_sizes()
-    expected_total = partition.total - partition.failed
-    if abs((eff_g + eff_a + eff_b) - expected_total) > 1e-6:
-        problems.append(
-            f"capacity not conserved: Cg+Ca+Cb = "
-            f"{eff_g + eff_a + eff_b:g} != C - failed = "
-            f"{expected_total:g}")
-    if partition.committed_total() > partition.cg + 1e-6:
-        problems.append(
-            f"commitments {partition.committed_total():g} exceed "
-            f"Cg={partition.cg:g}")
-
-    # The slot table holds exactly the live reservations' entries.
-    gara = broker.compute_rm.gara
-    table = gara.slot_table
-    live_entries = {r.entry.entry_id for r in gara.live_reservations()}
-    table_entries = {entry.entry_id for entry in table.entries()}
-    for orphan in sorted(table_entries - live_entries):
-        problems.append(f"slot entry {orphan} booked by no live "
-                        f"reservation (leaked slot)")
-    for missing in sorted(live_entries - table_entries):
-        problems.append(f"live reservation entry {missing} missing "
-                        f"from the slot table")
-    # The index agrees with a naive recount over its own entries.
-    entries = table.entries()
-    for sample in (now, now + 1.0, now + 10.0, now + 40.0):
-        naive = sum(entry.demand.cpu for entry in entries
-                    if entry.active_at(sample))
-        indexed = table.usage_at(sample).cpu
-        if abs(naive - indexed) > 1e-6:
-            problems.append(
-                f"slot-table usage at t={sample:g} diverges from the "
-                f"naive recount: {indexed:g} != {naive:g}")
-
-    # Every active NRM flow belongs to exactly one recovered session.
-    owned_flows: "List[int]" = []
-    for resources in broker.allocation.open_sessions():
-        composite = resources.reservation
-        if composite is None:
-            continue
-        from ..core.reservation_system import booking_flow_ids
-        owned_flows.extend(booking_flow_ids(composite.network_booking))
-    duplicates = {f for f in owned_flows if owned_flows.count(f) > 1}
-    for flow_id in sorted(duplicates):
-        problems.append(f"flow {flow_id} owned by more than one session")
-    owned = set(owned_flows)
-    for flow in testbed.nrm.flows():
-        if flow.flow_id not in owned:
-            problems.append(f"active flow {flow.flow_id} owned by no "
-                            f"session (leaked bandwidth)")
-
-    # SLA atomicity: live SLAs are fully live, dead SLAs hold nothing.
-    for sla in broker.repository.all():
-        sla_id = sla.sla_id
-        if sla.status.is_live:
-            if not broker.allocation.has(sla_id):
-                problems.append(f"live SLA {sla_id} has no session")
-                continue
-            composite = broker.allocation.get(sla_id).reservation
-            if composite is None or not composite.confirmed:
-                problems.append(f"live SLA {sla_id} has no confirmed "
-                                f"composite")
-                continue
-            if composite.compute_handle is not None:
-                state = gara.reservation_status(
-                    composite.compute_handle).state
-                if state not in (ReservationState.COMMITTED,
-                                 ReservationState.BOUND):
-                    problems.append(
-                        f"live SLA {sla_id}'s reservation is "
-                        f"{state.value}, not committed/bound")
-            if (sla.status is SlaStatus.ACTIVE
-                    and broker.partition_holding(sla_id) is None
-                    and sla.floor_demand().cpu > 0):
-                problems.append(f"active SLA {sla_id} holds no "
-                                f"partition capacity")
-        else:
-            if broker.allocation.has(sla_id):
-                problems.append(f"dead SLA {sla_id} still has an open "
-                                f"session")
-            if broker.partition_holding(sla_id) is not None:
-                problems.append(f"dead SLA {sla_id} still holds "
-                                f"partition capacity")
-
-    # Partition holdings all belong to known owners.
-    live_keys = {f"sla-{sla.sla_id}"
-                 for sla in broker.repository.live()}
-    for holding in partition.guaranteed_holdings():
-        if holding.user not in live_keys:
-            problems.append(f"guaranteed holding {holding.user!r} has "
-                            f"no live SLA behind it")
-
-    # The journal itself stayed coherent: LSNs strictly increase even
-    # across the crash (a mode="after" crash persists the record but
-    # loses the in-memory counter — recovery must resync it).
-    if testbed.journal is not None:
-        previous = 0
-        for record in testbed.journal.records():
-            if record.lsn <= previous:
-                problems.append(
-                    f"journal LSN not strictly increasing: {record.lsn} "
-                    f"after {previous}")
-            previous = record.lsn
-    return problems

@@ -507,29 +507,19 @@ def _sweep_unowned(testbed, report: RecoveryReport) -> None:
     reservation or NRM flow created an instant before its journal
     record was appended belongs to nobody after replay.
     """
-    from ..core.reservation_system import booking_flow_ids
     broker = testbed.broker
-    owned_handles = set()
-    owned_flows = set()
-    for resources in broker.allocation.open_sessions():
-        composite = resources.reservation
-        if composite is None:
-            continue
-        if composite.compute_handle is not None:
-            owned_handles.add(composite.compute_handle.value)
-        for flow_id in booking_flow_ids(composite.network_booking):
-            owned_flows.add(flow_id)
+    owned = broker.allocation.owners()
     for job in list(broker.compute_rm.running_jobs()):
-        if job.handle.value not in owned_handles:
+        if ("reservation", job.handle.value) not in owned:
             broker.compute_rm.kill(job.job_id)
             report.orphans_cancelled += 1
     for reservation in list(broker.compute_rm.gara.live_reservations()):
-        if reservation.handle.value not in owned_handles:
+        if ("reservation", reservation.handle.value) not in owned:
             broker.compute_rm.gara.reservation_cancel(reservation.handle)
             report.orphans_cancelled += 1
     for nrm in _all_nrms(broker):
         for flow in list(nrm.flows()):
-            if flow.flow_id not in owned_flows:
+            if ("flow", flow.flow_id) not in owned:
                 nrm.release(flow)
                 report.flows_released += 1
 

@@ -16,8 +16,8 @@ net. One :func:`replay_scenario` call:
 * collects the PR-4 time-weighted telemetry: Cg/Ca/Cb occupancy from
   the capacity gauges, SLA violations/restorations from the verifier
   counters, §5.3 revenue from the accounting ledger;
-* audits the capacity invariants at every sample checkpoint and the
-  slot table once at the end.
+* audits the partition facts of :mod:`repro.invariants` at every
+  sample checkpoint and the slot table once at the end.
 
 The result's :meth:`ReplayResult.report_json` is canonical (sorted
 keys, shortest-roundtrip floats): two replays of the same scenario and
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.testbed import (Testbed, build_testbed, install_chaos,
                             install_observability)
 from ..errors import GQoSMError, ValidationError
+from ..invariants import PARTITION_FACTS, check, slot_overcommit
 from ..qos.classes import ServiceClass
 from ..qos.parameters import Dimension, exact_parameter, range_parameter
 from ..qos.specification import QoSSpecification
@@ -94,23 +94,11 @@ class _Checkpoints:
     breaches: "List[str]" = field(default_factory=list)
 
     def audit(self, testbed: Testbed) -> None:
-        partition = testbed.partition
         now = testbed.sim.now
         self.checks += 1
-        effective = partition.effective_sizes()
-        surviving = partition.total - partition.failed
-        if abs(sum(effective) - surviving) > _EPSILON:
-            self.breaches.append(
-                f"t={now:g}: effective sizes sum {sum(effective):g} != "
-                f"surviving capacity {surviving:g}")
-        if partition.committed_total() > partition.cg + _EPSILON:
-            self.breaches.append(
-                f"t={now:g}: committed {partition.committed_total():g} "
-                f"exceeds Cg {partition.cg:g}")
-        if partition.total_served() > surviving + _EPSILON:
-            self.breaches.append(
-                f"t={now:g}: served {partition.total_served():g} exceeds "
-                f"surviving capacity {surviving:g}")
+        self.breaches += [f"t={now:g}: {problem}"
+                          for fact in PARTITION_FACTS
+                          for problem in fact(testbed)]
 
 
 def request_for_session(session: SessionSpec,
@@ -292,8 +280,8 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
 def check_invariants(result: ReplayResult) -> "List[str]":
     """The per-family QoS invariants; returns violations (empty = ok).
 
-    * capacity conservation held at every checkpoint;
-    * the slot table never overcommitted;
+    * the partition facts held at every checkpoint, and every fact of
+      :func:`repro.invariants.check` holds at the end of the run;
     * degradation stayed confined to sessions that consented — an
       exact-demand session (every guaranteed session, and any
       controlled-load request without a range) may never be moved
@@ -308,8 +296,7 @@ def check_invariants(result: ReplayResult) -> "List[str]":
     report = result.report
     spec = result.compiled.spec
     problems: "List[str]" = list(report["conservation_breaches"])
-    if report["slot_table_overcommitted"]:
-        problems.append("slot table overcommitted")
+    problems += check(result.testbed)
     if report["degraded_without_consent"]:
         problems.append(
             f"{report['degraded_without_consent']} exact-demand "
@@ -402,19 +389,6 @@ def _build_report(testbed: Testbed, compiled: CompiledScenario,
         sla = broker.repository.get(sla_id)
         violations_by_class[_CLASS_POOL[sla.service_class]] += 1
 
-    overcommitted = False
-    table = testbed.compute_rm.slot_table
-    for entry in table.entries():
-        probes = [entry.start]
-        if not math.isinf(entry.end):
-            probes.append((entry.start + entry.end) / 2.0)
-        for probe in probes:
-            if not table.overcommitment_at(probe).is_zero():
-                overcommitted = True
-                break
-        if overcommitted:
-            break
-
     report = partition.last_report
     final_shortfall = (sum(report.shortfalls.values())
                        if report is not None else 0.0)
@@ -456,7 +430,7 @@ def _build_report(testbed: Testbed, compiled: CompiledScenario,
         "terminated_sessions": broker.stats.terminated,
         "checkpoints": checkpoints.checks,
         "conservation_breaches": list(checkpoints.breaches),
-        "slot_table_overcommitted": overcommitted,
+        "slot_table_overcommitted": bool(slot_overcommit(testbed)),
         "final_shortfall": round(final_shortfall, 9),
         "occupancy_mean": occupancy,
         "utilization_mean": round(

@@ -4,10 +4,9 @@ Every chaos test drives a real control-plane session over the message
 bus with seeded fault injection, then asserts the *invariants* that
 must hold no matter what the transport did:
 
-* capacity conservation — the partition's effective pool sizes always
-  sum to the surviving capacity (``Cg + Ca + Cb == C - failed``);
-* no double-booking — committed guaranteed capacity never exceeds
-  ``Cg``, and the slot table is never overcommitted at any event point;
+* every testbed invariant of :func:`repro.invariants.check` —
+  capacity conservation, no double-booking, no leaked slot or flow,
+  SLA atomicity;
 * no wedged protocol state — after a final sweep the gateway holds no
   pending negotiation, and every SLA that was established reached a
   terminal-or-active status.
@@ -21,6 +20,7 @@ import pytest
 
 from repro.core.testbed import Testbed, attach_control_plane, build_testbed, \
     install_chaos
+from repro.invariants import check
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
@@ -83,32 +83,6 @@ def make_chaos_testbed(chaos_seed: int, *, drop: float = 0.0,
     return testbed
 
 
-def assert_capacity_conserved(testbed: Testbed) -> None:
-    """``Cg + Ca + Cb`` (effective) must equal surviving capacity."""
-    partition = testbed.partition
-    effective_g, effective_a, effective_b = partition.effective_sizes()
-    assert effective_g + effective_a + effective_b == pytest.approx(
-        partition.total - partition.failed), \
-        "capacity partition leaked or invented capacity"
-
-
-def assert_no_double_booking(testbed: Testbed) -> None:
-    """Committed guarantees stay within Cg; slot table never
-    overcommits at any of its event points."""
-    partition = testbed.partition
-    assert partition.committed_total() <= partition.cg + 1e-9, \
-        "guaranteed commitments exceed Cg (double-booking)"
-    table = testbed.compute_rm.slot_table
-    for entry in table.entries():
-        probes = [entry.start]
-        if entry.end != float("inf"):
-            probes.append((entry.start + entry.end) / 2)
-        for probe in probes:
-            over = table.overcommitment_at(probe)
-            assert over.is_zero(), \
-                f"slot table overcommitted at t={probe}: {over}"
-
-
 def assert_protocol_settled(testbed: Testbed) -> None:
     """No wedged negotiation; every established SLA is settled."""
     assert testbed.gateway is not None
@@ -121,8 +95,7 @@ def assert_protocol_settled(testbed: Testbed) -> None:
 
 def assert_all_invariants(testbed: Testbed) -> None:
     """The full post-run invariant bundle."""
-    assert_capacity_conserved(testbed)
-    assert_no_double_booking(testbed)
+    assert check(testbed) == []
     assert_protocol_settled(testbed)
 
 

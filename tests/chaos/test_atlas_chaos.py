@@ -4,8 +4,8 @@ One scenario per family is replayed with PR-3 fault injection armed on
 the control plane, across a drop/delay sweep. Whatever the transport
 does — dropped admissions, delayed replies — the run must end with:
 
-* the PR-3 capacity invariants intact (conservation, no
-  double-booking, no wedged protocol state);
+* every testbed invariant of :func:`repro.invariants.check` (which
+  ``check_invariants`` runs) and no wedged protocol state;
 * no stranded guaranteed SLA: every guaranteed session settled, and
   any still-active one served its full entitlement;
 * the atlas's own replay invariants (consent-confined degradation,
@@ -22,8 +22,7 @@ from repro.qos.classes import ServiceClass
 from repro.workloads import check_invariants, replay_scenario, scenarios
 from repro.workloads.scenarios import FAMILIES
 
-from .conftest import (SETTLED, assert_capacity_conserved,
-                       assert_no_double_booking, assert_protocol_settled)
+from .conftest import SETTLED, assert_protocol_settled
 
 #: The (drop, delay) fault sweep each family is replayed under.
 FAULT_SWEEP = ((0.05, 0.0), (0.15, 0.25))
@@ -55,8 +54,6 @@ def test_family_survives_chaos(family, drop, delay):
     result = replay_scenario(family_scenario(family), seed=23,
                              chaos_seed=101, drop=drop, delay=delay)
     testbed = result.testbed
-    assert_capacity_conserved(testbed)
-    assert_no_double_booking(testbed)
     assert_protocol_settled(testbed)
     assert_no_stranded_guaranteed_sla(testbed)
     assert check_invariants(result) == [], \

@@ -14,12 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CircuitOpenError
+from repro.invariants import check
 from repro.sla.document import SlaStatus
 
 from .conftest import (
     assert_all_invariants,
-    assert_capacity_conserved,
-    assert_no_double_booking,
     guaranteed_request,
     make_chaos_testbed,
 )
@@ -41,11 +40,10 @@ def drive_example56(testbed):
     checkpoints = []
 
     def sample(instant):
-        def check():
-            assert_capacity_conserved(testbed)
-            assert_no_double_booking(testbed)
+        def audit():
+            assert check(testbed) == []
             checkpoints.append((instant, sim.now))
-        return check
+        return audit
 
     for instant, time in (("t2", 20.0), ("t3", 45.0), ("t4", 75.0),
                           ("t5", 110.0)):

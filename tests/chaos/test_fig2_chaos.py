@@ -13,12 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CircuitOpenError
+from repro.invariants import check
 from repro.sla.document import SlaStatus
 
 from .conftest import (
     assert_all_invariants,
-    assert_capacity_conserved,
-    assert_no_double_booking,
     guaranteed_request,
     make_chaos_testbed,
     normalize_trace,
@@ -83,7 +82,7 @@ class TestFaultFamilies:
         assert sla_id is not None  # duplication alone never loses data
         # Exactly one holding of exactly 10 CPUs was admitted.
         testbed.sim.run(until=150.0)
-        assert_no_double_booking(testbed)
+        assert check(testbed) == []
         slas = [sla for sla in testbed.repository.all()
                 if sla.client == "client1"]
         assert len(slas) == 1
@@ -145,8 +144,7 @@ class TestDropSweep:
         for chaos_seed in (7, 19, 31):
             testbed = make_chaos_testbed(chaos_seed, drop=drop)
             sla_id = run_session(testbed)
-            assert_capacity_conserved(testbed)
-            assert_no_double_booking(testbed)
+            assert check(testbed) == []
             if sla_id is not None:
                 established += 1
                 assert testbed.repository.get(sla_id).status \

@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 from repro.core.broker import ServiceRequest
 from repro.core.testbed import build_testbed
 from repro.errors import BrokerCrash
+from repro.invariants import check
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
 from repro.recovery.crashpoints import (CRASH_MODES, CrashingJournalStore,
-                                        crash, verify_recovered)
+                                        crash)
 from repro.recovery.journal import CAPACITY_REBALANCED, DeferredValue
 from repro.recovery.recover import install_journal, recover
 from repro.sla.document import NetworkDemand
@@ -184,7 +185,7 @@ class TestGroupCommitCrashPoints:
                     crashes += 1
                     crash(testbed)
                 recover(testbed)
-                problems = verify_recovered(testbed)
+                problems = check(testbed)
                 assert problems == [], (
                     f"crash at write point {crash_lsn} ({mode}): "
                     + "; ".join(problems))

@@ -68,6 +68,13 @@ class TestMultiDomain:
         second = world.brokers["domain2"].repository.next_id()
         assert abs(first - second) >= 1000
 
+    def test_both_builders_split_by_section_5_6(self, testbed):
+        world = build_multidomain(domains=2)
+        splits = [(partition.cg, partition.ca, partition.cb)
+                  for partition in [testbed.partition]
+                  + [broker.partition for broker in world.brokers.values()]]
+        assert splits == [(15, 6, 5)] * 3
+
     def test_at_least_one_domain_required(self):
         with pytest.raises(ValueError):
             build_multidomain(domains=0)

@@ -8,10 +8,11 @@ to run one armed cell. Two episodes use it:
 
 * :func:`single_broker` — the scripted broker episode of
   :mod:`repro.recovery.crashpoints`, recovered from its journal at
-  once and checked with ``verify_recovered``;
+  once and checked with :func:`repro.invariants.check`;
 * ``DELEGATION`` in ``tests/federation/conftest.py`` — the delegation
   episode, whose crashed domain rejoins on schedule and is checked
-  with ``federation_invariants``.
+  with ``federation_invariants``: the same ``check`` on every live
+  domain, plus no double admission and no orphaned booking.
 
 Every cell is a function of ``(target, lsn, mode)`` and the episode's
 fixed seed, so a failing cell replays on its own.
@@ -22,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Sequence, Tuple
 
+from repro.invariants import check
 from repro.recovery.crashpoints import (CRASH_MODES, count_write_points,
-                                        run_episode, verify_recovered)
+                                        run_episode)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def single_broker(snapshot_interval: float = 0.0) -> Episode:
             ) -> "Tuple[bool, Sequence[str]]":
         result = run_episode(crash_lsn=lsn, mode=mode,
                              snapshot_interval=snapshot_interval)
-        return result.crashed, verify_recovered(result.testbed)
+        return result.crashed, check(result.testbed)
 
     return Episode(
         targets=("broker",),

@@ -14,7 +14,8 @@ from repro.core.testbed import build_testbed
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter, range_parameter
 from repro.qos.specification import QoSSpecification
-from repro.recovery.crashpoints import crash, verify_recovered
+from repro.invariants import check
+from repro.recovery.crashpoints import crash
 from repro.recovery.recover import install_journal, recover
 from repro.recovery.snapshot import take_snapshot
 from repro.sla.document import AdaptationOptions
@@ -93,7 +94,7 @@ def test_restart_makes_the_same_few_passes_at_any_live_count(
         # crash sweep's audit (owners, conservation, strictly
         # increasing LSNs) is clean.
         assert _holdings(testbed) == before
-        assert verify_recovered(testbed) == []
+        assert check(testbed) == []
         # The restore itself journals nothing: RECOVERED is the one
         # record a clean restart adds.
         assert testbed.journal.last_lsn == durable + 1

@@ -146,12 +146,11 @@ def test_flood_never_touches_a_guarantee(replays):
     assert report["violations_detected"] == 0
 
 
-@pytest.mark.atlas
 @pytest.mark.parametrize("seed", (11, 12, 13))
 def test_atlas_full_sweep_extra_seeds(seed):
-    """Full-fidelity invariant sweep at additional seeds — the manual
-    deep check (`pytest -m atlas`); the default run covers only the
-    pinned atlas seed."""
+    """Every scenario's invariants, including every testbed fact of
+    :func:`repro.invariants.check`, at three seeds beyond the pinned
+    atlas seed."""
     for name in scenario_names():
         result = replay_scenario(name, seed=seed)
         assert check_invariants(result) == [], \
