@@ -1,10 +1,11 @@
 """Algorithm 1 under the paper's own function names.
 
 The :class:`AdaptationEngine` exposes the pseudo-code's entry points —
-``Available_Guaranteed_Resource``, ``Adapt``,
-``Allocate_Guaranteed_Resource``, ``Allocate_Best_Effort_Resource`` —
-as snake_case methods over a :class:`~repro.core.capacity.CapacityPartition`,
-and keeps the event log the Section 5.6 replay and the benchmarks read.
+``Available_Guaranteed_Resource``, ``Allocate_Guaranteed_Resource``,
+``Allocate_Best_Effort_Resource`` — as snake_case methods over a
+:class:`~repro.core.capacity.CapacityPartition`, and keeps the event
+log the Section 5.6 replay and the benchmarks read. ``Adapt()`` is the
+partition's water-fill, which every allocation call runs.
 
 The engine is the *mechanism*; policy (which SLA to squeeze, when to
 run the optimizer) lives in :mod:`repro.core.scenarios` and the broker.
@@ -62,7 +63,6 @@ class AdaptationEngine:
         self._trace = trace
         self._now = now
         self.decisions: List[AllocationDecision] = []  # qlint: disable=QLNT118 -- allocation history, not the provenance log
-        self.adapt_invocations = 0
 
     # ------------------------------------------------------------------
     # Paper-named primitives
@@ -81,22 +81,6 @@ class AdaptationEngine:
         eff_g, eff_a, _eff_b = self.partition.effective_sizes()
         overflow = max(0.0, entitled - eff_g)
         return eff_a - overflow
-
-    def adapt(self) -> RebalanceReport:
-        """``Adapt()``: re-run the water-fill so that any guaranteed
-        shortfall is covered from ``Ca`` and then ``Cb`` (down to the
-        protected minimum). Returns the rebalance report; its
-        ``adapt_transfer`` is the paper's ``ΔG(t)``."""
-        self.adapt_invocations += 1
-        report = self.partition.rebalance()
-        if self._trace is not None and report.adapt_transfer > 0:
-            self._trace.record(
-                self._now(), "adaptation",
-                f"Adapt(): moved {report.adapt_transfer:g} unit(s) to the "
-                f"guaranteed tier"
-                + (f"; preempted {sum(report.preempted.values()):g} "
-                   f"best-effort unit(s)" if report.preempted else ""))
-        return report
 
     def allocate_guaranteed_resource(
             self, user: str, demand: float) -> "Optional[AllocationDecision]":
@@ -122,8 +106,6 @@ class AdaptationEngine:
             return None
         holding = self.partition.guaranteed_holding(user)
         adapted = report.adapt_transfer > before_transfer + 1e-9
-        if adapted:
-            self.adapt_invocations += 1
         decision = AllocationDecision(
             user=user, requested=demand, granted=holding.served,
             adapted=adapted,

@@ -318,8 +318,8 @@ class AQoSBroker:
         # status rides alongside the XML in its own payload field, so
         # a cached document is still exact.  The cache keys on copies
         # of the point dicts (C-speed dict equality against the live
-        # ones), not on the SLA object, which may be rebound wholesale
-        # during renegotiation.
+        # ones), not on their identity, so a point changed in place is
+        # seen as well as one rebound.
         cached = self._journal_xml_cache.get(sla.sla_id)
         if (cached is not None and cached[0] == sla.agreed_point
                 and cached[1] == sla.delivered_point
@@ -1012,120 +1012,6 @@ class AQoSBroker:
             self.run_optimizer()
             self.sim.schedule(interval, tick, label="broker:optimizer")
         self.sim.schedule(interval, tick, label="broker:optimizer")
-
-    # ------------------------------------------------------------------
-    # Re-negotiation (Figure 3's Active-phase function; the paper's
-    # response (b): "re-negotiating QoS as per the SLA")
-    # ------------------------------------------------------------------
-
-    def renegotiate_session(self, sla_id: int,
-                            new_specification: QoSSpecification, *,
-                            budget_rate: Optional[float] = None
-                            ) -> "tuple[bool, str]":
-        """Re-negotiate a live session's QoS mid-flight.
-
-        The client proposes a replacement specification (grow or
-        shrink). Admission is checked with the session's *own* held
-        capacity released first — a shrink always fits; a grow needs
-        only the delta. On success the SLA document is updated in
-        place (same id, same session), capacity and reservations are
-        resized atomically, and the price rate moves to the new agreed
-        point. On failure nothing changes.
-
-        Returns:
-            ``(True, "")`` on success, ``(False, reason)`` otherwise.
-        """
-        try:
-            sla = self.repository.get(sla_id)
-        except SLAError as error:
-            self._decide("renegotiation", "reject", sla_id=sla_id,
-                         constraint="lookup", reason=str(error))
-            return False, str(error)
-        if sla.status is not SlaStatus.ACTIVE:
-            reason = f"SLA {sla_id} is {sla.status.value}, not active"
-            self._decide("renegotiation", "reject", sla_id=sla_id,
-                         constraint="lifecycle", reason=reason)
-            return False, reason
-        if self.allocation.has(sla_id):
-            self.allocation.get(sla_id).session.perform(
-                QoSFunction.RENEGOTIATION, self.sim.now)
-
-        new_best = new_specification.best_point()
-        new_floor = new_specification.worst_point()
-        new_committed = (QoSSpecification.point_demand(new_floor).cpu
-                         if sla.service_class.adjustable
-                         else QoSSpecification.point_demand(new_best).cpu)
-        new_rate = self.pricing.point_rate(new_best, sla.service_class)
-        if budget_rate is not None and new_rate > budget_rate:
-            reason = (f"offer rate {new_rate:g} exceeds budget "
-                      f"{budget_rate:g}")
-            self._decide("renegotiation", "reject", sla_id=sla_id,
-                         constraint="negotiation", reason=reason)
-            return False, reason
-
-        # Admission with the session's own holdings netted out.
-        holding = self.partition_holding(sla_id)
-        old_committed = holding.committed if holding is not None else 0.0
-        committed_after = (self.partition.committed_total()
-                           - old_committed + new_committed)
-        if committed_after > self.partition.cg + 1e-9:
-            reason = (f"commitments {committed_after:g} would exceed "
-                      f"Cg={self.partition.cg:g}")
-            self._decide("renegotiation", "reject", sla_id=sla_id,
-                         constraint="capacity", reason=reason)
-            return False, reason
-        new_demand = QoSSpecification.point_demand(new_best)
-        now = self.sim.now
-        free = self.compute_rm.available_at(now)
-        old_demand = sla.delivered_demand()
-        compute_delta = ResourceVector(
-            cpu=max(0.0, new_demand.cpu - old_demand.cpu),
-            memory_mb=max(0.0, new_demand.memory_mb - old_demand.memory_mb),
-            disk_mb=max(0.0, new_demand.disk_mb - old_demand.disk_mb))
-        if not compute_delta.fits_within(free):
-            # Scenario 1 may still make room.
-            self.scenarios.free_capacity_for(compute_delta.cpu,
-                                             max(0.0, new_committed
-                                                 - old_committed))
-            free = self.compute_rm.available_at(now)
-            if not compute_delta.fits_within(free):
-                self._decide("renegotiation", "reject", sla_id=sla_id,
-                             constraint="capacity",
-                             reason="insufficient resources for the "
-                                    "new QoS")
-                return False, "insufficient resources for the new QoS"
-
-        # Apply atomically: partition commitment, reservations, document.
-        user_key = self._user_key(sla_id)
-        if holding is not None:
-            self.engine.release_guaranteed(user_key)
-        if new_committed > 0:
-            self.engine.admit_guaranteed(user_key, new_committed)
-        sla.specification = new_specification
-        sla.agreed_point = dict(new_best)
-        sla.delivered_point = dict(new_best)
-        sla.price_rate = new_rate
-        if new_committed > 0:
-            self.engine.allocate_guaranteed_resource(user_key,
-                                                     new_demand.cpu)
-        if self.allocation.has(sla_id):
-            composite = self.allocation.get(sla_id).reservation
-            if composite is not None and composite.compute_handle is not None:
-                self.reservation_system.modify_compute(composite,
-                                                       new_demand,
-                                                       force=True)
-            if composite is not None and composite.network_booking is not None:
-                self._resize_network(composite, new_best)
-        self.ledger.rate_changed(sla_id, self.sim.now, new_rate)
-        self._journal_sla(sla)
-        self.record(f"SLA {sla_id} re-negotiated: new agreed point at "
-                    f"rate {new_rate:g}")
-        if self.probe.explaining:
-            self._decide("renegotiation", "accept", sla_id=sla_id,
-                         subject=user_key,
-                         chosen={"point": point_payload(new_best),
-                                 "revenue_rate": new_rate})
-        return True, ""
 
     # ------------------------------------------------------------------
     # Promotions (Scenario 2c)

@@ -29,7 +29,7 @@ from ..xmlmsg import codec
 from ..xmlmsg.bus import MessageBus
 from ..xmlmsg.envelope import Envelope
 from ..xmlmsg.resilient import ResilientCaller
-from ..xmlmsg.schema import INT, NUMBER, TEXT, Field, Message, identity
+from ..xmlmsg.schema import INT, TEXT, Field, Message, identity
 from .broker import AQoSBroker
 
 
@@ -51,17 +51,8 @@ OFFER_REJECTED = Message("Offer_Rejected", [
 VERIFY_SLA = Message("Verify_SLA", [
     Field("SLA-ID", INT, "sla_id", get=identity),
 ])
-#: Written from ``(sla_id, specification, budget_rate)``.
-RENEGOTIATE = Message("Renegotiate", [
-    Field("SLA-ID", INT, "sla_id", get=itemgetter(0)),
-    Field("QoS_Specification", codec.SPECIFICATION, "specification",
-          get=itemgetter(1)),
-    Field("Budget_Rate", NUMBER, "budget_rate", get=itemgetter(2),
-          default=None),
-])
 SERVICE_OFFER_FAILURE = _failure("Service_Offer_Failure")
 ESTABLISHMENT_FAILURE = _failure("Establishment_Failure")
-RENEGOTIATION_FAILURE = _failure("Renegotiation_Failure")
 
 
 class BrokerGateway:
@@ -79,7 +70,6 @@ class BrokerGateway:
         endpoint.on("accept_offer", self._on_accept_offer)
         endpoint.on("reject_offer", self._on_reject_offer)
         endpoint.on("verify_sla", self._on_verify_sla)
-        endpoint.on("renegotiate", self._on_renegotiate)
 
     def abandon(self, negotiation_id: int) -> bool:
         """Clear a pending negotiation the client never resolved.
@@ -169,25 +159,6 @@ class BrokerGateway:
         return envelope.reply(
             "qos_levels", self._broker.verifier.conformance_reply_xml(sla_id))
 
-    def _on_renegotiate(self, envelope: Envelope) -> Envelope:
-        """Mid-session re-negotiation over XML.
-
-        The body carries the SLA id, a replacement
-        ``<QoS_Specification>`` and an optional budget rate. On success
-        the reply is the updated Table 4 document; on refusal, a
-        failure message with the broker's reason.
-        """
-        body = RENEGOTIATE.read(envelope.body)
-        ok, reason = self._broker.renegotiate_session(
-            body["sla_id"], body["specification"],
-            budget_rate=body["budget_rate"])
-        if not ok:
-            return envelope.reply("renegotiation_failure",
-                                  RENEGOTIATION_FAILURE.write(reason))
-        sla = self._broker.repository.get(body["sla_id"])
-        return envelope.reply("sla_renegotiated",
-                              codec.encode_service_sla(sla))
-
 
 class ClientStub:
     """Client-side helper sending the Figure 7 XML messages.
@@ -244,13 +215,3 @@ class ClientStub:
         decoded from the Table 3 reply."""
         response = self._request("verify_sla", VERIFY_SLA.write(sla_id))
         return codec.decode_qos_levels(response.body)
-
-    def renegotiate(self, sla_id: int, specification, *,
-                    budget_rate: Optional[float] = None):
-        """Re-negotiate a live session's QoS; returns the updated SLA
-        document (or ``None`` with the broker's refusal reason)."""
-        response = self._request("renegotiate", RENEGOTIATE.write(
-            (sla_id, specification, budget_rate)))
-        if response.action == "renegotiation_failure":
-            return None, RENEGOTIATION_FAILURE.read(response.body)["reason"]
-        return codec.decode_service_sla(response.body), ""

@@ -14,6 +14,7 @@ import math
 from typing import Callable, List, Tuple
 
 from .gara.reservation import ReservationState
+from .recovery.journal import decode_record
 from .sla.document import SlaStatus
 from .units import isclose
 
@@ -148,9 +149,15 @@ def journal_lsn(testbed) -> "List[str]":
     """Journal LSNs strictly increase, across a crash too."""
     if testbed.journal is None:
         return []
-    lsns = [record.lsn for record in testbed.journal.records()]
-    return [f"LSN {lsn} after {previous}, not strictly increasing"
-            for previous, lsn in zip([0] + lsns, lsns) if lsn <= previous]
+    problems: "List[str]" = []
+    previous = 0
+    for data in testbed.journal.store.records():
+        lsn = decode_record(data).lsn
+        if lsn <= previous:
+            problems.append(
+                f"LSN {lsn} after {previous}, not strictly increasing")
+        previous = lsn
+    return problems
 
 
 #: The facts cheap enough to audit at every tick of a timed replay:

@@ -85,7 +85,7 @@ class DecisionRecord:
         action: What kind of choice this was (``"admission"``,
             ``"best_effort"``, ``"activation"``, ``"optimizer"``,
             ``"rebalance"``, ``"violation"``, ``"restoration"``,
-            ``"adaptation"``, ``"promotion"``, ``"renegotiation"``).
+            ``"adaptation"``, ``"promotion"``, ``"federation"``).
         outcome: The verdict (``"accept"``, ``"reject"``, ``"grant"``,
             ``"squeeze"``, ``"detected"``, ...).
         subject: Who the verdict is about — a client name for

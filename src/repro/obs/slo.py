@@ -194,11 +194,6 @@ class SloEngine:
         self._burning: "Dict[Tuple[str, float], bool]" = {}
 
     @property
-    def specs(self) -> "Dict[str, SloSpec]":
-        """The installed objectives keyed by service class (a copy)."""
-        return dict(self._specs)
-
-    @property
     def alerts(self) -> "List[AlertRecord]":
         """All alerts fired so far, in emit order (a copy)."""
         return list(self._alerts)

@@ -236,9 +236,12 @@ class MemoryJournalStore(JournalStore):
             super().append_group(records)
 
     def records(self) -> "Iterator[bytes]":
-        return iter([item if isinstance(item, bytes)
-                     else encode_record(item)
-                     for item in self._records])
+        # A shallow snapshot taken now, encoded one record at a time:
+        # appends after the call are not seen, and a reader need not
+        # hold every encoded record at once.
+        snapshot = list(self._records)
+        return (item if isinstance(item, bytes) else encode_record(item)
+                for item in snapshot)
 
     def __len__(self) -> int:
         return len(self._records)

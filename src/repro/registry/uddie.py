@@ -8,9 +8,9 @@ records whose name, properties and capability match a
 services" the AQoS receives in Figure 2.
 
 Every registry carries a *validator* naming its current contents.
-Records are read-only once registered, so only :meth:`register` and
-:meth:`unregister` change what :meth:`UddieRegistry.find` answers, and
-both draw a fresh validator. Validators come from one process-wide
+Records are read-only once registered, so only :meth:`register`
+changes what :meth:`UddieRegistry.find` answers, and it draws a fresh
+validator. Validators come from one process-wide
 counter, as record ids do, so no two registry states — of one instance
 or of two — ever share one: an unchanged validator means an unchanged
 answer to any query (the conditional discovery of DESIGN §9).
@@ -69,8 +69,8 @@ class UddieRegistry:
 
     @property
     def validator(self) -> str:
-        """The current contents' validator; any registration or removal
-        replaces it with one no registry has carried before."""
+        """The current contents' validator; any registration replaces it
+        with one no registry has carried before."""
         return self._validator
 
     def register(self, name: str, provider: str, *,
@@ -95,17 +95,6 @@ class UddieRegistry:
         self._records[record.record_id] = record
         self._validator = str(next(_validator_counter))
         return record
-
-    def unregister(self, record_id: int) -> None:
-        """Remove a registration.
-
-        Raises:
-            ServiceNotFound: When the record does not exist.
-        """
-        if record_id not in self._records:
-            raise ServiceNotFound(f"no service record {record_id}")
-        del self._records[record_id]
-        self._validator = str(next(_validator_counter))
 
     def get(self, record_id: int) -> ServiceRecord:
         """Look up a record by id."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from ..errors import RSLError
 
@@ -55,20 +55,6 @@ class RSLExpression:
     def __post_init__(self) -> None:
         if self.operator not in ("&", "|", "+"):
             raise RSLError(f"unknown RSL combinator {self.operator!r}")
-
-    def attributes(self) -> Dict[str, Value]:
-        """Flat ``attribute -> value`` view of the ``=`` relations.
-
-        Later bindings win, matching GRAM's last-value semantics. Only
-        meaningful for conjunctions; nested children are merged.
-        """
-        result: Dict[str, Value] = {}
-        for child in self.children:
-            result.update(child.attributes())
-        for relation in self.relations:
-            if relation.operator == "=":
-                result[relation.attribute] = relation.value
-        return result
 
     def render(self) -> str:
         """Serialize back to RSL text.

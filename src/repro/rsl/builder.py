@@ -59,7 +59,7 @@ def reservation_rsl(demand: ResourceVector, start_time: float,
 def vector_from_rsl(text: str) -> "Tuple[ResourceVector, float, float, Optional[str]]":
     """Parse a reservation RSL back into ``(demand, start, end, label)``.
 
-    Later ``=`` bindings win, as in :meth:`RSLExpression.attributes`.
+    Later ``=`` bindings win, GRAM's last-value semantics.
 
     Raises:
         RSLError: When the window attributes are missing or malformed,

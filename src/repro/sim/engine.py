@@ -126,14 +126,3 @@ class Simulator:
         finally:
             self._running = False
         return processed
-
-    def step(self) -> bool:
-        """Process exactly one event. Returns ``False`` when idle."""
-        if len(self._queue) == 0:
-            return False
-        event = self._queue.pop()
-        self._now = event.time
-        if self.trace is not None and event.label:
-            self.trace.record(self._now, "event", event.label)
-        event.action()
-        return True

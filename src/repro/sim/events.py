@@ -57,20 +57,6 @@ class Event:
         """Mark the event so the engine skips it when it is popped."""
         self.cancelled = True
 
-    @property
-    def sort_key(self) -> "Tuple[float, int, int]":
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.sort_key == other.sort_key
-                and self.action == other.action
-                and self.label == other.label)
-
     def __repr__(self) -> str:
         return (f"Event(time={self.time!r}, priority={self.priority!r}, "
                 f"seq={self.seq!r}, action={self.action!r}, "

@@ -10,7 +10,7 @@ draws does not perturb the arrival process.
 from __future__ import annotations
 
 import random as _random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 from ..errors import ValidationError
 
 T = TypeVar("T")
@@ -67,16 +67,6 @@ class RandomSource:
                         weights: Sequence[float]) -> T:
         """Weighted choice from a non-empty sequence."""
         return self._rng.choices(items, weights=weights, k=1)[0]
-
-    def sample(self, items: Sequence[T], k: int) -> List[T]:
-        """``k`` distinct items drawn without replacement."""
-        return self._rng.sample(list(items), k)
-
-    def shuffle(self, items: Sequence[T]) -> List[T]:
-        """A shuffled copy of ``items`` (the input is not mutated)."""
-        copy = list(items)
-        self._rng.shuffle(copy)
-        return copy
 
     def probability(self, p: float) -> bool:
         """Bernoulli trial: ``True`` with probability ``p``."""

@@ -200,18 +200,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         return instrument.value if instrument is not None else 0.0
 
-    def as_dict(self) -> "Dict[str, float]":
-        """Flat snapshot ``"name{a=b}" -> value`` for assertions."""
-        data: Dict[str, float] = {}
-        for (name, labels), counter in self._counters.items():
-            data[_flat(name, labels)] = counter.value
-        for (name, labels), gauge in self._gauges.items():
-            data[_flat(name, labels)] = gauge.value
-        for (name, labels), tw in self._time_gauges.items():
-            data[_flat(name, labels)] = tw.value
-            data[_flat(name + "_timeweighted_mean", labels)] = tw.mean()
-        return data
-
     def render_prometheus(self) -> str:
         """Prometheus text-exposition snapshot (sorted, deterministic).
 
@@ -246,13 +234,6 @@ class MetricsRegistry:
             lines.append(f"# TYPE {family} {kind}")
             lines.extend(rows)
         return "\n".join(lines)
-
-
-def _flat(name: str, labels: _LabelTuple) -> str:
-    if not labels:
-        return name
-    rendered = ",".join(f"{label}={value}" for label, value in labels)
-    return f"{name}{{{rendered}}}"
 
 
 def _escape(value: str) -> str:

@@ -15,6 +15,7 @@ from repro.baselines import (
     ProportionalSharePolicy,
     StaticPartitionPolicy,
 )
+from repro.baselines.base import AllocatorPolicy
 
 ALL_POLICIES = [AdaptivePolicy, StaticPartitionPolicy, FcfsPolicy,
                 ProportionalSharePolicy]
@@ -67,6 +68,24 @@ class TestCommonContract:
         policy.admit_guaranteed("u", 5)
         with pytest.raises(AdmissionError):
             policy.admit_guaranteed("u", 5)
+
+
+def test_the_interface_itself_allocates_nothing():
+    """Every operation of the bare interface refuses, so a policy that
+    forgot one fails loudly instead of reporting zero."""
+    policy = AllocatorPolicy()
+    calls = [lambda: policy.admit_guaranteed("u", 1),
+             lambda: policy.set_guaranteed_demand("u", 1),
+             lambda: policy.remove_guaranteed("u"),
+             lambda: policy.set_best_effort_demand("b", 1),
+             lambda: policy.apply_failure(1),
+             lambda: policy.apply_repair(),
+             lambda: policy.served("u"),
+             lambda: policy.utilization(),
+             lambda: policy.total_capacity()]
+    for call in calls:
+        with pytest.raises(NotImplementedError):
+            call()
 
 
 class TestAdaptiveDistinctives:

@@ -7,7 +7,7 @@ the bus transport (``install_all``: conditional discovery behind a
 resilient caller), count the ``find_services`` exchanges it saves, and
 check every way the held answers must be let go: at the end of the
 batch, on an exception, and when a delay fault lets a scheduled
-registry change fire mid-batch. A degraded (stale-cache) answer is
+registration fire mid-batch. A degraded (stale-cache) answer is
 never held.
 """
 
@@ -175,52 +175,53 @@ class TestHeldAnswersAreLetGo:
         broker = testbed.broker
         first = broker.request_services([_request(0, "new-service")])
         assert not first[0].accepted
-        record = _register(testbed, "new-service")
+        _register(testbed, "new-service")
         second = broker.request_services([_request(1, "new-service")])
         assert second[0].accepted
-        # A lone request after the batch, at the same instant, asks
-        # again too: it sees the service gone.
-        testbed.registry.unregister(record.record_id)
-        outcome = broker.request_service(_request(2, "new-service"))
-        assert outcome.reason == "no matching service in UDDIe"
+        # A lone request after a batch, at the same instant, asks
+        # again too: it sees a service registered since.
+        third = broker.request_services([_request(2, "later-service")])
+        assert not third[0].accepted
+        _register(testbed, "later-service")
+        assert broker.request_service(_request(3, "later-service")).accepted
 
     def test_an_exception_mid_batch_leaves_nothing_held(self, monkeypatch):
         testbed = _bus_testbed()
         broker = testbed.broker
-        record = _register(testbed, "late-service")
         establish = broker.establish
 
         def dying(negotiation):
             raise BrokerCrash("died after discovery")
         monkeypatch.setattr(broker, "establish", dying)
+        # The first request holds an empty answer; the second dies.
         with pytest.raises(BrokerCrash):
-            broker.request_services([_request(0, "late-service")])
+            broker.request_services([_request(0, "late-service"),
+                                     _request(1)])
         monkeypatch.setattr(broker, "establish", establish)
-        testbed.registry.unregister(record.record_id)
-        outcome = broker.request_service(_request(1, "late-service"))
-        assert outcome.reason == "no matching service in UDDIe"
+        _register(testbed, "late-service")
+        assert broker.request_service(_request(2, "late-service")).accepted
 
-    def test_a_delay_fault_that_fires_an_unregister_is_seen(
+    def test_a_delay_fault_that_fires_a_registration_is_seen(
             self, exchanges):
-        """A slow reply lets the clock run past a scheduled removal:
-        the reply was written before it, so the request it answers is
-        admitted, but every later request must ask again and be
-        refused — exactly as one at a time."""
+        """A slow reply lets the clock run past a scheduled
+        registration: the reply was written before it, so the request
+        it answers is refused, but every later request must ask again
+        and be admitted — exactly as one at a time."""
         outcomes = []
         for batched in (True, False):
             testbed = _bus_testbed()
-            record = _register(testbed, "doomed-service")
             testbed.sim.schedule(
-                0.5, lambda: testbed.registry.unregister(record.record_id))
+                0.5, lambda: _register(testbed, "newcomer-service"))
             testbed.bus.install_faults(FaultPlan(
                 RandomSource(1).stream("faults"),
                 [FaultRule(action="service_records", delay=1.0,
                            delay_range=(1.0, 1.0))]))
             # Every reply spends one time unit in transit: the first is
-            # written at t=0, before the removal, and arrives at t=1.
-            requests = [_request(0, "doomed-service"),
+            # written at t=0, before the registration, and arrives at
+            # t=1.
+            requests = [_request(0, "newcomer-service"),
                         _request(1, "simulation-service"),
-                        _request(2, "doomed-service"),
+                        _request(2, "newcomer-service"),
                         _request(3, "simulation-service")]
             broker = testbed.broker
             if batched:
@@ -232,7 +233,7 @@ class TestHeldAnswersAreLetGo:
         batch_out, seq_out = outcomes
         assert _outcomes(batch_out) == _outcomes(seq_out)
         assert [outcome.accepted for outcome in batch_out] == \
-            [True, True, False, True]
+            [False, True, True, True]
         assert len(exchanges) == 8
 
     def test_a_degraded_answer_is_not_held(self):

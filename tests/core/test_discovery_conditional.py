@@ -5,8 +5,8 @@ per query with the registry validator it came under, and the
 :class:`~repro.core.discovery.RegistryEndpoint` answers ``unchanged``
 when that validator is still current. The answer must never differ
 from asking the registry in process: a state machine drives both
-transports over one registry through registrations, removals,
-generated queries (empty and space-padded patterns, property
+transports over one registry through registrations (twins of a
+registered record too, so an earlier answer grows), generated queries (empty and space-padded patterns, property
 constraints of every value type, QoS floors), repeats of earlier
 queries, their twins under ``==`` with differently typed values, and a
 registry swapped behind the endpoint, and compares the
@@ -146,6 +146,7 @@ class DiscoveryMachine(RuleBasedStateMachine):
         self.direct = DirectDiscovery(self.registry)
         self.remote = ResilientDiscovery(bus)
         self.asked: list = []
+        self.twins = 0
 
     @rule(registration=_REGISTRATIONS)
     def register(self, registration):
@@ -166,9 +167,16 @@ class DiscoveryMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: len(self.registry) > 0)
     @rule(index=st.integers(min_value=0))
-    def unregister(self, index):
+    def register_twin(self, index):
+        """Register a registered record again under a new provider:
+        every answer that holds the record grows by its twin."""
         records = self.registry.records()
-        self.registry.unregister(records[index % len(records)].record_id)
+        record = records[index % len(records)]
+        self.twins += 1
+        self.registry.register(record.name, f"twin-{self.twins}",
+                               endpoint=record.endpoint,
+                               capability=record.capability,
+                               properties=dict(record.properties))
 
     @rule(registrations=st.lists(_REGISTRATIONS, max_size=4))
     def replace_registry(self, registrations):
@@ -255,13 +263,13 @@ class TestRevalidation:
 
     def test_each_mutation_costs_one_more_record_set(self, wire):
         wire.finder.find(QUERY)
-        added = wire.registry.register("render-node", "acme")
+        wire.registry.register("render-node", "acme")
         for _ in range(3):
             assert len(wire.finder.find(QUERY).records) == 3
         assert wire.record_sets == 2
-        wire.registry.unregister(added.record_id)
+        wire.registry.register("render-node", "cardiff")
         for _ in range(3):
-            assert len(wire.finder.find(QUERY).records) == 2
+            assert len(wire.finder.find(QUERY).records) == 4
         assert wire.record_sets == 3
 
     def test_a_mutation_outside_the_answer_still_resends_it(self, wire):
@@ -321,9 +329,9 @@ class TestValidator:
     def test_every_mutation_draws_a_new_validator(self):
         registry = UddieRegistry()
         seen = [registry.validator]
-        record = registry.register("render", "acme")
+        registry.register("render", "acme")
         seen.append(registry.validator)
-        registry.unregister(record.record_id)
+        registry.register("render", "cardiff")
         seen.append(registry.validator)
         assert len(set(seen)) == 3
 

@@ -13,7 +13,8 @@ from repro.errors import MessageError
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
-from repro.sla.negotiation import ServiceRequest
+from repro.sla.negotiation import NegotiationState, ServiceRequest
+from repro.xmlmsg import codec
 from repro.xmlmsg.bus import MessageBus
 from repro.xmlmsg.envelope import Envelope
 
@@ -43,6 +44,12 @@ class TestProtocolEdgeCases:
         with pytest.raises(MessageError):
             bus.request(Envelope(sender="client1", recipient="aqos",
                                  action="accept_offer", body=body))
+
+    def test_reject_unknown_negotiation(self, world):
+        _testbed, _bus, _gateway, client = world
+        with pytest.raises(MessageError,
+                           match="unknown or finished negotiation 424242"):
+            client.reject_offer(424242)
 
     def test_double_accept_rejected(self, world):
         _testbed, bus, _gateway, client = world
@@ -96,43 +103,51 @@ class TestProtocolEdgeCases:
         assert reason != ""
 
 
-class TestRenegotiationOverXml:
-    def test_renegotiate_success(self, world):
-        _testbed, _bus, _gateway, client = world
+class TestStaleNegotiations:
+    """An offer the client never answers is cleared through a reject,
+    so no negotiation stays wedged in ``OFFERED``."""
+
+    def test_sweep_abandons_an_offer_older_than_max_age(self, world):
+        testbed, _bus, gateway, client = world
+        negotiation_id, _offers, _ = client.request_service(request_for())
+        negotiation = gateway._negotiations[negotiation_id]
+        testbed.sim.run(until=10.0)
+        assert gateway.sweep_stale(5.0) == 1
+        assert negotiation.state is NegotiationState.REJECTED
+        with pytest.raises(MessageError,
+                           match="unknown or finished negotiation"):
+            client.accept_offer(negotiation_id)
+
+    def test_sweep_keeps_an_offer_within_max_age(self, world):
+        testbed, _bus, gateway, client = world
+        negotiation_id, _offers, _ = client.request_service(request_for())
+        testbed.sim.run(until=4.0)
+        assert gateway.sweep_stale(5.0) == 0
+        sla, failure = client.accept_offer(negotiation_id)
+        assert failure == ""
+        assert sla is not None
+
+    def test_abandon_of_an_unknown_or_accepted_id_is_false(self, world):
+        _testbed, _bus, gateway, client = world
+        assert gateway.abandon(424242) is False
+        negotiation_id, _offers, _ = client.request_service(request_for())
+        client.accept_offer(negotiation_id)
+        assert gateway.abandon(negotiation_id) is False
+        assert gateway.sweep_stale(0.0) == 0
+
+
+class TestNoRenegotiation:
+    def test_a_renegotiate_envelope_has_no_handler(self, world):
+        """Terms change only through a promotion: a well-formed
+        client ``renegotiate`` of a live SLA finds no handler."""
+        _testbed, bus, _gateway, client = world
         negotiation_id, _offers, _ = client.request_service(
             request_for(cpu=10))
         sla, _ = client.accept_offer(negotiation_id)
-        new_spec = QoSSpecification.of(exact_parameter(Dimension.CPU, 4))
-        updated, reason = client.renegotiate(sla.sla_id, new_spec)
-        assert reason == ""
-        assert updated.agreed_point[Dimension.CPU] == 4.0
-
-    def test_renegotiate_refusal_reason(self, world):
-        _testbed, _bus, _gateway, client = world
-        negotiation_id, _offers, _ = client.request_service(
-            request_for(cpu=10))
-        sla, _ = client.accept_offer(negotiation_id)
-        impossible = QoSSpecification.of(
-            exact_parameter(Dimension.CPU, 30))
-        updated, reason = client.renegotiate(sla.sla_id, impossible)
-        assert updated is None
-        assert reason != ""
-
-    def test_renegotiate_missing_specification_is_clean_error(self, world):
-        _testbed, bus, _gateway, _client = world
-        body = element("Renegotiate")
-        subelement(body, "SLA-ID", "1")
-        with pytest.raises(MessageError):
+        smaller = QoSSpecification.of(exact_parameter(Dimension.CPU, 4))
+        body = (f"<Renegotiate><SLA-ID>{sla.sla_id}</SLA-ID>"
+                f"{codec.SPECIFICATION.write(smaller)}</Renegotiate>")
+        with pytest.raises(MessageError,
+                           match="no handler for action 'renegotiate'"):
             bus.request(Envelope(sender="client1", recipient="aqos",
                                  action="renegotiate", body=body))
-
-    def test_renegotiate_with_budget(self, world):
-        _testbed, _bus, _gateway, client = world
-        negotiation_id, _offers, _ = client.request_service(
-            request_for(cpu=4))
-        sla, _ = client.accept_offer(negotiation_id)
-        bigger = QoSSpecification.of(exact_parameter(Dimension.CPU, 8))
-        updated, reason = client.renegotiate(sla.sla_id, bigger,
-                                             budget_rate=0.5)
-        assert updated is None
-        assert "budget" in reason

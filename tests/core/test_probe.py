@@ -127,8 +127,9 @@ class TestVerbSequence:
         new = testbed.trace.stream.events[events_before:]
         assert not [event for event in new
                     if event.category in ("span", "decision", "slo")]
-        assert not [name for name in testbed.broker.metrics.as_dict()
-                    if name.startswith(("repro_capacity_", "repro_gara_"))]
+        exported = testbed.broker.metrics.render_prometheus()
+        assert "repro_capacity_" not in exported
+        assert "repro_gara_" not in exported
 
     def test_components_share_the_testbed_probe(self):
         testbed = install_all(build_testbed())

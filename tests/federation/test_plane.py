@@ -138,6 +138,27 @@ class TestRerouting:
         assert outcome.reason == "every domain is down"
 
 
+class TestAliveDomains:
+    def test_a_crashed_broker_leaves_the_list_until_it_rejoins(self, plane):
+        assert plane.alive_domains() == ["d1", "d2", "d3"]
+        plane.crash_broker("d2")
+        assert plane.alive_domains() == ["d1", "d3"]
+        plane.recover_broker("d2")
+        assert plane.alive_domains() == ["d1", "d2", "d3"]
+
+    def test_a_scheduled_crash_counts_once_it_fires(self, plane):
+        plane.crash_broker("d3", at=5.0)
+        assert plane.alive_domains() == ["d1", "d2", "d3"]
+        plane.sim.run(until=6.0)
+        assert plane.alive_domains() == ["d1", "d2"]
+
+    @pytest.mark.parametrize("inject", ["crash_broker", "recover_broker"])
+    def test_an_unknown_domain_is_refused(self, plane, inject):
+        with pytest.raises(FederationError, match="unknown domain: 'd9'"):
+            getattr(plane, inject)("d9")
+        assert plane.alive_domains() == ["d1", "d2", "d3"]
+
+
 class TestHeartbeats:
     def test_heartbeats_mark_a_crashed_peer_down(self):
         plane = FederatedControlPlane(domains=3, seed=0,

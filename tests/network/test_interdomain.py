@@ -95,3 +95,16 @@ class TestMeasurement:
         # Congest d2's link: usable 25 for 40 booked.
         nrms[1].set_congestion("b1", "c1", 0.5)
         assert coordinator.measure(allocation) == pytest.approx(25.0)
+
+
+class TestRegistry:
+    def test_nrms_are_listed_in_domain_order(self, sim):
+        topology = Topology()
+        for site, domain in (("z1", "dz"), ("a1", "da"), ("m1", "dm")):
+            topology.add_site(site, domain)
+        nrms = [NetworkResourceManager(sim, topology, domain)
+                for domain in ("dz", "da", "dm")]
+        coordinator = InterDomainCoordinator(topology, nrms)
+        assert [nrm.domain for nrm in coordinator.nrms()] \
+            == ["da", "dm", "dz"]
+        assert coordinator.nrms()[0] is coordinator.nrm_for("da")

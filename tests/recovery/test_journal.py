@@ -15,6 +15,7 @@ from repro.recovery.journal import (
     FileJournalStore,
     Journal,
     JournalRecord,
+    JournalStore,
     MemoryJournalStore,
     decode_record,
     encode_record,
@@ -109,6 +110,18 @@ class TestMemoryStoreDeferredEncoding:
         assert [r.lsn for r in Journal(store).records()] == [1, 2]
         assert list(store.records())[1] == encode_record(second)
 
+    def test_a_read_is_a_snapshot_of_the_call(self):
+        # Records are encoded one at a time as the reader walks them,
+        # but over the records held when ``records`` was called: an
+        # append mid-walk is not seen.
+        store = MemoryJournalStore()
+        journal = Journal(store)
+        journal.append(CONFIRM, sla_id=1)
+        reading = store.records()
+        journal.append(CONFIRM, sla_id=2)
+        assert len(list(reading)) == 1
+        assert len(list(store.records())) == 2
+
     def test_unencodable_payload_surfaces_on_read(self):
         # Deferral trades the eager type check for a read-time one;
         # the sweep and every recovery force a read, so a write point
@@ -117,6 +130,81 @@ class TestMemoryStoreDeferredEncoding:
         Journal(store).append(CONFIRM, handle=object())
         with pytest.raises(TypeError):
             list(store.records())
+
+
+    def test_len_counts_byte_and_typed_appends(self):
+        store = MemoryJournalStore()
+        assert len(store) == 0
+        store.append(encode_record(JournalRecord(
+            lsn=1, time=0.0, type=CONFIRM, payload={"sla_id": 1})))
+        journal = Journal(store)
+        journal.append(CONFIRM, sla_id=2)
+        journal.begin_group()
+        journal.append(CONFIRM, sla_id=3)
+        journal.append(CONFIRM, sla_id=4)
+        journal.commit_group()
+        assert len(store) == 4
+
+    def test_an_intercepting_subclass_sees_every_typed_append(self):
+        # A subclass that overrides ``append_record`` must not be
+        # bypassed by the hot-path shortcut, for single appends or
+        # for a group commit; deferring to the base keeps the record
+        # typed and the read-back bytes identical.
+        class Counting(MemoryJournalStore):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def append_record(self, record):
+                self.seen.append(record.lsn)
+                super().append_record(record)
+
+        store = Counting()
+        journal = Journal(store)
+        first = journal.append(CONFIRM, sla_id=1)
+        journal.begin_group()
+        group = [journal.append(CONFIRM, sla_id=2),
+                 journal.append(CONFIRM, sla_id=3)]
+        journal.commit_group()
+        assert store.seen == [1, 2, 3]
+        assert list(store.records()) == [
+            encode_record(record) for record in [first] + group]
+
+
+class TestJournalStoreInterface:
+    @pytest.mark.parametrize("call", [
+        lambda store: store.append(b"{}"),
+        lambda store: list(store.records()),
+    ], ids=["append", "records"])
+    def test_the_abstract_store_refuses_naming_the_class(self, call):
+        with pytest.raises(RecoveryError,
+                           match="JournalStore does not implement"):
+            call(JournalStore())
+
+    def test_typed_appends_reach_a_byte_store_encoded(self):
+        # A store that implements only the byte contract receives each
+        # typed append already encoded, one ``append`` per record, a
+        # group commit included.
+        class Bytes(JournalStore):
+            def __init__(self):
+                self.frames = []
+
+            def append(self, data):
+                self.frames.append(data)
+
+            def records(self):
+                return iter(list(self.frames))
+
+        store = Bytes()
+        journal = Journal(store)
+        journal.append(CONFIRM, sla_id=1)
+        journal.begin_group()
+        journal.append(SLA_SAVED, sla_id=2)
+        journal.append(CONFIRM, sla_id=2)
+        journal.commit_group()
+        assert all(isinstance(frame, bytes) for frame in store.frames)
+        assert [(record.lsn, record.type) for record in journal.records()] \
+            == [(1, CONFIRM), (2, SLA_SAVED), (3, CONFIRM)]
 
 
 class TestFileJournalStore:

@@ -49,16 +49,9 @@ class TestRegistration:
                          ServiceQuery(name_pattern="render-service"))}
         assert providers == {"cardiff", "soton"}
 
-    def test_unregister(self, registry):
-        record = registry.records()[0]
-        registry.unregister(record.record_id)
-        assert len(registry) == 2
+    def test_get_unknown(self, registry):
         with pytest.raises(ServiceNotFound):
-            registry.get(record.record_id)
-
-    def test_unregister_unknown(self, registry):
-        with pytest.raises(ServiceNotFound):
-            registry.unregister(999_999)
+            registry.get(999_999)
 
 
 class TestNameQueries:

@@ -23,13 +23,13 @@ an :class:`~repro.errors.RSLError` instead of a tuple repr.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RSLError
 from repro.qos.vector import ResourceVector
 from repro.rsl.ast import RSLExpression, RSLRelation, Value
 
-__all__ = ["parse_rsl", "render_value", "render_expression",
+__all__ = ["attributes", "parse_rsl", "render_value", "render_expression",
            "reservation_rsl", "vector_from_rsl"]
 
 _COMBINATORS = "&|+"
@@ -250,19 +250,34 @@ def reservation_rsl(demand: ResourceVector, start_time: float,
     return render_expression(RSLExpression("&", relations=tuple(relations)))
 
 
+def attributes(expression: RSLExpression) -> "Dict[str, Value]":
+    """Flat ``attribute -> value`` view of the ``=`` relations.
+
+    Later bindings win, matching GRAM's last-value semantics; nested
+    children are merged first, then the expression's own relations.
+    """
+    result: Dict[str, Value] = {}
+    for child in expression.children:
+        result.update(attributes(child))
+    for relation in expression.relations:
+        if relation.operator == "=":
+            result[relation.attribute] = relation.value
+    return result
+
+
 def vector_from_rsl(
         text: str
 ) -> "Tuple[ResourceVector, float, float, Optional[str]]":
-    """The seed extraction (``attributes()`` plus a ``numeric`` closure)."""
-    expression = parse_rsl(text)
-    attributes = expression.attributes()
+    """The seed extraction (:func:`attributes` plus a ``numeric``
+    closure)."""
+    bound = attributes(parse_rsl(text))
 
     def numeric(name: str, default: Optional[float] = None) -> float:
-        if name not in attributes:
+        if name not in bound:
             if default is not None:
                 return default
             raise RSLError(f"RSL is missing required attribute {name!r}")
-        value = attributes[name]
+        value = bound[name]
         if isinstance(value, str):
             try:
                 value = float(value)
@@ -285,7 +300,7 @@ def vector_from_rsl(
         raise RSLError(
             f"reservation window ends ({end_time}) before it starts "
             f"({start_time})")
-    label = attributes.get("label")
+    label = bound.get("label")
     if isinstance(label, tuple):
         raise RSLError(f"attribute 'label' is a list: {label!r}")
     if label is not None and not isinstance(label, str):

@@ -9,13 +9,15 @@ from repro.errors import RSLError
 from repro.rsl.ast import RSLExpression, RSLRelation
 from repro.rsl.parser import parse_rsl
 
+from .rsl_reference import attributes
+
 
 class TestBasicParsing:
     def test_conjunction(self):
         expression = parse_rsl("&(count=10)(memory=2048)")
         assert expression.operator == "&"
         assert len(expression.relations) == 2
-        assert expression.attributes() == {"count": 10.0, "memory": 2048.0}
+        assert attributes(expression) == {"count": 10.0, "memory": 2048.0}
 
     def test_bare_relations_default_to_conjunction(self):
         expression = parse_rsl("(count=10)(memory=64)")
@@ -28,28 +30,28 @@ class TestBasicParsing:
 
     def test_string_values(self):
         expression = parse_rsl("&(executable=/bin/app)(os=linux)")
-        assert expression.attributes()["executable"] == "/bin/app"
+        assert attributes(expression)["executable"] == "/bin/app"
 
     def test_quoted_strings(self):
         expression = parse_rsl('&(label="my service (v2)")')
-        assert expression.attributes()["label"] == "my service (v2)"
+        assert attributes(expression)["label"] == "my service (v2)"
 
     def test_quote_escaping(self):
         expression = parse_rsl('&(label="say ""hi""")')
-        assert expression.attributes()["label"] == 'say "hi"'
+        assert attributes(expression)["label"] == 'say "hi"'
 
     def test_value_lists(self):
         expression = parse_rsl("&(arguments=a b c)")
-        assert expression.attributes()["arguments"] == ("a", "b", "c")
+        assert attributes(expression)["arguments"] == ("a", "b", "c")
 
     def test_parenthesised_list_value(self):
         expression = parse_rsl("&(hosts=(h1 h2))")
-        assert expression.attributes()["hosts"] == ("h1", "h2")
+        assert attributes(expression)["hosts"] == ("h1", "h2")
 
     def test_whitespace_insensitive(self):
         a = parse_rsl("&(count=10)(memory=64)")
         b = parse_rsl("  &  ( count = 10 )  ( memory = 64 )  ")
-        assert a.attributes() == b.attributes()
+        assert attributes(a) == attributes(b)
 
 
 class TestNesting:
@@ -103,8 +105,8 @@ class TestRenderRoundTrip:
     def test_simple_round_trip(self):
         original = "&(count=10)(memory=2048)(start-time=0)(end-time=100)"
         expression = parse_rsl(original)
-        assert parse_rsl(expression.render()).attributes() == \
-            expression.attributes()
+        assert attributes(parse_rsl(expression.render())) == \
+            attributes(expression)
 
     @pytest.mark.parametrize("text", [
         "+(&(count=10))(&(bandwidth=45))",
@@ -127,11 +129,11 @@ class TestRenderRoundTrip:
         st.floats(min_value=0, max_value=1e9, allow_nan=False,
                   allow_infinity=False),
         min_size=1, max_size=6))
-    def test_numeric_attribute_round_trip(self, attributes):
+    def test_numeric_attribute_round_trip(self, bindings):
         relations = tuple(RSLRelation(name, "=", value)
-                          for name, value in attributes.items())
+                          for name, value in bindings.items())
         rendered = RSLExpression("&", relations=relations).render()
-        parsed = parse_rsl(rendered).attributes()
-        assert set(parsed) == set(attributes)
-        for name, value in attributes.items():
+        parsed = attributes(parse_rsl(rendered))
+        assert set(parsed) == set(bindings)
+        for name, value in bindings.items():
             assert parsed[name] == pytest.approx(value, rel=1e-9)

@@ -173,7 +173,7 @@ class TestParser:
             assert parse_rsl(f"&{char}(a{char}={char}1)") == \
                 parse_rsl("&(a=1)")
         # A zero-width space is not whitespace: it is a token character.
-        assert parse_rsl("&(a=\u200b)").attributes() == {"a": "\u200b"}
+        assert seed.attributes(parse_rsl("&(a=\u200b)")) == {"a": "\u200b"}
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +239,7 @@ class TestRenderer:
         wanted = repr((demand, start, end, name or None))
         # A label must read back as the string itself: "inf" came back
         # as a float the extraction only happened to print the same.
-        label = seed.parse_rsl(rendered).attributes().get("label")
+        label = seed.attributes(seed.parse_rsl(rendered)).get("label")
         if _extracted(seed.vector_from_rsl, rendered) == wanted \
                 and repr(label) == repr(name or None):
             assert reservation_rsl(demand, start, end,

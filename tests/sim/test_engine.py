@@ -91,18 +91,6 @@ class TestCancellation:
         assert fired == []
 
 
-class TestStep:
-    def test_step_processes_one_event(self, sim):
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("a"))
-        sim.schedule(2.0, lambda: fired.append("b"))
-        assert sim.step() is True
-        assert fired == ["a"]
-
-    def test_step_on_idle_returns_false(self, sim):
-        assert sim.step() is False
-
-
 class TestTracing:
     def test_labelled_events_are_traced(self):
         trace = TraceRecorder()

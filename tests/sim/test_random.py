@@ -73,15 +73,3 @@ class TestDistributions:
         picks = [source.weighted_choice(["a", "b"], [0.9, 0.1])
                  for _ in range(5000)]
         assert picks.count("a") > picks.count("b") * 3
-
-    def test_shuffle_does_not_mutate_input(self):
-        source = RandomSource(5)
-        items = [1, 2, 3, 4, 5]
-        shuffled = source.shuffle(items)
-        assert items == [1, 2, 3, 4, 5]
-        assert sorted(shuffled) == items
-
-    def test_sample_without_replacement(self):
-        source = RandomSource(5)
-        drawn = source.sample(range(100), 10)
-        assert len(set(drawn)) == 10

@@ -102,6 +102,38 @@ class TestDeliveredPointMovement:
         assert not controlled_sla().is_degraded()
 
 
+class TestRenegotiatePoint:
+    """A promotion re-negotiates the agreed terms in place; delivery
+    follows only when the broker applies the new point."""
+
+    def test_agreed_point_and_price_move_together(self):
+        sla = controlled_sla(agreed_point={Dimension.CPU: 4.0,
+                                           Dimension.BANDWIDTH_MBPS: 20.0})
+        better = {Dimension.CPU: 8.0, Dimension.BANDWIDTH_MBPS: 45.0}
+        sla.renegotiate_point(better, 25.0)
+        assert sla.agreed_point == better
+        assert sla.price_rate == 25.0
+        assert sla.delivered_point == {Dimension.CPU: 4.0,
+                                       Dimension.BANDWIDTH_MBPS: 20.0}
+        better[Dimension.CPU] = 2.0
+        assert sla.agreed_point[Dimension.CPU] == 8.0  # a copy is kept
+
+    def test_a_guaranteed_sla_cannot_be_promoted(self):
+        sla = guaranteed_sla(price_rate=5.0)
+        with pytest.raises(SLAError, match="cannot be promoted"):
+            sla.renegotiate_point({Dimension.CPU: 10.0}, 9.0)
+        assert sla.price_rate == 5.0
+
+    def test_a_point_outside_the_specification_changes_nothing(self):
+        sla = controlled_sla()
+        agreed = dict(sla.agreed_point)
+        with pytest.raises(SLAError, match="outside SLA 1"):
+            sla.renegotiate_point({Dimension.CPU: 16.0,
+                                   Dimension.BANDWIDTH_MBPS: 45.0}, 99.0)
+        assert sla.agreed_point == agreed
+        assert sla.price_rate == 10.0
+
+
 class TestStatusMachine:
     def test_happy_path(self):
         sla = controlled_sla()

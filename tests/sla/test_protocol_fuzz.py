@@ -290,6 +290,16 @@ def _request_for_broker():
                           specification=spec, start=0.0, end=10.0)
 
 
+def _service_request_with(specification: str) -> str:
+    """A broker-bound request whose ``<QoS_Specification>`` element is
+    the given text."""
+    from repro.xmlmsg import codec
+    wire = codec.encode_service_request(_request_for_broker())
+    start = wire.index("<QoS_Specification>")
+    end = wire.index("</QoS_Specification>") + len("</QoS_Specification>")
+    return wire[:start] + specification + wire[end:]
+
+
 # ======================================================================
 # Body wire fuzz: every action's payload, one field mutated
 # ======================================================================
@@ -349,14 +359,11 @@ def _body_samples():
         (gateway.ACCEPT_OFFER.write((7, 0)), gateway.ACCEPT_OFFER),
         (gateway.REJECT_OFFER.write(7), gateway.REJECT_OFFER),
         (gateway.VERIFY_SLA.write(1001), gateway.VERIFY_SLA),
-        (gateway.RENEGOTIATE.write((1001, spec, 4.0)), gateway.RENEGOTIATE),
         (gateway.OFFER_REJECTED.write(7), gateway.OFFER_REJECTED),
         (gateway.SERVICE_OFFER_FAILURE.write("none"),
          gateway.SERVICE_OFFER_FAILURE),
         (gateway.ESTABLISHMENT_FAILURE.write("full"),
          gateway.ESTABLISHMENT_FAILURE),
-        (gateway.RENEGOTIATION_FAILURE.write("pinned"),
-         gateway.RENEGOTIATION_FAILURE),
         (discovery.encode_service_query(query, "v1"),
          discovery.SERVICE_QUERY),
         (discovery.encode_service_records([record], "v1"),
@@ -440,19 +447,20 @@ class TestBodyWireFuzz:
         except GQoSMError:
             pass  # a semantic check of the object built (typed)
 
-    @pytest.mark.parametrize("body, tag", [
-        ("<Verify_SLA><SLA-ID>abc</SLA-ID></Verify_SLA>", "<SLA-ID>"),
-        ('<Renegotiate><SLA-ID>1</SLA-ID><QoS_Specification>'
-         '<Parameter dimension="cpu" form="exact" /></QoS_Specification>'
-         '</Renegotiate>', "<Parameter>"),
-        ('<Renegotiate><SLA-ID>1</SLA-ID><QoS_Specification>'
-         '<Parameter dimension="bogus" form="exact"><Value>2</Value>'
-         '</Parameter></QoS_Specification></Renegotiate>',
+    @pytest.mark.parametrize("action, body, tag", [
+        ("verify_sla", "<Verify_SLA><SLA-ID>abc</SLA-ID></Verify_SLA>",
+         "<SLA-ID>"),
+        ("service_request", _service_request_with(
+            '<QoS_Specification><Parameter dimension="cpu" form="exact" />'
+            '</QoS_Specification>'), "<Parameter>"),
+        ("service_request", _service_request_with(
+            '<QoS_Specification><Parameter dimension="bogus" form="exact">'
+            '<Value>2</Value></Parameter></QoS_Specification>'),
          '<Parameter dimension='),
-    ])
-    def test_gateway_fails_typed_naming_the_field(self, body, tag):
+    ], ids=["verify-sla-id", "request-parameter-value",
+            "request-parameter-dimension"])
+    def test_gateway_fails_typed_naming_the_field(self, action, body, tag):
         testbed = attach_control_plane(build_testbed())
-        action = "verify_sla" if "Verify" in body else "renegotiate"
         envelope = Envelope(sender="fuzz", recipient="aqos",
                             action=action, body=body)
         with pytest.raises(MessageError) as raised:

@@ -37,15 +37,20 @@ def observed_partition(gauges, **kwargs):
     return CapacityPartition(probe=Probe(telemetry=hub), **kwargs)
 
 
+def effective_pools(registry):
+    """Each pool's current effective capacity, read exactly."""
+    return {pool: registry.time_gauge("repro_capacity_effective",
+                                      pool=pool).value
+            for pool in POOLS}
+
+
 class TestGaugeFeed:
     def test_prime_records_the_nominal_split(self, registry):
         gauges = CapacityGauges(registry)
         observed_partition(gauges, guaranteed=15, adaptive=6,
                            best_effort=5)
-        data = registry.as_dict()
-        assert data["repro_capacity_effective{pool=g}"] == 15
-        assert data["repro_capacity_effective{pool=a}"] == 6
-        assert data["repro_capacity_effective{pool=b}"] == 5
+        effective = effective_pools(registry)
+        assert effective == {"g": 15, "a": 6, "b": 5}
         assert registry.counter_value(
             "repro_capacity_rebalances_total") == 1
 
@@ -55,12 +60,11 @@ class TestGaugeFeed:
                                        best_effort=5)
         clock.now = 30.0
         partition.apply_failure(4.0)
-        data = registry.as_dict()
-        assert data["repro_capacity_effective{pool=g}"] == 11
-        assert data["repro_capacity_failed"] == 4
+        assert effective_pools(registry)["g"] == 11
+        assert registry.time_gauge("repro_capacity_failed").value == 4
         clock.now = 60.0
         partition.apply_repair()
-        assert registry.as_dict()["repro_capacity_effective{pool=g}"] == 15
+        assert effective_pools(registry)["g"] == 15
 
     def test_time_weighted_occupancy_is_exact(self, registry, clock):
         gauges = CapacityGauges(registry)
@@ -72,8 +76,8 @@ class TestGaugeFeed:
         partition.apply_repair()
         clock.now = 120.0
         # Cg: 15 over [0,30), 7 over [30,60), 15 over [60,120).
-        mean = registry.as_dict()[
-            "repro_capacity_effective_timeweighted_mean{pool=g}"]
+        mean = registry.time_gauge("repro_capacity_effective",
+                                   pool="g").mean()
         assert mean == pytest.approx((30 * 15 + 30 * 7 + 60 * 15) / 120)
 
     def test_borrowing_shows_up_as_allocated_and_transfer(self, registry):
@@ -85,10 +89,11 @@ class TestGaugeFeed:
         # A failure shrinks Cg to 6; Adapt() borrows 4 from Ca so the
         # commitment stays served — and the gauges show it.
         partition.apply_failure(4.0)
-        data = registry.as_dict()
-        assert data["repro_capacity_allocated{pool=a,tier=guaranteed}"] \
+        assert registry.time_gauge("repro_capacity_allocated", pool="a",
+                                   tier="guaranteed").value \
             == pytest.approx(4.0)
-        assert data["repro_capacity_adapt_transfer"] == pytest.approx(4.0)
+        assert registry.time_gauge("repro_capacity_adapt_transfer").value \
+            == pytest.approx(4.0)
 
     def test_shortfall_sets_gauge_and_counter(self, registry):
         gauges = CapacityGauges(registry)
@@ -97,7 +102,7 @@ class TestGaugeFeed:
         partition.admit_guaranteed("user-1", 10.0)
         partition.set_guaranteed_demand("user-1", 10.0)
         partition.apply_failure(6.0)
-        assert registry.as_dict()["repro_capacity_shortfall"] \
+        assert registry.gauge("repro_capacity_shortfall").value \
             == pytest.approx(6.0)
         assert registry.counter_value(
             "repro_capacity_shortfall_events_total") >= 1
@@ -109,7 +114,7 @@ class TestGaugeFeed:
             last_report = None
 
         gauges.on_rebalance(Bare(), None)
-        assert registry.as_dict() == {}
+        assert registry.render_prometheus() == ""
 
     def test_pool_keys_match_the_paper(self):
         assert POOLS == ("g", "a", "b")

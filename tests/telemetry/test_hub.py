@@ -41,10 +41,10 @@ class TestInstallation:
 
     def test_capacity_gauges_are_primed_at_install(self, testbed,
                                                    telemetry):
-        data = telemetry.metrics.as_dict()
-        assert data["repro_capacity_effective{pool=g}"] == 15
-        assert data["repro_capacity_effective{pool=a}"] == 6
-        assert data["repro_capacity_effective{pool=b}"] == 5
+        metrics = telemetry.metrics
+        assert [metrics.time_gauge("repro_capacity_effective",
+                                   pool=pool).value
+                for pool in ("g", "a", "b")] == [15, 6, 5]
 
     def test_disabled_by_default(self):
         testbed = attach_control_plane(build_testbed())

@@ -114,11 +114,3 @@ class TestRendering:
             return registry.render_prometheus()
 
         assert build() == build()
-
-    def test_as_dict_flattens_keys(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_ops_total", op="create").inc()
-        registry.gauge("repro_active").set(2)
-        data = registry.as_dict()
-        assert data["repro_ops_total{op=create}"] == 1
-        assert data["repro_active"] == 2

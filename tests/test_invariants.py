@@ -19,7 +19,7 @@ from repro.core.testbed import build_testbed
 from repro.experiments.quickstart import quickstart_request
 from repro.federation.plane import FederatedControlPlane
 from repro.federation.recovery import federation_invariants
-from repro.invariants import FACTS, check
+from repro.invariants import FACTS, check, journal_lsn
 from repro.qos.vector import ResourceVector
 from repro.recovery.crashpoints import run_episode
 from repro.recovery.journal import CONFIRM, JournalRecord, encode_record
@@ -118,6 +118,11 @@ def rewind_the_journal(testbed):
         lsn=1, time=0.0, type=CONFIRM, payload={})))
 
 
+def repeat_the_last_lsn(testbed):
+    testbed.journal.store.append(encode_record(JournalRecord(
+        lsn=testbed.journal.last_lsn, time=0.0, type=CONFIRM, payload={})))
+
+
 class Row(NamedTuple):
     scene: Callable
     corrupt: Callable
@@ -139,6 +144,8 @@ ROWS = {
     "sla-atomicity": Row(session, drop_a_session, check, "sla_atomicity"),
     "holding-owner": Row(session, hold_for_nobody, check, "holding_owner"),
     "journal-lsn": Row(session, rewind_the_journal, check, "journal_lsn"),
+    "journal-lsn-repeat": Row(session, repeat_the_last_lsn, check,
+                              "journal_lsn"),
     # Facts a driver did not check before it called check().
     "replay-leaked-slot": Row(replay, leak_a_slot, check_invariants,
                               "slot_entries"),
@@ -170,3 +177,18 @@ def test_the_driver_names_the_corrupted_fact(name):
     problems = row.driver(subject)
     assert any(row.fact in problem.split(": ") for problem in problems), \
         problems
+
+
+def test_the_lsn_fact_names_each_step_back_once():
+    """One problem per record that does not climb, measured against
+    the record just before it, not the highest seen."""
+    testbed, _ = session()
+    last = testbed.journal.last_lsn
+    rewind_the_journal(testbed)
+    testbed.journal.store.append(encode_record(JournalRecord(
+        lsn=last + 1, time=0.0, type=CONFIRM, payload={})))
+    repeat = JournalRecord(lsn=last + 1, time=0.0, type=CONFIRM, payload={})
+    testbed.journal.store.append(encode_record(repeat))
+    assert journal_lsn(testbed) == [
+        f"LSN 1 after {last}, not strictly increasing",
+        f"LSN {last + 1} after {last + 1}, not strictly increasing"]

@@ -748,8 +748,7 @@ def encode_alive(domain: str, now: float) -> ET.Element:
 # ----------------------------------------------------------------------
 
 def encode_failure(tag: str, reason: str) -> ET.Element:
-    """``<Service_Offer_Failure>``, ``<Establishment_Failure>`` or
-    ``<Renegotiation_Failure>``."""
+    """``<Service_Offer_Failure>`` or ``<Establishment_Failure>``."""
     failure = element(tag)
     subelement(failure, "Reason", reason)
     return failure
@@ -772,16 +771,6 @@ def encode_negotiation_id(tag: str, negotiation_id: int) -> ET.Element:
 def encode_verify_sla(sla_id: int) -> ET.Element:
     body = element("Verify_SLA")
     subelement(body, "SLA-ID", str(sla_id))
-    return body
-
-
-def encode_renegotiate(sla_id: int, specification,
-                       budget_rate: Optional[float]) -> ET.Element:
-    body = element("Renegotiate")
-    subelement(body, "SLA-ID", str(sla_id))
-    body.append(_encode_specification(specification))
-    if budget_rate is not None:
-        subelement(body, "Budget_Rate", f"{budget_rate:.12g}")
     return body
 
 

@@ -175,10 +175,8 @@ class TestClientMessages:
               old.encode_offers(negotiation_id, offers), old.decode_offers)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 10**6), st.integers(0, 9), _TEXT,
-           service_slas(sla_id=1), st.none() | eighths(0, 99))
-    def test_gateway_bodies(self, number, index, reason, sla, budget):
-        spec = sla.specification
+    @given(st.integers(1, 10**6), st.integers(0, 9), _TEXT)
+    def test_gateway_bodies(self, number, index, reason):
         cases = [
             (gateway.ACCEPT_OFFER, (number, index),
              old.encode_accept_offer(number, index)),
@@ -187,22 +185,14 @@ class TestClientMessages:
             (gateway.OFFER_REJECTED, number,
              old.encode_negotiation_id("Offer_Rejected", number)),
             (gateway.VERIFY_SLA, number, old.encode_verify_sla(number)),
-            (gateway.RENEGOTIATE, (number, spec, budget),
-             old.encode_renegotiate(number, spec, budget)),
             (gateway.SERVICE_OFFER_FAILURE, reason,
              old.encode_failure("Service_Offer_Failure", reason)),
             (gateway.ESTABLISHMENT_FAILURE, reason,
              old.encode_failure("Establishment_Failure", reason)),
-            (gateway.RENEGOTIATION_FAILURE, reason,
-             old.encode_failure("Renegotiation_Failure", reason)),
         ]
         for message, obj, before in cases:
             assert message.write(obj, DISPLAY) == pretty_xml(before)
             assert shape(parse_xml(message.write(obj))) == shape(before)
-        read = gateway.RENEGOTIATE.read(parse_xml(
-            gateway.RENEGOTIATE.write((number, spec, budget))))
-        assert read == {"sla_id": number, "specification": spec,
-                        "budget_rate": budget}
 
 
 class TestDiscovery:

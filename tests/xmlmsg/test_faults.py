@@ -56,6 +56,16 @@ class TestFaultPlan:
         assert chaos.rule_for(envelope()) is specific
         assert chaos.rule_for(envelope(action="other")) is catchall
 
+    def test_rules_are_a_copy_in_evaluation_order(self):
+        first, second = FaultRule(drop=1.0), FaultRule(delay=1.0)
+        chaos = FaultPlan(RandomSource(0).stream("faults"), [first])
+        chaos.add(second)
+        rules = chaos.rules
+        assert rules == [first, second]
+        rules.clear()
+        assert chaos.rules == [first, second]
+        assert chaos.rule_for(envelope()) is first
+
     def test_unmatched_envelope_is_exempt(self):
         chaos = plan(1, action="nonexistent_action", drop=1.0)
         decision = chaos.decide(envelope(), "request")

@@ -30,6 +30,16 @@ class TestDedupCache:
         assert registry.counter_value("repro_dedup_hits_total") == 2
         assert cache.get("a") == "reply"
 
+    def test_len_and_membership_count_no_hits(self):
+        registry = MetricsRegistry()
+        cache = DedupCache(capacity=2, metrics=registry)
+        assert len(cache) == 0
+        for key in ("a", "b", "c"):
+            cache.put(key, key)
+        assert len(cache) == 2  # bounded by the capacity
+        assert "a" not in cache and "c" in cache
+        assert registry.counter_value("repro_dedup_hits_total") == 0
+
     def test_fifo_eviction_is_deterministic(self):
         registry = MetricsRegistry()
         cache = DedupCache(capacity=3, metrics=registry)

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CircuitOpenError, MessageError, ValidationError
@@ -144,6 +146,25 @@ class TestResilientCaller:
             caller.call(call_envelope())
         assert caller.stats.attempts == 3
         assert caller.stats.circuit_rejections == 1
+
+    def test_stats_flatten_every_counter(self, sim, bus):
+        bus.install_faults(FaultPlan(
+            RandomSource(4).stream("faults"),
+            [FaultRule(action="query", drop=1.0)]))
+        policy = RetryPolicy(max_attempts=3, circuit_cooldown=30.0)
+        caller = ResilientCaller(bus, policy=policy,
+                                 rng=RandomSource(5).stream("jitter"))
+        for _ in range(2):
+            with pytest.raises(CircuitOpenError):
+                caller.call(call_envelope())
+        flat = caller.stats.as_dict()
+        assert flat == dataclasses.asdict(caller.stats)
+        assert flat["calls"] == 2
+        assert flat["attempts"] == 3
+        assert flat["retries"] == 2
+        assert flat["timeouts"] == 3
+        assert flat["exhausted"] == 1
+        assert flat["circuit_rejections"] == 1
 
     def test_half_open_probe_after_cooldown(self, sim, bus):
         bus.install_faults(FaultPlan(
