@@ -7,8 +7,8 @@ completed, how many retries/timeouts the resilient callers spent, and
 how many notifications dead-lettered. The acceptance anchor is that up
 to 20% drop probability every *established* guaranteed SLA still
 completes — the retry/dedup machinery converts transport loss into
-latency, never into a violated guarantee. Results are written to
-``benchmarks/BENCH_chaos.json`` as a regenerable artifact.
+latency, never into a violated guarantee. The sweep's table is
+printed with ``-s``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from repro.qos.specification import QoSSpecification
 from repro.sla.document import SlaStatus
 from repro.sla.negotiation import ServiceRequest
 
-from .conftest import report, write_artifact
+from .conftest import report
 
-ARTIFACT_NAME = "BENCH_chaos.json"
 DROP_PROBABILITIES = (0.0, 0.05, 0.1, 0.15, 0.2)
 CHAOS_SEEDS = (7, 19, 31)
 CLIENTS = (("user1", 6), ("user2", 5), ("user3", 4))
@@ -78,14 +77,7 @@ def _run_point(drop: float, chaos_seed: int) -> "dict[str, float]":
 
 
 def test_bus_chaos_drop_sweep_artifact():
-    results = {
-        "workload": "3 guaranteed clients (6+5+4 CPU), Fig.2 sessions "
-                    "over the bus, 0..100 validity, run to t=150",
-        "fault_model": "uniform request/reply drop, all other families "
-                       "off",
-        "seeds": list(CHAOS_SEEDS),
-        "points": [],
-    }
+    points = []
     for drop in DROP_PROBABILITIES:
         per_seed = [_run_point(drop, seed) for seed in CHAOS_SEEDS]
         established = sum(row["established"] for row in per_seed)
@@ -104,13 +96,11 @@ def test_bus_chaos_drop_sweep_artifact():
             "capacity_conserved": all(row["capacity_conserved"]
                                       for row in per_seed),
         }
-        results["points"].append(point)
-
-    write_artifact(ARTIFACT_NAME, results)
+        points.append(point)
 
     lines = [f"{'drop':>6} {'estab':>6} {'compl':>6} {'rate':>6} "
              f"{'retries':>8} {'timeouts':>9} {'dead':>5}"]
-    for point in results["points"]:
+    for point in points:
         lines.append(
             f"{point['drop']:>6.2f} {point['established']:>6} "
             f"{point['completed']:>6} {point['completion_rate']:>6.2f} "
@@ -119,14 +109,14 @@ def test_bus_chaos_drop_sweep_artifact():
     report("Bus chaos — SLA completion & retry cost vs drop probability",
            "\n".join(lines))
 
-    for point in results["points"]:
+    for point in points:
         assert point["capacity_conserved"], point["drop"]
         # The acceptance anchor: established guarantees always complete.
         assert point["completed"] == point["established"], point["drop"]
     # The sweep must actually exercise the retry machinery...
-    assert results["points"][-1]["retries"] > 0
-    assert results["points"][-1]["faults_injected"] > 0
+    assert points[-1]["retries"] > 0
+    assert points[-1]["faults_injected"] > 0
     # ...and a fault-free run must spend none of it.
-    assert results["points"][0]["retries"] == 0
-    assert results["points"][0]["established"] == \
+    assert points[0]["retries"] == 0
+    assert points[0]["established"] == \
         3 * len(CHAOS_SEEDS)

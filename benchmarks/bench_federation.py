@@ -5,8 +5,7 @@ and routes each admission through a home-domain decision; the question
 this bench answers is what that costs as the federation grows, and how
 expensive the robustness path (home down, reroute to a survivor) is.
 
-Measured here, written to ``benchmarks/BENCH_federation.json``, for
-N = 1, 2 and 4 domains:
+Measured here and printed with ``-s``, for N = 1, 2 and 4 domains:
 
 * ``admissions_per_s`` — batch=64 guaranteed admissions/sec through
   :meth:`FederatedControlPlane.request_services` with homes assigned
@@ -16,17 +15,13 @@ N = 1, 2 and 4 domains:
   home broker is crashed: the plane detects the dead home, picks the
   acting survivor, records the reroute decision and admits there
   (``None`` at N=1 — no survivor exists).
-
-``BENCH_FEDERATION_SMOKE=1`` reduces the workload for
-``scripts/check.sh``: same schema and assertions, no artifact write.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import time
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from repro.federation.plane import FederatedControlPlane
 from repro.qos.classes import ServiceClass
@@ -34,16 +29,13 @@ from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
 from repro.sla.negotiation import ServiceRequest
 
-from .conftest import report, write_artifact
+from .conftest import report
 
-ARTIFACT_NAME = "BENCH_federation.json"
-
-SMOKE = bool(os.environ.get("BENCH_FEDERATION_SMOKE"))
 #: Timed admissions per domain count.
-ADMISSIONS = 128 if SMOKE else 2048
+ADMISSIONS = 2048
 BATCH_SIZE = 64
 #: Timed rerouted admissions (home crashed) per domain count.
-REROUTES = 16 if SMOKE else 256
+REROUTES = 256
 DOMAIN_COUNTS = (1, 2, 4)
 
 #: One shared validity window — keeps every slot-table probe O(1).
@@ -76,7 +68,8 @@ def _build_plane(domains: int) -> FederatedControlPlane:
         })
 
 
-def _measure(domains: int) -> Dict[str, object]:
+def _measure(domains: int) -> Tuple[float, Optional[float]]:
+    """Admissions/sec, and seconds per rerouted admission (N >= 2)."""
     plane = _build_plane(domains)
     names = plane.names
     requests = [_request(index) for index in range(ADMISSIONS)]
@@ -112,57 +105,16 @@ def _measure(domains: int) -> Dict[str, object]:
             f"expected {REROUTES} reroutes: {plane.stats}")
         reroute_latency = reroute_elapsed / REROUTES
 
-    return {
-        "domains": domains,
-        "admissions": ADMISSIONS,
-        "batch_size": BATCH_SIZE,
-        "elapsed_s": elapsed,
-        "admissions_per_s": ADMISSIONS / elapsed,
-        "reroutes": REROUTES if domains >= 2 else 0,
-        "reroute_latency_s": reroute_latency,
-    }
-
-
-def validate_schema(results: Dict[str, object]) -> None:
-    """Assert the artifact shape ``scripts/check.sh`` smoke relies on."""
-    for key in ("workload", "admissions", "batch_size", "domain_counts",
-                "domains"):
-        assert key in results, f"BENCH_federation results missing {key!r}"
-    for count in DOMAIN_COUNTS:
-        entry = results["domains"][str(count)]
-        for key in ("domains", "admissions", "batch_size", "elapsed_s",
-                    "admissions_per_s", "reroutes", "reroute_latency_s"):
-            assert key in entry, f"N={count} entry missing {key!r}"
-        assert entry["elapsed_s"] > 0.0
-        if count == 1:
-            assert entry["reroute_latency_s"] is None
-        else:
-            assert entry["reroute_latency_s"] > 0.0
+    return ADMISSIONS / elapsed, reroute_latency
 
 
 def test_federation_scaling_artifact():
-    measured = {str(count): _measure(count) for count in DOMAIN_COUNTS}
-    results = {
-        "workload": f"GUARANTEED admissions (CPU=1, 64MB, shared "
-                    f"window), homes round-robin, batch={BATCH_SIZE}, "
-                    f"{ADMISSIONS} timed admissions and {REROUTES} "
-                    f"timed reroutes (home crashed) per domain count",
-        "admissions": ADMISSIONS,
-        "batch_size": BATCH_SIZE,
-        "domain_counts": list(DOMAIN_COUNTS),
-        "domains": measured,
-    }
-    validate_schema(results)
-    if not SMOKE:
-        write_artifact(ARTIFACT_NAME, results)
-
     lines = []
     for count in DOMAIN_COUNTS:
-        entry = measured[str(count)]
-        latency = entry["reroute_latency_s"]
+        rate, latency = _measure(count)
         lines.append(
-            f"N={count}: {entry['admissions_per_s']:>10.0f} admissions/s"
+            f"N={count}: {rate:>10.0f} admissions/s"
             + (f"   reroute {latency * 1e6:>8.1f} us"
                if latency is not None else "   reroute        n/a"))
-    report("Federation — admission throughput and reroute latency"
-           + (" [SMOKE]" if SMOKE else ""), "\n".join(lines))
+    report("Federation — admission throughput and reroute latency",
+           "\n".join(lines))

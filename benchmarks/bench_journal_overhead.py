@@ -7,7 +7,7 @@ typed append defers byte-encoding entirely, so a journaled admission
 stays within 5 % of an unjournaled one — the same budget PR-4 set for
 telemetry.
 
-Three measurements, written to ``benchmarks/BENCH_recovery.json``:
+Three measurements, printed with ``-s``:
 
 * a full ``request_service`` admission (GUARANTEED class, compute +
   network legs — six journal records) with the journal off vs wired
@@ -39,9 +39,8 @@ from repro.recovery.journal import CONFIRM, Journal, MemoryJournalStore
 from repro.recovery.recover import install_journal
 from repro.sla.document import NetworkDemand
 
-from .conftest import report, write_artifact
+from .conftest import report
 
-ARTIFACT_NAME = "BENCH_recovery.json"
 WARMUP = 20
 ROUNDS = 400
 TRIALS = 3
@@ -147,19 +146,6 @@ def test_journal_overhead_artifact(tmp_path):
         _admission_op(FileJournalStore(tmp_path / "bench.journal")))
 
     append_s = _append_per_record_s()
-
-    results = {
-        "workload": "request_service admission (GUARANTEED, compute + "
-                    "network legs, 6 journal records), interleaved "
-                    f"best of {ROUNDS} x {TRIALS} trials",
-        "admission_journal_off_s": off_s,
-        "admission_memory_journal_s": on_s,
-        "memory_journal_overhead_fraction": overhead,
-        "admission_file_journal_s": file_store_s,
-        "append_per_record_s": append_s,
-        "budget_fraction": BUDGET,
-    }
-    write_artifact(ARTIFACT_NAME, results)
 
     report(
         "Journal overhead — write-ahead hooks on the admission path",

@@ -7,7 +7,7 @@ stay within noise of the slot-table admission itself (budget: <= 5 %
 of an indexed create at the EXPERIMENTS.md T2 anchor of 200 live
 bookings).
 
-Three measurements, written to ``benchmarks/BENCH_telemetry.json``:
+Three measurements, printed with ``-s``:
 
 * the raw slot-table create/release at 200 live bookings (the PR-1
   baseline this PR must not regress);
@@ -30,9 +30,8 @@ from repro.rsl.builder import reservation_rsl
 from repro.sim.engine import Simulator
 from repro.telemetry import Telemetry
 
-from .conftest import report, write_artifact
+from .conftest import report
 
-ARTIFACT_NAME = "BENCH_telemetry.json"
 LIVE_BOOKINGS = 200
 REPEATS = 400
 GUARD_LOOPS = 100_000
@@ -107,19 +106,6 @@ def test_telemetry_overhead_artifact():
     enabled_s = _gara_round_trip_s(_gara(telemetry_on=True))
     guard_s = _guard_cost_s()
 
-    results = {
-        "workload": f"create+cancel against {LIVE_BOOKINGS} live "
-                    f"bookings, best of {REPEATS}",
-        "slot_table_create_s": slot_create_s,
-        "gara_disabled_s": disabled_s,
-        "gara_enabled_s": enabled_s,
-        "guard_per_op_s": guard_s,
-        "guard_fraction_of_create": guard_s / slot_create_s,
-        "enabled_overhead_fraction": (enabled_s - disabled_s)
-        / disabled_s,
-    }
-    write_artifact(ARTIFACT_NAME, results)
-
     report(
         "Telemetry overhead — disabled-mode guards on the hot path",
         "\n".join([
@@ -129,9 +115,9 @@ def test_telemetry_overhead_artifact():
             f"{disabled_s * 1e6:.2f}µs",
             f"GARA create+cancel, telemetry on:   "
             f"{enabled_s * 1e6:.2f}µs "
-            f"(+{results['enabled_overhead_fraction'] * 100:.1f}%)",
+            f"(+{(enabled_s - disabled_s) / disabled_s * 100:.1f}%)",
             f"one silent-probe guard: {guard_s * 1e9:.1f}ns "
-            f"({results['guard_fraction_of_create'] * 100:.3f}% of a "
+            f"({guard_s / slot_create_s * 100:.3f}% of a "
             f"create)",
         ]))
 

@@ -12,9 +12,9 @@ walks every holding again, sequential collapses to ~40 admissions/s at
 this n while batch=64 stays in the thousands, which is what the gate
 catches.
 
-Measured here, written to ``benchmarks/BENCH_throughput.json``:
-admissions/sec at n=10k live GUARANTEED bookings for batch sizes
-{1, 8, 64, 256}, where batch=1 is the plain ``request_service`` path.
+Measured here and printed with ``-s``: admissions/sec at n=10k live
+GUARANTEED bookings for batch sizes {1, 8, 64, 256}, where batch=1 is
+the plain ``request_service`` path.
 The acceptance gate is ROADMAP's target: sequential at least half of
 batch=64.
 
@@ -26,17 +26,13 @@ slot-table scaling (that is ``bench_slot_table_scaling.py``).
 Batch sizes are measured in ascending order on one growing testbed:
 later (larger) batch sizes face *more* live holdings than the
 sequential path did.
-
-``BENCH_THROUGHPUT_SMOKE=1`` switches to a reduced workload for
-``scripts/check.sh``: same schema and the same gate, no artifact write.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import time
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.broker import ServiceRequest
 from repro.core.testbed import build_testbed
@@ -45,15 +41,12 @@ from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
 from repro.recovery.recover import install_journal
 
-from .conftest import report, write_artifact
+from .conftest import report
 
-ARTIFACT_NAME = "BENCH_throughput.json"
-
-SMOKE = bool(os.environ.get("BENCH_THROUGHPUT_SMOKE"))
 #: Live bookings in place before measurement starts.
-PRELOAD = 256 if SMOKE else 10_000
+PRELOAD = 10_000
 #: Admissions timed per batch size (same count for every size).
-ADMISSIONS = 128 if SMOKE else 512
+ADMISSIONS = 512
 BATCH_SIZES = (1, 8, 64, 256)
 #: Chunk size used to bring the testbed up to PRELOAD bookings.
 PRELOAD_CHUNK = 256
@@ -98,8 +91,8 @@ def _build_loaded_testbed():
     return testbed, admitted
 
 
-def _measure(broker, batch_size: int, first_index: int) -> Dict[str, object]:
-    """Time ADMISSIONS admissions at one batch size."""
+def _measure(broker, batch_size: int, first_index: int) -> float:
+    """Seconds taken by ADMISSIONS admissions at one batch size."""
     requests = [_request(first_index + i) for i in range(ADMISSIONS)]
     gc.disable()
     try:
@@ -111,68 +104,33 @@ def _measure(broker, batch_size: int, first_index: int) -> Dict[str, object]:
         else:
             for offset in range(0, ADMISSIONS, batch_size):
                 broker.request_services(requests[offset:offset + batch_size])
-        elapsed = time.perf_counter() - started
+        return time.perf_counter() - started
     finally:
         gc.enable()
-    return {
-        "batch_size": batch_size,
-        "admissions": ADMISSIONS,
-        "elapsed_s": elapsed,
-        "admissions_per_s": ADMISSIONS / elapsed,
-    }
-
-
-def validate_schema(results: Dict[str, object]) -> None:
-    """Assert the artifact shape ``scripts/check.sh`` smoke relies on."""
-    for key in ("workload", "live_bookings", "batches",
-                "sequential_over_batch64", "target_ratio"):
-        assert key in results, f"BENCH_throughput results missing {key!r}"
-    batches = results["batches"]
-    assert [entry["batch_size"] for entry in batches] == list(BATCH_SIZES)
-    for entry in batches:
-        for key in ("batch_size", "admissions", "elapsed_s",
-                    "admissions_per_s"):
-            assert key in entry, f"batch entry missing {key!r}"
-        assert entry["elapsed_s"] > 0.0
 
 
 def test_throughput_artifact():
     testbed, preloaded = _build_loaded_testbed()
     broker = testbed.broker
 
-    batches: List[Dict[str, object]] = []
+    elapsed: Dict[int, float] = {}
     next_index = preloaded
     for batch_size in BATCH_SIZES:
-        batches.append(_measure(broker, batch_size, next_index))
+        elapsed[batch_size] = _measure(broker, batch_size, next_index)
         next_index += ADMISSIONS
 
-    rates = {entry["batch_size"]: entry["admissions_per_s"]
-             for entry in batches}
+    rates = {size: ADMISSIONS / seconds for size, seconds in elapsed.items()}
     ratio = rates[1] / rates[64]
 
-    results = {
-        "workload": f"GUARANTEED admissions (CPU=1, 64MB, shared window) "
-                    f"against {preloaded} live bookings, in-memory "
-                    f"journal, {ADMISSIONS} admissions per batch size",
-        "live_bookings": preloaded,
-        "batches": batches,
-        "sequential_over_batch64": ratio,
-        "target_ratio": TARGET_RATIO,
-    }
-    validate_schema(results)
-    if not SMOKE:
-        write_artifact(ARTIFACT_NAME, results)
-
     lines = [f"live bookings at start: {preloaded}"]
-    for entry in batches:
+    for size, seconds in elapsed.items():
         lines.append(
-            f"batch={entry['batch_size']:>3}:  "
-            f"{entry['admissions_per_s']:>10.0f} admissions/s  "
-            f"({entry['elapsed_s'] * 1e3 / ADMISSIONS:.3f}ms/admission)")
+            f"batch={size:>3}:  {rates[size]:>10.0f} admissions/s  "
+            f"({seconds * 1e3 / ADMISSIONS:.3f}ms/admission)")
     lines.append(f"sequential / batch=64: {ratio:.2f} "
                  f"(target >={TARGET_RATIO:g})")
-    report("Throughput — sequential vs batched admission"
-           + (" [SMOKE]" if SMOKE else ""), "\n".join(lines))
+    report("Throughput — sequential vs batched admission",
+           "\n".join(lines))
 
     assert ratio >= TARGET_RATIO, (
         f"sequential admission runs at only {ratio:.2f} of batch=64 at "

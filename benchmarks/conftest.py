@@ -8,52 +8,15 @@ shows the artifacts alongside pytest-benchmark's timing table.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import sys
-from typing import Dict
 
 import pytest
-
-#: The manifest of machine-readable benchmark artifacts.  Every
-#: ``BENCH_*.json`` a bench writes must be listed here; the guard in
-#: :func:`write_artifact` is what keeps the manifest from going stale.
-ARTIFACTS_MANIFEST = (pathlib.Path(__file__).resolve().parent
-                      / "artifacts_latest.txt")
 
 
 def report(title: str, body: str) -> None:
     """Print a regenerated artifact block (visible with ``-s``)."""
     bar = "=" * 72
     sys.stdout.write(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
-def manifest_artifacts() -> "set[str]":
-    """The BENCH_*.json names listed in ``artifacts_latest.txt``."""
-    names = set()
-    for line in ARTIFACTS_MANIFEST.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.add(line)
-    return names
-
-
-def write_artifact(name: str, results: Dict[str, object]) -> None:
-    """Write one BENCH_*.json artifact, failing loudly when unlisted.
-
-    Raises:
-        AssertionError: When ``name`` is missing from
-            ``artifacts_latest.txt`` — a bench started writing a new
-            artifact without updating the manifest, which is exactly
-            the staleness this guard exists to stop.
-    """
-    listed = manifest_artifacts()
-    assert name in listed, (
-        f"{name} is not listed in {ARTIFACTS_MANIFEST.name} "
-        f"(listed: {sorted(listed)}); add it to the manifest so "
-        f"downstream readers know the artifact set changed")
-    path = ARTIFACTS_MANIFEST.parent / name
-    path.write_text(json.dumps(results, indent=2) + "\n")
 
 
 @pytest.fixture

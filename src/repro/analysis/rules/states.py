@@ -74,7 +74,6 @@ STATE_MACHINES: "Dict[str, MachineSpec]" = {
         propose=("FAILED", "OFFERED"),
         accept=("ACCEPTED",),
         reject=("REJECTED",),
-        counter=("REQUESTED",),
     ),
     # Launched Grid-service processes.
     "JobState": _spec(

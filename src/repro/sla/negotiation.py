@@ -9,19 +9,17 @@ Service Level Agreement" (Section 2.1). The protocol implemented here:
 2. the broker responds with one or more :class:`Offer` objects —
    an operating point, a price rate, and the adaptation options that
    will be written into the SLA;
-3. the client accepts (producing a :class:`~repro.sla.document.ServiceSLA`),
-   rejects, or counters with a revised budget/specification, returning
-   the negotiation to the offering state.
+3. the client accepts (producing a :class:`~repro.sla.document.ServiceSLA`)
+   or rejects.
 
-The paper's client interface exposes exactly the accept / reject /
-counter choices (Figure 7's "accepting SLA offers, rejecting SLA
-offers" options).
+The paper's client interface exposes exactly these two choices
+(Figure 7's "accepting SLA offers, rejecting SLA offers" options).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional
 
@@ -104,8 +102,8 @@ class Negotiation:
     """One negotiation between a client and the broker.
 
     The broker drives :meth:`propose`; the client drives
-    :meth:`accept`, :meth:`reject` and :meth:`counter`. Transitions are
-    enforced; misuse raises :class:`~repro.errors.NegotiationError`.
+    :meth:`accept` and :meth:`reject`. Transitions are enforced; misuse
+    raises :class:`~repro.errors.NegotiationError`.
     """
 
     def __init__(self, request: ServiceRequest) -> None:
@@ -114,7 +112,6 @@ class Negotiation:
         self.state = NegotiationState.REQUESTED
         self.offers: List[Offer] = []
         self.accepted_offer: Optional[Offer] = None
-        self.rounds = 0
 
     def _require(self, *states: NegotiationState) -> None:
         if self.state not in states:
@@ -141,7 +138,6 @@ class Negotiation:
             return
         self.offers = affordable
         self.state = NegotiationState.OFFERED
-        self.rounds += 1
 
     # ------------------------------------------------------------------
     # Client side
@@ -163,22 +159,6 @@ class Negotiation:
         """Client walks away."""
         self._require(NegotiationState.OFFERED)
         self.state = NegotiationState.REJECTED
-
-    def counter(self, *, budget_rate: Optional[float] = None,
-                specification: Optional[QoSSpecification] = None) -> None:
-        """Client revises budget and/or specification; broker must
-        propose again."""
-        self._require(NegotiationState.OFFERED)
-        updates = {}
-        if budget_rate is not None:
-            updates["budget_rate"] = budget_rate
-        if specification is not None:
-            updates["specification"] = specification
-        if not updates:
-            raise NegotiationError("a counter must change something")
-        self.request = replace(self.request, **updates)
-        self.offers = []
-        self.state = NegotiationState.REQUESTED
 
     # ------------------------------------------------------------------
     # Outcome

@@ -24,7 +24,7 @@ evaluation with synthetic session workloads, grown here into a
 from .arrivals import ConstantRate, DiurnalRate, FlashCrowdRate, \
     sample_arrivals
 from .atlas import (DEFAULT_SEED, get_scenario, register_scenario,
-                    scenario_names, scenarios)
+                    scenarios)
 from .durations import (ExponentialDuration, LognormalDuration,
                         ParetoDuration)
 from .generators import WorkloadConfig, arrival_rate_for_load, \
@@ -58,6 +58,5 @@ __all__ = [
     "register_scenario",
     "replay_scenario",
     "sample_arrivals",
-    "scenario_names",
     "scenarios",
 ]

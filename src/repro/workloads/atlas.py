@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_SEED",
     "get_scenario",
     "register_scenario",
-    "scenario_names",
     "scenarios",
 ]
 
@@ -76,11 +75,6 @@ def get_scenario(name: str) -> ScenarioSpec:
             f"unknown scenario {name!r}; registered: "
             f"{', '.join(_ORDER)}")
     return spec
-
-
-def scenario_names() -> "Tuple[str, ...]":
-    """Registered names in registration order."""
-    return tuple(_ORDER)
 
 
 def scenarios() -> "Tuple[ScenarioSpec, ...]":

@@ -19,10 +19,10 @@ from repro.federation import replay
 from repro.federation.replay import (FederatedVerdict, federate,
                                      federated_verdict)
 from repro.qos.classes import ServiceClass
-from repro.workloads import get_scenario, scenario_names
+from repro.workloads import get_scenario, scenarios
 
 
-@pytest.fixture(scope="module", params=scenario_names())
+@pytest.fixture(scope="module", params=[spec.name for spec in scenarios()])
 def federated(request):
     result, verdict = federate(request.param, domains=3, seed=7)
     return request.param, result, verdict

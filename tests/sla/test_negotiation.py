@@ -75,30 +75,6 @@ class TestProtocol:
         assert negotiation.state is NegotiationState.FAILED
 
 
-class TestCounter:
-    def test_counter_returns_to_requested(self):
-        negotiation = Negotiation(make_request(budget_rate=5.0))
-        negotiation.propose(offers())
-        negotiation.counter(budget_rate=10.0)
-        assert negotiation.state is NegotiationState.REQUESTED
-        assert negotiation.request.budget_rate == 10.0
-        negotiation.propose(offers())
-        assert len(negotiation.offers) == 2
-
-    def test_counter_must_change_something(self):
-        negotiation = Negotiation(make_request())
-        negotiation.propose(offers())
-        with pytest.raises(NegotiationError):
-            negotiation.counter()
-
-    def test_rounds_counted(self):
-        negotiation = Negotiation(make_request())
-        negotiation.propose(offers())
-        negotiation.counter(budget_rate=100.0)
-        negotiation.propose(offers())
-        assert negotiation.rounds == 2
-
-
 class TestOrdering:
     def test_propose_twice_rejected(self):
         negotiation = Negotiation(make_request())

@@ -52,7 +52,7 @@ def _offers():
 
 
 class NegotiationMachine(RuleBasedStateMachine):
-    """Random propose/accept/reject/counter interleavings."""
+    """Random propose/accept/reject interleavings."""
 
     def __init__(self):
         super().__init__()
@@ -81,12 +81,6 @@ class NegotiationMachine(RuleBasedStateMachine):
     @rule()
     def reject(self):
         self._attempt(self.negotiation.reject)
-
-    @rule(budget=st.floats(min_value=0.1, max_value=20.0,
-                           allow_nan=False))
-    def counter(self, budget):
-        self._attempt(lambda: self.negotiation.counter(
-            budget_rate=budget))
 
     @rule()
     def build(self):

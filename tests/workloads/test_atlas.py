@@ -6,7 +6,7 @@ from repro.errors import ValidationError
 from itertools import accumulate
 
 from repro.workloads import (FAMILIES, get_scenario, register_scenario,
-                             scenario_names, scenarios)
+                             scenarios)
 from repro.workloads.arrivals import ConstantRate
 from repro.workloads.durations import ExponentialDuration
 from repro.workloads.scenarios import ScenarioSpec, TenantProfile
@@ -17,14 +17,14 @@ def test_every_family_has_a_builtin_scenario():
 
 
 def test_names_are_unique_and_ordered():
-    names = scenario_names()
+    names = [spec.name for spec in scenarios()]
     assert len(names) == len(set(names))
-    assert [spec.name for spec in scenarios()] == list(names)
+    assert names[0] == "diurnal_day"
 
 
 def test_get_scenario_round_trips():
-    for name in scenario_names():
-        assert get_scenario(name).name == name
+    for spec in scenarios():
+        assert get_scenario(spec.name) is spec
 
 
 def test_get_scenario_unknown_name_lists_registered():

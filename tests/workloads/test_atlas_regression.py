@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.workloads import (DEFAULT_SEED, check_invariants, get_scenario,
-                             replay_scenario, scenario_names)
+                             replay_scenario, scenarios)
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ def replays():
     """Each scenario replayed once at the atlas seed (shared across
     the per-scenario asserts — replays are pure functions of the
     seed, so sharing loses nothing)."""
-    return {name: replay_scenario(name, seed=DEFAULT_SEED)
-            for name in scenario_names()}
+    return {spec.name: replay_scenario(spec, seed=DEFAULT_SEED)
+            for spec in scenarios()}
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION_PROFILES))
@@ -151,7 +151,7 @@ def test_atlas_full_sweep_extra_seeds(seed):
     """Every scenario's invariants, including every testbed fact of
     :func:`repro.invariants.check`, at three seeds beyond the pinned
     atlas seed."""
-    for name in scenario_names():
-        result = replay_scenario(name, seed=seed)
+    for spec in scenarios():
+        result = replay_scenario(spec, seed=seed)
         assert check_invariants(result) == [], \
-            f"{name} broke invariants at seed {seed}"
+            f"{spec.name} broke invariants at seed {seed}"

@@ -1,22 +1,23 @@
 """Meta-test: the atlas registry cannot outgrow its coverage.
 
-Adding a scenario to the atlas without regression coverage, an
-EXPERIMENTS.md row and the benchmark artifact wiring must fail CI —
-this module iterates the registry and checks each obligation, so the
-failure message names exactly what the new scenario still owes.
+Adding a scenario to the atlas without regression coverage or an
+EXPERIMENTS.md row must fail CI — this module iterates the registry
+and checks each obligation, so the failure message names exactly what
+the new scenario still owes.
 """
 
 import pathlib
 
-from repro.workloads import FAMILIES, scenario_names, scenarios
+from repro.workloads import FAMILIES, scenarios
 
 from .test_atlas_regression import REGRESSION_PROFILES
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
+NAMES = [spec.name for spec in scenarios()]
 
 
 def test_every_scenario_has_a_regression_profile():
-    missing = [name for name in scenario_names()
+    missing = [name for name in NAMES
                if name not in REGRESSION_PROFILES]
     assert not missing, (
         f"scenario(s) registered without a pinned regression profile "
@@ -25,7 +26,7 @@ def test_every_scenario_has_a_regression_profile():
 
 def test_no_orphan_regression_profiles():
     orphans = [name for name in REGRESSION_PROFILES
-               if name not in scenario_names()]
+               if name not in NAMES]
     assert not orphans, (
         f"regression profiles pinned for unregistered scenario(s): "
         f"{orphans}")
@@ -39,17 +40,7 @@ def test_every_family_is_registered():
 
 def test_every_scenario_has_an_experiments_row():
     text = (REPO / "EXPERIMENTS.md").read_text()
-    missing = [name for name in scenario_names() if name not in text]
+    missing = [name for name in NAMES if name not in text]
     assert not missing, (
         f"scenario(s) missing from the EXPERIMENTS.md atlas section: "
         f"{missing}")
-
-
-def test_atlas_artifact_is_in_the_manifest():
-    manifest = (REPO / "benchmarks" / "artifacts_latest.txt").read_text()
-    listed = {line.strip() for line in manifest.splitlines()
-              if line.strip() and not line.startswith("#")}
-    assert "BENCH_workload_atlas.json" in listed, (
-        "BENCH_workload_atlas.json missing from "
-        "benchmarks/artifacts_latest.txt — write_artifact would refuse "
-        "the atlas benchmark's output")
