@@ -10,8 +10,10 @@ telemetry.
 Three measurements, printed with ``-s``:
 
 * a full ``request_service`` admission (GUARANTEED class, compute +
-  network legs — six journal records) with the journal off vs wired
-  with a :class:`~repro.recovery.journal.MemoryJournalStore`, the
+  network legs — one journal record, the SLA's establishment
+  ``sla_saved``, since its activation falls in a window the bench never
+  runs to) with the journal off vs wired with a
+  :class:`~repro.recovery.journal.MemoryJournalStore`, the
   configuration the acceptance budget is defined over;
 * the same admission against a :class:`FileJournalStore` (reported,
   not budgeted: the durable store pays the XML render and an fsync-free
@@ -35,7 +37,7 @@ from repro.core.testbed import build_testbed
 from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
-from repro.recovery.journal import CONFIRM, Journal, MemoryJournalStore
+from repro.recovery.journal import MODIFY, Journal, MemoryJournalStore
 from repro.recovery.recover import install_journal
 from repro.sla.document import NetworkDemand
 
@@ -109,7 +111,7 @@ def _append_per_record_s() -> float:
     journal = Journal(MemoryJournalStore())
 
     def append():
-        journal.append(CONFIRM, sla_id=1000)
+        journal.append(MODIFY, sla_id=1000)
 
     gc.disable()
     try:

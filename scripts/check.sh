@@ -21,13 +21,11 @@ echo "== benches (every bound, on this tree) =="
 # asserting its own bound on this tree: the paper artifacts (Figures
 # 1-5, Tables 1-4, the Section 5.6 timeline, Scenarios 1-3), the X1-X5
 # ablations, the X6 chaos drop sweep, the X7 atlas sweep, and the
-# throughput, slot-table, telemetry, observability and federation
-# benches (~20 s). Left out, each for the reason the MANUAL table in
-# tests/test_hygiene.py gives: the ledger (run below) and
-# bench_journal_overhead.py.
+# throughput, slot-table, telemetry, observability, journal-overhead
+# and federation benches (~20 s). Left out, for the reason the MANUAL
+# table in tests/test_hygiene.py gives: the ledger (run below).
 python -m pytest -q --benchmark-disable benchmarks \
-    --ignore=benchmarks/ledger \
-    --ignore=benchmarks/bench_journal_overhead.py
+    --ignore=benchmarks/ledger
 echo "benches OK"
 
 echo "== chaos smoke (fixed seed) =="

@@ -1,17 +1,19 @@
 """QLNT114 — journaled state mutated outside the journal API.
 
-Crash recovery replays the write-ahead journal
-(:mod:`repro.recovery.journal`) and trusts that every durable flag it
-folds — a composite's ``confirmed``/``cancelled``, a booking's
-``committed``, the partition's ``_failed`` — was flipped by the one
-method that also appends the matching record.  A stray
-``composite.confirmed = True`` in a helper is invisible to replay: the
-live system and the recovered system silently disagree, which is
-exactly the corruption the journal exists to rule out.
+Crash recovery trusts the journal for one fact about a reservation:
+the legs an SLA was established with — its GARA handle and its NRM
+flow ids, written once, in the SLA's establishment record, from the
+composite ``ReservationSystem._reserve`` booked.  Everything else
+(whether a leg is committed, cancelled or still held) recovery reads
+from GARA and the NRM themselves.  A stray
+``composite.compute_handle = ...`` in a helper rebinds a leg the
+journal never hears of: the live system and the recovered one then
+disagree about which booking an SLA owns, which is exactly the
+corruption the journal exists to rule out.
 
 This table names those fields and the methods allowed to assign them.
 Recovery code itself (``repro/recovery/``) is exempt — rebuilding the
-flags from the journal is its job — as are the simulation kernel and
+legs from the journal is its job — as are the simulation kernel and
 the baseline policies, which never journal.
 """
 
@@ -22,18 +24,13 @@ from typing import Dict, FrozenSet
 
 from ..core import ModuleContext, Rule, Severity, register
 
-#: Journaled fields and the transition methods that may assign them.
-#: ``__init__`` appears where construction legitimately sets the flag.
+#: Journaled fields and the methods that may assign them.
+#: ``__init__`` appears where construction legitimately sets the field.
 JOURNALED_FIELDS: "Dict[str, FrozenSet[str]]" = {
-    # CompositeReservation outcome flags; journaled as ``confirm`` /
-    # ``cancel`` records by ReservationSystem.
-    "confirmed": frozenset({"confirm", "__init__"}),
-    "cancelled": frozenset({"cancel", "__init__"}),
-    # GARA/NRM booking commitment; folded from ``confirm`` records.
-    "committed": frozenset({"commit", "confirm", "__init__"}),
-    # CapacityPartition failure debt; folded from
-    # ``capacity_rebalanced`` records.
-    "_failed": frozenset({"apply_failure", "apply_repair", "__init__"}),
+    # CompositeReservation legs; journaled in the SLA's establishment
+    # ``sla_saved`` record (``handle`` / ``flows``).
+    "compute_handle": frozenset({"_reserve", "__init__"}),
+    "network_booking": frozenset({"_reserve", "__init__"}),
 }
 
 
@@ -46,7 +43,7 @@ class JournaledStateRule(Rule):
 
     def applies_to(self, relpath: str) -> bool:
         # Only the journaling control plane is constrained; recovery
-        # replay (repro/recovery/) legitimately rebuilds these flags.
+        # replay (repro/recovery/) legitimately rebuilds these legs.
         normalized = relpath.replace("\\", "/")
         return ("repro/core/" in normalized
                 or "repro/network/" in normalized
@@ -59,8 +56,8 @@ class JournaledStateRule(Rule):
         else:
             targets = [node.target]
         for target in targets:
-            # Attribute targets only: a class-level ``confirmed: bool
-            # = False`` dataclass default is a Name, not a mutation.
+            # Attribute targets only: a class-level ``compute_handle:
+            # ... = None`` dataclass default is a Name, not a mutation.
             if not isinstance(target, ast.Attribute):
                 continue
             allowed = JOURNALED_FIELDS.get(target.attr)
@@ -72,6 +69,6 @@ class JournaledStateRule(Rule):
             ctx.report(self, node,
                        f"journaled field .{target.attr} assigned in "
                        f"{method or '<module>'}(); only "
-                       f"{sorted(allowed)} may flip it — replay folds "
-                       f"this flag from journal records, so an "
-                       f"unjournaled mutation diverges on recovery")
+                       f"{sorted(allowed)} may set it — replay takes "
+                       f"this field from journal records, so an "
+                       f"unjournaled assignment diverges on recovery")

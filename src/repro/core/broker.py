@@ -227,11 +227,6 @@ class AQoSBroker:
         #: mechanism for cross-cutting operational stats (QLNT113).
         self.metrics = MetricsRegistry(now=lambda: sim.now)
         self.probe = probe if probe is not None else Probe()
-        #: Cache of journaled SLA XML keyed by sla_id; an entry is
-        #: reused while the mutable document fields (the fingerprint)
-        #: are unchanged, which keeps journaling off the XML encoder
-        #: for status-only transitions.
-        self._journal_xml_cache: Dict[int, "tuple"] = {}
         self.engine = AdaptationEngine(partition, trace=trace,
                                        now=lambda: sim.now)
         self.verifier = SlaVerifier(sim, self.mds, self.repository,
@@ -303,48 +298,42 @@ class AQoSBroker:
             self.probe.decide(action, outcome,
                               headroom=self._pool_headroom(), **context)
 
-    def _journal_sla(self, sla: ServiceSLA) -> None:
-        """Append an ``sla_saved`` record (document + lifecycle status).
+    def _journal_sla(self, sla: ServiceSLA, *, document: bool = False,
+                     composite: Optional[CompositeReservation] = None
+                     ) -> None:
+        """Append an ``sla_saved`` record: the SLA's id and status.
 
-        Every durable change to an SLA document funnels through here,
-        so the journal always holds the latest full Table 4 XML for
-        each SLA — recovery rebuilds the repository from these alone.
+        ``document`` adds the full Table 4 XML, written where the
+        content changes (creation, a moved point); ``composite`` adds
+        the ids of its legs, written once, at establishment. Recovery
+        rebuilds the repository from these records and reads every
+        other fact about a reservation from GARA and the NRM.
         """
         if not self.probe.journaling:
             return
-        # Most saves are status-only transitions around an unchanged
-        # document; re-render the XML only when the mutable document
-        # fields (agreed/delivered point, price) actually moved.  The
-        # status rides alongside the XML in its own payload field, so
-        # a cached document is still exact.  The cache keys on copies
-        # of the point dicts (C-speed dict equality against the live
-        # ones), not on their identity, so a point changed in place is
-        # seen as well as one rebound.
-        cached = self._journal_xml_cache.get(sla.sla_id)
-        if (cached is not None and cached[0] == sla.agreed_point
-                and cached[1] == sla.delivered_point
-                and cached[2] == sla.price_rate):  # qlint: disable=QLNT102 -- cache fingerprint: any change, however small, must re-render
-            xml = cached[3]
-        else:
-            # Render from a point-in-time snapshot, deferred to encode
-            # time: an in-memory store never pays for the XML on the
-            # admission path, and a durable store resolves it inside
-            # the append.  The copy pins the two mutable point dicts;
-            # every other field is immutable or rebound wholesale.
-            # (A raw ``__dict__`` copy, not ``copy.copy``: the generic
-            # path goes through ``__reduce_ex__`` and is several times
-            # slower on this hot path.)
-            snapshot = ServiceSLA.__new__(ServiceSLA)
-            state = dict(sla.__dict__)
-            state["agreed_point"] = dict(sla.agreed_point)
-            state["delivered_point"] = dict(sla.delivered_point)
-            snapshot.__dict__ = state
-            xml = DeferredValue(lambda: render_service_sla(snapshot))
-            self._journal_xml_cache[sla.sla_id] = (
-                snapshot.agreed_point, snapshot.delivered_point,
-                sla.price_rate, xml)
+        if not document:
+            self.probe.append(SLA_SAVED, sla_id=sla.sla_id,
+                              status=sla.status.value)
+            return
+        # Render from a point-in-time snapshot, deferred to encode
+        # time: an in-memory store never pays for the XML on the
+        # admission path, and a durable store resolves it inside the
+        # append.  The copy pins the two mutable point dicts; every
+        # other field is immutable or rebound wholesale.  (A raw
+        # ``__dict__`` copy, not ``copy.copy``: the generic path goes
+        # through ``__reduce_ex__`` and is several times slower on this
+        # hot path.)
+        snapshot = ServiceSLA.__new__(ServiceSLA)
+        state = dict(sla.__dict__)
+        state["agreed_point"] = dict(sla.agreed_point)
+        state["delivered_point"] = dict(sla.delivered_point)
+        snapshot.__dict__ = state
+        legs = composite.legs() if composite is not None else {}
         self.probe.append(SLA_SAVED, sla_id=sla.sla_id,
-                          status=sla.status.value, xml=xml)
+                          status=sla.status.value,
+                          xml=DeferredValue(
+                              lambda: render_service_sla(snapshot)),
+                          **legs)
 
     # ==================================================================
     # Establishment phase (Figure 2, steps 1-2)
@@ -573,7 +562,7 @@ class AQoSBroker:
 
         self.repository.save(sla)
         sla.establish()
-        self._journal_sla(sla)
+        self._journal_sla(sla, document=True, composite=composite)
         self.reservation_system.confirm(composite)
         resources = self.allocation.open_session(sla.sla_id, session)
         resources.reservation = composite
@@ -868,7 +857,7 @@ class AQoSBroker:
                 self._resize_network(composite, point)
         new_rate = self.pricing.point_rate(point, sla.service_class)
         self.ledger.rate_changed(sla.sla_id, self.sim.now, new_rate)
-        self._journal_sla(sla)
+        self._journal_sla(sla, document=True)
         self.record(f"SLA {sla.sla_id}: delivered point moved "
                     f"(rate now {new_rate:g})")
 

@@ -23,15 +23,7 @@ from ..network.interdomain import EndToEndAllocation, InterDomainCoordinator
 from ..network.nrm import FlowAllocation, NetworkResourceManager
 from ..probe import Probe
 from ..qos.vector import ResourceVector
-from ..recovery.journal import (
-    CANCEL,
-    COMPUTE_BOOKED,
-    CONFIRM,
-    MODIFY,
-    NETWORK_BOOKED,
-    RESERVE_BEGIN,
-    RESERVE_END,
-)
+from ..recovery.journal import MODIFY
 from ..resources.compute import ComputeResourceManager
 from ..rsl.builder import reservation_rsl
 from ..sim.engine import Simulator
@@ -60,6 +52,13 @@ class CompositeReservation:
     network_booking: Optional[NetworkBooking] = None
     confirmed: bool = False
     cancelled: bool = False
+
+    def legs(self) -> "dict[str, object]":
+        """The legs as journaled and snapshotted: ``handle``, the GARA
+        handle value or ``None``, and ``flows``, the NRM flow ids."""
+        handle = self.compute_handle
+        return {"handle": handle.value if handle is not None else None,
+                "flows": booking_flow_ids(self.network_booking)}
 
 
 class ReservationSystem:
@@ -154,13 +153,10 @@ class ReservationSystem:
                                         memory_mb=demand.memory_mb,
                                         disk_mb=demand.disk_mb)
         composite = CompositeReservation(sla_id=sla.sla_id)
-        self.probe.append(RESERVE_BEGIN, sla_id=sla.sla_id)
         if not compute_demand.is_zero():
             rsl = reservation_rsl(compute_demand, sla.start, sla.end,
                                   service_name=sla.service_name)
             composite.compute_handle = self._compute.gara.reservation_create(rsl)
-            self.probe.append(COMPUTE_BOOKED, sla_id=sla.sla_id,
-                              handle=composite.compute_handle.value)
             self._record(sla, f"temporarily reserved compute "
                               f"{compute_demand} via RSL")
         if sla.network is not None:
@@ -172,14 +168,10 @@ class ReservationSystem:
                     self._compute.gara.reservation_cancel(
                         composite.compute_handle)
                 raise
-            self.probe.append(
-                NETWORK_BOOKED, sla_id=sla.sla_id,
-                flows=booking_flow_ids(composite.network_booking))
             self._record(sla, f"reserved network "
                               f"{sla.network.bandwidth_mbps:g} Mbps "
                               f"{sla.network.source_ip} -> "
                               f"{sla.network.dest_ip}")
-        self.probe.append(RESERVE_END, sla_id=sla.sla_id)
         return composite
 
     def confirm(self, composite: CompositeReservation) -> None:
@@ -187,9 +179,7 @@ class ReservationSystem:
 
         Must arrive before GARA's confirmation deadline, or the
         temporary reservation will already have been auto-cancelled.
-        The network booking is marked committed too, so reconciliation
-        can tell a confirmed composite from a temporary one whose
-        auto-cancel deadline has passed.
+        The network booking is marked committed too.
 
         Idempotent: a re-delivered confirm (retries and duplicated
         messages are a fact of life on a lossy control plane) is a
@@ -209,7 +199,6 @@ class ReservationSystem:
             if composite.network_booking is not None:
                 composite.network_booking.commit()
             composite.confirmed = True
-            self.probe.append(CONFIRM, sla_id=composite.sla_id)
 
     def cancel(self, composite: CompositeReservation) -> None:
         """Tear down every leg of the composite reservation.
@@ -234,7 +223,6 @@ class ReservationSystem:
             if composite.network_booking is not None:
                 self._release_network(composite.network_booking)
             composite.cancelled = True
-            self.probe.append(CANCEL, sla_id=composite.sla_id)
 
     def modify_compute(self, composite: CompositeReservation,
                        demand: ResourceVector, *, force: bool = False) -> None:

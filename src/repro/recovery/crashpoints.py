@@ -94,7 +94,7 @@ def crash(testbed) -> None:
 
 
 # ----------------------------------------------------------------------
-# The scripted episode (touches every journal record type)
+# The scripted episode (writes every record type the broker journals)
 # ----------------------------------------------------------------------
 
 def _guaranteed_request(client: str):
@@ -139,9 +139,14 @@ def schedule_episode(testbed) -> None:
     A guaranteed session with a network leg, a controlled-load session
     the adaptation layer can squeeze, an advance reservation that
     activates mid-run, a time-boxed best-effort demand, and a node
-    failure/repair pair — together they drive every journal record
-    type, so a crash sweep over this episode covers every write point
-    the control plane has.
+    failure/repair pair — together they write every record type a
+    single broker journals outside recovery (26 write points: each
+    SLA's establishment, activation and close, the partition passes,
+    the squeeze's ``modify`` and re-written document, the verifier's
+    violation and restoration, and the best-effort demand set and
+    withdrawn), so a
+    crash sweep over this episode covers every write point the control
+    plane has. The delegation types are the federation episode's.
     """
     broker = testbed.broker
     sim = testbed.sim

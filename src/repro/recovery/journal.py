@@ -1,12 +1,16 @@
 """The write-ahead journal for the AQoS control plane.
 
-Every durable state transition — an SLA saved, a composite
-reservation's legs booked, a confirm/cancel/modify, a capacity
-rebalance, a violation transition — is appended to the journal
-*after* the authoritative mutation, so the journal is a replayable
-history of what the broker believed.  Records carry the simulation
-time and a monotonic log sequence number (LSN); recovery is snapshot
-plus tail replay (:mod:`repro.recovery.recover`).
+The journal holds what only the broker knows: each SLA's Table 4
+document, its lifecycle status and, once, the ids of its reservation
+legs.  GARA and the NRM stay authoritative for what is booked, so
+recovery (:mod:`repro.recovery.recover`) reads reservation state from
+them, not from here.  Records are appended *after* the mutation they
+describe; a crash in between leaves a booking no recovered session
+owns, which recovery's sweep releases.  The remaining record types
+(compute resize, capacity rebalance, violation transitions,
+delegation steps) feed the flight recorder and federation
+reconciliation.  Records carry the simulation time and a monotonic
+log sequence number (LSN); recovery is snapshot plus tail replay.
 
 Two stores ship: :class:`MemoryJournalStore` (tests and the in-process
 crash harness) and :class:`FileJournalStore`, an append-only
@@ -26,21 +30,12 @@ from typing import Callable, Iterator, List, Mapping, NamedTuple, Optional
 
 from ..errors import RecoveryError
 
-#: Record type for an SLA document written to the repository (the
-#: payload carries the full Table 4 XML plus the lifecycle status).
+#: Record type for an SLA: its id and lifecycle status.  The record an
+#: SLA is established with also carries the full Table 4 XML and its
+#: legs (``handle``: the GARA handle value or null; ``flows``: the NRM
+#: flow ids); a record written where the document's content changes
+#: carries the XML; a status change carries the status alone.
 SLA_SAVED = "sla_saved"
-#: The Reservation System opened a multi-leg reserve for an SLA.
-RESERVE_BEGIN = "reserve_begin"
-#: The compute leg was booked with GARA (payload: handle value).
-COMPUTE_BOOKED = "compute_booked"
-#: The network leg(s) were booked with the NRM (payload: flow ids).
-NETWORK_BOOKED = "network_booked"
-#: The multi-leg reserve completed; the composite is whole.
-RESERVE_END = "reserve_end"
-#: The composite was confirmed (GARA commit + network commit).
-CONFIRM = "confirm"
-#: The composite was cancelled leg-by-leg.
-CANCEL = "cancel"
 #: The compute leg was resized (adaptation squeeze/upgrade).
 MODIFY = "modify"
 #: The capacity partition re-ran its water-fill.
@@ -71,8 +66,7 @@ DELEGATION_CANCELLED = "delegation_cancelled"
 
 #: Every record type the journal accepts.
 RECORD_TYPES = frozenset({
-    SLA_SAVED, RESERVE_BEGIN, COMPUTE_BOOKED, NETWORK_BOOKED,
-    RESERVE_END, CONFIRM, CANCEL, MODIFY, CAPACITY_REBALANCED,
+    SLA_SAVED, MODIFY, CAPACITY_REBALANCED,
     VIOLATION, RESTORATION, BEST_EFFORT_SET, RECOVERED,
     DELEGATION_BEGIN, DELEGATION_ACCEPTED, DELEGATION_CONFIRMED,
     DELEGATION_CANCELLED,
@@ -129,7 +123,7 @@ class DeferredValue:
 
 #: Shared encoder: ``json.dumps`` with non-default options builds a
 #: fresh ``JSONEncoder`` on every call, which is measurable on the
-#: admission hot path (a reserve appends several records).
+#: admission hot path (an admission appends several records).
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -322,8 +316,8 @@ class Journal:
     def __init__(self, store: Optional[JournalStore] = None, *,
                  now: "Callable[[], float]" = lambda: 0.0) -> None:
         self.store = store if store is not None else MemoryJournalStore()
-        # Bound once: the admission path appends several records per
-        # reserve, and the two attribute lookups per append add up.
+        # Bound once: the admission path appends several records, and
+        # the two attribute lookups per append add up.
         self._sink = self.store.append_record
         self._now = now
         self._lsn = 0

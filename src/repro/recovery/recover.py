@@ -6,18 +6,16 @@ partition's holdings, the verifier's session bindings — while the
 *authoritative* resource state survives in the GARA slot tables, the
 NRM flow tables, the machine, and the launched jobs.  :func:`recover`
 rebuilds the volatile half from the write-ahead journal (optionally
-shortened by a snapshot) and then reconciles it against the surviving
-authoritative half:
+shortened by a snapshot) — the SLA documents, their statuses and the
+legs each live SLA was established with — and then reconciles it
+against the surviving authoritative half:
 
-* composite reservations whose SLA never reached the repository
-  (a journaled ``reserve_begin`` without ``reserve_end`` — the crash
-  window inside ``ReservationSystem._reserve``) are cancelled
-  leg-by-leg;
-* half-confirmed composites are resolved by GARA's actual reservation
-  state: a live SLA over a ``temporary`` reservation is re-committed,
-  one over a cancelled/expired/vanished reservation is rolled back;
-* authoritative bookings owned by no recovered session (the
-  mutation-before-journal crash window) are swept and released;
+* each live SLA is resolved by GARA's and the NRM's actual state: a
+  ``temporary`` GARA reservation is re-committed, a lost compute leg
+  or flow rolls the SLA back, and otherwise its session is restored;
+* authoritative bookings owned by no restored session — a reserve
+  the crash cut short, a cancel it interrupted, the leftovers of a
+  closed SLA — are swept and released;
 * every outcome lands in the ``repro_recovery_*`` telemetry counters
   and a deterministic :class:`RecoveryReport`.
 """
@@ -28,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import AdmissionError, RecoveryError, ReservationNotFound, SLAError
+from ..errors import AdmissionError, RecoveryError, ReservationNotFound
 from ..gara.reservation import ReservationHandle, ReservationState
 from ..network.interdomain import EndToEndAllocation
 from ..sla.document import ServiceSLA, SlaStatus
@@ -36,15 +34,9 @@ from ..sla.lifecycle import QoSSession
 from ..sla.repository import SLARepository
 from .journal import (
     BEST_EFFORT_SET,
-    CANCEL,
-    COMPUTE_BOOKED,
-    CONFIRM,
     FileJournalStore,
     Journal,
-    NETWORK_BOOKED,
     RECOVERED,
-    RESERVE_BEGIN,
-    RESERVE_END,
     SLA_SAVED,
 )
 from .snapshot import Snapshot
@@ -52,14 +44,12 @@ from .snapshot import Snapshot
 
 @dataclass
 class CompositeView:
-    """What the journal says about one SLA's composite reservation."""
+    """The legs one SLA was established with: its GARA handle value
+    and its NRM flow ids."""
 
     sla_id: int
     handle: Optional[int] = None
     flows: List[int] = field(default_factory=list)
-    open: bool = False
-    confirmed: bool = False
-    cancelled: bool = False
 
 
 @dataclass
@@ -135,15 +125,21 @@ def install_journal(testbed, store=None) -> Journal:
 # Replay
 # ----------------------------------------------------------------------
 
-def _decode_sla(payload: "Dict[str, object]") -> ServiceSLA:
-    from ..xmlmsg.codec import decode_service_sla
-    from ..xmlmsg.document import parse_xml
-    sla = decode_service_sla(parse_xml(str(payload["xml"])))
+def _replay_sla(repository: SLARepository,
+                payload: "Dict[str, object]") -> ServiceSLA:
+    """Apply one ``sla_saved`` record: a record with XML replaces the
+    document, a status-only one updates the document already held."""
+    if "xml" in payload:
+        from ..xmlmsg.codec import decode_service_sla
+        from ..xmlmsg.document import parse_xml
+        sla = decode_service_sla(parse_xml(str(payload["xml"])))
+    else:
+        sla = repository.get(int(payload["sla_id"]))
     status = SlaStatus(str(payload["status"]))
-    # The journaled status, set before the replay view saves the
-    # document, so its open index sees it on arrival.
+    # The journaled status, set before the save, so the repository's
+    # open index sees it.
     sla.status = status  # qlint: disable=QLNT107 -- persisted
-    return sla
+    return repository.save(sla)
 
 
 def build_replay_view(journal: Journal, *,
@@ -160,8 +156,7 @@ def build_replay_view(journal: Journal, *,
                 sla_id=int(entry["sla_id"]),
                 handle=(int(entry["handle"])
                         if entry.get("handle") is not None else None),
-                flows=[int(f) for f in entry.get("flows", [])],
-                confirmed=bool(entry.get("confirmed", False)))
+                flows=[int(f) for f in entry.get("flows", [])])
             for entry in snapshot.composites}
         best_effort = {
             str(holding["user"]): float(holding["demand"])
@@ -180,27 +175,14 @@ def build_replay_view(journal: Journal, *,
         replayed += 1
         payload = record.payload
         if record.type == SLA_SAVED:
-            sla = _decode_sla(payload)
-            repository.save(sla)
-            highest = max(highest, sla.sla_id)
-        elif record.type == RESERVE_BEGIN:
-            sla_id = int(payload["sla_id"])
-            composites[sla_id] = CompositeView(sla_id=sla_id, open=True)
-        elif record.type == COMPUTE_BOOKED:
-            composites[int(payload["sla_id"])].handle = int(payload["handle"])
-        elif record.type == NETWORK_BOOKED:
-            composites[int(payload["sla_id"])].flows = [
-                int(f) for f in payload["flows"]]
-        elif record.type == RESERVE_END:
-            composites[int(payload["sla_id"])].open = False
-        elif record.type == CONFIRM:
-            sla_id = int(payload["sla_id"])
-            if sla_id in composites:
-                composites[sla_id].confirmed = True
-        elif record.type == CANCEL:
-            sla_id = int(payload["sla_id"])
-            if sla_id in composites:
-                composites[sla_id].cancelled = True
+            sla_id = _replay_sla(repository, payload).sla_id
+            highest = max(highest, sla_id)
+            if "flows" in payload:
+                handle = payload["handle"]
+                composites[sla_id] = CompositeView(
+                    sla_id=sla_id,
+                    handle=int(handle) if handle is not None else None,
+                    flows=[int(f) for f in payload["flows"]])
         elif record.type == BEST_EFFORT_SET:
             user = str(payload["user"])
             demand = float(payload["demand"])
@@ -209,8 +191,9 @@ def build_replay_view(journal: Journal, *,
             else:
                 best_effort[user] = demand
         # modify / capacity_rebalanced / violation / restoration /
-        # recovered records are informational: GARA, the machine and
-        # the verifier's next poll are authoritative for those.
+        # recovered / delegation records are not folded here: GARA,
+        # the machine and the verifier's next poll are authoritative
+        # for the first five, federation reconciliation reads the rest.
     repository.resume_ids(highest)
     return ReplayView(repository=repository, composites=composites,
                       best_effort=best_effort, replayed=replayed,
@@ -221,9 +204,8 @@ def summarize_journal(journal_path: str) -> str:
     """Cold-restart summary of an on-disk journal (``repro recover``).
 
     Replays the journal without a testbed and reports what a recovery
-    pass would start from: the SLA documents and statuses, composite
-    reservation views (including orphaned half-open reserves), and
-    best-effort demands.
+    pass would start from: the SLA documents and statuses, the legs
+    each live SLA was established with, and best-effort demands.
     """
     journal = Journal(FileJournalStore(journal_path))
     view = build_replay_view(journal)
@@ -241,19 +223,10 @@ def summarize_journal(journal_path: str) -> str:
     for sla in view.repository.all():
         lines.append(f"  SLA {sla.sla_id} ({sla.client!r}): "
                      f"{sla.status.value}")
-    for sla_id in sorted(view.composites):
-        composite = view.composites[sla_id]
-        if composite.cancelled:
-            disposition = "cancelled"
-        elif composite.open:
-            disposition = "ORPHANED (reserve never completed)"
-        elif composite.confirmed:
-            disposition = "confirmed"
-        else:
-            disposition = "unconfirmed"
-        lines.append(f"  composite for SLA {sla_id}: {disposition} "
-                     f"(handle={composite.handle}, "
-                     f"flows={composite.flows})")
+    for sla in view.repository.live():
+        legs = view.composites.get(sla.sla_id, CompositeView(sla.sla_id))
+        lines.append(f"  legs of SLA {sla.sla_id}: handle={legs.handle}, "
+                     f"flows={legs.flows}")
     for user in view.best_effort:
         lines.append(f"  best-effort {user!r}: "
                      f"{view.best_effort[user]:g} node(s)")
@@ -316,27 +289,6 @@ def _gara_state(broker, handle: Optional[ReservationHandle]
         return broker.compute_rm.gara.reservation_status(handle).state
     except ReservationNotFound:
         return None
-
-
-def _cancel_legs(broker, view: CompositeView, pairs,
-                 report: RecoveryReport) -> bool:
-    """Release whatever an orphaned composite still holds."""
-    released = False
-    if view.handle is not None:
-        handle = ReservationHandle(view.handle)
-        state = _gara_state(broker, handle)
-        if state is not None and state.is_live:
-            job = broker.compute_rm.running_job_for(handle)
-            if job is not None:
-                broker.compute_rm.kill(job.job_id)
-            else:
-                broker.compute_rm.gara.reservation_cancel(handle)
-            released = True
-    for nrm, flow in pairs:
-        nrm.release(flow)
-        report.flows_released += 1
-        released = True
-    return released
 
 
 def _rollback_sla(testbed, sla: ServiceSLA, view: CompositeView, pairs,
@@ -442,37 +394,18 @@ def _restore_session(testbed, sla: ServiceSLA, composite,
         expire_now.append(sla_id)
 
 
-def _reconcile_composite(testbed, view: CompositeView,
-                         report: RecoveryReport, *, confirms: "List[int]",
-                         cancels: "List[int]",
+def _reconcile_composite(testbed, sla: ServiceSLA, view: CompositeView,
+                         report: RecoveryReport, *,
                          rollbacks: "List[ServiceSLA]",
                          activate_now: "List[int]",
                          expire_now: "List[int]") -> None:
+    """Resolve one live SLA against GARA and the NRM."""
     broker = testbed.broker
-    try:
-        sla: Optional[ServiceSLA] = broker.repository.get(view.sla_id)
-    except SLAError:
-        sla = None
     pairs, missing = _surviving_flows(broker, view.flows)
-
-    if view.cancelled or sla is None or not sla.status.is_live:
-        if _cancel_legs(broker, view, pairs, report):
-            report.orphans_cancelled += 1
-            cancels.append(view.sla_id)
-            report.notes.append(
-                f"SLA {view.sla_id}: orphaned composite cancelled")
-        return
-
     handle = (ReservationHandle(view.handle)
               if view.handle is not None else None)
     state = _gara_state(broker, handle)
-    compute_broken = handle is not None and (state is None
-                                             or not state.is_live)
-    if view.open:
-        _rollback_sla(testbed, sla, view, pairs, report, rollbacks,
-                      "reserve never completed")
-        return
-    if compute_broken:
+    if handle is not None and (state is None or not state.is_live):
         _rollback_sla(testbed, sla, view, pairs, report, rollbacks,
                       "compute leg lost")
         return
@@ -486,7 +419,6 @@ def _reconcile_composite(testbed, view: CompositeView,
         # is established, so finish the commit before the deadline
         # cancels it out from under the session.
         broker.compute_rm.gara.reservation_commit(handle)
-        confirms.append(view.sla_id)
     booking = _rebuild_booking(broker, pairs)
     if booking is not None:
         booking.commit()
@@ -503,9 +435,10 @@ def _reconcile_composite(testbed, view: CompositeView,
 def _sweep_unowned(testbed, report: RecoveryReport) -> None:
     """Release authoritative bookings no recovered session owns.
 
-    This closes the mutation-before-journal crash window: a GARA
-    reservation or NRM flow created an instant before its journal
-    record was appended belongs to nobody after replay.
+    This closes the mutation-before-journal crash window — a GARA
+    reservation or NRM flow created an instant before its SLA's record
+    was appended belongs to nobody after replay — and releases what a
+    closed or rolled-back SLA still held.
     """
     broker = testbed.broker
     owned = broker.allocation.owners()
@@ -529,7 +462,6 @@ def _wipe_volatile_state(testbed) -> None:
     broker.allocation.reset()
     broker.verifier.reset_sessions()
     broker._closing.clear()  # noqa: SLF001 — same package family
-    broker._journal_xml_cache.clear()  # noqa: SLF001
     broker.partition.clear_holdings()
 
 
@@ -576,8 +508,6 @@ def recover(testbed, *, journal: Optional[Journal] = None,
     report = RecoveryReport(time=testbed.sim.now,
                             replayed_records=view.replayed,
                             snapshot_lsn=view.snapshot_lsn)
-    confirms: "List[int]" = []
-    cancels: "List[int]" = []
     rollbacks: "List[ServiceSLA]" = []
     activate_now: "List[int]" = []
     expire_now: "List[int]" = []
@@ -594,21 +524,21 @@ def recover(testbed, *, journal: Optional[Journal] = None,
         try:
             for user, demand in view.best_effort.items():
                 broker.partition.set_best_effort_demand(user, demand)
-            for sla_id in sorted(view.composites):
-                _reconcile_composite(testbed, view.composites[sla_id],
-                                     report, confirms=confirms,
-                                     cancels=cancels, rollbacks=rollbacks,
-                                     activate_now=activate_now,
-                                     expire_now=expire_now)
-            # A live SLA with no reservation history at all (its reserve
-            # records predate a truncated journal) cannot be trusted.
             for sla in list(broker.repository.live()):
-                if not broker.allocation.has(sla.sla_id):
+                legs = view.composites.get(sla.sla_id)
+                if legs is None:
+                    # No journaled legs (the journal does not reach
+                    # back to its establishment): it cannot be trusted.
                     sla.terminate()
                     rollbacks.append(sla)
                     report.slas_rolled_back += 1
                     report.notes.append(f"SLA {sla.sla_id}: rolled back "
                                         f"(no reservation history)")
+                    continue
+                _reconcile_composite(testbed, sla, legs, report,
+                                     rollbacks=rollbacks,
+                                     activate_now=activate_now,
+                                     expire_now=expire_now)
             _sweep_unowned(testbed, report)
         finally:
             broker.partition.resume_rebalances()
@@ -616,12 +546,8 @@ def recover(testbed, *, journal: Optional[Journal] = None,
         _set_journal(testbed, journal)
     journal.resync()
 
-    # Compensating records: the journal must describe the reconciled
+    # The rolled-back statuses: the journal must describe the reconciled
     # state so a second crash recovers from here, not from history.
-    for sla_id in cancels:
-        journal.append(CANCEL, sla_id=sla_id)
-    for sla_id in confirms:
-        journal.append(CONFIRM, sla_id=sla_id)
     for sla in rollbacks:
         broker._journal_sla(sla)  # noqa: SLF001 — same package family
     # Past-due transitions re-run with the journal attached, so their

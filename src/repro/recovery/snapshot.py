@@ -1,12 +1,11 @@
 """Periodic checkpoints of the broker's durable state.
 
-A snapshot captures everything :func:`repro.recovery.recover.recover`
-would otherwise reconstruct from the journal's full history: the SLA
-repository (through its own Table 4 XML codec, so the checkpoint and
-the wire format cannot drift), the capacity partition's configuration
-and holdings, and the composite-reservation handles of every open
-session.  Recovery then becomes snapshot + tail replay — only journal
-records with an LSN above the checkpoint's are re-applied.
+A snapshot captures what :func:`repro.recovery.recover.recover` would
+otherwise fold from the journal's full history: the SLA repository
+(through its own Table 4 XML codec, so the checkpoint and the wire
+format cannot drift), the best-effort demands, and the legs of every
+open session.  Recovery then becomes snapshot + tail replay — only
+journal records with an LSN above the checkpoint's are re-applied.
 """
 
 from __future__ import annotations
@@ -27,10 +26,11 @@ class Snapshot:
         lsn: The journal LSN the checkpoint covers — every record with
             a lower-or-equal LSN is folded into this state.
         repository_xml: The full ``<SLA_Repository>`` document.
-        partition: Partition configuration, failure level, guaranteed
-            holdings and best-effort demands.
+        partition: The best-effort demands (``best_effort``); the
+            rest of the partition is re-derived from the machine and
+            the restored sessions.
         composites: One entry per open session: SLA id, compute handle
-            value, network flow ids and the confirmed flag.
+            value and network flow ids.
     """
 
     time: float
@@ -55,47 +55,21 @@ def take_snapshot(broker, *, journal: Optional[Journal] = None) -> Snapshot:
     if journal is None:
         raise RecoveryError(
             "cannot snapshot a broker without an installed journal")
-    partition = broker.partition
-    holdings = [{"user": h.user, "committed": h.committed,
-                 "demand": h.demand}
-                for h in partition.guaranteed_holdings()]
     best_effort = [{"user": h.user, "demand": h.demand}
-                   for h in partition.best_effort_holdings()]
+                   for h in broker.partition.best_effort_holdings()]
     composites: List[Dict[str, object]] = []
     for resources in broker.allocation.open_sessions():
         composite = resources.reservation
         if composite is None:
             continue
-        handle = composite.compute_handle
-        composites.append({
-            "sla_id": composite.sla_id,
-            "handle": handle.value if handle is not None else None,
-            "flows": _booking_flow_ids(composite.network_booking),
-            "confirmed": composite.confirmed,
-        })
+        composites.append({"sla_id": composite.sla_id, **composite.legs()})
     return Snapshot(
         time=broker.sim.now,
         lsn=journal.last_lsn,
         repository_xml=broker.repository.export_xml(),
-        partition={
-            "cg": partition.cg, "ca": partition.ca, "cb": partition.cb,
-            "best_effort_min": partition.best_effort_min,
-            "failed": partition.failed,
-            "holdings": holdings,
-            "best_effort": best_effort,
-        },
+        partition={"best_effort": best_effort},
         composites=tuple(composites),
     )
-
-
-def _booking_flow_ids(booking) -> "List[int]":
-    """Flow ids behind a network booking (empty when there is none)."""
-    if booking is None:
-        return []
-    segments = getattr(booking, "segments", None)
-    if segments is not None:
-        return [flow.flow_id for _nrm, flow in segments]
-    return [booking.flow_id]
 
 
 class SnapshotKeeper:

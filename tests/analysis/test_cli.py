@@ -44,10 +44,10 @@ VIOLATIONS = {
                 "class Cache:\n"
                 "    def hit(self):\n"
                 "        self.stale_hits += 1\n"),
-    "QLNT114": ("repro/core/flag_flip.py",
+    "QLNT114": ("repro/core/leg_swap.py",
                 "class Helper:\n"
-                "    def tidy(self, composite):\n"
-                "        composite.confirmed = True\n"),
+                "    def tidy(self, composite, handle):\n"
+                "        composite.compute_handle = handle\n"),
     "QLNT117": ("repro/federation/raw_send.py",
                 "def f(bus, envelope):\n"
                 "    return bus.send_async(envelope)\n"),

@@ -468,67 +468,59 @@ class TestPrivateCounter:
 class TestJournaledState:
     @pytest.mark.parametrize("snippet,field", [
         (("class Helper:\n"
-          "    def tidy(self, composite):\n"
-          "        composite.confirmed = True\n"), "confirmed"),
+          "    def tidy(self, composite, handle):\n"
+          "        composite.compute_handle = handle\n"), "compute_handle"),
         (("class Helper:\n"
-          "    def drop(self, composite):\n"
-          "        composite.cancelled = True\n"), "cancelled"),
-        (("class Helper:\n"
-          "    def push(self, booking):\n"
-          "        booking.committed = True\n"), "committed"),
-        (("class Partition:\n"
-          "    def shrink(self):\n"
-          "        self._failed += 4.0\n"), "_failed"),
+          "    def reroute(self, composite, booking):\n"
+          "        composite.network_booking = booking\n"),
+         "network_booking"),
+        (("class ReservationSystem:\n"
+          "    def confirm(self, composite):\n"
+          "        composite.compute_handle = None\n"), "compute_handle"),
     ])
-    def test_mutation_outside_transition_method_flags(self, run, snippet,
-                                                      field):
+    def test_assignment_outside_reserve_flags(self, run, snippet, field):
         findings = run(snippet, relpath="src/repro/core/module.py",
                        rule_id="QLNT114")
         assert findings and field in findings[0].message
 
     @pytest.mark.parametrize("snippet", [
+        ("class ReservationSystem:\n"
+         "    def _reserve(self, composite, gara, rsl):\n"
+         "        composite.compute_handle = gara.reservation_create(rsl)\n"),
+        ("class ReservationSystem:\n"
+         "    def _reserve(self, composite, booking):\n"
+         "        composite.network_booking = booking\n"),
         ("class Composite:\n"
-         "    def confirm(self):\n"
-         "        self.confirmed = True\n"),
-        ("class Composite:\n"
-         "    def cancel(self):\n"
-         "        self.cancelled = True\n"),
-        ("class Booking:\n"
-         "    def commit(self):\n"
-         "        self.committed = True\n"),
-        ("class Booking:\n"
          "    def __init__(self):\n"
-         "        self.committed = False\n"),
-        ("class Partition:\n"
-         "    def apply_failure(self, lost):\n"
-         "        self._failed += lost\n"),
+         "        self.compute_handle = None\n"
+         "        self.network_booking = None\n"),
     ])
-    def test_declared_transition_methods_are_clean(self, run, snippet):
+    def test_reserve_and_construction_are_clean(self, run, snippet):
         assert run(snippet, relpath="src/repro/core/module.py",
                    rule_id="QLNT114") == []
 
     def test_dataclass_field_default_is_clean(self, run):
         # A class-level annotated default declares the field; it does
-        # not mutate journaled state.
+        # not assign a journaled leg.
         snippet = ("class CompositeReservation:\n"
-                   "    confirmed: bool = False\n"
-                   "    cancelled: bool = False\n")
+                   "    compute_handle: object = None\n"
+                   "    network_booking: object = None\n")
         assert run(snippet, relpath="src/repro/core/module.py",
                    rule_id="QLNT114") == []
 
     def test_all_journaling_layers_are_in_scope(self, run):
         snippet = ("class C:\n"
-                   "    def f(self):\n"
-                   "        self.confirmed = True\n")
+                   "    def f(self, handle):\n"
+                   "        self.compute_handle = handle\n")
         for layer in ("core", "network", "gara", "sla"):
             assert run(snippet, relpath=f"src/repro/{layer}/module.py",
                        rule_id="QLNT114")
 
     def test_recovery_layer_is_exempt(self, run):
-        # Replay legitimately rebuilds the flags it folds from records.
+        # Replay legitimately rebuilds the legs it reads from records.
         snippet = ("class View:\n"
-                   "    def fold(self, composite):\n"
-                   "        composite.confirmed = True\n")
+                   "    def fold(self, composite, handle):\n"
+                   "        composite.compute_handle = handle\n")
         assert run(snippet, relpath="src/repro/recovery/recover.py",
                    rule_id="QLNT114") == []
 
@@ -536,6 +528,17 @@ class TestJournaledState:
         snippet = ("class C:\n"
                    "    def f(self):\n"
                    "        self.started = True\n")
+        assert run(snippet, relpath="src/repro/core/module.py",
+                   rule_id="QLNT114") == []
+
+    def test_reservation_state_replay_no_longer_trusts_is_clean(self, run):
+        # Whether a leg is confirmed, cancelled or committed is read
+        # from GARA and the NRM, not from the journal.
+        snippet = ("class C:\n"
+                   "    def f(self, composite, booking):\n"
+                   "        composite.confirmed = True\n"
+                   "        composite.cancelled = True\n"
+                   "        booking.committed = True\n")
         assert run(snippet, relpath="src/repro/core/module.py",
                    rule_id="QLNT114") == []
 

@@ -25,17 +25,17 @@ class TestCleanEpisode:
         assert len(episode.outcomes) == len(EPISODE_WORKLOAD)
 
     def test_both_swept_journals_have_write_points(self):
-        assert delegation_write_points("d1") == 16
-        assert delegation_write_points("d2") == 13
+        assert delegation_write_points("d1") == 11
+        assert delegation_write_points("d2") == 8
 
 
 class TestFullSweep:
     def test_every_write_point_survives(self):
         cells = sweep(DELEGATION)
-        # 16 write points on d1 and 13 on d2, each crashed both sides
-        # of the append: 58 cells.
+        # 11 write points on d1 and 8 on d2, each crashed both sides
+        # of the append: 38 cells.
         assert [(cell.target, cell.lsn, cell.mode) for cell in cells] \
-            == grid({"d1": 16, "d2": 13})
+            == grid({"d1": 11, "d2": 8})
         # Every armed store fired, and every cell ended with the
         # invariants intact.
         assert [cell for cell in cells if not cell.ok] == []

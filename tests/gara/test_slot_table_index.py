@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CapacityError
+from repro.gara import slot_table
 from repro.gara.slot_table import FOREVER, SlotTable
 from repro.qos.vector import ResourceVector
 from repro.xmlmsg.idempotency import DedupCache
@@ -254,6 +255,40 @@ class TestFastPaths:
         second = NaiveSlotTable(CAPACITY)
         assert first.reserve(ResourceVector(cpu=1), 0, 1).entry_id == 1
         assert second.reserve(ResourceVector(cpu=1), 0, 1).entry_id == 1
+
+
+def count_folded(monkeypatch) -> list:
+    """Record the length of every slice :meth:`SlotTable.peak_usage`
+    folds — one builtin ``max`` per component, so a window query
+    appends four lengths."""
+    folds: list = []
+
+    def counting(values):
+        folds.append(len(values))
+        return max(values)
+    monkeypatch.setattr(slot_table, "max", counting, raising=False)
+    return folds
+
+
+class TestCountedWork:
+    @pytest.mark.parametrize("k", [0, 1, 5, 50, 400])
+    def test_a_window_folds_only_the_segments_it_overlaps(
+            self, monkeypatch, k):
+        """2 000 back-to-back unit windows put a segment boundary on
+        every integer; a window across ``k`` of them overlaps ``k + 1``
+        segments, and each component folds exactly those — never the
+        table (the seed's event-point scan walked every entry per
+        sample)."""
+        table = SlotTable(ResourceVector(cpu=1e9, memory_mb=1e9,
+                                         disk_mb=1e9, bandwidth_mbps=1e9))
+        for index in range(2000):
+            table.reserve(ResourceVector(cpu=1.0, memory_mb=64.0),
+                          float(index), float(index + 1))
+        folds = count_folded(monkeypatch)
+        start = 1000.25
+        end = start + k + 0.5
+        assert table.peak_usage(start, end).cpu == 1.0
+        assert folds == [k + 1] * 4
 
 
 class TestPerfSmoke:

@@ -17,8 +17,14 @@ from repro.recovery.crashpoints import (
     count_write_points,
     run_episode,
 )
+from repro.recovery.journal import (
+    DELEGATION_CANCELLED,
+    RECORD_TYPES,
+    RECOVERED,
+)
 from repro.recovery.recover import recover
 
+from ..federation.conftest import run_delegation_episode
 from .crash_sweep import grid, single_broker, sweep
 
 
@@ -56,19 +62,26 @@ class TestEpisode:
         result = run_episode()
         assert not result.crashed
         assert result.report is None
-        types = {record.type for record in result.journal.records()}
-        # The episode must hit every write point family the broker
-        # journals, or the sweep's coverage claim is hollow.
-        assert {"sla_saved", "reserve_begin", "compute_booked",
-                "network_booked", "reserve_end", "confirm", "cancel",
-                "modify", "capacity_rebalanced", "violation",
-                "restoration", "best_effort_set"} <= types
         assert check(result.testbed) == []
+        delegation = run_delegation_episode()
+        assert delegation.ok and not delegation.crashed
+        journals = [result.journal] + [
+            domain.testbed.journal
+            for domain in delegation.plane.domains.values()]
+        types = {record.type for journal in journals
+                 for record in journal.records()}
+        # The two swept episodes together must write every record type,
+        # or the sweeps' coverage claim is hollow. Two types are left
+        # out: only recovery writes ``recovered``, and only a
+        # delegation that fails or that reconciliation rolls back
+        # writes ``delegation_cancelled`` — neither happens in a clean
+        # run.
+        assert types == RECORD_TYPES - {RECOVERED, DELEGATION_CANCELLED}
 
     def test_write_point_count_is_stable(self):
         total = count_write_points()
         assert total == len(run_episode().journal.records())
-        assert total > 30
+        assert total > 20
 
     def test_recover_without_journal_rejected(self, testbed):
         with pytest.raises(RecoveryError):
@@ -78,18 +91,18 @@ class TestEpisode:
 class TestCrashSweep:
     def test_every_write_point_recovers(self):
         # The tentpole property: kill the broker at EVERY journal
-        # write point (42), in both crash modes, and require the
+        # write point (26), in both crash modes, and require the
         # recovered system to satisfy the no-crash oracle's invariants.
         cells = sweep(single_broker())
         assert [(cell.target, cell.lsn, cell.mode) for cell in cells] \
-            == grid({"broker": 42})
+            == grid({"broker": 26})
         assert [cell for cell in cells if not cell.ok] == []
 
     def test_every_write_point_recovers_with_snapshots(self):
         # Same property through the snapshot + tail-replay path.
         cells = sweep(single_broker(snapshot_interval=20.0))
         assert [(cell.target, cell.lsn, cell.mode) for cell in cells] \
-            == grid({"broker": 42})
+            == grid({"broker": 26})
         assert [cell for cell in cells if not cell.ok] == []
 
 

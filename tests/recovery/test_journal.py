@@ -7,9 +7,12 @@ import struct
 
 import pytest
 
+from repro.core.reservation_system import booking_flow_ids
+from repro.core.testbed import build_testbed
 from repro.errors import RecoveryError
 from repro.recovery.journal import (
-    CONFIRM,
+    CAPACITY_REBALANCED,
+    MODIFY,
     RECORD_TYPES,
     SLA_SAVED,
     FileJournalStore,
@@ -20,11 +23,14 @@ from repro.recovery.journal import (
     decode_record,
     encode_record,
 )
+from repro.recovery.recover import install_journal
+
+from ..chaos.conftest import guaranteed_request
 
 
 class TestRecordCodec:
     def test_roundtrip(self):
-        record = JournalRecord(lsn=7, time=12.5, type=CONFIRM,
+        record = JournalRecord(lsn=7, time=12.5, type=MODIFY,
                                payload={"sla_id": 1000})
         assert decode_record(encode_record(record)) == record
 
@@ -48,9 +54,9 @@ class TestJournal:
     def test_lsns_are_monotonic_and_timed(self):
         clock = {"now": 3.0}
         journal = Journal(now=lambda: clock["now"])
-        first = journal.append(CONFIRM, sla_id=1)
+        first = journal.append(MODIFY, sla_id=1)
         clock["now"] = 5.0
-        second = journal.append(CONFIRM, sla_id=2)
+        second = journal.append(MODIFY, sla_id=2)
         assert (first.lsn, second.lsn) == (1, 2)
         assert (first.time, second.time) == (3.0, 5.0)
         assert journal.last_lsn == 2
@@ -59,14 +65,14 @@ class TestJournal:
     def test_unknown_record_type_rejected(self):
         with pytest.raises(RecoveryError):
             Journal().append("made_up_type")
-        assert CONFIRM in RECORD_TYPES
+        assert MODIFY in RECORD_TYPES
 
     def test_resumes_after_store_tail(self):
         store = MemoryJournalStore()
-        Journal(store).append(CONFIRM, sla_id=1)
+        Journal(store).append(MODIFY, sla_id=1)
         resumed = Journal(store)
         assert resumed.last_lsn == 1
-        assert resumed.append(CONFIRM, sla_id=2).lsn == 2
+        assert resumed.append(MODIFY, sla_id=2).lsn == 2
 
     def test_failed_append_does_not_advance_lsn(self):
         class ExplodingStore(MemoryJournalStore):
@@ -75,7 +81,7 @@ class TestJournal:
 
         journal = Journal(ExplodingStore())
         with pytest.raises(RuntimeError):
-            journal.append(CONFIRM, sla_id=1)
+            journal.append(MODIFY, sla_id=1)
         assert journal.last_lsn == 0
 
     def test_resync_recovers_from_torn_counter(self):
@@ -84,12 +90,12 @@ class TestJournal:
         # must realign so later appends keep LSNs unique.
         store = MemoryJournalStore()
         journal = Journal(store)
-        journal.append(CONFIRM, sla_id=1)
+        journal.append(MODIFY, sla_id=1)
         store.append(encode_record(JournalRecord(
-            lsn=2, time=0.0, type=CONFIRM, payload={"sla_id": 2})))
+            lsn=2, time=0.0, type=MODIFY, payload={"sla_id": 2})))
         assert journal.last_lsn == 1
         assert journal.resync() == 2
-        assert journal.append(CONFIRM, sla_id=3).lsn == 3
+        assert journal.append(MODIFY, sla_id=3).lsn == 3
 
 
 class TestMemoryStoreDeferredEncoding:
@@ -98,15 +104,15 @@ class TestMemoryStoreDeferredEncoding:
         # the bytes must match what a durable store would have written
         # at append time.
         store = MemoryJournalStore()
-        record = Journal(store).append(CONFIRM, sla_id=1)
+        record = Journal(store).append(MODIFY, sla_id=1)
         assert list(store.records()) == [encode_record(record)]
 
     def test_byte_and_typed_appends_interleave(self):
         store = MemoryJournalStore()
-        first = JournalRecord(lsn=1, time=0.0, type=CONFIRM,
+        first = JournalRecord(lsn=1, time=0.0, type=MODIFY,
                               payload={"sla_id": 1})
         store.append(encode_record(first))
-        second = Journal(store).append(CONFIRM, sla_id=2)
+        second = Journal(store).append(MODIFY, sla_id=2)
         assert [r.lsn for r in Journal(store).records()] == [1, 2]
         assert list(store.records())[1] == encode_record(second)
 
@@ -116,9 +122,9 @@ class TestMemoryStoreDeferredEncoding:
         # append mid-walk is not seen.
         store = MemoryJournalStore()
         journal = Journal(store)
-        journal.append(CONFIRM, sla_id=1)
+        journal.append(MODIFY, sla_id=1)
         reading = store.records()
-        journal.append(CONFIRM, sla_id=2)
+        journal.append(MODIFY, sla_id=2)
         assert len(list(reading)) == 1
         assert len(list(store.records())) == 2
 
@@ -127,7 +133,7 @@ class TestMemoryStoreDeferredEncoding:
         # the sweep and every recovery force a read, so a write point
         # with a non-JSON-safe payload still cannot hide.
         store = MemoryJournalStore()
-        Journal(store).append(CONFIRM, handle=object())
+        Journal(store).append(MODIFY, handle=object())
         with pytest.raises(TypeError):
             list(store.records())
 
@@ -136,12 +142,12 @@ class TestMemoryStoreDeferredEncoding:
         store = MemoryJournalStore()
         assert len(store) == 0
         store.append(encode_record(JournalRecord(
-            lsn=1, time=0.0, type=CONFIRM, payload={"sla_id": 1})))
+            lsn=1, time=0.0, type=MODIFY, payload={"sla_id": 1})))
         journal = Journal(store)
-        journal.append(CONFIRM, sla_id=2)
+        journal.append(MODIFY, sla_id=2)
         journal.begin_group()
-        journal.append(CONFIRM, sla_id=3)
-        journal.append(CONFIRM, sla_id=4)
+        journal.append(MODIFY, sla_id=3)
+        journal.append(MODIFY, sla_id=4)
         journal.commit_group()
         assert len(store) == 4
 
@@ -161,10 +167,10 @@ class TestMemoryStoreDeferredEncoding:
 
         store = Counting()
         journal = Journal(store)
-        first = journal.append(CONFIRM, sla_id=1)
+        first = journal.append(MODIFY, sla_id=1)
         journal.begin_group()
-        group = [journal.append(CONFIRM, sla_id=2),
-                 journal.append(CONFIRM, sla_id=3)]
+        group = [journal.append(MODIFY, sla_id=2),
+                 journal.append(MODIFY, sla_id=3)]
         journal.commit_group()
         assert store.seen == [1, 2, 3]
         assert list(store.records()) == [
@@ -197,14 +203,14 @@ class TestJournalStoreInterface:
 
         store = Bytes()
         journal = Journal(store)
-        journal.append(CONFIRM, sla_id=1)
+        journal.append(MODIFY, sla_id=1)
         journal.begin_group()
         journal.append(SLA_SAVED, sla_id=2)
-        journal.append(CONFIRM, sla_id=2)
+        journal.append(MODIFY, sla_id=2)
         journal.commit_group()
         assert all(isinstance(frame, bytes) for frame in store.frames)
         assert [(record.lsn, record.type) for record in journal.records()] \
-            == [(1, CONFIRM), (2, SLA_SAVED), (3, CONFIRM)]
+            == [(1, MODIFY), (2, SLA_SAVED), (3, MODIFY)]
 
 
 class TestFileJournalStore:
@@ -212,19 +218,19 @@ class TestFileJournalStore:
         path = tmp_path / "wal.journal"
         journal = Journal(FileJournalStore(path))
         journal.append(SLA_SAVED, sla_id=1000, status="active")
-        journal.append(CONFIRM, sla_id=1000)
+        journal.append(MODIFY, sla_id=1000)
         replayed = Journal(FileJournalStore(path)).records()
-        assert [r.type for r in replayed] == [SLA_SAVED, CONFIRM]
+        assert [r.type for r in replayed] == [SLA_SAVED, MODIFY]
         assert replayed[0].payload == {"sla_id": 1000, "status": "active"}
 
     def test_torn_tail_is_dropped(self, tmp_path):
         path = tmp_path / "wal.journal"
         store = FileJournalStore(path)
         intact = encode_record(JournalRecord(
-            lsn=1, time=0.0, type=CONFIRM, payload={"sla_id": 1}))
+            lsn=1, time=0.0, type=MODIFY, payload={"sla_id": 1}))
         store.append(intact)
         torn = encode_record(JournalRecord(
-            lsn=2, time=0.0, type=CONFIRM, payload={"sla_id": 2}))
+            lsn=2, time=0.0, type=MODIFY, payload={"sla_id": 2}))
         with open(path, "ab") as handle:
             # Length prefix promises the full record; the crash cut
             # the body short.
@@ -245,7 +251,7 @@ class TestFileJournalStore:
         if tear == "mid-group":
             journal.begin_group()
             for sla_id in (1, 2, 3):
-                journal.append(CONFIRM, sla_id=sla_id)
+                journal.append(MODIFY, sla_id=sla_id)
             journal.commit_group()
             (first,) = struct.unpack_from(">I", path.read_bytes(), whole)
             # The crash cut the run inside the group's second frame.
@@ -253,7 +259,7 @@ class TestFileJournalStore:
             survivors = 2
         else:
             torn = encode_record(JournalRecord(
-                lsn=2, time=0.0, type=CONFIRM, payload={"sla_id": 2}))
+                lsn=2, time=0.0, type=MODIFY, payload={"sla_id": 2}))
             frame = struct.pack(">I", len(torn)) + torn
             with open(path, "ab") as handle:
                 handle.write(frame[:2] if tear == "prefix" else frame[:-3])
@@ -261,8 +267,8 @@ class TestFileJournalStore:
         reopened = Journal(FileJournalStore(path))
         assert reopened.last_lsn == survivors
         # Appending must not frame the new records inside the garbage.
-        reopened.append(CONFIRM, sla_id=7)
-        reopened.append(CONFIRM, sla_id=8)
+        reopened.append(MODIFY, sla_id=7)
+        reopened.append(MODIFY, sla_id=8)
         replayed = Journal(FileJournalStore(path)).records()
         assert [r.lsn for r in replayed] == list(range(1, survivors + 3))
         assert [r.payload["sla_id"] for r in replayed[-2:]] == [7, 8]
@@ -270,3 +276,37 @@ class TestFileJournalStore:
     def test_missing_file_reads_empty(self, tmp_path):
         store = FileJournalStore(tmp_path / "absent.journal")
         assert list(store.records()) == []
+
+
+class TestWhatASessionWrites:
+    """The journal holds what only the broker knows: a guaranteed
+    session's document once, its legs once, and a status per
+    transition. GARA and the NRM are asked for the rest."""
+
+    def test_one_document_one_set_of_legs_one_status_per_transition(self):
+        testbed = build_testbed()
+        journal = install_journal(testbed)
+        outcome = testbed.broker.request_service(
+            guaranteed_request("user1", cpu=4))
+        assert outcome.accepted
+        sla_id = outcome.sla.sla_id
+        admitted = journal.records()
+        assert [record.type for record in admitted] == [
+            SLA_SAVED, CAPACITY_REBALANCED, SLA_SAVED]
+        established, _, activated = admitted
+        assert [record for record in admitted
+                if "xml" in record.payload] == [established]
+        legs = testbed.broker.allocation.get(sla_id).reservation
+        assert established.payload["status"] == "established"
+        assert established.payload["handle"] == legs.compute_handle.value
+        assert established.payload["flows"] \
+            == booking_flow_ids(legs.network_booking)
+        assert len(established.payload["flows"]) == 1
+        assert activated.payload == {"sla_id": sla_id, "status": "active"}
+
+        testbed.broker.complete_session(sla_id)
+        closed = journal.records()[len(admitted):]
+        assert [record.type for record in closed] == [
+            CAPACITY_REBALANCED, SLA_SAVED]
+        assert closed[1].payload == {"sla_id": sla_id,
+                                     "status": "completed"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.reservation_system import booking_flow_ids
 from repro.core.testbed import build_testbed
 from repro.errors import RecoveryError
 from repro.qos.classes import ServiceClass
@@ -48,17 +49,23 @@ class TestTakeSnapshot:
         testbed = journaled_testbed
         outcome = testbed.broker.request_service(_request())
         assert outcome.accepted
+        assert testbed.broker.request_best_effort("batch", 2.0)
         testbed.sim.run(until=5.0)
         snapshot = take_snapshot(testbed.broker)
         assert snapshot.lsn == testbed.journal.last_lsn
         assert snapshot.time == 5.0
         restored = SLARepository.from_xml(snapshot.repository_xml)
         assert [sla.sla_id for sla in restored.all()] == [1000]
-        assert snapshot.partition["cg"] == 15
+        # What recovery reads back: the best-effort demands, and each
+        # open session's legs.
+        (best_effort,) = snapshot.partition["best_effort"]
+        assert best_effort["demand"] == 2.0
+        assert list(snapshot.partition) == ["best_effort"]
+        live = testbed.broker.allocation.get(1000).reservation
         (composite,) = snapshot.composites
-        assert composite["sla_id"] == 1000
-        assert composite["confirmed"] is True
-        assert composite["handle"] is not None
+        assert composite == {
+            "sla_id": 1000, "handle": live.compute_handle.value,
+            "flows": booking_flow_ids(live.network_booking)}
         assert len(composite["flows"]) == 1
 
 

@@ -3,68 +3,74 @@
 
 from __future__ import annotations
 
+from repro.core.reservation_system import booking_flow_ids
+from repro.core.testbed import build_testbed
 from repro.recovery.journal import (
     BEST_EFFORT_SET,
-    CANCEL,
-    COMPUTE_BOOKED,
-    CONFIRM,
-    NETWORK_BOOKED,
-    RESERVE_BEGIN,
-    RESERVE_END,
+    CAPACITY_REBALANCED,
+    SLA_SAVED,
     FileJournalStore,
-    Journal,
 )
-from repro.recovery.recover import summarize_journal
+from repro.recovery.recover import install_journal, summarize_journal
+
+from ..chaos.conftest import guaranteed_request
 
 
 def write_journal(path):
-    """Four composites, one per disposition, and two best-effort
-    demands of which one is withdrawn."""
-    journal = Journal(FileJournalStore(path))
-    for sla_id in (1001, 1002, 1003, 1004):
-        journal.append(RESERVE_BEGIN, sla_id=sla_id)
-        journal.append(COMPUTE_BOOKED, sla_id=sla_id, handle=sla_id - 1000)
-    journal.append(NETWORK_BOOKED, sla_id=1001, flows=[7, 8])
-    for sla_id in (1001, 1003, 1004):
-        journal.append(RESERVE_END, sla_id=sla_id)
-    journal.append(CONFIRM, sla_id=1001)
-    journal.append(CANCEL, sla_id=1003)
+    """Three guaranteed admissions — one with a network leg, one closed
+    again — and two best-effort demands of which one is withdrawn.
+
+    Returns the journal and the legs each live SLA holds."""
+    testbed = build_testbed()
+    journal = install_journal(testbed, FileJournalStore(path))
+    broker = testbed.broker
+    outcomes = [broker.request_service(guaranteed_request(
+        client, cpu=2, with_network=network))
+        for client, network in (("user1", True), ("user2", False),
+                                ("user3", False))]
+    assert all(outcome.accepted for outcome in outcomes)
+    broker.terminate_session(outcomes[1].sla.sla_id, cause="client-request")
     journal.append(BEST_EFFORT_SET, user="be-1", demand=2.5)
     journal.append(BEST_EFFORT_SET, user="be-2", demand=1.0)
     journal.append(BEST_EFFORT_SET, user="be-2", demand=0.0)
-    return journal
+    legs = {}
+    for resources in broker.allocation.open_sessions():
+        composite = resources.reservation
+        legs[resources.sla_id] = (composite.compute_handle.value,
+                                  booking_flow_ids(composite.network_booking))
+    return journal, legs
 
 
-def test_every_composite_disposition_is_named(tmp_path):
+def test_every_live_sla_is_named_with_its_legs(tmp_path):
     path = tmp_path / "journal.bin"
-    write_journal(path)
+    _, legs = write_journal(path)
     lines = summarize_journal(str(path)).splitlines()
-    assert ("  composite for SLA 1001: confirmed (handle=1, flows=[7, 8])"
-            in lines)
-    assert ("  composite for SLA 1002: ORPHANED (reserve never completed) "
-            "(handle=2, flows=[])" in lines)
-    assert "  composite for SLA 1003: cancelled (handle=3, flows=[])" \
-        in lines
-    assert "  composite for SLA 1004: unconfirmed (handle=4, flows=[])" \
-        in lines
+    assert sorted(legs) == [1000, 1002]
+    assert len(legs[1000][1]) == 1 and legs[1002][1] == []
+    for sla_id, (handle, flows) in legs.items():
+        assert (f"  legs of SLA {sla_id}: handle={handle}, flows={flows}"
+                in lines)
+    # The closed SLA keeps its status line and names no legs.
+    assert "  SLA 1001 ('user2'): terminated" in lines
+    assert not any(line.startswith("  legs of SLA 1001") for line in lines)
     assert "  best-effort 'be-1': 2.5 node(s)" in lines
     assert not any("be-2" in line for line in lines)
 
 
 def test_the_header_counts_records_by_type(tmp_path):
     path = tmp_path / "journal.bin"
-    journal = write_journal(path)
+    journal, _ = write_journal(path)
     lines = summarize_journal(str(path)).splitlines()
     assert lines[0] == (f"journal {path}: {journal.last_lsn} durable "
                         f"record(s)")
-    assert journal.last_lsn == 17
-    counts = dict(line.strip().split(": ") for line in lines[2:9])
-    assert counts == {BEST_EFFORT_SET: "3", CANCEL: "1",
-                      COMPUTE_BOOKED: "4", CONFIRM: "1",
-                      NETWORK_BOOKED: "1", RESERVE_BEGIN: "4",
-                      RESERVE_END: "3"}
+    # Three establishments, three activations and one termination;
+    # four partition passes; three best-effort writes.
+    assert journal.last_lsn == 14
+    counts = dict(line.strip().split(": ") for line in lines[2:5])
+    assert counts == {BEST_EFFORT_SET: "3", CAPACITY_REBALANCED: "4",
+                      SLA_SAVED: "7"}
     assert list(counts) == sorted(counts)
-    assert "replayed state (17 record(s) folded)" in lines
+    assert "replayed state (14 record(s) folded)" in lines
 
 
 def test_an_empty_journal_summarizes_to_no_state(tmp_path):

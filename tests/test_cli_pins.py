@@ -35,6 +35,11 @@ SRC = REPO / "src"
 SUM312 = REPO / "tests" / "sum312"
 
 #: ``repro`` arguments -> sha256 of stdout. Golden values, reviewed.
+#: Last moved when the journal stopped writing reservation records
+#: (26 write points in the crash episode, not 42): ``quickstart --crash
+#: 7``'s write point 8 now falls at t=5, after the second admission, so
+#: two SLAs are restored; ``obs why all`` and ``federate --domains 3
+#: --crash 7`` moved only in their ``[lsn N]`` stamps.
 REPORT_SHA256 = {
     "quickstart":
         "33ab76983072053baa28ea62549515356ee5be8b98c343d1620bc5a6fdec6f2a",
@@ -43,13 +48,13 @@ REPORT_SHA256 = {
     "quickstart --chaos 7":
         "ff0e572a383540db91ab12b19de1d7eb3155113108adb266fb186aadcd95f87b",
     "quickstart --crash 7":
-        "a71cb1c7553497fffe6f320d6b6ca5dcb1da3641997be6722fb24b8d6225a8dc",
+        "badcc14182f66dd08faf107f302a6d102cb8a3e47b6564f923e8c4ea51d48542",
     "telemetry --chaos 3":
         "a877cfa6f937f096b8102e8f45a38ee50c3e7ef39dae4edd675a85449976ebf7",
     "telemetry --seed 5":
         "ec5c4dea1376defdd211b53e502f607c0f221a1326169dad596d4dd8af505763",
     "federate --domains 3 --crash 7":
-        "423e8ed946ffbaa13a0799406dd047a38fdfd0a54bdf017af645b9c42b609e76",
+        "66b66e16181c8f756743dac30b03859e42fd64d0b3ab64a7d2c172de9003e983",
     "example56":
         "6af1a9a58257c5016cc37e892fd15b4f80314bc7ff87ae3077924fc30626596f",
     "sweep":
@@ -59,7 +64,7 @@ REPORT_SHA256 = {
     "diagram":
         "5486ddcef86ecf38e9a53de5a4d8146f9d46f1f008f556b75f0627401b06f223",
     "obs why all":
-        "921be6a3b69b9f30d92b0df2ae6d51c5288b32280ecf3f47871080b4d5f76a3f",
+        "c23a70c65105d12d82d908f873023d1c05b1145d4b2b0a4f814a948ad9892232",
 }
 
 

@@ -363,8 +363,6 @@ def test_the_pass_counts_what_a_program_root_mentions(tmp_path, extra,
 MANUAL = {
     "ledger": "the BENCHMARK.json ledger: check.sh runs its --smoke "
               "steps instead, and full runs compare two checkouts",
-    "bench_journal_overhead.py": "its 5 % journal budget fails in most "
-                                 "runs (ROADMAP, checks that fail #1)",
 }
 
 

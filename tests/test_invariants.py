@@ -22,7 +22,7 @@ from repro.federation.recovery import federation_invariants
 from repro.invariants import FACTS, check, journal_lsn
 from repro.qos.vector import ResourceVector
 from repro.recovery.crashpoints import run_episode
-from repro.recovery.journal import CONFIRM, JournalRecord, encode_record
+from repro.recovery.journal import MODIFY, JournalRecord, encode_record
 from repro.recovery.recover import install_journal
 from repro.rsl.builder import reservation_rsl
 from repro.workloads import check_invariants, replay_scenario
@@ -115,12 +115,12 @@ def hold_for_nobody(testbed):
 
 def rewind_the_journal(testbed):
     testbed.journal.store.append(encode_record(JournalRecord(
-        lsn=1, time=0.0, type=CONFIRM, payload={})))
+        lsn=1, time=0.0, type=MODIFY, payload={})))
 
 
 def repeat_the_last_lsn(testbed):
     testbed.journal.store.append(encode_record(JournalRecord(
-        lsn=testbed.journal.last_lsn, time=0.0, type=CONFIRM, payload={})))
+        lsn=testbed.journal.last_lsn, time=0.0, type=MODIFY, payload={})))
 
 
 class Row(NamedTuple):
@@ -186,8 +186,8 @@ def test_the_lsn_fact_names_each_step_back_once():
     last = testbed.journal.last_lsn
     rewind_the_journal(testbed)
     testbed.journal.store.append(encode_record(JournalRecord(
-        lsn=last + 1, time=0.0, type=CONFIRM, payload={})))
-    repeat = JournalRecord(lsn=last + 1, time=0.0, type=CONFIRM, payload={})
+        lsn=last + 1, time=0.0, type=MODIFY, payload={})))
+    repeat = JournalRecord(lsn=last + 1, time=0.0, type=MODIFY, payload={})
     testbed.journal.store.append(encode_record(repeat))
     assert journal_lsn(testbed) == [
         f"LSN 1 after {last}, not strictly increasing",
